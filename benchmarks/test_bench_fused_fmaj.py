@@ -40,7 +40,7 @@ from repro.core.ops import FMajConfig, FracDram
 from repro.dram.batched import BatchedChip
 from repro.dram.chip import DramChip
 from repro.dram.parameters import GeometryParams
-from repro.experiments.nist_randomness import PUF_N_FRAC
+from repro.puf.frac_puf import PUF_N_FRAC
 from repro.xir import FusedFracDram, ir
 
 #: Honest targets for the MRA-floor-bound fMAJ regime and the

@@ -37,8 +37,7 @@ from record import record_bench
 from repro import DramChip
 from repro.puf.frac_puf import FracPuf
 from repro.service import (CoalescePolicy, PufAuthService, ServiceConfig,
-                           VerificationEngine, WorkloadSpec,
-                           build_enrollment, drive_open_loop,
+                           WorkloadSpec, build_enrollment, drive_open_loop,
                            generate_schedule, percentile, replay_scripted)
 
 N_MODULES = 10_000
@@ -59,8 +58,8 @@ WORKLOAD = WorkloadSpec(seed=0, n_requests=N_REQUESTS, rate_rps=20_000.0,
 POLICY = CoalescePolicy(max_lanes=48, max_wait_s=0.01)
 
 
-async def _serve_live(db, schedule, backend=None):
-    service = PufAuthService(db, policy=POLICY, backend=backend)
+async def _serve_live(db, schedule):
+    service = PufAuthService(db, policy=POLICY)
     await service.start()
     started = time.perf_counter()
     replies = await drive_open_loop(service.batcher, schedule, pace=False)
@@ -81,11 +80,8 @@ def test_service_sustains_10k_module_fleet(benchmark, tmp_path, capsys):
 
     replies, latencies, batches, serve_wall = run_once(
         benchmark, lambda: asyncio.run(_serve_live(db, schedule)))
-    batched_replies, _, _, batched_wall = asyncio.run(
-        _serve_live(db, schedule, backend="batched"))
 
     verifications_per_s = N_REQUESTS / serve_wall
-    batched_verifications_per_s = N_REQUESTS / batched_wall
     p50 = percentile(latencies, 0.5)
     p99 = percentile(latencies, 0.99)
     benchmark.extra_info["backend"] = "fused"
@@ -93,10 +89,6 @@ def test_service_sustains_10k_module_fleet(benchmark, tmp_path, capsys):
     benchmark.extra_info["enroll_modules_per_s"] = round(
         N_MODULES / enroll_wall)
     benchmark.extra_info["verifications_per_s"] = round(verifications_per_s)
-    benchmark.extra_info["batched_verifications_per_s"] = round(
-        batched_verifications_per_s)
-    benchmark.extra_info["fused_vs_batched_speedup"] = round(
-        batched_wall / serve_wall, 2)
     benchmark.extra_info["latency_p50_ms"] = round(p50 * 1e3, 2)
     benchmark.extra_info["latency_p99_ms"] = round(p99 * 1e3, 2)
     benchmark.extra_info["mean_batch_lanes"] = round(
@@ -106,15 +98,8 @@ def test_service_sustains_10k_module_fleet(benchmark, tmp_path, capsys):
         print(f"\nservice @ {N_MODULES} modules: enroll "
               f"{N_MODULES / enroll_wall:.0f} modules/s, serve "
               f"{verifications_per_s:.0f} verifications/s over {batches} "
-              f"batches (batched engine "
-              f"{batched_verifications_per_s:.0f}/s), latency "
-              f"p50 {p50 * 1e3:.1f} ms / p99 {p99 * 1e3:.1f} ms")
-
-    # --- fused live decisions == batched live decisions -----------------
-    for fused_reply, batched_reply in zip(replies, batched_replies):
-        assert fused_reply.accepted == batched_reply.accepted
-        assert fused_reply.device_id == batched_reply.device_id
-        assert fused_reply.mean_distance == batched_reply.mean_distance
+              f"batches, latency p50 {p50 * 1e3:.1f} ms / "
+              f"p99 {p99 * 1e3:.1f} ms")
 
     # --- replies answer their requests, in order ------------------------
     assert len(replies) == N_REQUESTS
@@ -150,10 +135,9 @@ def test_service_sustains_10k_module_fleet(benchmark, tmp_path, capsys):
         assert reply.device_id == decision.device_id
         assert reply.mean_distance == decision.mean_distance
 
-    # --- scripted transcripts byte-identical across reruns and engines --
+    # --- scripted transcripts byte-identical across reruns --------------
     first = tmp_path / "replay-1.jsonl"
     second = tmp_path / "replay-2.jsonl"
-    batched_path = tmp_path / "replay-batched.jsonl"
     summary_first = replay_scripted(db, schedule, POLICY,
                                     transcript_path=first)
     summary_second = replay_scripted(db, schedule, POLICY,
@@ -161,10 +145,6 @@ def test_service_sustains_10k_module_fleet(benchmark, tmp_path, capsys):
     assert first.read_bytes() == second.read_bytes(), (
         "scripted service transcripts drifted between identical replays")
     assert summary_first.accepted == summary_second.accepted
-    replay_scripted(db, schedule, POLICY, transcript_path=batched_path,
-                    engine=VerificationEngine(db, backend="batched"))
-    assert first.read_bytes() == batched_path.read_bytes(), (
-        "fused scripted transcript differs from the batched engine's")
     # The scripted and live paths serve the same decisions (coalescing
     # differs — virtual vs real arrival timing — but decisions cannot).
     assert summary_first.accepted == sum(

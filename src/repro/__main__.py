@@ -196,9 +196,6 @@ def _add_service_fleet_arguments(parser: argparse.ArgumentParser,
                         help="enrollment store directory")
     parser.add_argument("--no-store", action="store_true",
                         help="re-enroll instead of using the store")
-    parser.add_argument("--backend", default=None, metavar="NAME",
-                        help="verification engine backend (fused/batched; "
-                             "default fused; replies byte-identical)")
     parser.add_argument("--cache-stats", action="store_true",
                         help="print plan/xir compile-cache statistics "
                              "after the run")
@@ -215,13 +212,11 @@ def _cmd_serve(arguments: argparse.Namespace) -> int:
                             max_wait_s=arguments.max_wait_ms / 1e3)
 
     async def run() -> None:
-        service = PufAuthService(db, policy=policy,
-                                 backend=arguments.backend)
+        service = PufAuthService(db, policy=policy)
         await service.start()
         host, port = await service.serve_tcp(arguments.host, arguments.port)
         print(f"serving {db.n_modules} enrolled module(s) "
-              f"on {host}:{port} via {service.engine.backend} engine "
-              f"(JSON lines; Ctrl-C to stop)")
+              f"on {host}:{port} (JSON lines; Ctrl-C to stop)")
         try:
             await asyncio.Event().wait()
         finally:
@@ -245,18 +240,11 @@ def _cmd_bench_service(arguments: argparse.Namespace) -> int:
     import asyncio
     from contextlib import nullcontext
 
-    from .errors import ConfigurationError
-    from .service import (CoalescePolicy, PufAuthService, VerificationEngine,
-                          WorkloadSpec, generate_schedule, percentile,
-                          replay_scripted)
+    from .service import (CoalescePolicy, PufAuthService, WorkloadSpec,
+                          generate_schedule, percentile, replay_scripted)
     from .telemetry import session as telemetry_session
 
     db = _service_db(arguments)
-    try:
-        engine = VerificationEngine(db, backend=arguments.backend)
-    except ConfigurationError as error:  # fail fast on unknown backends
-        print(f"error: {error}", file=sys.stderr)
-        return 2
     spec = WorkloadSpec(seed=arguments.workload_seed,
                         n_requests=arguments.requests,
                         rate_rps=arguments.rate,
@@ -274,8 +262,7 @@ def _cmd_bench_service(arguments: argparse.Namespace) -> int:
             wall = SystemClock()
 
             async def run() -> tuple[list, float]:
-                service = PufAuthService(db, policy=policy,
-                                         backend=arguments.backend)
+                service = PufAuthService(db, policy=policy)
                 await service.start()
                 # Live mode reports real throughput to a human; the
                 # elapsed wall time never reaches deterministic output.
@@ -295,8 +282,7 @@ def _cmd_bench_service(arguments: argparse.Namespace) -> int:
                   f"p99 {percentile(latencies, 0.99)*1e3:.2f} ms")
         else:
             summary = replay_scripted(db, schedule, policy,
-                                      transcript_path=arguments.transcript,
-                                      engine=engine)
+                                      transcript_path=arguments.transcript)
             print(summary.format_summary())
             if summary.transcript_path is not None:
                 # stderr, so stdout stays byte-identical across replays
@@ -346,7 +332,7 @@ def main(argv: list[str] | None = None) -> int:
                                   "modules; default auto; 1 = scalar; "
                                   "results byte-identical)")
     experiments.add_argument("--backend", default=None, metavar="NAME",
-                             help="execution backend (scalar/batched/plan/fused; "
+                             help="execution backend (scalar/batched/fused; "
                                   "default batched; results byte-identical)")
     experiments.add_argument("--no-cache", action="store_true",
                              help="recompute results even if cached")
@@ -375,7 +361,7 @@ def main(argv: list[str] | None = None) -> int:
                              "modules; default auto; 1 = scalar; "
                              "results byte-identical)")
     report.add_argument("--backend", default=None, metavar="NAME",
-                        help="execution backend (scalar/batched/plan/fused; "
+                        help="execution backend (scalar/batched/fused; "
                              "default batched; results byte-identical)")
     report.add_argument("--no-cache", action="store_true",
                         help="recompute results even if cached")

@@ -5,19 +5,20 @@ interchangeable :class:`~repro.backends.base.Backend` engines:
 
 * ``scalar`` — the cycle-accurate ``SoftMC`` + ``DramChip`` reference,
 * ``batched`` — every device a lane of the vectorized NumPy engine,
-* ``plan`` — compiled-plan replay (lower the program once, replay a flat
-  dispatch table per device),
 * ``fused`` — xir-compiled experiment programs (:mod:`repro.xir`) on
-  batched lanes: fig6/fig11 hot loops run as whole-batch phase kernels.
+  batched lanes: the hot loops of the lowered experiments run as
+  whole-batch phase kernels.
 
 Each backend executes assembled SoftMC programs over a deterministic
 device fleet (:meth:`~repro.backends.base.Backend.execute_program`) and
-drives experiment dispatch via ``ExperimentConfig.backend``.  The
-differential conformance suite (``tests/backends/``) pins every
+drives experiment dispatch via ``ExperimentConfig.backend``: its lane
+width and its driver factories (``fracdram``/``puf``/
+``retention_profiler``) are the only engine choices an experiment makes.
+The differential conformance suite (``tests/backends/``) pins every
 registered backend byte-identical — results *and* telemetry counters —
 to the scalar reference across all experiments, a program corpus, and
-hypothesis-fuzzed programs, so a new engine (e.g. a future JIT) plugs in
-against an existing gate.  See ``docs/backends.md``.
+hypothesis-fuzzed programs, so a new engine plugs in against an existing
+gate.  See ``docs/backends.md``.
 
 Quickstart::
 
@@ -51,7 +52,6 @@ from .registry import (
 # Importing the engine modules registers the built-in backends.
 from . import batched as _batched  # noqa: F401  (registration side effect)
 from . import fused as _fused  # noqa: F401
-from . import plan as _plan  # noqa: F401
 from . import scalar as _scalar  # noqa: F401
 
 __all__ = [

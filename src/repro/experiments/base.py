@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -24,8 +24,12 @@ from ..dram.parameters import GeometryParams
 from ..dram.vendor import GroupProfile
 from ..telemetry.registry import active as _telemetry_active
 
-__all__ = ["ExperimentConfig", "make_chip", "make_fd", "make_module",
-           "markdown_table", "percent", "resolve_batch", "stage"]
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..backends import Backend
+
+__all__ = ["ExperimentConfig", "backend_for", "make_chip", "make_fd",
+           "make_module", "markdown_table", "percent", "resolve_batch",
+           "stage"]
 
 
 @contextmanager
@@ -100,20 +104,29 @@ class ExperimentConfig:
 DEFAULT_CONFIG = ExperimentConfig()
 
 
+def backend_for(config: ExperimentConfig) -> "Backend":
+    """The execution backend ``config`` names (registry default if none).
+
+    Its driver factories (``fracdram``, ``puf``, ``retention_profiler``)
+    build the lane drivers of the experiments in
+    :data:`repro.xir.XIR_LOWERED_EXPERIMENTS`.
+    """
+    from ..backends import resolve_backend
+
+    return resolve_backend(getattr(config, "backend", None))
+
+
 def resolve_batch(config: ExperimentConfig, auto: int) -> int:
     """Effective trial-batch width for one batched stage.
 
     ``auto`` is the experiment's natural lane count for the stage (all
     units of a shard, all serials of a group, ...).  Dispatch is the
-    configured backend's policy (:mod:`repro.backends`): the default
-    ``batched`` engine takes ``auto`` capped by the ``batch`` knob
-    (0/1 disables batching entirely), while ``scalar``/``plan`` force
-    width 1.  The returned width is always at least 1.
+    configured backend's policy (:mod:`repro.backends`): ``batched`` and
+    ``fused`` take ``auto`` capped by the ``batch`` knob (0/1 disables
+    batching entirely), while ``scalar`` forces width 1.  The returned
+    width is always at least 1.
     """
-    from ..backends import resolve_backend
-
-    return resolve_backend(getattr(config, "backend", None)).lane_width(
-        auto, config.batch)
+    return backend_for(config).lane_width(auto, config.batch)
 
 
 def make_chip(group: str | GroupProfile, config: ExperimentConfig,

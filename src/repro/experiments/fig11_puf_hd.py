@@ -22,10 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dram.batched import BatchedChip
-from ..puf.batched_puf import BatchedFracPuf
 from ..puf.frac_puf import Challenge, FracPuf
 from ..puf.metrics import inter_hd_distances, intra_hd_distances, response_weights
-from .base import (DEFAULT_CONFIG, ExperimentConfig, make_chip,
+from .base import (DEFAULT_CONFIG, ExperimentConfig, backend_for, make_chip,
                    markdown_table, resolve_batch)
 
 __all__ = ["Fig11Group", "Fig11Result", "run", "default_challenges",
@@ -164,14 +163,9 @@ def run_shard(config: ExperimentConfig, units, n_challenges: int = 24,
     geometry = config.geometry()
     for start in range(0, len(units), batch):
         cohort = units[start:start + batch]
-        device = BatchedChip.from_fleet(cohort, geometry=geometry,
-                                        master_seed=config.master_seed,
-                                        epochs=[0] * len(cohort))
-        if config.backend == "fused":
-            from ..xir import FusedFracPuf
-            puf = FusedFracPuf(device)
-        else:
-            puf = BatchedFracPuf(device)
+        puf = backend_for(config).puf(BatchedChip.from_fleet(
+            cohort, geometry=geometry, master_seed=config.master_seed,
+            epochs=[0] * len(cohort)))
         epoch0 = puf.evaluate_many(challenges)
         puf.reseed_noise(1)
         epoch1 = puf.evaluate_many(challenges)

@@ -21,7 +21,6 @@ import numpy as np
 from ..analysis.retention import (
     N_BUCKETS,
     RETENTION_BUCKET_LABELS,
-    BatchedRetentionProfiler,
     CellCategory,
     RetentionProfile,
     RetentionProfiler,
@@ -33,6 +32,7 @@ from ..dram.vendor import GROUPS
 from .base import (
     DEFAULT_CONFIG,
     ExperimentConfig,
+    backend_for,
     make_chip,
     make_fd,
     markdown_table,
@@ -178,12 +178,8 @@ def run_shard(config: ExperimentConfig, units,
         per_lane_targets = [
             _unit_targets(config, group_id, rows_per_bank_sample)
             for group_id in cohort]
-        bfd = BatchedFracDram(BatchedChip.from_chips(chips))
-        if config.backend == "fused":
-            from ..xir import FusedRetentionProfiler
-            profiler = FusedRetentionProfiler(bfd)
-        else:
-            profiler = BatchedRetentionProfiler(bfd)
+        profiler = backend_for(config).retention_profiler(
+            BatchedFracDram(BatchedChip.from_chips(chips)))
         retentions = profiler.profile_rows(per_lane_targets, FRAC_COUNTS)
         payloads.extend(_classify(group_id, retention)
                         for group_id, retention in zip(cohort, retentions))

@@ -22,14 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..core.batched_ops import BatchedFracDram
 from ..dram.batched import BatchedChip
 from ..dram.parameters import GeometryParams
 from ..dram.chip import DramChip
 from ..puf.extractor import von_neumann_extract
-from ..puf.frac_puf import PUF_N_FRAC, Challenge, FracPuf
+from ..puf.frac_puf import Challenge, FracPuf
 from ..puf.nist import SuiteResult, run_all
-from .base import DEFAULT_CONFIG, ExperimentConfig, resolve_batch
+from .base import DEFAULT_CONFIG, ExperimentConfig, backend_for, resolve_batch
 
 __all__ = ["NistExperimentResult", "run", "shard_units", "run_shard",
            "merge"]
@@ -131,36 +130,18 @@ def run_shard(config: ExperimentConfig, units, group_id: str = "B",
             payloads.append((index, response))
         return payloads
     payloads = []
-    rows_per_subarray = geometry.rows_per_subarray
-    reserved = rows_per_subarray - 1
+    backend = backend_for(config)
     for start in range(0, len(units), batch):
         cohort = units[start:start + batch]
         sites = [(bank, subarray) for _, bank, subarray in cohort]
         epochs = [index for index, _, _ in cohort]
         device = BatchedChip.from_subarray_views(chip, sites, epochs=epochs)
-        # The scalar evaluation, replayed per lane in the virtual
-        # 1-sub-array address space: fill the reserved all-ones row,
-        # copy it onto the challenge row, Frac it to ~Vdd/2, read.
-        if config.backend == "fused":
-            from ..xir import FusedFracDram, ir
-            bfd = FusedFracDram(device)
-            lanes = bfd.all_lanes()
-            (responses,) = bfd.run_program(
-                (ir.WriteRow(0, "res", True),
-                 ir.RowCopy(0, "res", "row"),
-                 ir.Frac(0, "row", PUF_N_FRAC),
-                 ir.ReadRow(0, "row")),
-                rows={"res": [reserved] * len(lanes),
-                      "row": [0] * len(lanes)},
-                lanes=lanes)
-        else:
-            bfd = BatchedFracDram(device)
-            lanes = bfd.all_lanes()
-            bfd.fill_row(0, [reserved] * len(lanes), True, lanes)
-            bfd.row_copy(0, [reserved] * len(lanes), [0] * len(lanes), lanes)
-            bfd.frac(0, [0] * len(lanes), PUF_N_FRAC, lanes)
-            responses = bfd.read_row(0, [0] * len(lanes), lanes)
-        payloads.extend((index, responses[lane].copy())
+        # Each lane's device is its challenge's sub-array alone, so
+        # Challenge(0, 0) replays the scalar evaluation per lane: fill
+        # the reserved all-ones row, copy it onto row 0, Frac it to
+        # ~Vdd/2, read.
+        responses = backend.puf(device).evaluate_many([Challenge(0, 0)])
+        payloads.extend((index, responses[lane, 0].copy())
                         for lane, (index, _, _) in enumerate(cohort))
     return payloads
 

@@ -192,7 +192,7 @@ def main(argv: list[str] | None = None) -> int:
                              "auto; 1 = scalar); results are byte-identical "
                              "at every setting")
     parser.add_argument("--backend", default=None, metavar="NAME",
-                        help="execution backend (see repro.backends; "
+                        help="execution backend (scalar/batched/fused; "
                              "default: batched); every registered backend "
                              "is conformance-gated to byte-identical "
                              "results")

@@ -1,7 +1,7 @@
 """Backend-parity rules: static coverage of the op/command dispatch tables.
 
 The conformance suite proves *dynamically* that the scalar, batched,
-plan, and fused backends agree byte-for-byte; these rules prove the
+and fused backends agree byte-for-byte; these rules prove the
 cheaper structural half *statically*: every DDR command kind, every xir
 primitive op, and every lowered experiment must be *handled* by each
 dispatch surface that claims to consume it.  A new ``Command`` subclass
@@ -17,8 +17,8 @@ their anchor modules are absent from the linted tree, so partial runs
 (fixtures, single-directory lints) do not misfire.
 
 * PAR001 — a command ``KIND`` dispatched by one surface but unhandled
-  by another (softmc / batched controller / plan compiler / program
-  assembler + renderer / xir compiler).
+  by another (softmc / batched controller / program assembler +
+  renderer / xir compiler).
 * PAR002 — an ``ir.PRIMITIVE_OPS`` member the xir compiler does not
   lower, or a compiler-emitted action tag the executor does not
   execute.
@@ -60,8 +60,6 @@ _COMMAND_SURFACES: Tuple[Tuple[str, str, str], ...] = (
      "SoftMC command execution"),
     ("repro.controller.batched", "isinstance",
      "batched controller command execution"),
-    ("repro.backends.plan", "isinstance",
-     "plan-backend sequence compiler"),
     ("repro.controller.program", "compare:mnemonic",
      "program assembler mnemonic dispatch"),
     ("repro.controller.program", "isinstance",
@@ -94,9 +92,9 @@ class CommandParityRule(Rule):
     rationale = (
         "Every Command subclass in repro.controller.commands must be "
         "executable by the scalar SoftMC, the batched controller, the "
-        "plan compiler, the program assembler/renderer, and the xir "
-        "scheduler — a kind one surface silently drops diverges the "
-        "backends the moment an experiment emits it.  This pins the "
+        "program assembler/renderer, and the xir scheduler — a kind one "
+        "surface silently drops diverges the backends the moment an "
+        "experiment emits it.  This pins the "
         "dispatch tables to the command universe at lint time instead "
         "of waiting for a conformance-suite diff.")
 

@@ -6,8 +6,8 @@ The serving read path has two halves:
   device-batched passes: every request's module becomes a lane of one
   :meth:`~repro.dram.batched.BatchedChip.from_fleet` cohort (fabricated
   at the request's noise epoch), the whole cohort answers the private
-  challenge set in one :class:`~repro.puf.batched_puf.BatchedFracPuf`
-  pass, optional per-vendor-group MAJ3 attestation sub-passes run via
+  challenge set in one :class:`~repro.xir.FusedFracPuf` pass, optional
+  per-vendor-group MAJ3 attestation sub-passes run via
   :func:`~repro.core.verify.batched_verify_frac_by_maj3` on lane
   subsets, and each lane's probe is matched against the enrollment
   matrix with the same :func:`~repro.puf.auth.match_probe` the scalar
@@ -53,8 +53,8 @@ from ..dram.chip import DramChip
 from ..dram.vendor import GROUPS
 from ..errors import ConfigurationError
 from ..puf.auth import match_probe
-from ..puf.batched_puf import BatchedFracPuf
 from ..telemetry.registry import active as _telemetry_active
+from ..xir import FusedFracPuf
 from .clock import Clock, SystemClock
 from .config import CoalescePolicy, ServiceConfig, module_id
 from .enrollment import EnrollmentDb
@@ -141,23 +141,13 @@ class VerifyReply:
 class VerificationEngine:
     """Executes coalesced request batches as fused engine passes.
 
-    ``backend`` picks the device engine a batch rides on: ``"fused"``
-    (default) evaluates the challenge set through
-    :class:`~repro.xir.FusedFracPuf`, ``"batched"`` keeps the plain
-    :class:`~repro.puf.batched_puf.BatchedFracPuf`.  Replies are
-    byte-identical either way (the fused path's conformance contract);
-    the knob exists for fallback and for benchmarking the delta.
+    The challenge set is evaluated through :class:`~repro.xir.FusedFracPuf`,
+    whose responses are byte-identical to the batched and scalar PUFs
+    (the fused path's conformance contract).
     """
 
-    def __init__(self, db: EnrollmentDb, *,
-                 backend: str | None = None) -> None:
-        backend = "fused" if backend is None else backend
-        if backend not in ("fused", "batched"):
-            raise ConfigurationError(
-                f"unknown service backend {backend!r} "
-                "(expected 'fused' or 'batched')")
+    def __init__(self, db: EnrollmentDb) -> None:
         self.db = db
-        self.backend = backend
         self.config: ServiceConfig = db.config
         self._challenges = self.config.challenges()
         self._geometry = self.config.geometry()
@@ -196,11 +186,7 @@ class VerificationEngine:
         device = BatchedChip.from_fleet(
             specs, geometry=self._geometry, master_seed=config.master_seed,
             epochs=epochs)
-        if self.backend == "fused":
-            from ..xir import FusedFracPuf
-            puf = FusedFracPuf(device, n_frac=config.n_frac)
-        else:
-            puf = BatchedFracPuf(device, n_frac=config.n_frac)
+        puf = FusedFracPuf(device, n_frac=config.n_frac)
         probes = puf.evaluate_many(self._challenges)
 
         fractions: list[float | None] = [None] * len(requests)
@@ -329,8 +315,7 @@ class RequestBatcher:
 
     def __init__(self, engine: VerificationEngine,
                  policy: CoalescePolicy | None = None,
-                 clock: Clock | None = None,
-                 record_latencies: bool = True) -> None:
+                 clock: Clock | None = None) -> None:
         self.engine = engine
         self.policy = policy or engine.config.coalesce
         self.clock = clock or SystemClock()
@@ -338,7 +323,6 @@ class RequestBatcher:
         #: order — the benchmark's p50/p99 source.  Never serialized
         #: into transcripts.
         self.latencies: list[float] = []
-        self._record = record_latencies
         self._pending: deque[
             tuple[float, VerifyRequest, asyncio.Future[VerifyReply]]]
         self._pending = deque()
@@ -433,8 +417,7 @@ class RequestBatcher:
             completed = self.clock.now()
             for (arrival, _, future), reply in zip(taken, replies):
                 latency = completed - arrival
-                if self._record:
-                    self.latencies.append(latency)
+                self.latencies.append(latency)
                 if telemetry is not None:
                     telemetry.observe("service.latency_s", latency,
                                       bounds=LATENCY_BUCKET_BOUNDS)

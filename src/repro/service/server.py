@@ -73,10 +73,9 @@ class PufAuthService:
 
     def __init__(self, db: EnrollmentDb, *,
                  policy: CoalescePolicy | None = None,
-                 clock: Clock | None = None,
-                 backend: str | None = None) -> None:
+                 clock: Clock | None = None) -> None:
         self.db = db
-        self.engine = VerificationEngine(db, backend=backend)
+        self.engine = VerificationEngine(db)
         self.batcher = RequestBatcher(
             self.engine, policy or db.config.coalesce, clock)
         self._server: asyncio.base_events.Server | None = None

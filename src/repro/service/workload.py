@@ -183,7 +183,6 @@ def replay_scripted(
     policy: CoalescePolicy | None = None,
     *,
     transcript_path: str | Path | None = None,
-    engine: VerificationEngine | None = None,
 ) -> ReplaySummary:
     """Replay a schedule deterministically, in virtual time.
 
@@ -195,8 +194,7 @@ def replay_scripted(
     """
     if policy is None:
         policy = db.config.coalesce
-    if engine is None:
-        engine = VerificationEngine(db)
+    engine = VerificationEngine(db)
     clock = ManualClock()
     telemetry = _telemetry_active()
     summary = ReplaySummary()

@@ -19,13 +19,13 @@ The pipeline (see ``docs/performance.md``):
    points), with per-region merged RNG pre-advancement and store
    collapse for non-enforce lanes.
 
-The ``fused`` backend (:mod:`repro.backends.fused`) routes the
-experiments in :data:`XIR_LOWERED_EXPERIMENTS` through the fused
+The ``fused`` backend (:mod:`repro.backends.fused`) returns the fused
 drivers (:class:`FusedRetentionProfiler`, :class:`FusedFracPuf`,
-:class:`FusedFracDram`); every other experiment inherits the batched
-engine unchanged.  Everything stays byte-identical to the
-``scalar``/``batched``/``plan`` engines (conformance-gated in
-``tests/backends``).
+:class:`FusedFracDram`) from its driver factories, which the
+experiments in :data:`XIR_LOWERED_EXPERIMENTS` build their lanes with;
+every other experiment inherits the batched engine unchanged.
+Everything stays byte-identical to the ``scalar``/``batched`` engines
+(conformance-gated in ``tests/backends``).
 """
 
 from . import ir
@@ -42,9 +42,11 @@ from .puf import FusedFracPuf
 from .retention import FusedRetentionProfiler
 
 #: Experiments whose hot loops run through the fused xir executor when
-#: ``--backend fused`` is selected.  Everything else inherits the
+#: ``--backend fused`` is selected: exactly these build their drivers
+#: through the backend's factories.  Everything else inherits the
 #: batched engine (same results — the fused path is a perf lane, not a
-#: different model).  Pinned by ``tests/xir/test_registry.py``.
+#: different model).  Pinned by ``tests/xir/test_registry.py`` and the
+#: fused leg of ``tests/backends/test_conformance_experiments.py``.
 XIR_LOWERED_EXPERIMENTS = ("fig6", "fig9", "fig10", "fig11", "nist")
 
 __all__ = [

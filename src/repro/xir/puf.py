@@ -1,4 +1,4 @@
-"""Fused Frac-PUF evaluation (fig11) on the xir pipeline.
+"""Fused Frac-PUF evaluation (fig11, nist, serving) on the xir pipeline.
 
 :class:`FusedFracPuf` keeps :class:`~repro.puf.batched_puf
 .BatchedFracPuf`'s challenge handling (reserved-row bookkeeping, noise

@@ -8,11 +8,31 @@ backend is the reference; nothing may diverge from it.
 
 import pytest
 
+from repro.backends import available_backends
+from repro.backends.fused import FusedBackend
+from repro.errors import UnsupportedOperationError
+from repro.experiments import nist_randomness
 from repro.experiments.runner import EXPERIMENTS
+from repro.xir import XIR_LOWERED_EXPERIMENTS
 
-from .conftest import run_on_backend
+from .conftest import CONFIG, run_on_backend
 
 ALL_EXPERIMENTS = tuple(EXPERIMENTS)
+
+
+def spy_fused_factories(monkeypatch) -> list[str]:
+    """Record the name of every ``FusedBackend`` driver-factory call."""
+    calls: list[str] = []
+    for factory in ("fracdram", "puf", "retention_profiler"):
+        original = getattr(FusedBackend, factory)
+
+        def spy(self, *args, _original=original, _factory=factory,
+                **kwargs):
+            calls.append(_factory)
+            return _original(self, *args, **kwargs)
+
+        monkeypatch.setattr(FusedBackend, factory, spy)
+    return calls
 
 
 def test_suite_covers_all_experiments():
@@ -21,8 +41,9 @@ def test_suite_covers_all_experiments():
 
 
 @pytest.mark.parametrize("name", ALL_EXPERIMENTS)
-def test_backends_byte_identical(name, backends):
+def test_backends_byte_identical(name, backends, monkeypatch):
     reference_result, reference_counters = run_on_backend(name, "scalar")
+    fused_calls = spy_fused_factories(monkeypatch)
     for backend in backends:
         if backend == "scalar":
             continue
@@ -31,6 +52,9 @@ def test_backends_byte_identical(name, backends):
             f"{backend!r} result diverged from scalar on {name}")
         assert counters == reference_counters, (
             f"{backend!r} telemetry counters diverged from scalar on {name}")
+    # The fused leg builds xir drivers exactly for the lowered experiments.
+    assert bool(fused_calls) == (name in XIR_LOWERED_EXPERIMENTS), (
+        f"fused driver factories called {fused_calls} on {name}")
 
 
 @pytest.mark.parametrize("name", ("fig6", "fig11"))
@@ -41,3 +65,12 @@ def test_backend_conformance_holds_under_fleet_workers(name, backends):
         result, counters = run_on_backend(name, backend, workers=2)
         assert result == reference_result
         assert counters == reference_counters
+
+
+@pytest.mark.parametrize("backend", available_backends())
+def test_nist_refuses_a_group_that_cannot_frac(backend):
+    """Group J drops the Frac PRECHARGEs: no engine may emit responses."""
+    config = CONFIG.scaled(backend=backend)
+    units = nist_randomness.shard_units(config, group_id="J")[:2]
+    with pytest.raises(UnsupportedOperationError, match="group J"):
+        nist_randomness.run_shard(config, units, group_id="J")

@@ -22,7 +22,7 @@ class TestRunProgram:
 
     def test_example_diff_clean_across_backends(self, capsys):
         outputs = {}
-        for backend in ("scalar", "batched", "plan"):
+        for backend in ("scalar", "batched", "fused"):
             code, out, err = run_cli(
                 capsys, "run-program", str(EXAMPLE), "--backend", backend,
                 "--devices", "3", "--groups", "B", "C")
@@ -81,14 +81,16 @@ class TestRunProgram:
 class TestExperimentsBackendFlag:
     def test_experiments_accepts_backend(self, capsys):
         code, out, _ = run_cli(
-            capsys, "experiments", "--only", "latency", "--backend", "plan",
+            capsys, "experiments", "--only", "latency", "--backend", "fused",
             "--no-cache")
         assert code == 0
         assert "latency" in out
 
     def test_experiments_rejects_unknown_backend(self, capsys):
-        code, _, err = run_cli(
-            capsys, "experiments", "--only", "latency", "--backend", "nope",
-            "--no-cache")
-        assert code == 2
-        assert "unknown backend" in err
+        for name in ("nope", "plan"):  # plan: a deleted engine
+            code, _, err = run_cli(
+                capsys, "experiments", "--only", "latency", "--backend",
+                name, "--no-cache")
+            assert code == 2
+            assert f"unknown backend {name!r}" in err
+            assert "registered backends: batched, fused, scalar" in err

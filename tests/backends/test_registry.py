@@ -1,7 +1,9 @@
-"""Registry behaviour: registration, lookup, lane-width policy, wiring."""
+"""Registry behaviour: registration, lookup, lane-width policy, drivers,
+wiring."""
 
 import pytest
 
+from repro.analysis.retention import BatchedRetentionProfiler
 from repro.backends import (
     DEFAULT_BACKEND,
     BackendError,
@@ -10,14 +12,18 @@ from repro.backends import (
     register_backend,
     resolve_backend,
 )
+from repro.core.batched_ops import BatchedFracDram
+from repro.dram.batched import BatchedChip
+from repro.dram.parameters import GeometryParams
 from repro.experiments.base import DEFAULT_CONFIG, resolve_batch
 from repro.fleet.sharding import Shard, plan_shards
+from repro.puf.batched_puf import BatchedFracPuf
+from repro.xir import FusedFracDram, FusedFracPuf, FusedRetentionProfiler
 
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert {"scalar", "batched", "fused", "plan"} <= set(
-            available_backends())
+        assert available_backends() == ("batched", "fused", "scalar")
 
     def test_available_backends_sorted(self):
         assert list(available_backends()) == sorted(available_backends())
@@ -31,7 +37,7 @@ class TestRegistry:
         """
         with pytest.raises(
                 BackendError,
-                match=r"registered backends: batched, fused, plan, scalar"):
+                match=r"registered backends: batched, fused, scalar"):
             get_backend("nope")
 
     def test_get_backend_returns_singleton(self):
@@ -49,7 +55,7 @@ class TestRegistry:
 
     def test_resolve_backend_default(self):
         assert resolve_backend(None) is get_backend(DEFAULT_BACKEND)
-        assert resolve_backend("plan") is get_backend("plan")
+        assert resolve_backend("fused") is get_backend("fused")
 
     def test_duplicate_registration_rejected(self):
         with pytest.raises(BackendError, match="already registered"):
@@ -73,9 +79,6 @@ class TestLaneWidthPolicy:
         assert get_backend("scalar").lane_width(8, None) == 1
         assert get_backend("scalar").lane_width(8, 4) == 1
 
-    def test_plan_forces_width_one(self):
-        assert get_backend("plan").lane_width(8, None) == 1
-
     def test_batched_auto(self):
         assert get_backend("batched").lane_width(8, None) == 8
 
@@ -94,15 +97,31 @@ class TestLaneWidthPolicy:
         assert resolve_batch(DEFAULT_CONFIG.scaled(batch=3), 8) == 3
 
 
-class TestBackendExperimentDispatch:
-    def test_run_experiment_routes_through_backend(self):
-        from repro.experiments.runner import run_experiment
+class TestDriverFactories:
+    """Batched drivers by default; the fused engine swaps in xir ones."""
 
-        from .conftest import CONFIG, canonical_result
+    @staticmethod
+    def device():
+        return BatchedChip.from_fleet(
+            [("B", 0), ("C", 0)], master_seed=7, epochs=[0, 0],
+            geometry=GeometryParams(n_banks=1, subarrays_per_bank=1,
+                                    rows_per_subarray=16, columns=32))
 
-        via_backend = get_backend("plan").run_experiment("latency", CONFIG)
-        direct = run_experiment("latency", CONFIG.scaled(backend="plan"))
-        assert canonical_result(via_backend) == canonical_result(direct)
+    @pytest.mark.parametrize("name, drivers", [
+        ("scalar", (BatchedFracDram, BatchedFracPuf,
+                    BatchedRetentionProfiler)),
+        ("batched", (BatchedFracDram, BatchedFracPuf,
+                     BatchedRetentionProfiler)),
+        ("fused", (FusedFracDram, FusedFracPuf, FusedRetentionProfiler)),
+    ])
+    def test_factory_driver_types(self, name, drivers):
+        backend = get_backend(name)
+        fracdram, puf, profiler = drivers
+        assert type(backend.fracdram(self.device())) is fracdram
+        built = backend.puf(self.device(), n_frac=3)
+        assert type(built) is puf and built.n_frac == 3
+        assert type(backend.retention_profiler(
+            BatchedFracDram(self.device()))) is profiler
 
 
 class TestFleetWiring:
@@ -111,8 +130,8 @@ class TestFleetWiring:
         assert shard.backend == DEFAULT_BACKEND
 
     def test_plan_shards_stamps_backend(self):
-        shards = plan_shards("fig6", ["a", "b", "c"], 2, backend="plan")
-        assert {shard.backend for shard in shards} == {"plan"}
+        shards = plan_shards("fig6", ["a", "b", "c"], 2, backend="fused")
+        assert {shard.backend for shard in shards} == {"fused"}
 
     def test_plan_shards_defaults_backend(self):
         (shard,) = plan_shards("fig6", ["a"], 1)

@@ -194,7 +194,7 @@ class TestLoweredRegistryParity:
 
 class TestLiveBackends:
     def test_live_tree_passes_parity(self):
-        # Meta-test: the real scalar/batched/plan/fused dispatch tables
+        # Meta-test: the real scalar/batched/fused dispatch tables
         # cover the full command/op/registry universe.
         report = lint_paths(
             [REPO_ROOT / "src" / "repro"],

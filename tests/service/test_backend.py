@@ -1,22 +1,23 @@
-"""Service backend selection: fused engine passes, byte-identical replies.
+"""Service engine: fused passes, byte-identical replies.
 
-The serving guarantee extends to the engine choice: a mixed-vendor
-coalesced batch served through :class:`~repro.xir.FusedFracPuf` must
-produce replies equal — field for field, and as serialized JSON bytes —
-to both the plain batched engine and a dedicated scalar
-:class:`~repro.puf.auth.Authenticator` pass per module.
+A mixed-vendor coalesced batch served through the fused engine
+(:class:`~repro.xir.FusedFracPuf`) must produce replies equal — as
+serialized JSON bytes — to the same batch evaluated by the batched PUF
+driver, and must decide every lane exactly as a dedicated scalar
+:class:`~repro.puf.auth.Authenticator` pass over that module would.
+The driver-level equivalence is also checked on random mixed-vendor,
+mixed-epoch fleets in ``tests/xir/test_fused_property.py``.
 """
 
 from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro import DramChip
-from repro.errors import ConfigurationError
+from repro.puf.batched_puf import BatchedFracPuf
 from repro.puf.frac_puf import FracPuf
 from repro.service import VerificationEngine, VerifyRequest
+from repro.service import batcher
 
 
 def request(n, group="B", serial=0, epoch=1, claim=None):
@@ -39,20 +40,21 @@ def mixed_requests():
             in enumerate(MIXED_BATCH)]
 
 
-def test_backend_validation(enrolled_db):
-    assert VerificationEngine(enrolled_db).backend == "fused"
-    assert VerificationEngine(enrolled_db, backend="batched").backend == \
-        "batched"
-    with pytest.raises(ConfigurationError, match="unknown service backend"):
-        VerificationEngine(enrolled_db, backend="plan")
-
-
-def test_fused_replies_byte_identical_to_batched(enrolled_db):
+def test_fused_replies_byte_identical_to_batched(enrolled_db, monkeypatch):
     requests = mixed_requests()
-    fused = VerificationEngine(enrolled_db, backend="fused")
-    batched = VerificationEngine(enrolled_db, backend="batched")
-    fused_replies = fused.execute(requests, batch_index=3)
-    batched_replies = batched.execute(requests, batch_index=3)
+    fused_replies = VerificationEngine(enrolled_db).execute(
+        requests, batch_index=3)
+    # The engine builds its PUF driver by name; swap in the batched one.
+    built = []
+
+    def batched_puf(device, **kwargs):
+        built.append(device)
+        return BatchedFracPuf(device, **kwargs)
+
+    monkeypatch.setattr(batcher, "FusedFracPuf", batched_puf)
+    batched_replies = VerificationEngine(enrolled_db).execute(
+        requests, batch_index=3)
+    assert built, "the batched driver did not serve the second pass"
     fused_bytes = [json.dumps(reply.to_json_dict(), sort_keys=True)
                    for reply in fused_replies]
     batched_bytes = [json.dumps(reply.to_json_dict(), sort_keys=True)
@@ -65,8 +67,7 @@ def test_fused_mixed_batch_matches_scalar_authenticator(enrolled_db,
     """Every lane of a fused mixed batch == a dedicated scalar pass."""
     auth = enrolled_db.authenticator()
     requests = mixed_requests()
-    replies = VerificationEngine(enrolled_db,
-                                 backend="fused").execute(requests)
+    replies = VerificationEngine(enrolled_db).execute(requests)
     for req, reply in zip(requests, replies):
         chip = DramChip(req.group_id, geometry=service_config.geometry(),
                         serial=req.serial,

@@ -7,7 +7,8 @@ Two independent equivalences are exercised under hypothesis:
   telemetry-on slow path (per-step ``xir_charge_share``/``xir_freeze``
   kernels) against the batched engine's per-challenge command dispatch.
   All three must produce identical response bits on identically
-  fabricated fleets.
+  fabricated mixed-vendor fleets whose lanes sit at different noise
+  epochs (a coalesced verification batch is one such fleet).
 * **Program level** — the fig6 measurement-pass shape (write, Frac,
   precharge, leak, read) on fleets that mix spacing-enforcing and
   non-enforcing groups, so the runner's lane-class split and lockstep
@@ -18,14 +19,14 @@ Two independent equivalences are exercised under hypothesis:
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.batched_ops import BatchedFracDram
 from repro.dram.batched import BatchedChip
 from repro.dram.parameters import GeometryParams
 from repro.puf.batched_puf import BatchedFracPuf
-from repro.puf.frac_puf import Challenge
+from repro.puf.frac_puf import PUF_N_FRAC, Challenge
 from repro.telemetry import session as telemetry_session
 from repro.xir import FusedRunner, FusedFracPuf, ir
 
@@ -34,10 +35,10 @@ GEOMETRY = GeometryParams(n_banks=2, subarrays_per_bank=2,
 ROWS_PER_BANK = GEOMETRY.subarrays_per_bank * GEOMETRY.rows_per_subarray
 
 
-def make_fleet(units, seed):
+def make_fleet(units, seed, epochs=None):
     return BatchedChip.from_fleet(list(units), geometry=GEOMETRY,
                                   master_seed=seed,
-                                  epochs=[0] * len(units))
+                                  epochs=epochs or [0] * len(units))
 
 
 #: (bank, row) pairs avoiding each sub-array's reserved top row.
@@ -48,19 +49,31 @@ challenge_rows = st.tuples(
         != GEOMETRY.rows_per_subarray - 1))
 
 
+#: One lane of a fleet: (group, serial, noise epoch).
+fleet_lanes = st.tuples(st.sampled_from("ABCG"), st.integers(0, 3),
+                        st.integers(0, 3))
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**20),
        n_frac=st.integers(1, 6),
        challenges=st.lists(challenge_rows, min_size=1, max_size=4),
-       groups=st.lists(st.sampled_from("ABCG"), min_size=1, max_size=3))
+       lanes=st.lists(fleet_lanes, min_size=1, max_size=3))
+# A coalesced serving batch: honest modules of three vendors at three
+# re-measurement epochs plus an unenrolled serial, on the service's
+# default PUF parameters and challenge rows.
+@example(seed=2022, n_frac=PUF_N_FRAC, challenges=[(0, 0), (0, 1)],
+         lanes=[("A", 1, 2), ("B", 2, 1), ("C", 0, 3), ("B", 500, 1),
+                ("A", 2, 1)])
 def test_frac_burst_matches_stepwise_and_batched(seed, n_frac, challenges,
-                                                 groups):
+                                                 lanes):
     """Fast path == slow path == batched engine, bit for bit."""
-    units = [(group_id, serial) for serial, group_id in enumerate(groups)]
+    units = [(group_id, serial) for group_id, serial, _ in lanes]
+    epochs = [epoch for _, _, epoch in lanes]
     chals = [Challenge(bank, row) for bank, row in challenges]
-    fast = FusedFracPuf(make_fleet(units, seed), n_frac=n_frac)
-    slow = FusedFracPuf(make_fleet(units, seed), n_frac=n_frac)
-    batched = BatchedFracPuf(make_fleet(units, seed), n_frac=n_frac)
+    fast = FusedFracPuf(make_fleet(units, seed, epochs), n_frac=n_frac)
+    slow = FusedFracPuf(make_fleet(units, seed, epochs), n_frac=n_frac)
+    batched = BatchedFracPuf(make_fleet(units, seed, epochs), n_frac=n_frac)
 
     fast_out = fast.evaluate_many(chals)   # telemetry off: burst kernels
     with telemetry_session():

@@ -3,8 +3,9 @@
 ``repro.xir.XIR_LOWERED_EXPERIMENTS`` is the documented contract for
 which experiments ride the fused executor under ``--backend fused``
 (everything else inherits the batched engine).  Pinning it here keeps
-the registry, the docs and the per-experiment retrofits from drifting
-apart silently.
+the registry and the docs from drifting apart silently; the fused leg
+of ``tests/backends/test_conformance_experiments.py`` checks that
+exactly these experiments reach the fused driver factories.
 """
 
 from __future__ import annotations
@@ -33,30 +34,34 @@ def test_registry_names_real_experiments():
         assert name in EXPERIMENTS
 
 
-def test_lowered_experiments_accept_the_fused_backend():
-    """Every registered experiment's module takes the backend branch.
+class _ReachedFusedDriver(Exception):
+    """Raised by a spied factory to stop the experiment at its first call."""
 
-    The retrofits gate on ``config.backend == "fused"`` with a lazy
-    ``from ..xir import ...``; a typo'd import would only explode at
-    run time, so grep the source of each registered module for the
-    branch instead of running full experiments here (the conformance
-    suite and CI cover execution).
+
+def test_lowered_experiments_accept_the_fused_backend(monkeypatch):
+    """Under ``--backend fused`` each lowered experiment builds xir drivers.
+
+    Every ``FusedBackend`` driver factory is replaced by one that raises
+    on its first call, so each experiment stops before any measurement
+    work; the full fused runs (and the converse, that no other
+    experiment reaches a factory) are in the backend conformance suite.
     """
-    import importlib
-    import inspect
+    from repro.backends.fused import FusedBackend
+    from repro.experiments import ExperimentConfig
+    from repro.experiments.runner import run_experiment
 
-    modules = {
-        "fig6": "repro.experiments.fig6_retention",
-        "fig9": "repro.experiments.fig9_fmaj_coverage",
-        "fig10": "repro.experiments.fig10_fmaj_stability",
-        "fig11": "repro.experiments.fig11_puf_hd",
-        "nist": "repro.experiments.nist_randomness",
-    }
-    assert set(modules) == set(XIR_LOWERED_EXPERIMENTS)
+    def reached(self, *args, **kwargs):
+        raise _ReachedFusedDriver
+
+    for factory in ("fracdram", "puf", "retention_profiler"):
+        monkeypatch.setattr(FusedBackend, factory, reached)
+    config = ExperimentConfig(
+        master_seed=2022, columns=64, rows_per_subarray=16,
+        subarrays_per_bank=2, n_banks=2, chips_per_group=2,
+        backend="fused")
     for name in XIR_LOWERED_EXPERIMENTS:
-        module = importlib.import_module(modules[name])
-        source = inspect.getsource(module)
-        assert 'backend == "fused"' in source, name
+        with pytest.raises(_ReachedFusedDriver):
+            run_experiment(name, config)
 
 
 def test_refusal_names_the_offending_op():
