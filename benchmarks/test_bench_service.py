@@ -9,7 +9,9 @@ fused engine passes.
 The benchmark measures the live asyncio path end to end — enrollment
 throughput (modules/s), sustained verification throughput
 (verifications/s) and the p50/p99 request latency of the coalescing
-server — and asserts the serving guarantees on the same run:
+server — and splits one full batch into its engine stages (fabricate,
+evaluate, attest, match; median ms over :data:`STAGE_REPEATS` runs).
+It asserts the serving guarantees on the same run:
 
 * every reply is identical to what the scalar ``Authenticator`` would
   decide for that module (batched serving never changes the science),
@@ -29,16 +31,23 @@ Run with::
 from __future__ import annotations
 
 import asyncio
+import statistics
 import time
 
 from conftest import run_once
 from record import record_bench
 
 from repro import DramChip
+from repro.core.verify import batched_verify_frac_by_maj3
+from repro.dram.batched import BatchedChip
+from repro.dram.vendor import GROUPS
+from repro.puf.auth import match_probe
 from repro.puf.frac_puf import FracPuf
 from repro.service import (CoalescePolicy, PufAuthService, ServiceConfig,
-                           WorkloadSpec, build_enrollment, drive_open_loop,
+                           VerificationEngine, WorkloadSpec,
+                           build_enrollment, drive_open_loop,
                            generate_schedule, percentile, replay_scripted)
+from repro.xir import FusedFracPuf
 
 N_MODULES = 10_000
 N_REQUESTS = 384
@@ -56,18 +65,66 @@ SERVICE_CONFIG = ServiceConfig(columns=128, n_challenges=4,
 WORKLOAD = WorkloadSpec(seed=0, n_requests=N_REQUESTS, rate_rps=20_000.0,
                         impostor_fraction=0.2)
 POLICY = CoalescePolicy(max_lanes=48, max_wait_s=0.01)
+#: Runs of the stage-by-stage batch; each stage reports its median.
+STAGE_REPEATS = 5
 
 
 async def _serve_live(db, schedule):
     service = PufAuthService(db, policy=POLICY)
     await service.start()
     started = time.perf_counter()
-    replies = await drive_open_loop(service.batcher, schedule, pace=False)
+    replies, latencies = await drive_open_loop(service.batcher, schedule,
+                                               pace=False)
     elapsed = time.perf_counter() - started
-    latencies = list(service.batcher.latencies)
     batches = service.batcher.batches_served
     await service.stop()
     return replies, latencies, batches, elapsed
+
+
+def _stage_split(db, requests):
+    """Median ms per engine stage of one batch, and each lane's match.
+
+    Runs the steps of ``VerificationEngine.execute`` one at a time:
+    fabricate the cohort, evaluate the challenge set, attest the
+    MAJ3-capable lanes, match every lane.  Returns the stage medians
+    (with the median batch total as ``"batch"``) and each lane's
+    ``(index, distance)``.
+    """
+    config = db.config
+    engine = VerificationEngine(db)
+    challenges = config.challenges()
+    by_group = {}
+    for lane, request in enumerate(requests):
+        if GROUPS[request.group_id].decoder.supports_three_row:
+            by_group.setdefault(request.group_id, []).append(lane)
+    samples = {stage: [] for stage in
+               ("fabricate", "evaluate", "attest", "match", "batch")}
+    for _ in range(STAGE_REPEATS):
+        started = time.perf_counter()
+        device = BatchedChip.from_fleet(
+            [(request.group_id, request.serial) for request in requests],
+            geometry=config.geometry(), master_seed=config.master_seed,
+            epochs=[request.epoch for request in requests])
+        fabricated = time.perf_counter()
+        puf = FusedFracPuf(device, n_frac=config.n_frac)
+        probes = puf.evaluate_many(challenges)
+        evaluated = time.perf_counter()
+        for group_id in sorted(by_group):
+            batched_verify_frac_by_maj3(
+                puf.bfd, engine._attestation_plan(group_id), n_frac=1,
+                lanes=by_group[group_id])
+        attested = time.perf_counter()
+        matches = [match_probe(db.packed, probe) for probe in probes]
+        matched = time.perf_counter()
+        for stage, seconds in (("fabricate", fabricated - started),
+                               ("evaluate", evaluated - fabricated),
+                               ("attest", attested - evaluated),
+                               ("match", matched - attested),
+                               ("batch", matched - started)):
+            samples[stage].append(seconds * 1e3)
+    medians = {stage: round(statistics.median(values), 2)
+               for stage, values in samples.items()}
+    return medians, matches
 
 
 def test_service_sustains_10k_module_fleet(benchmark, tmp_path, capsys):
@@ -93,6 +150,11 @@ def test_service_sustains_10k_module_fleet(benchmark, tmp_path, capsys):
     benchmark.extra_info["latency_p99_ms"] = round(p99 * 1e3, 2)
     benchmark.extra_info["mean_batch_lanes"] = round(
         N_REQUESTS / batches, 1)
+    batch = [request for _, request in schedule[:POLICY.max_lanes]]
+    stages, matches = _stage_split(db, batch)
+    benchmark.extra_info["stage_batch_lanes"] = len(batch)
+    for stage, median_ms in stages.items():
+        benchmark.extra_info[f"stage_{stage}_ms"] = median_ms
     record_bench("service", benchmark.extra_info)
     with capsys.disabled():
         print(f"\nservice @ {N_MODULES} modules: enroll "
@@ -100,11 +162,22 @@ def test_service_sustains_10k_module_fleet(benchmark, tmp_path, capsys):
               f"{verifications_per_s:.0f} verifications/s over {batches} "
               f"batches, latency p50 {p50 * 1e3:.1f} ms / "
               f"p99 {p99 * 1e3:.1f} ms")
+        print(f"one {len(batch)}-lane batch (median ms): " + ", ".join(
+            f"{stage} {median_ms:.1f}"
+            for stage, median_ms in stages.items()))
 
     # --- replies answer their requests, in order ------------------------
     assert len(replies) == N_REQUESTS
+    assert len(latencies) == N_REQUESTS
     assert [reply.request_id for reply in replies] == [
         request.request_id for _, request in schedule]
+
+    # --- the stage-by-stage batch matched like the engine ---------------
+    engine_replies = VerificationEngine(db).execute(batch)
+    for (index, distance), reply in zip(matches, engine_replies):
+        assert distance == reply.mean_distance
+        assert reply.device_id == (db.identity(index) if reply.accepted
+                                   else None)
 
     # --- authentication quality at fleet scale --------------------------
     enrolled = set(db.ids)

@@ -267,10 +267,9 @@ def _cmd_bench_service(arguments: argparse.Namespace) -> int:
                 # Live mode reports real throughput to a human; the
                 # elapsed wall time never reaches deterministic output.
                 started = wall.now()  # repro: lint-ok[DET002]
-                replies = await drive_open_loop(
+                _, latencies = await drive_open_loop(
                     service.batcher, schedule, pace=not arguments.no_pace)
                 elapsed = wall.now() - started  # repro: lint-ok[DET002]
-                latencies = list(service.batcher.latencies)
                 await service.stop()
                 return latencies, elapsed
 

@@ -9,12 +9,12 @@ The serving read path has two halves:
   challenge set in one :class:`~repro.xir.FusedFracPuf` pass, optional
   per-vendor-group MAJ3 attestation sub-passes run via
   :func:`~repro.core.verify.batched_verify_frac_by_maj3` on lane
-  subsets, and each lane's probe is matched against the enrollment
-  matrix with the same :func:`~repro.puf.auth.match_probe` the scalar
-  :class:`~repro.puf.auth.Authenticator` uses.  A request's reply is
-  therefore independent of which other requests shared its batch — the
-  batched engine's byte-identity contract, surfaced as a serving
-  guarantee.
+  subsets, and each lane's probe is matched against the enrollment's
+  packed matrix with the same :func:`~repro.puf.auth.match_probe` the
+  scalar :class:`~repro.puf.auth.Authenticator` uses.  A request's
+  reply is therefore independent of which other requests shared its
+  batch — the batched engine's byte-identity contract, surfaced as a
+  serving guarantee.
 
 * :class:`RequestBatcher` — the asyncio coalescer: concurrent
   ``submit`` calls queue; a batch opens at the first queued request and
@@ -210,9 +210,8 @@ class VerificationEngine:
                     fractions[lane] = result.verified_fraction
 
         replies: list[VerifyReply] = []
-        references = self.db.references
         for lane, request in enumerate(requests):
-            index, distance = match_probe(references, probes[lane])
+            index, distance = match_probe(self.db.packed, probes[lane])
             accepted = distance <= config.threshold
             device_id = self.db.identity(index) if accepted else None
             claim_ok = (None if request.claimed_id is None
@@ -319,10 +318,6 @@ class RequestBatcher:
         self.engine = engine
         self.policy = policy or engine.config.coalesce
         self.clock = clock or SystemClock()
-        #: Per-request completion latencies (seconds), in completion
-        #: order — the benchmark's p50/p99 source.  Never serialized
-        #: into transcripts.
-        self.latencies: list[float] = []
         self._pending: deque[
             tuple[float, VerifyRequest, asyncio.Future[VerifyReply]]]
         self._pending = deque()
@@ -416,10 +411,9 @@ class RequestBatcher:
             self._batch_index += 1
             completed = self.clock.now()
             for (arrival, _, future), reply in zip(taken, replies):
-                latency = completed - arrival
-                self.latencies.append(latency)
                 if telemetry is not None:
-                    telemetry.observe("service.latency_s", latency,
+                    telemetry.observe("service.latency_s",
+                                      completed - arrival,
                                       bounds=LATENCY_BUCKET_BOUNDS)
                 if not future.cancelled():
                     future.set_result(reply)

@@ -2,9 +2,10 @@
 
 Enrollment is the service's write path: every module of the simulated
 fleet answers the deployment's private challenge set once at noise
-epoch 0, and the stacked responses become the golden references the
-read path matches probes against.  The whole fleet is enrolled as
-cohorts of :meth:`~repro.dram.batched.BatchedChip.from_fleet` lanes, so
+epoch 0, and the stacked responses, bit-packed once per database,
+become the golden references the read path matches probes against.
+The whole fleet is enrolled as cohorts of
+:meth:`~repro.dram.batched.BatchedChip.from_fleet` lanes, so
 a 10k-module enrollment is a few hundred fused engine passes instead of
 10k scalar ones — and each lane is byte-identical to the scalar
 ``FracPuf`` enrollment of that module.
@@ -29,7 +30,7 @@ import numpy as np
 from ..dram.batched import BatchedChip
 from ..errors import ConfigurationError, InsufficientDataError
 from ..fleet.cache import config_fingerprint, default_cache_dir
-from ..puf.auth import Authenticator
+from ..puf.auth import Authenticator, PackedReferences
 from ..puf.batched_puf import BatchedFracPuf
 from ..telemetry.registry import active as _telemetry_active
 from .config import ServiceConfig, module_id
@@ -40,7 +41,7 @@ _DIGEST_CHARS = 24  # 96 bits in the entry name, matching the fleet cache
 
 
 class EnrollmentDb:
-    """Golden responses for an enrolled fleet, stacked for matching."""
+    """Golden responses for an enrolled fleet, packed once for matching."""
 
     def __init__(self, config: ServiceConfig,
                  specs: list[tuple[str, int]],
@@ -52,11 +53,17 @@ class EnrollmentDb:
                 f"shape {references.shape} for {len(specs)} modules")
         self.config = config
         self.specs = [(str(group), int(serial)) for group, serial in specs]
-        self.references = references
+        #: What the read path's :func:`~repro.puf.auth.match_probe` scans.
+        self.packed = PackedReferences(references)
         self.ids = tuple(module_id(group, serial)
                          for group, serial in self.specs)
         self._index = {identity: index
                        for index, identity in enumerate(self.ids)}
+
+    @property
+    def references(self) -> np.ndarray:
+        """The ``(n_modules, n_challenges, bits)`` bool matrix, read-only."""
+        return self.packed.bits
 
     @property
     def n_modules(self) -> int:

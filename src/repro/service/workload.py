@@ -246,15 +246,24 @@ async def drive_open_loop(
     schedule: Sequence[tuple[float, VerifyRequest]],
     *,
     pace: bool = True,
-) -> list[VerifyReply]:
-    """Submit a schedule against a live batcher; replies in request order.
+) -> tuple[list[VerifyReply], list[float]]:
+    """Submit a schedule against a live batcher.
 
-    Open-loop means submission times ignore completions: with ``pace``
-    the driver sleeps out each virtual inter-arrival gap (so the
-    schedule's rate is imposed in real time); without it, requests fire
-    back-to-back for a max-throughput run.
+    Returns the replies and each request's latency (seconds from its
+    submission to its reply, on the batcher's clock), both in request
+    order.  Open-loop means submission times ignore completions: with
+    ``pace`` the driver sleeps out each virtual inter-arrival gap (so
+    the schedule's rate is imposed in real time); without it, requests
+    fire back-to-back for a max-throughput run.
     """
-    tasks: list[asyncio.Task[VerifyReply]] = []
+    clock = batcher.clock
+
+    async def timed(request: VerifyRequest) -> tuple[VerifyReply, float]:
+        submitted = clock.now()
+        reply = await batcher.submit(request)
+        return reply, clock.now() - submitted
+
+    tasks: list[asyncio.Task[tuple[VerifyReply, float]]] = []
     previous = 0.0
     for timestamp, request in schedule:
         if pace:
@@ -262,5 +271,7 @@ async def drive_open_loop(
             previous = timestamp
             if gap > 0:
                 await asyncio.sleep(gap)
-        tasks.append(asyncio.ensure_future(batcher.submit(request)))
-    return list(await asyncio.gather(*tasks))
+        tasks.append(asyncio.ensure_future(timed(request)))
+    timed_replies = await asyncio.gather(*tasks)
+    return ([reply for reply, _ in timed_replies],
+            [latency for _, latency in timed_replies])

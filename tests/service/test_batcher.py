@@ -9,7 +9,7 @@ from repro.errors import ConfigurationError
 from repro.puf.frac_puf import FracPuf
 from repro.service import (CoalescePolicy, ManualClock, RequestBatcher,
                            VerificationEngine, VerifyRequest,
-                           coalesce_schedule)
+                           coalesce_schedule, drive_open_loop)
 from repro.telemetry import session as telemetry_session
 
 
@@ -146,25 +146,35 @@ class TestRequestBatcher:
     def test_capacity_coalescing_under_concurrency(self, enrolled_db):
         # Submit exactly max_lanes requests concurrently with an
         # effectively infinite window: they must fuse into one batch.
+        # The engine advances the batcher's manual clock while it
+        # serves, so the driver's submit-to-reply latencies are exact.
         policy = CoalescePolicy(max_lanes=3, max_wait_s=60.0)
+        clock = ManualClock()
+
+        class TimedEngine(VerificationEngine):
+            def execute(self, requests, batch_index=0):
+                clock.advance(0.25)
+                return super().execute(requests, batch_index)
+
+        schedule = [(0.0, request(0, "A", 0, epoch=1)),
+                    (0.0, request(1, "B", 0, epoch=1)),
+                    (0.0, request(2, "C", 0, epoch=1))]
 
         async def run():
-            batcher = RequestBatcher(VerificationEngine(enrolled_db),
-                                     policy)
+            batcher = RequestBatcher(TimedEngine(enrolled_db), policy,
+                                     clock=clock)
             await batcher.start()
-            replies = await asyncio.gather(
-                batcher.submit(request(0, "A", 0, epoch=1)),
-                batcher.submit(request(1, "B", 0, epoch=1)),
-                batcher.submit(request(2, "C", 0, epoch=1)))
+            replies, latencies = await drive_open_loop(batcher, schedule,
+                                                       pace=False)
             await batcher.stop()
-            return batcher, replies
+            return batcher, replies, latencies
 
-        batcher, replies = asyncio.run(run())
+        batcher, replies, latencies = asyncio.run(run())
         assert batcher.batches_served == 1
         assert {reply.batch_lanes for reply in replies} == {3}
         assert [reply.request_id for reply in replies] == ["r0", "r1", "r2"]
         assert all(reply.accepted for reply in replies)
-        assert len(batcher.latencies) == 3
+        assert latencies == [0.25, 0.25, 0.25]
 
     def test_window_flush_with_real_clock(self, enrolled_db):
         policy = CoalescePolicy(max_lanes=64, max_wait_s=0.01)

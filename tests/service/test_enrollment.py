@@ -7,7 +7,8 @@ from repro import DramChip
 from repro.errors import ConfigurationError, InsufficientDataError
 from repro.puf.frac_puf import FracPuf
 from repro.service import (EnrollmentDb, EnrollmentStore, ServiceConfig,
-                           build_enrollment)
+                           VerificationEngine, VerifyRequest,
+                           build_enrollment, module_id)
 from .conftest import N_MODULES
 
 
@@ -56,6 +57,12 @@ class TestBuildEnrollment:
         assert decision.device_id == enrolled_db.ids[2]
         assert decision.mean_distance == 0.0
 
+    def test_references_are_read_only(self, enrolled_db, service_config):
+        db = EnrollmentDb(service_config, enrolled_db.specs,
+                          enrolled_db.references.copy())
+        with pytest.raises(ValueError):
+            db.references[0, 0, 0] = not db.references[0, 0, 0]
+
     def test_reference_shape_validated(self, service_config):
         with pytest.raises(ConfigurationError):
             EnrollmentDb(service_config, [("B", 0)],
@@ -73,6 +80,19 @@ class TestEnrollmentStore:
                                       enrolled_db.references)
         assert loaded.ids == enrolled_db.ids
         assert store.hits == 1 and store.misses == 1 and store.stores == 1
+
+    def test_fetched_db_decides_like_the_built_one(self, enrolled_db,
+                                                   service_config, tmp_path):
+        store = EnrollmentStore(tmp_path)
+        store.store(enrolled_db)
+        loaded = store.fetch(service_config, N_MODULES)
+        assert loaded is not None
+        requests = [VerifyRequest(f"r{index}", group, serial, epoch=2,
+                                  claimed_id=module_id(group, 0))
+                    for index, (group, serial) in enumerate(
+                        [("A", 0), ("B", 1), ("C", 2), ("B", 500)])]
+        assert (VerificationEngine(loaded).execute(requests)
+                == VerificationEngine(enrolled_db).execute(requests))
 
     def test_load_or_build_hits_second_time(self, service_config, tmp_path):
         store = EnrollmentStore(tmp_path)
