@@ -858,8 +858,8 @@ class BatchedSubArray:
         close`` on one row: every intermediate bit-line and cell level is
         overwritten by the write, so only the written restore levels, the
         refresh marking and the idle bit-line remain — the charge-share /
-        sense draws are dead and the executor jumps their streams instead
-        of drawing them.
+        sense draws are dead: the executor still draws them, into rows
+        this kernel never reads.
         """
         self._written[lane_arr[:, None], rows_mat] = True
         level = np.where(physical_bits, self._restore[lane_arr][:, None], 0.0)

@@ -33,8 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-__all__ = ["PCG_MULT", "JumpGroup", "UniformBlockJump", "skip_coefficients",
-           "skip_normals"]
+__all__ = ["PCG_MULT", "JumpGroup", "UniformBlockJump", "skip_coefficients"]
 
 #: The default PCG64 multiplier (pcg_setseq_128, as shipped by NumPy).
 PCG_MULT: int = 0x2360ED051FC65DA44385DF649FCCF645
@@ -189,7 +188,6 @@ class JumpGroup:
         self._range = first._range
         counts = [j._mult.shape[0] for j in self.jumps]
         self._counts = np.array(counts, dtype=np.intp)
-        self._splits = np.cumsum(counts)[:-1]
         self._mult = np.concatenate([j._mult for j in self.jumps])
         self._plus = np.concatenate([j._plus for j in self.jumps])
         # ``plus * inc`` is constant per stream set (PCG64 increments
@@ -197,8 +195,12 @@ class JumpGroup:
         self._plus_inc_cache: dict[tuple[int, ...], np.ndarray] = {}
 
     def values_flat(self, bit_generators) -> np.ndarray | None:
-        """All tables' predicted values concatenated; ``None`` if any
-        stream is not predictable (no stream is touched in that case)."""
+        """All tables' predicted values concatenated.
+
+        Returns ``None`` if any stream is not predictable, and then
+        touches no stream at all: callers fall back to a real draw on
+        every lane, which is exact only because nothing was advanced.
+        """
         gens = list(bit_generators)
         if len(gens) != len(self.jumps):
             raise ValueError("one bit generator per jump table required")
@@ -238,321 +240,3 @@ class JumpGroup:
         for jump, bg in zip(self.jumps, gens):
             bg.advance(jump.block_size)
         return values
-
-    def values(self, bit_generators) -> list[np.ndarray | None]:
-        """Per-table predicted values; ``None`` where not predictable.
-
-        Mirrors :meth:`UniformBlockJump.values` pair-by-pair: predictable
-        streams are advanced past their block, unpredictable ones are left
-        untouched for the caller's fallback draw.
-        """
-        gens = list(bit_generators)
-        flat = self.values_flat(gens)
-        if flat is None:
-            return [jump.values(bg) for jump, bg in zip(self.jumps, gens)]
-        return list(np.split(flat, self._splits))
-
-
-# ----------------------------------------------------------------------
-# Jump-predicted normal-draw skipping
-# ----------------------------------------------------------------------
-#
-# Normal draws cannot be jumped the way uniforms are: the ziggurat is a
-# rejection sampler, so the number of stream words ``normal(0, 1, n)``
-# consumes depends on the values drawn.  A consumer that needs only the
-# stream *position* after ``n`` draws (dead draws whose values are
-# provably never observed) must therefore replay the sampler's
-# word-consumption decisions — but not its floating-point output.  That
-# is much cheaper: NumPy's ziggurat accepts ~99.3% of draws from the
-# first uint64 alone (``rabs < ki[idx]``, one word consumed), and the
-# remaining wedge tests (one extra word, then accept or retry) are a
-# handful of exact float64 operations on two constant tables.  Scanning
-# ``random_raw`` words and classifying them vectorized costs a fraction
-# of running the ziggurat, and one trailing O(log) ``advance`` aligns
-# the generator with the exact word count consumed.
-#
-# The constant tables come from the running NumPy build at first use:
-#
-# * ``ki`` (accept thresholds) is *probed*: PCG64's output function is
-#   invertible for states with a zero high half (XSL-RR rotates by
-#   ``hi >> 58``), so a state can be constructed whose next output is
-#   any chosen word, and acceptance is observable as "exactly one state
-#   step consumed".  Binary search per index recovers the thresholds
-#   bit-exactly.
-# * ``wi``/``fi`` (wedge slopes/densities) are read from the NumPy
-#   extension module binary itself, located by searching for the probed
-#   ``ki`` bytes and validated structurally.
-#
-# The wedge comparison ``(fi[i-1] - fi[i]) * u + fi[i] < exp(-x*x/2)``
-# is replayed in float64 with a relative *margin*: decisions closer
-# than ~1e-13 to the boundary (where a 1-ulp ``exp`` or FMA-contraction
-# difference between this process and NumPy's compiled code could flip
-# the comparison) are not trusted — those draws, the astronomically
-# rare tail draws (idx == 0), and wedge words falling off the lookahead
-# are resolved by rewinding and taking one real (discarded) draw, whose
-# word consumption is then measured by stepping the LCG.  A calibration
-# or self-test failure disables skipping entirely (fall back to
-# generate-and-discard), so correctness never depends on the probe.
-
-_MASK52 = (1 << 52) - 1
-#: ``rabs << 9`` as an in-place field mask (bits 9..60 of a raw word).
-_RABS_FIELD = np.uint64(_MASK52 << 9)
-#: Below this draw count the vectorized scan does not beat a plain
-#: ``standard_normal`` discard.  The scan's useful work is ~5ns/word
-#: (raw generation + classify passes) versus ~14ns/draw for the
-#: ziggurat, but the fixed per-call cost (~30 NumPy dispatches) and the
-#: per-event Python walk erode the margin; on narrow hosts the
-#: crossover sits high.  Correctness is identical on both sides of the
-#: threshold, so this is purely a performance knob.
-_SKIP_MIN = 16384
-_zig_ki: "np.ndarray | None | str" = "uncalibrated"
-_zig_tables: "tuple | None | str" = "uncalibrated"
-
-
-class _SkipMiss(Exception):
-    """Internal: the consumption replay lost the stream (never expected)."""
-
-
-def _calibrate_normal_thresholds() -> np.ndarray | None:
-    try:
-        probe = np.random.PCG64(0x5EED)
-        gen = np.random.Generator(probe)
-        inc = probe.state["state"]["inc"]
-        minv = pow(PCG_MULT, -1, 1 << 128)
-
-        def accepts(idx: int, rabs: int) -> bool:
-            # Post-step state with a zero high half outputs itself
-            # (rotation 0, ``hi ^ lo == lo``); step back through the LCG
-            # so the next draw produces exactly this word.
-            target = idx | (rabs << 9)
-            pre = ((target - inc) * minv) & _MASK128
-            probe.state = {"bit_generator": "PCG64",
-                           "state": {"state": pre, "inc": inc},
-                           "has_uint32": 0, "uinteger": 0}
-            gen.standard_normal()
-            return probe.state["state"]["state"] == target
-
-        ki = np.empty(256, dtype=np.uint64)
-        for idx in range(256):
-            lo, hi = 0, 1 << 52
-            while lo < hi:  # smallest rejected rabs == the threshold
-                mid = (lo + hi) // 2
-                if accepts(idx, mid):
-                    lo = mid + 1
-                else:
-                    hi = mid
-            # lo == 0 is legitimate: NumPy's table has ki[1] == 0 (that
-            # index always runs the wedge test), so those draws are
-            # simply always uncertain.
-            ki[idx] = lo
-        return ki
-    except Exception:
-        return None
-
-
-def _normal_thresholds() -> np.ndarray | None:
-    global _zig_ki
-    if isinstance(_zig_ki, str):
-        _zig_ki = _calibrate_normal_thresholds()
-    return _zig_ki
-
-
-def _locate_wedge_tables(ki: np.ndarray) -> tuple | None:
-    """Find ``wi``/``fi`` next to the ``ki`` bytes in NumPy's binaries.
-
-    The ziggurat constants are static arrays laid out contiguously
-    (``fi | wi | ki`` on every build observed), so the probed ``ki``
-    bytes locate the other two tables.  Structural validation — ``fi``
-    starts at 1.0, decreases strictly to ``exp(-r*r/2)`` for the
-    standard-normal ziggurat edge ``r ~ 3.654``, ``wi`` is tiny and
-    positive — rejects lookalike tables (e.g. the exponential
-    ziggurat's), and the stream self-test rejects everything else.
-    """
-    import glob
-    import os
-
-    pattern = np.asarray(ki, dtype="<u8").tobytes()
-    so_glob = os.path.join(os.path.dirname(np.__file__), "random", "*.so")
-    for so_path in sorted(glob.glob(so_glob)):
-        try:
-            with open(so_path, "rb") as handle:
-                data = handle.read()
-        except OSError:
-            continue
-        offset = -1
-        while True:
-            offset = data.find(pattern, offset + 1)
-            if offset < 0:
-                break
-            if offset < 4096:
-                continue
-            wi = np.frombuffer(data, dtype="<f8", count=256,
-                               offset=offset - 2048).copy()
-            fi = np.frombuffer(data, dtype="<f8", count=256,
-                               offset=offset - 4096).copy()
-            if (fi[0] == 1.0 and np.all(np.diff(fi) < 0)
-                    and 0.001 < fi[255] < 0.002
-                    and np.all(wi > 0) and np.all(wi < 1e-14)):
-                return wi, fi
-    return None
-
-
-def _ziggurat_tables() -> tuple | None:
-    """Probe + locate + self-test the skip tables, once per process."""
-    global _zig_tables
-    if not isinstance(_zig_tables, str):
-        return _zig_tables
-    _zig_tables = None
-    ki = _normal_thresholds()
-    if ki is not None:
-        located = _locate_wedge_tables(ki)
-        if located is not None:
-            wi, fi = located
-            fi_prev = np.concatenate(([fi[0]], fi[:-1]))
-            ki9 = ki << np.uint64(9)
-            # Words with rabs below every threshold (except ki[1] == 0,
-            # ki[0]'s tail) are certain-accepts with no table gather; the
-            # per-index gather then only touches the ~25% above the floor.
-            tables = (ki9, np.min(ki9[2:]), wi, fi, fi_prev)
-            # Self-test: skipping must land on exactly the state a real
-            # draw-and-discard reaches.  The counts are large enough to
-            # exercise certain-accepts, wedge accepts AND wedge
-            # rejections many times over.
-            try:
-                for seed, count in ((0xD1CE, 977), (7, 20011),
-                                    (0xBEEF, 40009)):
-                    real = np.random.Generator(np.random.PCG64(seed))
-                    mirror = np.random.Generator(np.random.PCG64(seed))
-                    real.normal(0.0, 1.0, count)
-                    _skip_fast(mirror, count, tables)
-                    if (real.bit_generator.state["state"]
-                            != mirror.bit_generator.state["state"]):
-                        return None
-                _zig_tables = tables
-            except Exception:
-                return None
-    return _zig_tables
-
-
-def _count_steps(pre: int, post: int, inc: int) -> int:
-    """State steps from ``pre`` to ``post`` (a real draw's consumption)."""
-    state = pre
-    for step in range(1, 4097):
-        state = (PCG_MULT * state + inc) & _MASK128
-        if state == post:
-            return step
-    raise _SkipMiss("draw consumed an implausible number of words")
-
-
-def _skip_fast(generator: np.random.Generator, n: int,
-               tables: tuple) -> None:
-    """Advance past ``n`` normal draws by replaying word consumption."""
-    ki9, ki9_floor, wi, fi, fi_prev = tables
-    bit_generator = generator.bit_generator
-    inc = bit_generator.state["state"]["inc"]
-    remaining = int(n)
-    while remaining > 0:
-        # Lookahead with slack for rejections (~0.2% of draws retry).
-        lookahead = remaining + (remaining >> 6) + 16
-        raws = bit_generator.random_raw(lookahead)
-        gen_at = lookahead  # generator position relative to block start
-        pos = 0   # next unconsumed word
-        done = 0  # draws completed this block
-        rabs9 = raws & _RABS_FIELD
-        idx_low = raws & np.uint64(0xFF)
-        # Two-level classify: the gather-free floor test clears ~75% of
-        # words, the exact per-index thresholds the candidates.
-        cand = np.flatnonzero((rabs9 >= ki9_floor) | (idx_low == 1))
-        if cand.size:
-            icand = idx_low[cand].astype(np.intp)
-            keep = rabs9[cand] >= ki9[icand]
-            unc = cand[keep]
-        else:
-            unc = cand
-        if unc.size:
-            iu = icand[keep]
-            rabs = ((raws[unc] >> np.uint64(9))
-                    & np.uint64(_MASK52)).astype(np.float64)
-            x = rabs * wi[iu]
-            rhs = np.exp(-0.5 * x * x)
-            nxt = np.minimum(unc + 1, lookahead - 1)
-            u = (raws[nxt] >> np.uint64(11)).astype(np.float64) * _DOUBLE_SCALE
-            lhs = (fi_prev[iu] - fi[iu]) * u + fi[iu]
-            # Decisions within the margin could flip on a 1-ulp exp/FMA
-            # difference vs NumPy's compiled sampler: resolve natively.
-            emulable = (iu != 0) & (unc + 1 < lookahead)
-            accepts = ((lhs < rhs * (1.0 - 1e-13)) & emulable).tolist()
-            rejects = ((lhs > rhs * (1.0 + 1e-13)) & emulable).tolist()
-            truncated = ((iu != 0) & (unc + 1 >= lookahead)).tolist()
-            events = unc.tolist()
-        else:
-            accepts = rejects = truncated = events = []
-        for j, word in enumerate(events):
-            if word < pos:
-                continue  # consumed by a previous draw's retry words
-            gain = word - pos  # certain-accept draws, one word each
-            if done + gain >= remaining:
-                pos += remaining - done
-                done = remaining
-                break
-            done += gain
-            pos = word
-            if accepts[j]:
-                done += 1
-                pos = word + 2
-            elif rejects[j]:
-                pos = word + 2  # same draw retries at word + 2
-            elif truncated[j]:
-                break  # wedge word past the lookahead: re-read next block
-            else:
-                # Tail draw (idx == 0) or margin case: rewind to the
-                # draw and let the real sampler consume it, measuring
-                # how many words its rejection path took.
-                bit_generator.advance((word - gen_at) % (1 << 128))
-                pre = bit_generator.state["state"]["state"]
-                generator.standard_normal()
-                post = bit_generator.state["state"]["state"]
-                pos = word + _count_steps(pre, post, inc)
-                gen_at = pos
-                done += 1
-                if pos >= lookahead:
-                    break  # draw straddled the block edge
-        else:
-            take = min(lookahead - pos, remaining - done)
-            pos += take
-            done += take
-        if pos != gen_at:
-            bit_generator.advance((pos - gen_at) % (1 << 128))
-        if done == 0:
-            raise _SkipMiss("no progress in skip block")
-        remaining -= done
-
-
-def skip_normals(generator: np.random.Generator, n: int) -> None:
-    """Advance ``generator`` exactly as ``normal(0, 1, n)`` would.
-
-    Bit-exact stream skipping for dead draws: the generator ends in the
-    state a real ``normal(0.0, 1.0, n)`` call would leave, but the
-    ziggurat transform never runs — raw stream words are classified
-    vectorized and the generator is aligned with one trailing jump.
-    Falls back to generate-and-discard when the generator is not a
-    jumpable PCG64, the count is too small to win, or the constant-table
-    probe/self-test failed, so the resulting stream is identical either
-    way.
-    """
-    if n <= 0:
-        return
-    bit_generator = generator.bit_generator
-    if n >= _SKIP_MIN and UniformBlockJump.predictable(bit_generator):
-        tables = _ziggurat_tables()
-        if tables is not None:
-            snapshot = bit_generator.state
-            try:
-                _skip_fast(generator, int(n), tables)
-                return
-            except Exception:
-                bit_generator.state = snapshot
-    # ``standard_normal`` consumes the stream identically to
-    # ``normal(0, 1, n)`` (the latter is an affine map of the former)
-    # but skips the loc/scale pass — dead draws don't pay for values.
-    generator.standard_normal(n)

@@ -13,8 +13,7 @@ Since the interprocedural engine landed, analysis runs in two phases:
 a per-module pass over each AST, and a whole-program pass over the
 linked :class:`~repro.lint.callgraph.Project` (taint data-flow across
 function/module boundaries, backend-parity checking, kernel-purity
-proofs).  Per-file work is memoized in an incremental cache keyed by
-content hashes, and reports render as text, JSON, or SARIF 2.1.0.
+proofs).  Reports render as text, JSON, or SARIF 2.1.0.
 
 Entry points:
 
@@ -29,7 +28,6 @@ from __future__ import annotations
 
 from . import builtin, dataflow, parity  # noqa: F401  (registers rules)
 from .baseline import Baseline, BaselineError, partition_findings
-from .cache import AnalysisCache
 from .callgraph import Project
 from .engine import LintReport, iter_python_files, lint_paths, lint_source
 from .fix import fix_source, fixable_codes
@@ -39,7 +37,6 @@ from .sarif import render_sarif, sarif_json
 from .summary import ModuleSummary, extract_summary
 
 __all__ = [
-    "AnalysisCache",
     "Baseline",
     "BaselineError",
     "Finding",

@@ -1,8 +1,8 @@
 """Whole-program linking: symbol table, call graph, taint fixpoints.
 
 A :class:`Project` is built from the :class:`~repro.lint.summary.ModuleSummary`
-records of every linted file (freshly extracted or loaded from the
-incremental cache — linking never touches an AST).  It provides the
+records of every linted file (linking never touches an AST).  It
+provides the
 three resolution services the project-phase rules need:
 
 * **name resolution** — a dotted name as written in a module is mapped

@@ -13,10 +13,9 @@ finding list, the new/baselined split, and stale baseline entries;
 ``--format sarif`` emits a SARIF 2.1.0 log for CI code scanning.
 ``--write-baseline`` regenerates the baseline from the current finding
 set, pruning entries that no longer match (the sanctioned way to
-grandfather a new rule's debt and to pay it down).  ``--cache PATH``
-attaches the incremental analysis cache: a warm run over an unchanged
-tree re-parses nothing.  ``--fix`` applies the available autofixes and
-re-lints.  ``--parity`` restricts the run to the backend-parity rules.
+grandfather a new rule's debt and to pay it down).  ``--fix`` applies
+the available autofixes and re-lints.  ``--parity`` restricts the run
+to the backend-parity rules.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ from .baseline import (
     DEFAULT_BASELINE_NAME,
     partition_findings,
 )
-from .cache import AnalysisCache
 from .engine import LintReport, lint_paths
 from .fix import fix_source, fixable_codes
 from .rules import registered_rules, rules_for_codes
@@ -74,12 +72,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--parity", action="store_true",
                         help="run only the backend-parity rules "
                              "(PAR...)")
-    parser.add_argument("--cache", default=None, metavar="PATH",
-                        dest="cache_path",
-                        help="incremental analysis cache file; "
-                             "unchanged files are not re-parsed")
-    parser.add_argument("--cache-stats", action="store_true",
-                        help="report cache hit/parse counts")
     parser.add_argument("--fix", action="store_true",
                         help="apply available autofixes, then re-lint")
     parser.add_argument("--list-rules", action="store_true",
@@ -105,8 +97,7 @@ def _print_rules(stream: TextIO) -> None:
 
 
 def _render_text(report: LintReport, new: List, baselined: List,
-                 stale: List, stream: TextIO,
-                 show_cache_stats: bool) -> None:
+                 stale: List, stream: TextIO) -> None:
     for finding in new:
         stream.write(finding.render() + "\n")
     for path, message in report.parse_errors:
@@ -117,11 +108,6 @@ def _render_text(report: LintReport, new: List, baselined: List,
     for entry_path, code, _message in stale:
         stream.write(f"# stale baseline entry: {entry_path}: {code} "
                      f"(no longer found — remove it)\n")
-    if show_cache_stats and report.cache_stats:
-        stats = report.cache_stats
-        stream.write(f"# cache: {stats.get('files', 0)} file(s), "
-                     f"{stats.get('cache_hits', 0)} hit(s), "
-                     f"{stats.get('parses', 0)} parse(s)\n")
     summary = (f"# {report.files_checked} file(s) checked, "
                f"{len(new)} new finding(s), "
                f"{len(baselined)} baselined, "
@@ -144,7 +130,6 @@ def _render_json(report: LintReport, new: List, baselined: List,
             {"path": path, "message": message}
             for path, message in report.parse_errors
         ],
-        "cache_stats": report.cache_stats,
     }
     json.dump(payload, stream, indent=2, sort_keys=True)
     stream.write("\n")
@@ -240,23 +225,14 @@ def main(argv: Sequence[str] | None = None,
         print(f"repro lint: {error}", file=sys.stderr)
         return EXIT_USAGE
 
-    cache = None
-    if arguments.cache_path is not None:
-        cache = AnalysisCache(Path(arguments.cache_path),
-                              rule_codes=[rule.code for rule in rules])
-
     try:
-        report = lint_paths(arguments.paths, rules=rules, cache=cache)
+        report = lint_paths(arguments.paths, rules=rules)
         if arguments.fix and _apply_fixes(report, stream):
             # the tree changed under us: analyze the result instead.
-            report = lint_paths(arguments.paths, rules=rules,
-                                cache=cache)
+            report = lint_paths(arguments.paths, rules=rules)
     except FileNotFoundError as error:
         print(f"repro lint: {error}", file=sys.stderr)
         return EXIT_USAGE
-    finally:
-        if cache is not None:
-            cache.save()
 
     if arguments.write_baseline:
         return _write_baseline(arguments, report, rules, stream)
@@ -271,8 +247,7 @@ def main(argv: Sequence[str] | None = None,
             new + baselined, rules=rules,
             baselined=[f.identity() for f in baselined]))
     else:
-        _render_text(report, new, baselined, stale, stream,
-                     arguments.cache_stats)
+        _render_text(report, new, baselined, stale, stream)
 
     if new or report.parse_errors:
         return EXIT_FINDINGS

@@ -1,4 +1,4 @@
-"""The lint engine: discovery, two-phase rule execution, caching.
+"""The lint engine: discovery and two-phase rule execution.
 
 :func:`lint_paths` is the one entry point both the CLI and the test
 suite use.  A run has two phases:
@@ -6,10 +6,7 @@ suite use.  A run has two phases:
 1. **per-module** — each ``.py`` file is parsed once; every selected
    rule's :meth:`~repro.lint.rules.Rule.check` runs over the AST,
    pragma-suppressed findings are dropped, and a
-   :class:`~repro.lint.summary.ModuleSummary` is extracted.  With an
-   :class:`~repro.lint.cache.AnalysisCache` attached, files whose
-   content digest is unchanged skip this phase entirely — findings and
-   summary replay from the cache with zero re-parsing.
+   :class:`~repro.lint.summary.ModuleSummary` is extracted.
 2. **project** — the summaries are linked into a
    :class:`~repro.lint.callgraph.Project` and every rule's
    :meth:`~repro.lint.rules.Rule.check_project` runs once over the
@@ -27,7 +24,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .callgraph import Project
 from .model import Finding, ModuleContext, Severity, module_name_for_path
@@ -49,10 +46,6 @@ class LintReport:
     #: ``(path, message)`` for files that failed to parse.
     parse_errors: List[Tuple[str, str]] = field(default_factory=list)
     files_checked: int = 0
-    #: ``{"files": N, "cache_hits": H, "parses": P}`` — ``parses`` is
-    #: the number of files that went through ``ast.parse`` this run; a
-    #: warm cached run reports ``parses == 0``.
-    cache_stats: Dict[str, int] = field(default_factory=dict)
 
     @property
     def error_count(self) -> int:
@@ -125,15 +118,12 @@ def lint_source(source: str, *, path: str, module: str | None = None,
 
 def lint_paths(paths: Sequence[Path | str], *,
                rules: Sequence[Rule] | None = None,
-               root: Path | None = None,
-               cache=None) -> LintReport:
+               root: Path | None = None) -> LintReport:
     """Lint every Python file under ``paths`` (both phases).
 
     Finding paths are rendered POSIX-style relative to ``root`` (default:
     the current working directory) when possible, absolute otherwise —
-    the same normalization the baseline file relies on.  ``cache`` is an
-    optional :class:`~repro.lint.cache.AnalysisCache`; the caller saves
-    it after the run.
+    the same normalization the baseline file relies on.
     """
     if rules is None:
         rules = rules_for_codes(None)
@@ -141,8 +131,6 @@ def lint_paths(paths: Sequence[Path | str], *,
         root = Path.cwd()
     report = LintReport()
     summaries: List[ModuleSummary] = []
-    seen_paths: List[str] = []
-    hits = parses = 0
     for file_path in iter_python_files([Path(p) for p in paths]):
         resolved = file_path.resolve()
         try:
@@ -155,55 +143,25 @@ def lint_paths(paths: Sequence[Path | str], *,
         except OSError as error:
             report.parse_errors.append((rendered, str(error)))
             continue
-        seen_paths.append(rendered)
-
-        digest = None
-        if cache is not None:
-            from .cache import content_digest
-            digest = content_digest(raw)
-            replayed = cache.lookup(rendered, digest)
-            if replayed is not None:
-                summary, findings, parse_error = replayed
-                hits += 1
-                if parse_error is not None:
-                    report.parse_errors.append((rendered, parse_error))
-                    continue
-                if summary is not None:
-                    summaries.append(summary)
-                report.files_checked += 1
-                report.findings.extend(findings)
-                continue
-
         try:
             source = raw.decode("utf-8")
             ctx = ModuleContext.from_source(source, path=rendered,
                                             module=module)
         except (SyntaxError, UnicodeDecodeError) as error:
-            parses += 1
             lineno = getattr(error, "lineno", None)
             message = (f"line {lineno}: {error.msg}"
                        if isinstance(error, SyntaxError)
                        else str(error))
             report.parse_errors.append((rendered, message))
-            if cache is not None:
-                cache.store(rendered, digest, summary=None, findings=[],
-                            parse_error=message)
             continue
-        parses += 1
         findings = _module_findings(ctx, rules)
         summary = extract_summary(
             ctx.tree, module=module, path=rendered,
             suppressions=ctx.suppressions,
             standalone=ctx.standalone_pragma_lines)
         summaries.append(summary)
-        if cache is not None:
-            cache.store(rendered, digest, summary=summary,
-                        findings=findings, parse_error=None)
         report.files_checked += 1
         report.findings.extend(findings)
-
-    if cache is not None:
-        cache.prune(seen_paths)
 
     # project phase: link summaries, run whole-program rules, dedup.
     project = Project(summaries)
@@ -216,7 +174,5 @@ def lint_paths(paths: Sequence[Path | str], *,
             occupied.add(key)
             report.findings.append(finding)
 
-    report.cache_stats = {"files": len(seen_paths), "cache_hits": hits,
-                          "parses": parses}
     report.findings.sort()
     return report

@@ -50,8 +50,8 @@ class Rule:
     pass catches what a single AST can prove, and the project pass
     adds the cross-module cases (aliased imports, call-graph taint)
     the per-module pass structurally cannot see.  Project-phase rules
-    are responsible for their own pragma filtering (the engine has no
-    AST for cached files) — use ``project.is_suppressed``.
+    are responsible for their own pragma filtering (the project phase
+    sees summaries, never ASTs) — use ``project.is_suppressed``.
     """
 
     #: Unique short code, e.g. ``DET001``; findings and pragmas use it.

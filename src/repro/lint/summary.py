@@ -1,10 +1,9 @@
-"""Per-module analysis summaries: the cacheable unit of the engine.
+"""Per-module analysis summaries: what the project phase reads.
 
 The interprocedural phase of :mod:`repro.lint` never walks two ASTs at
-once.  Each file is parsed exactly once (and, with the incremental
-cache, at most once per content hash *ever*) into a
-:class:`ModuleSummary` — a compact, JSON-serializable record of
-everything the whole-program phase needs:
+once.  Each file is parsed exactly once into a :class:`ModuleSummary` —
+a compact, immutable record of everything the whole-program phase
+needs:
 
 * the import table (aliases resolved at link time, so
   ``from numpy import random as r`` cannot launder ``r.default_rng()``),
@@ -26,7 +25,7 @@ the package graph.
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Tuple
 
 __all__ = [
@@ -52,18 +51,6 @@ class CallSite:
     n_args: int
     keywords: Tuple[str, ...]  # keyword names; "*" for **kwargs
 
-    def to_json(self) -> dict:
-        return {"name": self.name, "line": self.line, "column": self.column,
-                "end_line": self.end_line, "n_args": self.n_args,
-                "keywords": list(self.keywords)}
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "CallSite":
-        return cls(name=payload["name"], line=payload["line"],
-                   column=payload["column"], end_line=payload["end_line"],
-                   n_args=payload["n_args"],
-                   keywords=tuple(payload["keywords"]))
-
 
 @dataclass(frozen=True)
 class CounterFeed:
@@ -75,20 +62,6 @@ class CounterFeed:
     arg_calls: Tuple[CallSite, ...]   # calls inside the value arguments
     arg_names: Tuple[str, ...]        # bare names inside the value arguments
 
-    def to_json(self) -> dict:
-        return {"line": self.line, "column": self.column,
-                "end_line": self.end_line,
-                "arg_calls": [c.to_json() for c in self.arg_calls],
-                "arg_names": list(self.arg_names)}
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "CounterFeed":
-        return cls(line=payload["line"], column=payload["column"],
-                   end_line=payload["end_line"],
-                   arg_calls=tuple(CallSite.from_json(c)
-                                   for c in payload["arg_calls"]),
-                   arg_names=tuple(payload["arg_names"]))
-
 
 @dataclass(frozen=True)
 class Mutation:
@@ -99,16 +72,6 @@ class Mutation:
     line: int
     column: int
     end_line: int
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "detail": self.detail, "line": self.line,
-                "column": self.column, "end_line": self.end_line}
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "Mutation":
-        return cls(kind=payload["kind"], detail=payload["detail"],
-                   line=payload["line"], column=payload["column"],
-                   end_line=payload["end_line"])
 
 
 @dataclass(frozen=True)
@@ -125,33 +88,6 @@ class FunctionSummary:
     counter_feeds: Tuple[CounterFeed, ...]
     mutations: Tuple[Mutation, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "qual": self.qual, "line": self.line,
-            "calls": [c.to_json() for c in self.calls],
-            "returned_calls": [c.to_json() for c in self.returned_calls],
-            "assigned_calls": [[name, call.to_json()]
-                               for name, call in self.assigned_calls],
-            "counter_feeds": [f.to_json() for f in self.counter_feeds],
-            "mutations": [m.to_json() for m in self.mutations],
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "FunctionSummary":
-        return cls(
-            qual=payload["qual"], line=payload["line"],
-            calls=tuple(CallSite.from_json(c) for c in payload["calls"]),
-            returned_calls=tuple(CallSite.from_json(c)
-                                 for c in payload["returned_calls"]),
-            assigned_calls=tuple(
-                (name, CallSite.from_json(call))
-                for name, call in payload["assigned_calls"]),
-            counter_feeds=tuple(CounterFeed.from_json(f)
-                                for f in payload["counter_feeds"]),
-            mutations=tuple(Mutation.from_json(m)
-                            for m in payload["mutations"]),
-        )
-
 
 @dataclass(frozen=True)
 class ClassSummary:
@@ -161,16 +97,6 @@ class ClassSummary:
     methods: Tuple[str, ...]
     #: instance attribute -> dotted constructor name (``self.x = Ctor()``).
     attr_types: Tuple[Tuple[str, str], ...]
-
-    def to_json(self) -> dict:
-        return {"name": self.name, "methods": list(self.methods),
-                "attr_types": [list(item) for item in self.attr_types]}
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "ClassSummary":
-        return cls(name=payload["name"], methods=tuple(payload["methods"]),
-                   attr_types=tuple((a, t)
-                                    for a, t in payload["attr_types"]))
 
 
 @dataclass(frozen=True)
@@ -189,29 +115,6 @@ class DispatchSummary:
     #: module-level name -> string/identifier items of its tuple value.
     module_tuples: Tuple[Tuple[str, Tuple[str, ...]], ...]
 
-    def to_json(self) -> dict:
-        return {
-            "isinstance_targets": list(self.isinstance_targets),
-            "compare_sets": [[n, list(v)] for n, v in self.compare_sets],
-            "append_heads": [[n, list(v)] for n, v in self.append_heads],
-            "class_kinds": [list(item) for item in self.class_kinds],
-            "dict_keys": [[n, list(v)] for n, v in self.dict_keys],
-            "module_tuples": [[n, list(v)] for n, v in self.module_tuples],
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "DispatchSummary":
-        pairs = lambda key: tuple(  # noqa: E731 - tiny local decoder
-            (name, tuple(values)) for name, values in payload[key])
-        return cls(
-            isinstance_targets=tuple(payload["isinstance_targets"]),
-            compare_sets=pairs("compare_sets"),
-            append_heads=pairs("append_heads"),
-            class_kinds=tuple((c, k) for c, k in payload["class_kinds"]),
-            dict_keys=pairs("dict_keys"),
-            module_tuples=pairs("module_tuples"),
-        )
-
 
 @dataclass(frozen=True)
 class ModuleSummary:
@@ -227,38 +130,6 @@ class ModuleSummary:
     suppressions: Tuple[Tuple[int, Tuple[str, ...]], ...]
     standalone_pragma_lines: Tuple[int, ...]
     dispatch: DispatchSummary
-
-    def to_json(self) -> dict:
-        return {
-            "module": self.module, "path": self.path,
-            "is_package": self.is_package,
-            "imports": [list(item) for item in self.imports],
-            "module_names": list(self.module_names),
-            "functions": [f.to_json() for f in self.functions],
-            "classes": [c.to_json() for c in self.classes],
-            "suppressions": [[line, list(codes)]
-                             for line, codes in self.suppressions],
-            "standalone_pragma_lines": list(self.standalone_pragma_lines),
-            "dispatch": self.dispatch.to_json(),
-        }
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "ModuleSummary":
-        return cls(
-            module=payload["module"], path=payload["path"],
-            is_package=payload["is_package"],
-            imports=tuple((a, b) for a, b in payload["imports"]),
-            module_names=tuple(payload["module_names"]),
-            functions=tuple(FunctionSummary.from_json(f)
-                            for f in payload["functions"]),
-            classes=tuple(ClassSummary.from_json(c)
-                          for c in payload["classes"]),
-            suppressions=tuple((line, tuple(codes))
-                               for line, codes in payload["suppressions"]),
-            standalone_pragma_lines=tuple(
-                payload["standalone_pragma_lines"]),
-            dispatch=DispatchSummary.from_json(payload["dispatch"]),
-        )
 
 
 # ----------------------------------------------------------------------

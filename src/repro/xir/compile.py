@@ -134,9 +134,9 @@ class PrimSpec:
     ``store`` marks a write op whose open/sense/close physics is fully
     overwritten by its own write (the plain in-spec write-row cycle on a
     spacing-free lane class): the telemetry-off fast path may collapse
-    the whole prim into one ``("store", bank, param, value)`` action and
-    jump the dead charge-share/sense draws instead of materializing
-    them.
+    the whole prim into one ``("store", bank, param, value)`` action.
+    Its charge-share and sense draws are still drawn, into rows no
+    kernel reads, so every lane's stream advances as on the full path.
     """
 
     op: str
@@ -166,11 +166,11 @@ class CompiledProgram:
     #: once per run multiplied by the lane count.
     deltas: tuple[tuple[str, int], ...]
     #: RNG consumption schedule: per region (split at leaks), the
-    #: ordered ``(kind, bank, param, dead)`` draw segments.  ``dead``
-    #: draws belong to a ``store``-collapsible prim: their values are
-    #: never observed, only their stream consumption matters, so the
-    #: fast path may advance the generators without materializing them.
-    regions: tuple[tuple[tuple[str, int, str, bool], ...], ...]
+    #: ordered ``(kind, bank, param)`` draw segments, one per ``cs``
+    #: (``"jitter"``) and ``sense`` action in issue order.  A ``store``
+    #: prim owns two of them (jitter, then sense), which the fast
+    #: stream's ``store`` action steps past unread.
+    regions: tuple[tuple[tuple[str, int, str], ...], ...]
     #: Row parameters and the single bank each is bound on.
     param_banks: tuple[tuple[str, int], ...]
     #: Row-copy (src, dst, bank) parameter pairs needing glitch binding.
@@ -246,9 +246,7 @@ def _compile(ops: Sequence[ir.Op], *, enforce: bool, timing: TimingParams,
     states = [_BankState() for _ in range(n_banks)]
     last_allowed: list[int | None] = [None] * n_banks
     deltas: dict[str, int] = {}
-    # Entries are mutable lists [kind, bank, param, dead]: the dead flag
-    # is backpatched once a store-collapsible write prim completes.
-    regions: list[list[list]] = [[]]
+    regions: list[list[tuple[str, int, str]]] = [[]]
     prims: list[PrimSpec] = []
     param_banks: dict[str, int] = {}
     pairs: list[tuple[str, str, int]] = []
@@ -296,7 +294,7 @@ def _compile(ops: Sequence[ir.Op], *, enforce: bool, timing: TimingParams,
         if (state.open_param is not None and not state.fired
                 and t - state.last_act >= se):
             actions.append(("sense", bank, state.open_param))
-            regions[-1].append(["sense", bank, state.open_param, False])
+            regions[-1].append(("sense", bank, state.open_param))
             state.fired = True
 
     def do_act(bank: int, param: str | None, t: int) -> None:
@@ -337,7 +335,7 @@ def _compile(ops: Sequence[ir.Op], *, enforce: bool, timing: TimingParams,
         register(param, bank)
         action = ["cs", bank, param, False]
         actions.append(action)
-        regions[-1].append(["jitter", bank, param, False])
+        regions[-1].append(("jitter", bank, param))
         state.open_param = param
         state.fired = False
         state.copy = False
@@ -464,20 +462,17 @@ def _compile(ops: Sequence[ir.Op], *, enforce: bool, timing: TimingParams,
             # A plain write-row cycle on a spacing-free lane class: the
             # charge share and sense are fully overwritten by the write
             # and the close only re-idles the bit-lines, so the fast
-            # path may collapse the prim to one store kernel and jump
-            # the (dead) jitter/sense draws.  The pattern check is
-            # structural, so any future template change that adds an
-            # observable step simply stops matching.
+            # path may collapse the prim to one store kernel.  Its two
+            # draw segments (jitter, then sense) must be the region's
+            # tail: the store action steps past exactly those two.  The
+            # pattern check is structural, so any future template change
+            # that adds an observable step simply stops matching.
             write_tag = ("write-data" if isinstance(op, ir.WriteData)
                          else "write")
             physics = [a[0] for a in actions if a[0] != "cmd"]
-            tail = [tuple(e[:3]) for e in regions[-1][-2:]]
-            if (physics == ["cs", "sense", write_tag, "close"]
-                    and tail == [("jitter", op.bank, op.rows),
-                                 ("sense", op.bank, op.rows)]):
-                store = True
-                for entry in regions[-1][-2:]:
-                    entry[3] = True
+            store = (physics == ["cs", "sense", write_tag, "close"]
+                     and regions[-1][-2:] == [("jitter", op.bank, op.rows),
+                                              ("sense", op.bank, op.rows)])
         prims.append(PrimSpec(
             op=template.op,
             bank=getattr(op, "bank", None),
@@ -509,8 +504,7 @@ def _compile(ops: Sequence[ir.Op], *, enforce: bool, timing: TimingParams,
         deltas=tuple(sorted(deltas.items())),
         # Empty regions are kept: the executor advances its region index
         # once per leak, so the schedule has exactly n_leaks + 1 entries.
-        regions=tuple(tuple(tuple(entry) for entry in region)
-                      for region in regions),
+        regions=tuple(tuple(region) for region in regions),
         param_banks=tuple(sorted(param_banks.items())),
         pairs=tuple(pairs),
         dt_params=tuple(dt_params))

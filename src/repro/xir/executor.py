@@ -44,7 +44,6 @@ import numpy as np
 from ..controller.batched import BatchedSoftMC
 from ..dram.chip import MIN_COMMAND_SPACING_CYCLES
 from ..dram.decoder import resolve_glitch
-from ..dram.pcg_jump import _SKIP_MIN, skip_normals
 from ..errors import AddressError, CommandSequenceError
 from ..telemetry.registry import active as _telemetry_active
 from . import ir
@@ -95,8 +94,8 @@ class _PairGroup:
 def _sigma_column(n_rows: int, sigma_entries) -> np.ndarray:
     """Per-row scale factors for one region's flat draw matrix.
 
-    Rows no draw run touches (the trailing shared-zeros row, skipped
-    spans) get 1.0 — they hold exact ``+0.0`` and must keep it.
+    Rows no draw run touches (the trailing shared-zeros row) get 1.0 —
+    they hold exact ``+0.0`` and must keep it.
     """
     column = np.ones((n_rows, 1))
     for start, sigmas in sigma_entries:
@@ -333,7 +332,7 @@ class FusedRunner:
 
     def _schedule(self, program: CompiledProgram, bindings,
                   class_lanes: list[int]):
-        """Precompute each region's draw plans: lane runs + gather maps.
+        """Precompute each region's draw plan: lane runs + gather maps.
 
         All of a region's scaled draws land in one flat ``(rows, C)``
         matrix.  Per lane, maximal runs of consecutive draw segments
@@ -346,44 +345,32 @@ class FusedRunner:
         the matrix's trailing all-zeros row.  Each segment's per-group
         lane buffer is then a single fancy-index gather.
 
-        Each region yields TWO plans.  The *full* plan materializes every
-        draw (the telemetry path observes charge-share snapshots and
-        sense decisions, so nothing is dead).  The *fast* plan — used
-        with the compacted store-action stream — drops the segments the
-        compiler marked dead (write-row cycles whose physics is fully
-        overwritten) and replaces their draws with ``("skip", ...)``
-        runs: the stream positions still advance exactly as if the
-        values had been drawn (:func:`~repro.dram.pcg_jump.skip_normals`),
-        but nothing is generated, scaled or stored.
+        Both action streams read the one plan.  The telemetry-off
+        stream's ``store`` actions step past their cycle's two segments
+        without gathering them, so those dead draws land in rows nothing
+        reads; drawing them keeps every lane's stream exactly where the
+        full stream leaves it.
         """
         regions = []
         for region in program.regions:
             entries: dict[int, list] = {lane: [] for lane in class_lanes}
             slots: list[list[np.ndarray | None]] = []
-            fast_slots: list[list[np.ndarray | None]] = []
-            for kind, bank, param, dead in region:
+            for kind, bank, param in region:
                 seg_slots: list[np.ndarray | None] = []
-                seg_fast: list[np.ndarray | None] = []
                 for group in bindings[(param, bank)]:
                     if kind == "sense" or group.cell._jitter_any:
                         index_arr = np.empty(len(group.lanes), dtype=np.intp)
-                        fast_arr = (None if dead else np.empty(
-                            len(group.lanes), dtype=np.intp))
                         sigma_vec = (group.cell._noise_sigma
                                      if kind == "sense"
                                      else group.cell._jitter_sigma)
                         for offset, lane in enumerate(group.lanes):
                             entries[lane].append(
                                 (group.cell, float(sigma_vec[lane]),
-                                 index_arr, offset, dead, fast_arr))
+                                 index_arr, offset))
                     else:
                         index_arr = None
-                        fast_arr = None
                     seg_slots.append(index_arr)
-                    seg_fast.append(fast_arr)
                 slots.append(seg_slots)
-                if not dead:
-                    fast_slots.append(seg_fast)
 
             runs = []
             run_sigmas: list[tuple[int, list[float]]] = []
@@ -402,8 +389,7 @@ class FusedRunner:
                     sigmas: list[float] = []
                     while (index < len(lane_entries)
                            and lane_entries[index][0] is cell):
-                        _, sigma, index_arr, offset, _, _ = (
-                            lane_entries[index])
+                        _, sigma, index_arr, offset = lane_entries[index]
                         if sigma > 0:
                             sigmas.append(sigma)
                             index_arr[offset] = row_counter
@@ -411,97 +397,13 @@ class FusedRunner:
                         else:
                             index_arr[offset] = -1
                         index += 1
-                    runs.append(("draw", cell, lane, start, row_counter))
+                    runs.append((cell, lane, start, row_counter))
                     run_sigmas.append((start, sigmas))
-
-            # Fast runs merge whole same-cell segments — dead and live
-            # draws together — into ONE ``standard_normal(out=...)``
-            # call per lane filling the flat matrix in place
-            # (re-splitting or re-merging a draw is stream-equivalent:
-            # value-by-value consumption).  Dead draws inside a merged
-            # segment are materialized — the generator produces their
-            # values either way, so parking them in rows no gather
-            # points at is free and saves the per-lane gather dispatch.
-            # Dead spans big enough for :func:`skip_normals`' jump path
-            # (>= _SKIP_MIN draws) stay split so they are never
-            # materialized.
-            columns = self.device.geometry.columns
-            fast_runs = []
-            fast_sigmas: list[tuple[int, list[float]]] = []
-            fast_counter = 0
-            for lane in class_lanes:
-                lane_entries = entries[lane]
-                index = 0
-                while index < len(lane_entries):
-                    cell = lane_entries[index][0]
-                    segment = []
-                    while (index < len(lane_entries)
-                           and lane_entries[index][0] is cell):
-                        segment.append(lane_entries[index])
-                        index += 1
-                    n_dead = sum(1 for entry in segment
-                                 if entry[4] and entry[1] > 0)
-                    n_live = sum(1 for entry in segment
-                                 if not entry[4] and entry[1] > 0)
-                    if n_live and n_dead and n_dead * columns < _SKIP_MIN:
-                        # Mixed segment, dead span too small to jump:
-                        # one merged draw covering dead rows too.
-                        start = fast_counter
-                        sigmas = []
-                        for _, sigma, _arr, offset, dead, fast_arr in (
-                                segment):
-                            if sigma > 0:
-                                if not dead:
-                                    fast_arr[offset] = fast_counter
-                                sigmas.append(sigma)
-                                fast_counter += 1
-                            elif not dead:
-                                fast_arr[offset] = -1
-                        fast_runs.append(
-                            ("draw", cell, lane, start, fast_counter))
-                        fast_sigmas.append((start, sigmas))
-                        continue
-                    # Pure segments (and jump-eligible dead spans):
-                    # alternate skip runs for dead, draw runs for live.
-                    cursor = 0
-                    while cursor < len(segment):
-                        if segment[cursor][4]:
-                            count = 0
-                            while (cursor < len(segment)
-                                   and segment[cursor][4]):
-                                if segment[cursor][1] > 0:
-                                    count += 1
-                                cursor += 1
-                            if count:
-                                fast_runs.append(
-                                    ("skip", cell, lane, count))
-                        else:
-                            start = fast_counter
-                            sigmas = []
-                            while (cursor < len(segment)
-                                   and not segment[cursor][4]):
-                                _, sigma, _arr, offset, _, fast_arr = (
-                                    segment[cursor])
-                                if sigma > 0:
-                                    fast_arr[offset] = fast_counter
-                                    sigmas.append(sigma)
-                                    fast_counter += 1
-                                else:
-                                    fast_arr[offset] = -1
-                                cursor += 1
-                            if fast_counter > start:
-                                fast_runs.append(
-                                    ("draw", cell, lane, start,
-                                     fast_counter))
-                                fast_sigmas.append((start, sigmas))
-            regions.append(
-                ((row_counter + 1, runs, slots,
-                  _sigma_column(row_counter + 1, run_sigmas)),
-                 (fast_counter + 1, fast_runs, fast_slots,
-                  _sigma_column(fast_counter + 1, fast_sigmas))))
+            regions.append((row_counter + 1, runs, slots,
+                            _sigma_column(row_counter + 1, run_sigmas)))
         return regions
 
-    def _prefetch(self, region_schedule, fast: bool):
+    def _prefetch(self, region_schedule):
         """Draw one region per its precomputed plan.
 
         One ``standard_normal(out=flat_rows)`` call per lane run — the
@@ -511,25 +413,18 @@ class FusedRunner:
         C-chunk separately, and ``standard_normal`` == ``normal(0, 1)``
         on the stream and on every value except ``-0.0``); the single
         trailing ``+ 0.0`` normalizes ``-0.0`` exactly like the
-        per-chunk form.  ``skip`` runs (fast plan only) advance the
-        lane's stream past dead draws without materializing them.
-        Returns the flat matrix plus the region's per-segment gather
-        maps; callers gather lazily at each kernel site, so a Frac
-        burst can pull all of its iterations in one fancy index.
+        per-chunk form.  Returns the flat matrix plus the region's
+        per-segment gather maps; callers gather lazily at each kernel
+        site, so a Frac burst can pull all of its iterations in one
+        fancy index.
         """
         columns = self.device.geometry.columns
-        n_rows, runs, slots, sigma_column = region_schedule[
-            1 if fast else 0]
+        n_rows, runs, slots, sigma_column = region_schedule
         flat = np.zeros((n_rows, columns))
         flat_1d = flat.reshape(-1)
-        for run in runs:
-            if run[0] == "draw":
-                _, cell, lane, start, stop = run
-                cell._noises[lane].rng.standard_normal(
-                    out=flat_1d[start * columns:stop * columns])
-            else:  # ("skip", cell, lane, count)
-                _, cell, lane, count = run
-                skip_normals(cell._noises[lane].rng, columns * count)
+        for cell, lane, start, stop in runs:
+            cell._noises[lane].rng.standard_normal(
+                out=flat_1d[start * columns:stop * columns])
         flat *= sigma_column
         flat += 0.0
         return flat, slots
@@ -546,10 +441,10 @@ class FusedRunner:
         (charge-share, freeze) ladder collapses into one ``burst``
         action, and each ``store``-marked write prim collapses into one
         ``store`` action (its open/sense/close physics is fully
-        overwritten; the paired dead draws are jumped by the fast
-        prefetch plan).  Stream compaction: per-lane RNG consumption and
-        every observable state transition are untouched, so results stay
-        byte-identical.
+        overwritten; its two draw segments are still drawn by the shared
+        region plan and the action steps past them unread).  Stream
+        compaction: per-lane RNG consumption and every observable state
+        transition are untouched, so results stay byte-identical.
         """
         cached = self._fast_cache.get(program.token)
         if cached is not None:
@@ -622,10 +517,8 @@ class FusedRunner:
             for name, delta in program.deltas:
                 telemetry.count(name, delta * n_class)
             prims = program.prims
-            fast = False
         else:
             prims = self._fast_prims(program)
-            fast = True
 
         def plane_for(param):
             try:
@@ -636,7 +529,7 @@ class FusedRunner:
                 ) from None
 
         region_index = 0
-        flat, slots = self._prefetch(schedule[0], fast)
+        flat, slots = self._prefetch(schedule[0])
         seg_cursor = 0
         snap_store: dict[int, list] = {}
         dec_store: dict[int, list] = {}
@@ -756,7 +649,10 @@ class FusedRunner:
                     # one kernel stores the written values, marks the
                     # rows refreshed and re-idles the bit-lines — the
                     # net effect of the full open/sense/write/close walk.
+                    # Its jitter and sense segments were drawn but are
+                    # never read.
                     _, bank, param, value = action
+                    seg_cursor += 2
                     plane = plane_for(param) if value is None else None
                     for group in bindings[(param, bank)]:
                         if plane is None:
@@ -819,8 +715,7 @@ class FusedRunner:
                     yield action[1]
                     region_index += 1
                     seg_cursor = 0
-                    flat, slots = self._prefetch(schedule[region_index],
-                                                 fast)
+                    flat, slots = self._prefetch(schedule[region_index])
                 else:  # pragma: no cover - defensive
                     raise CommandSequenceError(f"unknown phase op {tag!r}")
 

@@ -9,6 +9,7 @@ paths for unpredictable streams.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -39,8 +40,6 @@ class TestSkipCoefficients:
             assert (mult * state + plus * inc) & MASK128 == expected
 
     def test_rejects_negative_steps(self):
-        import pytest
-
         with pytest.raises(ValueError):
             skip_coefficients(-1)
 
@@ -76,8 +75,6 @@ class TestUniformBlockJump:
                               predicted_gen.uniform(size=extra % 7 + 1))
 
     def test_rejects_offsets_outside_block(self):
-        import pytest
-
         with pytest.raises(ValueError):
             UniformBlockJump([8], 8)
 
@@ -119,32 +116,33 @@ class TestJumpGroup:
         for grouped, alone in zip(group_gens, solo_gens):
             assert _state_of(grouped) == _state_of(alone)
 
-    def test_split_values_and_fallback(self):
-        block = 32
-        jumps = [UniformBlockJump([2], block), UniformBlockJump([3], block)]
-        group = JumpGroup(jumps)
-        clean = np.random.default_rng(9)
-        dirty = np.random.default_rng(10)
-        dirty.integers(0, 4, dtype=np.uint32)  # buffered half-word
+    def test_fallback_touches_no_stream(self):
+        """``None`` leaves every member where it was, predictable or not.
 
-        values = group.values([clean.bit_generator, dirty.bit_generator])
-        assert values[0] is not None and values[1] is None
-        # The predictable stream was still advanced past its block.
-        reference = np.random.default_rng(9)
-        reference.uniform(-1.0, 1.0, size=block)
-        assert (_state_of(clean.bit_generator)
-                == _state_of(reference.bit_generator))
+        ``BatchedSubArray.leak`` answers ``None`` by drawing every lane
+        for real, which is exact only if no stream was advanced first.
+        Two unpredictable members: a PCG64 holding a buffered half-word,
+        and a generator that is not PCG64 at all.
+        """
+        block = 32
+        group = JumpGroup([UniformBlockJump([2], block),
+                           UniformBlockJump([3], block),
+                           UniformBlockJump([5], block)])
+        buffered = np.random.default_rng(10)
+        buffered.integers(0, 4, dtype=np.uint32)
+        for odd in (buffered.bit_generator, np.random.PCG64DXSM(10)):
+            members = [np.random.default_rng(9).bit_generator, odd,
+                       np.random.default_rng(11).bit_generator]
+            before = [bg.state for bg in members]
+            assert group.values_flat(members) is None
+            assert [bg.state for bg in members] == before
 
     def test_requires_matching_ranges(self):
-        import pytest
-
         with pytest.raises(ValueError):
             JumpGroup([UniformBlockJump([0], 4),
                        UniformBlockJump([0], 4, low=0.0, high=1.0)])
 
     def test_requires_one_generator_per_jump(self):
-        import pytest
-
         group = JumpGroup([UniformBlockJump([0], 4)])
         with pytest.raises(ValueError):
             group.values_flat([])

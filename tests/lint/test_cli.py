@@ -110,26 +110,6 @@ class TestSelection:
         assert code == EXIT_USAGE
 
 
-class TestCacheFlags:
-    def test_cache_stats_reported(self, tree, tmp_path):
-        cache = tmp_path / "lint-cache.json"
-        args = [str(tree), "--no-baseline", "--cache", str(cache),
-                "--cache-stats"]
-        _, cold = run_cli(args)
-        assert "cache: 2 file(s), 0 hit(s), 2 parse(s)" in cold
-        assert cache.exists()
-        _, warm = run_cli(args)
-        assert "cache: 2 file(s), 2 hit(s), 0 parse(s)" in warm
-
-    def test_json_payload_includes_cache_stats(self, tree, tmp_path):
-        cache = tmp_path / "lint-cache.json"
-        _, output = run_cli([str(tree), "--no-baseline", "--cache",
-                             str(cache), "--format", "json"])
-        payload = json.loads(output)
-        assert payload["cache_stats"] == {
-            "files": 2, "cache_hits": 0, "parses": 2}
-
-
 class TestFixFlag:
     def test_fix_applies_and_reports(self, tree):
         (tree / "sets.py").write_text(textwrap.dedent("""\

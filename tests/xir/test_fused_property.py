@@ -14,11 +14,17 @@ Two independent equivalences are exercised under hypothesis:
   non-enforcing groups, so the runner's lane-class split and lockstep
   leak driver are both on the hot path.  Results *and* deterministic
   telemetry counters must match the batched engine exactly.
+
+Both levels also pin every lane's noise-stream *position* after the run.
+A write-row cycle's charge-share and sense draws are dead (its own write
+overwrites their effect), so a runner that stopped consuming them would
+still read back the right bits; only the generator states show it.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -35,10 +41,17 @@ GEOMETRY = GeometryParams(n_banks=2, subarrays_per_bank=2,
 ROWS_PER_BANK = GEOMETRY.subarrays_per_bank * GEOMETRY.rows_per_subarray
 
 
-def make_fleet(units, seed, epochs=None):
-    return BatchedChip.from_fleet(list(units), geometry=GEOMETRY,
+def make_fleet(units, seed, epochs=None, geometry=GEOMETRY):
+    return BatchedChip.from_fleet(list(units), geometry=geometry,
                                   master_seed=seed,
                                   epochs=epochs or [0] * len(units))
+
+
+def stream_states(device):
+    """Every lane's noise-generator state, for every bank and sub-array."""
+    return [[[noise.rng.bit_generator.state for noise in cell._noises]
+             for cell in bank_cells]
+            for bank_cells in device.cells]
 
 
 #: (bank, row) pairs avoiding each sub-array's reserved top row.
@@ -83,6 +96,8 @@ def test_frac_burst_matches_stepwise_and_batched(seed, n_frac, challenges,
 
     assert np.array_equal(fast_out, slow_out)
     assert np.array_equal(fast_out, batched_out)
+    assert stream_states(fast.bfd.device) == stream_states(batched.bfd.device)
+    assert stream_states(slow.bfd.device) == stream_states(batched.bfd.device)
 
 
 @settings(max_examples=15, deadline=None)
@@ -133,3 +148,61 @@ def test_program_matches_batched_on_mixed_fleets(seed, n_frac, wait, bank,
     assert np.array_equal(slow_out, expected)
     assert np.array_equal(fast_out, expected)
     assert fused_counters == batched_counters
+    assert stream_states(fast_runner.device) == stream_states(bfd.device)
+    assert stream_states(slow_runner.device) == stream_states(bfd.device)
+
+
+#: Wide rows: a write-row cycle's dead draws span 2 x 8,192 values.
+WIDE = GeometryParams(n_banks=1, subarrays_per_bank=2, rows_per_subarray=16,
+                      columns=8192)
+
+
+def run_batched(bfd, ops, rows, lanes):
+    """The batched engine's driver calls for a WriteRow/Frac/ReadRow list."""
+    outputs = []
+    for op in ops:
+        if isinstance(op, ir.WriteRow):
+            bfd.fill_row(op.bank, rows[op.rows], op.value, lanes)
+        elif isinstance(op, ir.Frac):
+            bfd.frac(op.bank, rows[op.rows], op.n_frac, lanes)
+        else:
+            outputs.append(
+                bfd.read_row(op.bank, rows[op.rows], lanes).astype(bool))
+    return outputs
+
+
+@pytest.mark.parametrize("ops", [
+    # Write one sub-array, work on another, then read the first.
+    [ir.WriteRow(0, "a", True), ir.WriteRow(0, "b", False),
+     ir.ReadRow(0, "b"), ir.Frac(0, "a", 2), ir.ReadRow(0, "a")],
+    # The last write's dead draws are never followed by any read.
+    [ir.WriteRow(0, "a", True), ir.ReadRow(0, "a"),
+     ir.WriteRow(0, "b", False)],
+], ids=["read-after-dead-spans", "trailing-write"])
+def test_dead_write_draws_keep_every_stream_in_step(ops):
+    """Fast == full == batched on outputs *and* every stream state."""
+    units = [("B", 0), ("C", 1), ("G", 2)]
+    epochs = [0, 1, 2]
+    lanes = list(range(len(units)))
+    rps = WIDE.rows_per_subarray
+    rows = {"a": [1, 2, 3], "b": [rps + 1, rps + 4, rps + 2]}
+
+    def fused():
+        fleet = make_fleet(units, 7, epochs, geometry=WIDE)
+        return FusedRunner(BatchedFracDram(fleet).mc)
+
+    fast = fused()
+    fast_out = fast.run(ops, rows=rows, lanes=lanes)  # store actions
+    full = fused()
+    with telemetry_session():
+        full_out = full.run(ops, rows=rows, lanes=lanes)  # every step
+    bfd = BatchedFracDram(make_fleet(units, 7, epochs, geometry=WIDE))
+    batched_out = run_batched(bfd, ops, rows, lanes)
+
+    assert len(fast_out) == len(batched_out)
+    for fast_bits, full_bits, batched_bits in zip(fast_out, full_out,
+                                                  batched_out):
+        assert np.array_equal(fast_bits, batched_bits)
+        assert np.array_equal(full_bits, batched_bits)
+    assert stream_states(fast.device) == stream_states(bfd.device)
+    assert stream_states(full.device) == stream_states(bfd.device)
