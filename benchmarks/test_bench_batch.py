@@ -31,6 +31,7 @@ from repro.analysis.retention import (
     BatchedRetentionProfiler,
     RetentionProfiler,
 )
+from repro.backends import DEFAULT_BACKEND
 from repro.core.batched_ops import BatchedFracDram
 from repro.dram.batched import BatchedChip
 from repro.dram.rng import derive_rng
@@ -88,7 +89,7 @@ def test_fig6_batch_speedup(benchmark, bench_config, capsys):
     batched_wall = time.perf_counter() - started
 
     speedup = scalar_wall / batched_wall
-    benchmark.extra_info["backend"] = "batched"
+    benchmark.extra_info["backend"] = DEFAULT_BACKEND
     benchmark.extra_info["lanes"] = len(_lanes(bench_config))
     benchmark.extra_info["scalar_wall_s"] = round(scalar_wall, 3)
     benchmark.extra_info["batched_wall_s"] = round(batched_wall, 3)

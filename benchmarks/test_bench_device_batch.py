@@ -36,6 +36,7 @@ import time
 from conftest import run_once
 from record import record_bench
 
+from repro.backends import DEFAULT_BACKEND
 from repro.experiments import fig11_puf_hd
 from repro.experiments.report import result_to_dict
 
@@ -75,7 +76,7 @@ def test_fig11_device_batch_speedup(benchmark, bench_config, capsys):
     lanes = len(fig11_puf_hd.shard_units(
         config, modules_per_group=MODULES_PER_GROUP))
     speedup = scalar_wall / batched_wall
-    benchmark.extra_info["backend"] = "batched"
+    benchmark.extra_info["backend"] = DEFAULT_BACKEND
     benchmark.extra_info["lanes"] = lanes
     benchmark.extra_info["scalar_wall_s"] = round(scalar_wall, 3)
     benchmark.extra_info["batched_wall_s"] = round(batched_wall, 3)

@@ -1,4 +1,4 @@
-"""Benchmark: fused xir executor vs the batched and scalar engines.
+"""Benchmark: fused xir executor vs the per-command and scalar engines.
 
 The fused backend compiles an experiment pass to a phase-op schedule
 once and replays it as whole-batch kernels (see ``docs/performance.md``
@@ -19,11 +19,11 @@ batched engine still pays per trial.  Two regimes are measured:
   devices and spends most of its wall inside the *shared* leak
   machinery (PCG64 stream jumps) and an adaptively sequential bisection,
   none of which fusion can remove.  The honest expectation there is
-  bounded: fused must at least match batched and beat scalar by >= 1.5x;
-  the measured numbers are recorded, not inflated.
+  bounded: fused must beat scalar by >= 1.5x; the measured numbers are
+  recorded, not inflated.
 
-Byte-identity across all three engines is asserted unconditionally in
-both regimes.  Speedup thresholds are asserted only on machines with
+Byte-identity across the engines is asserted unconditionally in both
+regimes.  Speedup thresholds are asserted only on machines with
 >= 4 CPUs (shared single-core runners time-slice too noisily to gate
 on); the measured numbers are always printed and recorded in
 ``BENCH_fused.json`` via :mod:`record`.
@@ -47,14 +47,13 @@ from repro.experiments import fig6_retention, fig11_puf_hd
 from repro.experiments.base import make_chip
 from repro.puf.batched_puf import BatchedFracPuf
 from repro.puf.frac_puf import FracPuf
-from repro.xir import FusedFracPuf
+from repro.xir.puf import FusedFracPuf
 
 #: Tentpole targets for the dispatch-bound fig11 steady-state regime.
 SCALAR_SPEEDUP_TARGET = 10.0
 BATCHED_SPEEDUP_TARGET = 2.5
-#: Honest targets for the leak-bound fig6 end-to-end regime.
+#: Honest target for the leak-bound fig6 end-to-end regime.
 FIG6_SCALAR_TARGET = 1.5
-FIG6_BATCHED_TARGET = 1.0
 
 #: 9 Frac-capable groups x 6 serials = 54 module lanes.
 MODULES_PER_GROUP = 6
@@ -176,9 +175,6 @@ def test_fig6_fused_speedup(benchmark, bench_config, capsys):
     scalar_wall, scalar = _best_wall(
         lambda: fig6_retention.run(config.scaled(backend="scalar")),
         rounds=2)
-    batched_wall, batched = _best_wall(
-        lambda: fig6_retention.run(config.scaled(backend="batched")),
-        rounds=3)
     started = time.perf_counter()
     run_once(benchmark, fig6_retention.run, config.scaled(backend="fused"))
     first = time.perf_counter() - started
@@ -187,32 +183,23 @@ def test_fig6_fused_speedup(benchmark, bench_config, capsys):
         rounds=2)
     fused_wall = min(first, rest)
 
-    assert fused.format_table() == batched.format_table(), (
-        "fused fig6 table differs from batched")
     assert fused.format_table() == scalar.format_table(), (
         "fused fig6 table differs from scalar")
 
     scalar_speedup = scalar_wall / fused_wall
-    batched_speedup = batched_wall / fused_wall
     extra = {
         "backend": "fused",
         "fig6_scalar_wall_s": round(scalar_wall, 3),
-        "fig6_batched_wall_s": round(batched_wall, 3),
         "fig6_fused_wall_s": round(fused_wall, 3),
         "fig6_speedup_vs_scalar": round(scalar_speedup, 2),
-        "fig6_speedup_vs_batched": round(batched_speedup, 2),
     }
     benchmark.extra_info.update(extra)
     record_bench("fused_fig6", benchmark.extra_info)
     with capsys.disabled():
         print(f"\nfig6 fused end-to-end: scalar {scalar_wall:.2f}s, "
-              f"batched {batched_wall:.2f}s, fused {fused_wall:.2f}s "
-              f"({scalar_speedup:.1f}x / {batched_speedup:.1f}x)")
+              f"fused {fused_wall:.2f}s ({scalar_speedup:.1f}x)")
 
     if _assert_speedups():
         assert scalar_speedup >= FIG6_SCALAR_TARGET, (
             f"expected >= {FIG6_SCALAR_TARGET}x fused speedup over "
             f"scalar on fig6, got {scalar_speedup:.2f}x")
-        assert batched_speedup >= FIG6_BATCHED_TARGET * 0.9, (
-            "fused fig6 should not run materially slower than batched "
-            f"(got {batched_speedup:.2f}x)")

@@ -1,4 +1,4 @@
-"""Benchmark: the newly lowered fMAJ and NIST inner loops, fused vs batched.
+"""Benchmark: the lowered fMAJ and NIST inner loops, fused vs per-command.
 
 PR "widen the fused xir pipeline" lowers three more experiment inner
 loops onto the fused executor (see ``repro.xir.XIR_LOWERED_EXPERIMENTS``):
@@ -14,6 +14,10 @@ loops onto the fused executor (see ``repro.xir.XIR_LOWERED_EXPERIMENTS``):
 * **nist trial batch** — one four-op program (fill reserved row, row
   copy, Frac, read) replaces four separate batched driver calls per
   trial cohort.  Everything fuses, so the target is higher.
+
+The per-command side of each comparison composes the same flow from
+``BatchedFracDram``'s per-command primitives (``write_row``/``fill_row``/
+``frac``/``multi_row_activate``/``read_row`` on ``BatchedSoftMC``).
 
 Byte-identity between the engines is asserted unconditionally on every
 swept configuration.  Speedup thresholds are asserted only on machines
@@ -41,7 +45,7 @@ from repro.dram.batched import BatchedChip
 from repro.dram.chip import DramChip
 from repro.dram.parameters import GeometryParams
 from repro.puf.frac_puf import PUF_N_FRAC
-from repro.xir import FusedFracDram, ir
+from repro.xir import ir
 
 #: Honest targets for the MRA-floor-bound fMAJ regime and the
 #: fully-fused NIST trial-batch regime.
@@ -77,6 +81,27 @@ def _best_wall(function, rounds):
     return best, result
 
 
+class PerCommandFracDram(BatchedFracDram):
+    """``f_maj`` composed from the per-command primitives."""
+
+    def f_maj(self, plan, operands, config, lanes):
+        frac_rows = self._uniform(plan.opened[config.frac_position], lanes)
+        self.fill_row(plan.bank, frac_rows, config.init_ones, lanes)
+        if config.n_frac > 0:
+            self.frac(plan.bank, frac_rows, config.n_frac, lanes)
+        positions = [index for index in range(plan.n_rows)
+                     if index != config.frac_position]
+        for slot, position in enumerate(positions):
+            self.write_row(plan.bank,
+                           self._uniform(plan.opened[position], lanes),
+                           operands[:, slot], lanes)
+        self.multi_row_activate(plan, lanes)
+        result_position = 0 if config.frac_position != 0 else 1
+        return self.read_row(
+            plan.bank, self._uniform(plan.opened[result_position], lanes),
+            lanes)
+
+
 def _make_driver(cls):
     units = [("B", serial) for serial in range(N_LANES)]
     device = BatchedChip.from_fleet(units, geometry=GEOMETRY,
@@ -102,8 +127,8 @@ def test_fmaj_sweep_fused_speedup(benchmark, capsys):
         return [driver.f_maj(plan, operands, config, lanes)
                 for config in configs]
 
-    batched = _make_driver(BatchedFracDram)
-    fused = _make_driver(FusedFracDram)
+    batched = _make_driver(PerCommandFracDram)
+    fused = _make_driver(BatchedFracDram)
     batched_lanes = batched.all_lanes()
     fused_lanes = fused.all_lanes()
     sweep(batched, batched_lanes)
@@ -123,7 +148,7 @@ def test_fmaj_sweep_fused_speedup(benchmark, capsys):
     for config, batched_bits, fused_bits in zip(configs, batched_out,
                                                 fused_out):
         assert np.array_equal(batched_bits, fused_bits), (
-            f"fused f_maj differs from batched at {config}")
+            f"fused f_maj differs from per-command at {config}")
 
     speedup = batched_wall / fused_wall
     benchmark.extra_info["backend"] = "fused"
@@ -135,13 +160,13 @@ def test_fmaj_sweep_fused_speedup(benchmark, capsys):
     record_bench("fused_fmaj", benchmark.extra_info)
     with capsys.disabled():
         print(f"\nfMAJ sweep ({len(configs)} configs x {N_LANES} lanes): "
-              f"batched {batched_wall:.2f}s, fused {fused_wall:.2f}s "
+              f"per-command {batched_wall:.2f}s, fused {fused_wall:.2f}s "
               f"({speedup:.2f}x)")
 
     if _assert_speedups():
         assert speedup >= FMAJ_BATCHED_TARGET, (
             f"expected >= {FMAJ_BATCHED_TARGET}x fused speedup over "
-            f"batched on the fMAJ sweep, got {speedup:.2f}x")
+            f"per-command on the fMAJ sweep, got {speedup:.2f}x")
 
 
 def test_nist_trial_batch_fused_speedup(benchmark, capsys):
@@ -175,7 +200,7 @@ def test_nist_trial_batch_fused_speedup(benchmark, capsys):
         return out
 
     batched = _make_driver(BatchedFracDram)
-    fused = _make_driver(FusedFracDram)
+    fused = _make_driver(BatchedFracDram)
     batched_lanes = batched.all_lanes()
     fused_lanes = fused.all_lanes()
     batched_trials(batched, batched_lanes)
@@ -193,7 +218,8 @@ def test_nist_trial_batch_fused_speedup(benchmark, capsys):
     for index, (batched_bits, fused_bits) in enumerate(
             zip(batched_out, fused_out)):
         assert np.array_equal(batched_bits, fused_bits), (
-            f"fused nist trial batch differs from batched at round {index}")
+            f"fused nist trial batch differs from per-command at round "
+            f"{index}")
 
     speedup = batched_wall / fused_wall
     benchmark.extra_info["backend"] = "fused"
@@ -205,10 +231,10 @@ def test_nist_trial_batch_fused_speedup(benchmark, capsys):
     record_bench("fused_nist", benchmark.extra_info)
     with capsys.disabled():
         print(f"\nnist trial batches ({rounds} rounds x {N_LANES} lanes): "
-              f"batched {batched_wall:.2f}s, fused {fused_wall:.2f}s "
+              f"per-command {batched_wall:.2f}s, fused {fused_wall:.2f}s "
               f"({speedup:.2f}x)")
 
     if _assert_speedups():
         assert speedup >= NIST_BATCHED_TARGET, (
             f"expected >= {NIST_BATCHED_TARGET}x fused speedup over "
-            f"batched on nist trial batches, got {speedup:.2f}x")
+            f"per-command on nist trial batches, got {speedup:.2f}x")

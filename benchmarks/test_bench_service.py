@@ -47,7 +47,7 @@ from repro.service import (CoalescePolicy, PufAuthService, ServiceConfig,
                            VerificationEngine, WorkloadSpec,
                            build_enrollment, drive_open_loop,
                            generate_schedule, percentile, replay_scripted)
-from repro.xir import FusedFracPuf
+from repro.xir.puf import FusedFracPuf
 
 N_MODULES = 10_000
 N_REQUESTS = 384

@@ -331,8 +331,8 @@ def main(argv: list[str] | None = None) -> int:
                                   "modules; default auto; 1 = scalar; "
                                   "results byte-identical)")
     experiments.add_argument("--backend", default=None, metavar="NAME",
-                             help="execution backend (scalar/batched/fused; "
-                                  "default batched; results byte-identical)")
+                             help="execution backend (scalar/fused; "
+                                  "default fused; results byte-identical)")
     experiments.add_argument("--no-cache", action="store_true",
                              help="recompute results even if cached")
     experiments.add_argument("--cache-dir", default=None)
@@ -360,8 +360,8 @@ def main(argv: list[str] | None = None) -> int:
                              "modules; default auto; 1 = scalar; "
                              "results byte-identical)")
     report.add_argument("--backend", default=None, metavar="NAME",
-                        help="execution backend (scalar/batched/fused; "
-                             "default batched; results byte-identical)")
+                        help="execution backend (scalar/fused; "
+                             "default fused; results byte-identical)")
     report.add_argument("--no-cache", action="store_true",
                         help="recompute results even if cached")
     report.add_argument("--cache-dir", default=None)

@@ -32,6 +32,7 @@ import numpy as np
 
 from ..core.batched_ops import BatchedFracDram
 from ..core.ops import FracDram
+from ..xir import ir
 
 __all__ = [
     "RETENTION_PROBE_TIMES_S",
@@ -182,16 +183,24 @@ class BatchedRetentionProfiler:
 
     def _alive_after(self, bank: int, sub_rows: Sequence[int], n_frac: int,
                      wait_s: float, lanes: Sequence[int]) -> np.ndarray:
-        """One pass over ``lanes``; returns ``(len(lanes), C)`` bools."""
-        self.bfd.fill_row(bank, sub_rows, True, lanes)
+        """One pass over ``lanes``; returns ``(len(lanes), C)`` bools.
+
+        The pass is one xir program per ``(n_frac, wait?)`` shape; the
+        shapes repeat across every probed row, probe time and lane
+        cohort, so a whole figure runs on a handful of compilations.
+        """
+        ops: list[ir.Op] = [ir.WriteRow(bank, "t", True)]
         if n_frac > 0:
-            self.bfd.frac(bank, sub_rows, n_frac, lanes)
+            ops.append(ir.Frac(bank, "t", n_frac))
         if wait_s > 0:
             # Chips with command-spacing checks drop the Frac PRECHARGEs
             # and leave the row open; close everything before leaking.
-            self.bfd.precharge_all(lanes)
-            self.bfd.advance_time(wait_s, lanes)
-        return self.bfd.read_row(bank, sub_rows, lanes).astype(bool)
+            ops.append(ir.PrechargeAll())
+            ops.append(ir.Leak("w"))
+        ops.append(ir.ReadRow(bank, "t"))
+        (alive,) = self.bfd.run_program(ops, rows={"t": sub_rows},
+                                        dts={"w": wait_s}, lanes=lanes)
+        return alive
 
     def bucket_row(self, bank: int, rows: Sequence[int], n_frac: int,
                    lanes: Sequence[int]) -> np.ndarray:

@@ -4,16 +4,14 @@ The registry (:mod:`repro.backends.registry`) maps names to
 interchangeable :class:`~repro.backends.base.Backend` engines:
 
 * ``scalar`` — the cycle-accurate ``SoftMC`` + ``DramChip`` reference,
-* ``batched`` — every device a lane of the vectorized NumPy engine,
-* ``fused`` — xir-compiled experiment programs (:mod:`repro.xir`) on
-  batched lanes: the hot loops of the lowered experiments run as
-  whole-batch phase kernels.
+* ``fused`` — every device a lane of the vectorized NumPy engine; the
+  lowered experiments' hot loops run as xir-compiled whole-batch phase
+  kernels (:mod:`repro.xir`).
 
 Each backend executes assembled SoftMC programs over a deterministic
 device fleet (:meth:`~repro.backends.base.Backend.execute_program`) and
 drives experiment dispatch via ``ExperimentConfig.backend``: its lane
-width and its driver factories (``fracdram``/``puf``/
-``retention_profiler``) are the only engine choices an experiment makes.
+width is the only engine choice an experiment makes.
 The differential conformance suite (``tests/backends/``) pins every
 registered backend byte-identical — results *and* telemetry counters —
 to the scalar reference across all experiments, a program corpus, and
@@ -26,7 +24,7 @@ Quickstart::
     from repro.controller import assemble_program
 
     program = assemble_program(open("prog.sfc").read())
-    outcome = get_backend("batched").execute_program(
+    outcome = get_backend("fused").execute_program(
         ProgramRequest(program=program, devices=(("B", 0), ("C", 0))))
     print(outcome.render())
 """
@@ -50,8 +48,7 @@ from .registry import (
 )
 
 # Importing the engine modules registers the built-in backends.
-from . import batched as _batched  # noqa: F401  (registration side effect)
-from . import fused as _fused  # noqa: F401
+from . import fused as _fused  # noqa: F401  (registration side effect)
 from . import scalar as _scalar  # noqa: F401
 
 __all__ = [

@@ -1,14 +1,11 @@
 """The :class:`Backend` protocol plus shared request/outcome types.
 
-One contract, many engines.  A backend
+One contract, two engines.  A backend
 
 * executes an assembled SoftMC :class:`~repro.controller.program.Program`
-  over a fleet of simulated devices (:meth:`Backend.execute_program`),
+  over a fleet of simulated devices (:meth:`Backend.execute_program`), and
 * sets the lane width of every batched experiment stage
   (:meth:`Backend.lane_width`, reached through ``ExperimentConfig.backend``),
-  and
-* builds the lane drivers those stages run on (:meth:`Backend.fracdram`,
-  :meth:`Backend.puf`, :meth:`Backend.retention_profiler`),
 
 and every registered engine must produce **byte-identical** results and
 telemetry counters — the conformance suite under ``tests/backends/``
@@ -25,15 +22,11 @@ from typing import TYPE_CHECKING, ClassVar
 
 import numpy as np
 
-from ..analysis.retention import BatchedRetentionProfiler
 from ..controller.commands import Activate, CommandSequence, ReadRow, WriteRow
 from ..controller.program import Program
-from ..core.batched_ops import BatchedFracDram
 from ..dram.parameters import GeometryParams
 from ..dram.vendor import get_group
 from ..errors import ReproError
-from ..puf.batched_puf import BatchedFracPuf
-from ..puf.frac_puf import PUF_N_FRAC
 from ..telemetry import registry as _registry
 from .registry import BackendError
 
@@ -174,8 +167,7 @@ class Backend(abc.ABC):
     device fleet) and :meth:`lane_width` (the experiment dispatch
     policy); the shared :meth:`execute_program` wrapper adds request
     validation and telemetry collection so every engine reports the same
-    counter surface.  The driver factories return the batched drivers;
-    an engine with faster drivers of the same interface overrides them.
+    counter surface.
     """
 
     name: ClassVar[str]
@@ -193,20 +185,6 @@ class Backend(abc.ABC):
     @abc.abstractmethod
     def _execute(self, request: ProgramRequest) -> tuple[DeviceResult, ...]:
         """Run the validated program on every requested device."""
-
-    def fracdram(self, device: "BatchedChip") -> BatchedFracDram:
-        """The Frac/MAJ3/F-MAJ driver over ``device``'s lanes."""
-        return BatchedFracDram(device)
-
-    def puf(self, device: "BatchedChip", *,
-            n_frac: int = PUF_N_FRAC) -> BatchedFracPuf:
-        """The Frac PUF over ``device``'s lanes."""
-        return BatchedFracPuf(device, n_frac=n_frac)
-
-    def retention_profiler(self, bfd: BatchedFracDram
-                           ) -> BatchedRetentionProfiler:
-        """The retention-time profiler over ``bfd``'s lanes."""
-        return BatchedRetentionProfiler(bfd)
 
     def execute_program(self, request: ProgramRequest, *,
                         trace_path=None) -> ProgramOutcome:

@@ -1,6 +1,6 @@
 """Trace-driven frontend: run SoftMC program files on any backend.
 
-``python -m repro run-program prog.sfc --backend batched --devices 4``
+``python -m repro run-program prog.sfc --backend fused --devices 4``
 parses a SoftMC/DRAM-Bender-style assembly program (see
 :mod:`repro.controller.program`; ``LEAK`` makes retention studies
 expressible) and executes it over a deterministic device fleet on any

@@ -1,53 +1,66 @@
-"""The fused backend: xir-compiled experiment programs over batched lanes.
+"""The fused backend: every device a lane of the vectorized engine.
 
-``fused`` layers the :mod:`repro.xir` pipeline on top of the batched
-engine by overriding the three driver factories of
-:class:`~repro.backends.base.Backend`:
-:class:`~repro.xir.FusedFracDram`, :class:`~repro.xir.FusedFracPuf` and
-:class:`~repro.xir.FusedRetentionProfiler` replay one compiled phase-op
-schedule per program *shape* instead of dispatching per command.  The
-experiments that build their drivers through those factories are
-:data:`repro.xir.XIR_LOWERED_EXPERIMENTS` (fig6 retention, fig9 fMAJ
-coverage, fig10 fMAJ stability, fig11 PUF HD, nist randomness).
-Everything else — lane-width policy, assembled-program execution, fleet
-sharding — inherits the batched engine unchanged, so the backend is a
-strict superset: same bytes, same counters, less Python.  The serving
-stack's ``VerificationEngine`` always evaluates through
-:class:`~repro.xir.FusedFracPuf`.
+Every requested ``(group, serial)`` module becomes a lane of a
+:class:`~repro.dram.batched.BatchedChip` (fabricated bit-identically to
+the scalar fleet member), and a program replays across all lanes at
+once through :class:`~repro.controller.batched.BatchedSoftMC`.  Lane
+``i`` is cycle- and state-identical to scalar device ``i``; telemetry
+counters multiply by the lane count exactly as the scalar per-device
+loop would accumulate them.
 
-The conformance suite (``tests/backends``) holds ``fused`` to the same
-gate as every other backend: byte-identical results and deterministic
-telemetry counter snapshots against the scalar reference, serially and
-under fleet workers.
+Experiments run at :meth:`FusedBackend.lane_width` on the lane drivers,
+whose hot loops in :data:`repro.xir.XIR_LOWERED_EXPERIMENTS` replay
+compiled :mod:`repro.xir` programs.  The conformance suite
+(``tests/backends``) holds ``fused`` byte-identical to the scalar
+reference, results and telemetry counters, serially and under fleet
+workers.
 """
 
 from __future__ import annotations
 
-from ..core.batched_ops import BatchedFracDram
+from ..controller.batched import BatchedSoftMC
+from ..controller.program import LeakStep
 from ..dram.batched import BatchedChip
-from ..puf.frac_puf import PUF_N_FRAC
-from ..xir import FusedFracDram, FusedFracPuf, FusedRetentionProfiler
-from .batched import BatchedBackend
+from .base import Backend, DeviceResult, ProgramRequest, lane_state_digest
 from .registry import register_backend
 
 __all__ = ["FusedBackend"]
 
 
 @register_backend
-class FusedBackend(BatchedBackend):
-    """Batched lanes plus xir-compiled experiment hot loops."""
+class FusedBackend(Backend):
+    """Vectorized lanes with xir-compiled experiment hot loops."""
 
     name = "fused"
-    description = ("xir-compiled experiment programs on batched lanes "
-                   "(fig6/fig9/fig10/fig11/nist fused hot paths)")
+    description = ("vectorized lanes (BatchedSoftMC over a device fleet) "
+                   "with xir-compiled experiment hot paths")
 
-    def fracdram(self, device: BatchedChip) -> FusedFracDram:
-        return FusedFracDram(device)
+    def lane_width(self, auto: int, batch: int | None) -> int:
+        if auto < 1:
+            return 1
+        if batch is None:
+            return auto
+        return max(1, min(int(batch), auto))
 
-    def puf(self, device: BatchedChip, *,
-            n_frac: int = PUF_N_FRAC) -> FusedFracPuf:
-        return FusedFracPuf(device, n_frac=n_frac)
-
-    def retention_profiler(self, bfd: BatchedFracDram
-                           ) -> FusedRetentionProfiler:
-        return FusedRetentionProfiler(bfd)
+    def _execute(self, request: ProgramRequest) -> tuple[DeviceResult, ...]:
+        device = BatchedChip.from_fleet(
+            request.devices, geometry=request.geometry,
+            master_seed=request.master_seed)
+        mc = BatchedSoftMC(device)
+        lanes = mc.all_lanes()
+        reads_per_lane: list[list] = [[] for _ in lanes]
+        for step in request.program.steps:
+            if isinstance(step, LeakStep):
+                device.advance_time(step.seconds, lanes)
+            else:
+                for block in mc.run(step, lanes):
+                    for index in lanes:
+                        reads_per_lane[index].append(block[index].copy())
+        return tuple(
+            DeviceResult(
+                group=group_id, serial=int(serial),
+                reads=tuple(reads_per_lane[index]),
+                cycles=int(mc.cycles[index]),
+                dropped_commands=int(device.dropped_commands[index]),
+                state_digest=lane_state_digest(device, index))
+            for index, (group_id, serial) in enumerate(request.devices))

@@ -10,7 +10,7 @@ register themselves with the :func:`register_backend` class decorator::
         ...
 
 and become addressable everywhere a backend name is accepted: the
-``--backend`` CLI flags, ``ExperimentConfig.backend``, fleet shards, and
+``--backend`` CLI flags, ``ExperimentConfig.backend``, and
 the conformance suite (``tests/backends/``), which automatically picks
 up every registered backend and pins it byte-identical to the scalar
 reference.  This module is deliberately dependency-free so config and
@@ -29,10 +29,10 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["DEFAULT_BACKEND", "BackendError", "available_backends",
            "get_backend", "register_backend", "resolve_backend"]
 
-#: The backend used when none is named (``backend=None``): the batched
+#: The backend used when none is named (``backend=None``): the lane
 #: engine, which auto-sizes its lane width and falls back to scalar
-#: semantics at width 1 — matching the pre-registry default behaviour.
-DEFAULT_BACKEND = "batched"
+#: semantics at width 1.
+DEFAULT_BACKEND = "fused"
 
 _REGISTRY: dict[str, "Backend"] = {}
 

@@ -5,6 +5,16 @@
 row vectors (and ``(L, C)`` operand planes) and issues one batched
 command sequence instead of L scalar ones.
 
+``maj3``/``f_maj`` run their in-spec phases (operand stores, the Frac
+ladder, the final readout) as compiled :mod:`repro.xir` programs.  The
+multi-row activation itself stays on :class:`BatchedSoftMC`: the decoder
+glitch is whole-sequence physics the compiler deliberately refuses to
+lower, and it both starts and ends precharged, so the programs on either
+side see an idle device and every lane's command stream and noise draws
+stay those of the per-command primitives.  Program shapes depend only on
+static fields (row count, ``init_ones``, ``n_frac``), so each flow
+compiles once and replays across trials.
+
 Multi-row operations take a pre-resolved
 :class:`~repro.core.ops.MultiRowPlan`.  Plans depend only on the vendor
 decoder profile, the row map and the geometry, so experiments resolve
@@ -22,6 +32,8 @@ import numpy as np
 from ..controller.batched import BatchedSoftMC
 from ..dram.batched import BatchedChip
 from ..errors import ConfigurationError
+from ..xir import ir
+from ..xir.executor import FusedRunner
 from .ops import FMajConfig, MultiRowPlan
 
 __all__ = ["BatchedFracDram"]
@@ -43,6 +55,7 @@ class BatchedFracDram:
                     f"(lane group {group.group_id!r} differs from "
                     f"{device.groups[0].group_id!r})")
         self.mc = BatchedSoftMC(device, electrical=electrical)
+        self._runner = FusedRunner(self.mc)
 
     @property
     def n_lanes(self) -> int:
@@ -108,6 +121,16 @@ class BatchedFracDram:
         self.mc.half_m(plan.bank, self._uniform(r1, lanes),
                        self._uniform(r2, lanes), lanes)
 
+    def run_program(self, ops: Sequence[ir.Op], *,
+                    rows: dict[str, Sequence[int]],
+                    dts: dict[str, float] | None = None,
+                    lanes: Sequence[int] | None = None,
+                    data: dict[str, np.ndarray] | None = None,
+                    ) -> list[np.ndarray]:
+        """Run an xir program on this driver's controller."""
+        return self._runner.run(ops, rows=rows, dts=dts, lanes=lanes,
+                                data=data)
+
     # ------------------------------------------------------------------
     # in-memory majority (plan shared, operands per lane)
     # ------------------------------------------------------------------
@@ -115,10 +138,10 @@ class BatchedFracDram:
     def maj3(self, plan: MultiRowPlan, operands: np.ndarray,
              lanes: Sequence[int]) -> np.ndarray:
         """Majority-of-three; ``operands`` is ``(L, 3, C)`` lane-major."""
-        self._store_operands(plan, operands, None, lanes)
+        ops, rows, data = self._store_program(plan, operands, None, lanes)
+        self._runner.run(ops, rows=rows, lanes=lanes, data=data)
         self.multi_row_activate(plan, lanes)
-        return self.read_row(plan.bank, self._uniform(plan.opened[0], lanes),
-                             lanes)
+        return self._read_result(plan, 0, lanes)
 
     def f_maj(self, plan: MultiRowPlan, operands: np.ndarray,
               config: FMajConfig, lanes: Sequence[int]) -> np.ndarray:
@@ -127,21 +150,21 @@ class BatchedFracDram:
             raise ConfigurationError(
                 f"frac_position {config.frac_position} outside opened set")
         frac_row = plan.opened[config.frac_position]
-        self.fill_row(plan.bank, self._uniform(frac_row, lanes),
-                      config.init_ones, lanes)
+        store_ops, rows, data = self._store_program(
+            plan, operands, config.frac_position, lanes)
+        ops = (ir.WriteRow(plan.bank, "fr", config.init_ones),)
         if config.n_frac > 0:
-            self.frac(plan.bank, self._uniform(frac_row, lanes),
-                      config.n_frac, lanes)
-        self._store_operands(plan, operands, config.frac_position, lanes)
+            ops += (ir.Frac(plan.bank, "fr", config.n_frac),)
+        rows["fr"] = self._uniform(frac_row, lanes)
+        self._runner.run(ops + store_ops, rows=rows, lanes=lanes, data=data)
         self.multi_row_activate(plan, lanes)
         result_position = 0 if config.frac_position != 0 else 1
-        return self.read_row(
-            plan.bank, self._uniform(plan.opened[result_position], lanes),
-            lanes)
+        return self._read_result(plan, result_position, lanes)
 
-    def _store_operands(self, plan: MultiRowPlan, operands: np.ndarray,
-                        skip_position: int | None,
-                        lanes: Sequence[int]) -> None:
+    def _store_program(self, plan: MultiRowPlan, operands: np.ndarray,
+                       skip_position: int | None, lanes: Sequence[int],
+                       ) -> tuple[tuple[ir.Op, ...], dict[str, list[int]],
+                                  dict[str, np.ndarray]]:
         operands = np.asarray(operands, dtype=bool)
         target_positions = [index for index in range(plan.n_rows)
                             if index != skip_position]
@@ -149,7 +172,20 @@ class BatchedFracDram:
         if operands.shape != expected:
             raise ConfigurationError(
                 f"operand shape {operands.shape} != {expected}")
+        ops: tuple[ir.Op, ...] = ()
+        rows: dict[str, list[int]] = {}
+        data: dict[str, np.ndarray] = {}
         for slot, position in enumerate(target_positions):
-            self.write_row(plan.bank,
-                           self._uniform(plan.opened[position], lanes),
-                           operands[:, slot], lanes)
+            param = f"op{slot}"
+            ops += (ir.WriteData(plan.bank, param),)
+            rows[param] = self._uniform(plan.opened[position], lanes)
+            data[param] = operands[:, slot]
+        return ops, rows, data
+
+    def _read_result(self, plan: MultiRowPlan, position: int,
+                     lanes: Sequence[int]) -> np.ndarray:
+        (read,) = self._runner.run(
+            (ir.ReadRow(plan.bank, "rd"),),
+            rows={"rd": self._uniform(plan.opened[position], lanes)},
+            lanes=lanes)
+        return read

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -24,10 +24,7 @@ from ..dram.parameters import GeometryParams
 from ..dram.vendor import GroupProfile
 from ..telemetry.registry import active as _telemetry_active
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from ..backends import Backend
-
-__all__ = ["ExperimentConfig", "backend_for", "make_chip", "make_fd",
+__all__ = ["ExperimentConfig", "make_chip", "make_fd",
            "make_module", "markdown_table", "percent", "resolve_batch",
            "stage"]
 
@@ -71,7 +68,7 @@ class ExperimentConfig:
     #: scalar RNG stream per lane); this knob only trades memory for speed.
     batch: int | None = None
     #: Execution backend name (see :mod:`repro.backends`): ``None`` uses
-    #: the registry default (``batched``).  Every registered backend is
+    #: the registry default (``fused``).  Every registered backend is
     #: conformance-gated to byte-identical results and telemetry
     #: counters, so this knob (like ``batch``) never changes outputs.
     backend: str | None = None
@@ -104,29 +101,19 @@ class ExperimentConfig:
 DEFAULT_CONFIG = ExperimentConfig()
 
 
-def backend_for(config: ExperimentConfig) -> "Backend":
-    """The execution backend ``config`` names (registry default if none).
-
-    Its driver factories (``fracdram``, ``puf``, ``retention_profiler``)
-    build the lane drivers of the experiments in
-    :data:`repro.xir.XIR_LOWERED_EXPERIMENTS`.
-    """
-    from ..backends import resolve_backend
-
-    return resolve_backend(getattr(config, "backend", None))
-
-
 def resolve_batch(config: ExperimentConfig, auto: int) -> int:
     """Effective trial-batch width for one batched stage.
 
     ``auto`` is the experiment's natural lane count for the stage (all
     units of a shard, all serials of a group, ...).  Dispatch is the
-    configured backend's policy (:mod:`repro.backends`): ``batched`` and
-    ``fused`` take ``auto`` capped by the ``batch`` knob (0/1 disables
-    batching entirely), while ``scalar`` forces width 1.  The returned
-    width is always at least 1.
+    configured backend's policy (:mod:`repro.backends`): ``fused`` takes
+    ``auto`` capped by the ``batch`` knob (0/1 disables batching
+    entirely), while ``scalar`` forces width 1.  The returned width is
+    always at least 1.
     """
-    return backend_for(config).lane_width(auto, config.batch)
+    from ..backends import resolve_backend
+
+    return resolve_backend(config.backend).lane_width(auto, config.batch)
 
 
 def make_chip(group: str | GroupProfile, config: ExperimentConfig,

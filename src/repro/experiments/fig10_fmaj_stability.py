@@ -24,13 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..core.batched_ops import BatchedFracDram
 from ..core.ops import FMajConfig, FracDram
 from ..dram.batched import BatchedChip
 from ..dram.rng import derive_rng
 from .base import (
     DEFAULT_CONFIG,
     ExperimentConfig,
-    backend_for,
     input_combos,
     make_chip,
     make_fd,
@@ -197,7 +197,7 @@ def _combo_success_at(config: ExperimentConfig, group_id: str,
     for start in range(0, len(serials), batch):
         cohort = serials[start:start + batch]
         chips = [make_chip(group_id, config, serial) for serial in cohort]
-        bfd = backend_for(config).fracdram(BatchedChip.from_chips(chips))
+        bfd = BatchedFracDram(BatchedChip.from_chips(chips))
         lanes = bfd.all_lanes()
         rows = slice(start, start + len(cohort))
         for t_index, (bank, subarray) in enumerate(targets):
@@ -268,7 +268,7 @@ def _stability_rates(config: ExperimentConfig, group_id: str,
         rngs = [derive_rng(config.master_seed, "fig10", group_id,
                            operation, serial) for serial in cohort]
         chips = [make_chip(group_id, config, serial) for serial in cohort]
-        bfd = backend_for(config).fracdram(BatchedChip.from_chips(chips))
+        bfd = BatchedFracDram(BatchedChip.from_chips(chips))
         lanes = bfd.all_lanes()
         successes = np.zeros((len(cohort), bfd.columns))
         for _ in range(trials):

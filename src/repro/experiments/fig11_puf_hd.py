@@ -24,7 +24,8 @@ import numpy as np
 from ..dram.batched import BatchedChip
 from ..puf.frac_puf import Challenge, FracPuf
 from ..puf.metrics import inter_hd_distances, intra_hd_distances, response_weights
-from .base import (DEFAULT_CONFIG, ExperimentConfig, backend_for, make_chip,
+from ..xir.puf import FusedFracPuf
+from .base import (DEFAULT_CONFIG, ExperimentConfig, make_chip,
                    markdown_table, resolve_batch)
 
 __all__ = ["Fig11Group", "Fig11Result", "run", "default_challenges",
@@ -163,7 +164,7 @@ def run_shard(config: ExperimentConfig, units, n_challenges: int = 24,
     geometry = config.geometry()
     for start in range(0, len(units), batch):
         cohort = units[start:start + batch]
-        puf = backend_for(config).puf(BatchedChip.from_fleet(
+        puf = FusedFracPuf(BatchedChip.from_fleet(
             cohort, geometry=geometry, master_seed=config.master_seed,
             epochs=[0] * len(cohort)))
         epoch0 = puf.evaluate_many(challenges)

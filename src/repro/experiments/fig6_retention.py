@@ -21,6 +21,7 @@ import numpy as np
 from ..analysis.retention import (
     N_BUCKETS,
     RETENTION_BUCKET_LABELS,
+    BatchedRetentionProfiler,
     CellCategory,
     RetentionProfile,
     RetentionProfiler,
@@ -32,7 +33,6 @@ from ..dram.vendor import GROUPS
 from .base import (
     DEFAULT_CONFIG,
     ExperimentConfig,
-    backend_for,
     make_chip,
     make_fd,
     markdown_table,
@@ -178,7 +178,7 @@ def run_shard(config: ExperimentConfig, units,
         per_lane_targets = [
             _unit_targets(config, group_id, rows_per_bank_sample)
             for group_id in cohort]
-        profiler = backend_for(config).retention_profiler(
+        profiler = BatchedRetentionProfiler(
             BatchedFracDram(BatchedChip.from_chips(chips)))
         retentions = profiler.profile_rows(per_lane_targets, FRAC_COUNTS)
         payloads.extend(_classify(group_id, retention)

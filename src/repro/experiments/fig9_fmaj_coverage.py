@@ -26,7 +26,6 @@ from ..dram.batched import BatchedChip
 from .base import (
     DEFAULT_CONFIG,
     ExperimentConfig,
-    backend_for,
     input_combos,
     make_chip,
     make_fd,
@@ -194,7 +193,7 @@ def _group_payload(config: ExperimentConfig, group_id: str,
     for start in range(0, len(serials), batch):
         cohort = serials[start:start + batch]
         chips = [make_chip(group_id, config, serial) for serial in cohort]
-        bfd = backend_for(config).fracdram(BatchedChip.from_chips(chips))
+        bfd = BatchedFracDram(BatchedChip.from_chips(chips))
         lanes = bfd.all_lanes()
         rows = slice(start, start + len(cohort))
         if maj3_matrix is not None:

@@ -28,7 +28,8 @@ from ..dram.chip import DramChip
 from ..puf.extractor import von_neumann_extract
 from ..puf.frac_puf import Challenge, FracPuf
 from ..puf.nist import SuiteResult, run_all
-from .base import DEFAULT_CONFIG, ExperimentConfig, backend_for, resolve_batch
+from ..xir.puf import FusedFracPuf
+from .base import DEFAULT_CONFIG, ExperimentConfig, resolve_batch
 
 __all__ = ["NistExperimentResult", "run", "shard_units", "run_shard",
            "merge"]
@@ -130,7 +131,6 @@ def run_shard(config: ExperimentConfig, units, group_id: str = "B",
             payloads.append((index, response))
         return payloads
     payloads = []
-    backend = backend_for(config)
     for start in range(0, len(units), batch):
         cohort = units[start:start + batch]
         sites = [(bank, subarray) for _, bank, subarray in cohort]
@@ -140,7 +140,7 @@ def run_shard(config: ExperimentConfig, units, group_id: str = "B",
         # Challenge(0, 0) replays the scalar evaluation per lane: fill
         # the reserved all-ones row, copy it onto row 0, Frac it to
         # ~Vdd/2, read.
-        responses = backend.puf(device).evaluate_many([Challenge(0, 0)])
+        responses = FusedFracPuf(device).evaluate_many([Challenge(0, 0)])
         payloads.extend((index, responses[lane, 0].copy())
                         for lane, (index, _, _) in enumerate(cohort))
     return payloads

@@ -192,8 +192,8 @@ def main(argv: list[str] | None = None) -> int:
                              "auto; 1 = scalar); results are byte-identical "
                              "at every setting")
     parser.add_argument("--backend", default=None, metavar="NAME",
-                        help="execution backend (scalar/batched/fused; "
-                             "default: batched); every registered backend "
+                        help="execution backend (scalar/fused; "
+                             "default: fused); every registered backend "
                              "is conformance-gated to byte-identical "
                              "results")
     parser.add_argument("--no-cache", action="store_true",

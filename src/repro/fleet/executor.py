@@ -107,25 +107,8 @@ class FleetOutcome:
                 f"worker-busy {self.busy_s:.2f}s")
 
 
-def _apply_backend(config: Any, backend: str | None) -> Any:
-    """Stamp a shard's backend name onto its config, when supported.
-
-    Shards carry the execution-backend name (see
-    :class:`repro.fleet.sharding.Shard`), so a worker process dispatches
-    through the same conformance-gated engine the parent planned with.
-    Configs without the ``backend`` knob (or ``scaled``) pass through
-    untouched.
-    """
-    if backend is None:
-        return config
-    if hasattr(config, "scaled") and hasattr(config, "backend"):
-        return config.scaled(backend=backend)
-    return config
-
-
 def _execute_shard(module_path: str, config: Any, units: tuple,
                    kwargs: Mapping[str, Any], collect_telemetry: bool = False,
-                   backend: str | None = None,
                    ) -> tuple[list, float, int, dict | None]:
     """Worker entry point: rebuild devices locally and run one shard.
 
@@ -138,7 +121,6 @@ def _execute_shard(module_path: str, config: Any, units: tuple,
     import importlib
 
     module = importlib.import_module(module_path)
-    config = _apply_backend(config, backend)
     snapshot = None
     started = time.perf_counter()
     if collect_telemetry:
@@ -179,8 +161,7 @@ class FleetExecutor:
         if n_shards is None:
             n_shards = default_shard_count(len(units), self.workers,
                                            self.chunks_per_worker)
-        backend = getattr(config, "backend", None)
-        shards = plan_shards(name, units, n_shards, backend=backend)
+        shards = plan_shards(name, units, n_shards)
         telemetry = telemetry_active()
         if telemetry is not None:
             # Everything here is execution shape (a serial run_experiment
@@ -189,8 +170,8 @@ class FleetExecutor:
             telemetry.note(f"fleet.{name}.workers", self.workers)
             telemetry.note(f"fleet.{name}.shards", len(shards))
             telemetry.note(f"fleet.{name}.units", len(units))
-            if shards:
-                telemetry.note(f"fleet.{name}.backend", shards[0].backend)
+            telemetry.note(f"fleet.{name}.backend",
+                           getattr(config, "backend", None))
         if self.workers == 0 or len(shards) <= 1:
             payload_lists, stats = self._run_serial(module, config, shards,
                                                     kwargs)
@@ -218,9 +199,7 @@ class FleetExecutor:
         for shard in shards:
             shard_started = time.perf_counter()
             try:
-                payloads = module.run_shard(
-                    _apply_backend(config, shard.backend), shard.units,
-                    **kwargs)
+                payloads = module.run_shard(config, shard.units, **kwargs)
             except Exception as error:
                 raise FleetWorkerError(shard, error) from error
             payload_lists.append(payloads)
@@ -238,7 +217,7 @@ class FleetExecutor:
                                                  len(shards))) as pool:
             futures = {
                 pool.submit(_execute_shard, module_path, config, shard.units,
-                            kwargs, collect, shard.backend): shard
+                            kwargs, collect): shard
                 for shard in shards
             }
             for future, shard in futures.items():

@@ -29,11 +29,6 @@ from ..errors import ConfigurationError
 
 __all__ = ["Shard", "partition", "plan_shards", "default_shard_count"]
 
-#: Mirrors :data:`repro.backends.registry.DEFAULT_BACKEND`.  Kept as a
-#: literal so the typed sharding core stays import-light (a conformance
-#: test pins the two in sync).
-_DEFAULT_BACKEND = "batched"
-
 #: A work-unit key: any hashable value (strings, ints, tuples of both).
 U = TypeVar("U", bound=Hashable)
 
@@ -44,16 +39,12 @@ class Shard:
 
     ``index``/``total`` identify the shard within its plan; ``units`` is
     the contiguous run of unit keys this shard executes, in serial order.
-    ``backend`` names the execution engine (see :mod:`repro.backends`)
-    the worker must dispatch through — conformance-gated, so the choice
-    never changes the merged result.
     """
 
     experiment: str
     index: int
     total: int
     units: tuple[Hashable, ...]
-    backend: str = _DEFAULT_BACKEND
 
     def __post_init__(self) -> None:
         if not 0 <= self.index < self.total:
@@ -101,13 +92,12 @@ def partition(units: Sequence[U], n_shards: int) -> list[tuple[U, ...]]:
 
 
 def plan_shards(experiment: str, units: Sequence[Hashable],
-                n_shards: int, *,
-                backend: str | None = None) -> tuple[Shard, ...]:
+                n_shards: int) -> tuple[Shard, ...]:
     """Deterministic shard plan for ``experiment`` over ``units``."""
     chunks = partition(units, n_shards)
     return tuple(
         Shard(experiment=experiment, index=index, total=len(chunks),
-              units=chunk, backend=backend or _DEFAULT_BACKEND)
+              units=chunk)
         for index, chunk in enumerate(chunks))
 
 

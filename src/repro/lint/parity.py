@@ -1,8 +1,8 @@
 """Backend-parity rules: static coverage of the op/command dispatch tables.
 
-The conformance suite proves *dynamically* that the scalar, batched,
-and fused backends agree byte-for-byte; these rules prove the
-cheaper structural half *statically*: every DDR command kind, every xir
+The conformance suite proves *dynamically* that the scalar and fused
+backends agree byte-for-byte; these rules prove the cheaper structural
+half *statically*: every DDR command kind, every xir
 primitive op, and every lowered experiment must be *handled* by each
 dispatch surface that claims to consume it.  A new ``Command`` subclass
 or ``ir`` op that one backend silently ignores is caught at lint time,

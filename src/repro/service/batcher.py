@@ -6,7 +6,7 @@ The serving read path has two halves:
   device-batched passes: every request's module becomes a lane of one
   :meth:`~repro.dram.batched.BatchedChip.from_fleet` cohort (fabricated
   at the request's noise epoch), the whole cohort answers the private
-  challenge set in one :class:`~repro.xir.FusedFracPuf` pass, optional
+  challenge set in one :class:`~repro.xir.puf.FusedFracPuf` pass, optional
   per-vendor-group MAJ3 attestation sub-passes run via
   :func:`~repro.core.verify.batched_verify_frac_by_maj3` on lane
   subsets, and each lane's probe is matched against the enrollment's
@@ -54,7 +54,7 @@ from ..dram.vendor import GROUPS
 from ..errors import ConfigurationError
 from ..puf.auth import match_probe
 from ..telemetry.registry import active as _telemetry_active
-from ..xir import FusedFracPuf
+from ..xir.puf import FusedFracPuf
 from .clock import Clock, SystemClock
 from .config import CoalescePolicy, ServiceConfig, module_id
 from .enrollment import EnrollmentDb
@@ -141,9 +141,10 @@ class VerifyReply:
 class VerificationEngine:
     """Executes coalesced request batches as fused engine passes.
 
-    The challenge set is evaluated through :class:`~repro.xir.FusedFracPuf`,
-    whose responses are byte-identical to the batched and scalar PUFs
-    (the fused path's conformance contract).
+    The challenge set is evaluated through
+    :class:`~repro.xir.puf.FusedFracPuf`, whose responses are
+    byte-identical to the batched and scalar PUFs (the fused path's
+    conformance contract).
     """
 
     def __init__(self, db: EnrollmentDb) -> None:

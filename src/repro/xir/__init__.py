@@ -19,13 +19,12 @@ The pipeline (see ``docs/performance.md``):
    points), with per-region merged RNG pre-advancement and store
    collapse for non-enforce lanes.
 
-The ``fused`` backend (:mod:`repro.backends.fused`) returns the fused
-drivers (:class:`FusedRetentionProfiler`, :class:`FusedFracPuf`,
-:class:`FusedFracDram`) from its driver factories, which the
-experiments in :data:`XIR_LOWERED_EXPERIMENTS` build their lanes with;
-every other experiment inherits the batched engine unchanged.
-Everything stays byte-identical to the ``scalar``/``batched`` engines
-(conformance-gated in ``tests/backends``).
+The lane drivers run the experiments in :data:`XIR_LOWERED_EXPERIMENTS`
+through the executor: ``BatchedFracDram`` (fMAJ), ``BatchedRetentionProfiler``
+(fig6) and :class:`repro.xir.puf.FusedFracPuf`.  Everything stays
+byte-identical to the ``scalar`` engine (conformance-gated in
+``tests/backends``).  The package root holds only the IR, compiler and
+executor, because ``repro.core.batched_ops`` imports it.
 """
 
 from . import ir
@@ -37,22 +36,16 @@ from .compile import (
     xir_cache_info,
 )
 from .executor import FusedRunner
-from .fmaj import FusedFracDram
-from .puf import FusedFracPuf
-from .retention import FusedRetentionProfiler
 
 #: Experiments whose hot loops run through the fused xir executor when
-#: ``--backend fused`` is selected: exactly these build their drivers
-#: through the backend's factories.  Everything else inherits the
-#: batched engine (same results — the fused path is a perf lane, not a
-#: different model).  Pinned by ``tests/xir/test_registry.py`` and the
-#: fused leg of ``tests/backends/test_conformance_experiments.py``.
+#: ``--backend fused`` is selected: exactly these run xir programs.
+#: Everything else runs per-command primitives on the same lanes (same
+#: results — the fused path is a perf lane, not a different model).
+#: Pinned by ``tests/xir/test_registry.py`` and the fused leg of
+#: ``tests/backends/test_conformance_experiments.py``.
 XIR_LOWERED_EXPERIMENTS = ("fig6", "fig9", "fig10", "fig11", "nist")
 
 __all__ = [
-    "FusedFracDram",
-    "FusedFracPuf",
-    "FusedRetentionProfiler",
     "FusedRunner",
     "LoweringError",
     "XIR_LOWERED_EXPERIMENTS",

@@ -530,21 +530,27 @@ def compile_program(ops: Sequence[ir.Op], *, enforce: bool,
     :class:`~repro.xir.ir.Sweep` hits the same entry — plus the lane
     class (spacing-enforcing or not), the timing parameters and the
     sense-enable window (the only electrical input the lowering reads).
+
+    The cache mutations below are exempt from the kernel-purity rule for
+    the reason :func:`plan_for`'s are: ``_compile`` is a pure function
+    of the key, so hit/miss history can change only *when* work happens,
+    never any result a worker returns — and the cache dies with the
+    worker process.
     """
     key = (ir.signature(ops), bool(enforce), timing,
            int(electrical.sense_enable_cycles), int(n_banks))
-    global _hits, _misses
+    global _hits, _misses  # repro: lint-ok[FORK002]
     program = _cache.get(key)
     if program is not None:
-        _hits += 1
+        _hits += 1  # repro: lint-ok[FORK002]
         _cache.move_to_end(key)
         return program
-    _misses += 1
+    _misses += 1  # repro: lint-ok[FORK002]
     program = _compile(ops, enforce=enforce, timing=timing,
                        electrical=electrical, n_banks=n_banks)
-    _cache[key] = program
+    _cache[key] = program  # repro: lint-ok[FORK002]
     if len(_cache) > XIR_CACHE_CAPACITY:
-        _cache.popitem(last=False)
+        _cache.popitem(last=False)  # repro: lint-ok[FORK002]
     return program
 
 

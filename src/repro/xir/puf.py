@@ -23,7 +23,6 @@ from ..errors import ConfigurationError
 from ..puf.batched_puf import BatchedFracPuf
 from ..puf.frac_puf import PUF_N_FRAC, Challenge
 from . import ir
-from .executor import FusedRunner
 
 __all__ = ["FusedFracPuf"]
 
@@ -34,7 +33,6 @@ class FusedFracPuf(BatchedFracPuf):
     def __init__(self, device: BatchedChip, *,
                  n_frac: int = PUF_N_FRAC) -> None:
         super().__init__(device, n_frac=n_frac)
-        self._runner = FusedRunner(self.bfd.mc)
         self._ops: tuple[ir.Op, ...] | None = None
 
     def evaluate(self, challenge: Challenge) -> np.ndarray:
@@ -48,7 +46,7 @@ class FusedFracPuf(BatchedFracPuf):
                 ir.ReadRow(bank, "row"),
             )
         n_lanes = self.n_lanes
-        (response,) = self._runner.run(
+        (response,) = self.bfd.run_program(
             self._ops,
             rows={"res": [reserved] * n_lanes, "row": [row] * n_lanes})
         return response
@@ -85,6 +83,6 @@ class FusedFracPuf(BatchedFracPuf):
             ops.append(ir.ReadRow(bank, f"row{index}"))
             rows[f"res{index}"] = [reserved] * n_lanes
             rows[f"row{index}"] = [row] * n_lanes
-        reads = self._runner.run(tuple(ops), rows=rows)
+        reads = self.bfd.run_program(tuple(ops), rows=rows)
         self._prepared_reserved = prepared
         return np.stack(reads, axis=1)

@@ -72,5 +72,5 @@ def execute_corpus_program(path: Path, backend: str) -> str:
 @pytest.fixture(scope="session")
 def backends() -> tuple[str, ...]:
     names = available_backends()
-    assert {"scalar", "batched", "fused"} <= set(names)
+    assert {"scalar", "fused"} <= set(names)
     return names

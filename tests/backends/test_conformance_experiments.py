@@ -9,29 +9,27 @@ backend is the reference; nothing may diverge from it.
 import pytest
 
 from repro.backends import available_backends
-from repro.backends.fused import FusedBackend
 from repro.errors import UnsupportedOperationError
 from repro.experiments import nist_randomness
 from repro.experiments.runner import EXPERIMENTS
 from repro.xir import XIR_LOWERED_EXPERIMENTS
+from repro.xir.executor import FusedRunner
 
 from .conftest import CONFIG, run_on_backend
 
 ALL_EXPERIMENTS = tuple(EXPERIMENTS)
 
 
-def spy_fused_factories(monkeypatch) -> list[str]:
-    """Record the name of every ``FusedBackend`` driver-factory call."""
-    calls: list[str] = []
-    for factory in ("fracdram", "puf", "retention_profiler"):
-        original = getattr(FusedBackend, factory)
+def spy_xir_runs(monkeypatch) -> list[int]:
+    """Record the op count of every xir program the fused executor runs."""
+    calls: list[int] = []
+    original = FusedRunner.run
 
-        def spy(self, *args, _original=original, _factory=factory,
-                **kwargs):
-            calls.append(_factory)
-            return _original(self, *args, **kwargs)
+    def spy(self, ops, **kwargs):
+        calls.append(len(ops))
+        return original(self, ops, **kwargs)
 
-        monkeypatch.setattr(FusedBackend, factory, spy)
+    monkeypatch.setattr(FusedRunner, "run", spy)
     return calls
 
 
@@ -43,7 +41,7 @@ def test_suite_covers_all_experiments():
 @pytest.mark.parametrize("name", ALL_EXPERIMENTS)
 def test_backends_byte_identical(name, backends, monkeypatch):
     reference_result, reference_counters = run_on_backend(name, "scalar")
-    fused_calls = spy_fused_factories(monkeypatch)
+    xir_runs = spy_xir_runs(monkeypatch)
     for backend in backends:
         if backend == "scalar":
             continue
@@ -52,14 +50,14 @@ def test_backends_byte_identical(name, backends, monkeypatch):
             f"{backend!r} result diverged from scalar on {name}")
         assert counters == reference_counters, (
             f"{backend!r} telemetry counters diverged from scalar on {name}")
-    # The fused leg builds xir drivers exactly for the lowered experiments.
-    assert bool(fused_calls) == (name in XIR_LOWERED_EXPERIMENTS), (
-        f"fused driver factories called {fused_calls} on {name}")
+    # The fused leg runs xir programs exactly for the lowered experiments.
+    assert bool(xir_runs) == (name in XIR_LOWERED_EXPERIMENTS), (
+        f"{len(xir_runs)} xir program(s) ran on {name}")
 
 
 @pytest.mark.parametrize("name", ("fig6", "fig11"))
 def test_backend_conformance_holds_under_fleet_workers(name, backends):
-    """Shards stamped with a backend reproduce the serial run exactly."""
+    """Sharded runs on every backend reproduce the serial run exactly."""
     reference_result, reference_counters = run_on_backend(name, "scalar")
     for backend in backends:
         result, counters = run_on_backend(name, backend, workers=2)

@@ -22,7 +22,7 @@ class TestRunProgram:
 
     def test_example_diff_clean_across_backends(self, capsys):
         outputs = {}
-        for backend in ("scalar", "batched", "fused"):
+        for backend in ("scalar", "fused"):
             code, out, err = run_cli(
                 capsys, "run-program", str(EXAMPLE), "--backend", backend,
                 "--devices", "3", "--groups", "B", "C")
@@ -87,10 +87,10 @@ class TestExperimentsBackendFlag:
         assert "latency" in out
 
     def test_experiments_rejects_unknown_backend(self, capsys):
-        for name in ("nope", "plan"):  # plan: a deleted engine
+        for name in ("nope", "plan", "batched"):  # plan, batched: deleted
             code, _, err = run_cli(
                 capsys, "experiments", "--only", "latency", "--backend",
                 name, "--no-cache")
             assert code == 2
             assert f"unknown backend {name!r}" in err
-            assert "registered backends: batched, fused, scalar" in err
+            assert "registered backends: fused, scalar" in err

@@ -1,9 +1,7 @@
-"""Registry behaviour: registration, lookup, lane-width policy, drivers,
-wiring."""
+"""Registry behaviour: registration, lookup, lane-width policy."""
 
 import pytest
 
-from repro.analysis.retention import BatchedRetentionProfiler
 from repro.backends import (
     DEFAULT_BACKEND,
     BackendError,
@@ -12,18 +10,12 @@ from repro.backends import (
     register_backend,
     resolve_backend,
 )
-from repro.core.batched_ops import BatchedFracDram
-from repro.dram.batched import BatchedChip
-from repro.dram.parameters import GeometryParams
 from repro.experiments.base import DEFAULT_CONFIG, resolve_batch
-from repro.fleet.sharding import Shard, plan_shards
-from repro.puf.batched_puf import BatchedFracPuf
-from repro.xir import FusedFracDram, FusedFracPuf, FusedRetentionProfiler
 
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert available_backends() == ("batched", "fused", "scalar")
+        assert available_backends() == ("fused", "scalar")
 
     def test_available_backends_sorted(self):
         assert list(available_backends()) == sorted(available_backends())
@@ -37,7 +29,7 @@ class TestRegistry:
         """
         with pytest.raises(
                 BackendError,
-                match=r"registered backends: batched, fused, scalar"):
+                match=r"registered backends: fused, scalar"):
             get_backend("nope")
 
     def test_get_backend_returns_singleton(self):
@@ -80,59 +72,19 @@ class TestLaneWidthPolicy:
         assert get_backend("scalar").lane_width(8, 4) == 1
 
     def test_batched_auto(self):
-        assert get_backend("batched").lane_width(8, None) == 8
+        """The lane engine takes the stage's natural width by default."""
+        assert get_backend("fused").lane_width(8, None) == 8
 
     def test_batched_cap(self):
-        assert get_backend("batched").lane_width(8, 3) == 3
-        assert get_backend("batched").lane_width(2, 16) == 2
-        assert get_backend("batched").lane_width(8, 1) == 1
+        assert get_backend("fused").lane_width(8, 3) == 3
+        assert get_backend("fused").lane_width(2, 16) == 2
+        assert get_backend("fused").lane_width(8, 1) == 1
 
     def test_width_never_below_one(self):
         for name in available_backends():
             assert get_backend(name).lane_width(0, None) == 1
 
     def test_resolve_batch_respects_config_backend(self):
-        assert resolve_batch(DEFAULT_CONFIG, 8) == 8  # default: batched
+        assert resolve_batch(DEFAULT_CONFIG, 8) == 8  # default: fused
         assert resolve_batch(DEFAULT_CONFIG.scaled(backend="scalar"), 8) == 1
         assert resolve_batch(DEFAULT_CONFIG.scaled(batch=3), 8) == 3
-
-
-class TestDriverFactories:
-    """Batched drivers by default; the fused engine swaps in xir ones."""
-
-    @staticmethod
-    def device():
-        return BatchedChip.from_fleet(
-            [("B", 0), ("C", 0)], master_seed=7, epochs=[0, 0],
-            geometry=GeometryParams(n_banks=1, subarrays_per_bank=1,
-                                    rows_per_subarray=16, columns=32))
-
-    @pytest.mark.parametrize("name, drivers", [
-        ("scalar", (BatchedFracDram, BatchedFracPuf,
-                    BatchedRetentionProfiler)),
-        ("batched", (BatchedFracDram, BatchedFracPuf,
-                     BatchedRetentionProfiler)),
-        ("fused", (FusedFracDram, FusedFracPuf, FusedRetentionProfiler)),
-    ])
-    def test_factory_driver_types(self, name, drivers):
-        backend = get_backend(name)
-        fracdram, puf, profiler = drivers
-        assert type(backend.fracdram(self.device())) is fracdram
-        built = backend.puf(self.device(), n_frac=3)
-        assert type(built) is puf and built.n_frac == 3
-        assert type(backend.retention_profiler(
-            BatchedFracDram(self.device()))) is profiler
-
-
-class TestFleetWiring:
-    def test_shard_default_matches_registry_default(self):
-        shard = Shard(experiment="fig6", index=0, total=1, units=("u",))
-        assert shard.backend == DEFAULT_BACKEND
-
-    def test_plan_shards_stamps_backend(self):
-        shards = plan_shards("fig6", ["a", "b", "c"], 2, backend="fused")
-        assert {shard.backend for shard in shards} == {"fused"}
-
-    def test_plan_shards_defaults_backend(self):
-        (shard,) = plan_shards("fig6", ["a"], 1)
-        assert shard.backend == DEFAULT_BACKEND

@@ -44,7 +44,7 @@ def assert_replay_matches(chip, recorder, source, *, group="B", serial=0):
     program = assemble_program(source, label="roundtrip")
     request = ProgramRequest(program=program, devices=((group, serial),),
                              geometry=CORPUS_GEOMETRY, master_seed=SEED)
-    for backend in ("scalar", "batched"):
+    for backend in ("scalar", "fused"):
         outcome = get_backend(backend).execute_program(request)
         (device,) = outcome.devices
         assert len(device.reads) == len(recorder.reads), (

@@ -1,7 +1,7 @@
 """Service engine: fused passes, byte-identical replies.
 
 A mixed-vendor coalesced batch served through the fused engine
-(:class:`~repro.xir.FusedFracPuf`) must produce replies equal — as
+(:class:`~repro.xir.puf.FusedFracPuf`) must produce replies equal — as
 serialized JSON bytes — to the same batch evaluated by the batched PUF
 driver, and must decide every lane exactly as a dedicated scalar
 :class:`~repro.puf.auth.Authenticator` pass over that module would.

@@ -8,6 +8,7 @@ import pytest
 from repro.core.batched_ops import BatchedFracDram
 from repro.dram.batched import BatchedChip
 from repro.dram.parameters import GeometryParams
+from repro.experiments import ExperimentConfig, fig6_retention
 from repro.experiments.runner import (
     cache_stats,
     format_cache_stats,
@@ -29,6 +30,14 @@ def make_runner(units=(("B", 0), ("C", 0))):
                                     master_seed=7,
                                     epochs=[0] * len(units))
     return FusedRunner(BatchedFracDram(device).mc)
+
+
+def fig6_payloads(units):
+    """One fig6 shard's payloads, with profiles as comparable lists."""
+    return [(kind, group_id,
+             None if profile is None else profile.buckets.tolist())
+            for kind, group_id, profile in fig6_retention.run_shard(
+                ExperimentConfig(columns=128), units)]
 
 
 class TestCompileCache:
@@ -78,6 +87,26 @@ class TestCompileCache:
                                 electrical=mc.electrical,
                                 n_banks=GEOMETRY.n_banks)
         assert again.token == first.token
+
+    def test_shard_payload_does_not_depend_on_cache_history(self):
+        """The cache's FORK002 exemption, checked on real shards.
+
+        ``compile_program`` may mutate module state inside a worker only
+        because its result is a pure function of the key.  A fig6 shard
+        of spacing-enforcing groups (J, K) and one of relaxed groups
+        (B, C) compile the same op lists, so each shard's payload must
+        be the same whether the cache starts empty or was warmed by the
+        other shard.  Two units per shard keep both on the lane path.
+        """
+        enforcing, relaxed = ("J", "K"), ("B", "C")
+        for units, warmer in ((enforcing, relaxed), (relaxed, enforcing)):
+            clear_xir_cache()
+            cold = fig6_payloads(units)
+            clear_xir_cache()
+            fig6_payloads(warmer)
+            assert fig6_payloads(units) == cold, (
+                f"shard {units} changed after shard {warmer} warmed the "
+                "xir compile cache")
 
 
 class TestBindCache:

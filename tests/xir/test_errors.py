@@ -11,8 +11,9 @@ from repro.dram.batched import BatchedChip
 from repro.dram.parameters import ElectricalParams, GeometryParams
 from repro.errors import AddressError, CommandSequenceError, ConfigurationError
 from repro.puf.frac_puf import Challenge
-from repro.xir import FusedFracPuf, LoweringError, ir
+from repro.xir import LoweringError, ir
 from repro.xir.executor import FusedRunner
+from repro.xir.puf import FusedFracPuf
 
 GEOMETRY = GeometryParams(n_banks=2, subarrays_per_bank=2,
                           rows_per_subarray=16, columns=32)

@@ -1,11 +1,12 @@
-"""Property tests: fused fMAJ/nist flows equal the batched engine bit for bit.
+"""Property tests: fused fMAJ/nist flows equal the per-command primitives.
 
-:class:`~repro.xir.fmaj.FusedFracDram` keeps the multi-row activation on
-the batched engine but fuses everything around it (operand stores, frac
-preparation, readout) into compiled xir programs.  These tests pin the
-contract the fig9/fig10/nist retrofits rely on: identical result bits
-*and* identical deterministic telemetry counters on identically
-fabricated fleets, plus byte-identical validation errors.
+:class:`~repro.core.batched_ops.BatchedFracDram` keeps the multi-row
+activation on :class:`~repro.controller.batched.BatchedSoftMC` but runs
+everything around it (operand stores, frac preparation, readout) as
+compiled xir programs.  These tests pin the contract the fig9/fig10/nist
+flows rely on: the result bits *and* deterministic telemetry counters of
+the same flow composed from the per-command primitives on an identically
+fabricated fleet, plus byte-identical validation errors.
 """
 
 from __future__ import annotations
@@ -23,14 +24,51 @@ from repro.dram.parameters import GeometryParams
 from repro.errors import ConfigurationError
 from repro.puf.frac_puf import PUF_N_FRAC
 from repro.telemetry import session as telemetry_session
-from repro.xir import FusedFracDram, ir
+from repro.xir import ir
 
 GEOMETRY = GeometryParams(n_banks=2, subarrays_per_bank=2,
                           rows_per_subarray=16, columns=32)
 
 
+class PerCommandFracDram(BatchedFracDram):
+    """The oracle: maj3/f_maj composed from the per-command primitives."""
+
+    def maj3(self, plan, operands, lanes):
+        self._write_operands(plan, operands, None, lanes)
+        self.multi_row_activate(plan, lanes)
+        return self.read_row(plan.bank, self._uniform(plan.opened[0], lanes),
+                             lanes)
+
+    def f_maj(self, plan, operands, config, lanes):
+        if not 0 <= config.frac_position < plan.n_rows:
+            raise ConfigurationError(
+                f"frac_position {config.frac_position} outside opened set")
+        frac_rows = self._uniform(plan.opened[config.frac_position], lanes)
+        self.fill_row(plan.bank, frac_rows, config.init_ones, lanes)
+        if config.n_frac > 0:
+            self.frac(plan.bank, frac_rows, config.n_frac, lanes)
+        self._write_operands(plan, operands, config.frac_position, lanes)
+        self.multi_row_activate(plan, lanes)
+        result_position = 0 if config.frac_position != 0 else 1
+        return self.read_row(
+            plan.bank, self._uniform(plan.opened[result_position], lanes),
+            lanes)
+
+    def _write_operands(self, plan, operands, skip_position, lanes):
+        positions = [index for index in range(plan.n_rows)
+                     if index != skip_position]
+        expected = (len(lanes), len(positions), self.columns)
+        if operands.shape != expected:
+            raise ConfigurationError(
+                f"operand shape {operands.shape} != {expected}")
+        for slot, position in enumerate(positions):
+            self.write_row(plan.bank,
+                           self._uniform(plan.opened[position], lanes),
+                           operands[:, slot], lanes)
+
+
 def make_pair(n_lanes, seed):
-    """(fused, batched) drivers over identically fabricated fleets."""
+    """(fused, per-command) drivers over identically fabricated fleets."""
     units = [("B", serial) for serial in range(n_lanes)]
 
     def fleet():
@@ -38,7 +76,7 @@ def make_pair(n_lanes, seed):
                                       master_seed=seed,
                                       epochs=[0] * n_lanes)
 
-    return FusedFracDram(fleet()), BatchedFracDram(fleet())
+    return BatchedFracDram(fleet()), PerCommandFracDram(fleet())
 
 
 def donor(seed):
@@ -57,15 +95,15 @@ def operand_planes(seed, n_lanes, n_slots):
        bank=st.integers(0, GEOMETRY.n_banks - 1),
        subarray=st.integers(0, GEOMETRY.subarrays_per_bank - 1))
 def test_maj3_matches_batched(seed, n_lanes, bank, subarray):
-    """Fused maj3 == batched maj3: bits and telemetry counters."""
-    fused, batched = make_pair(n_lanes, seed)
+    """Fused maj3 == per-command maj3: bits and telemetry counters."""
+    fused, oracle = make_pair(n_lanes, seed)
     plan = donor(seed).triple_plan(bank, subarray)
     operands = operand_planes(seed, n_lanes, 3)
     lanes = fused.all_lanes()
 
-    with telemetry_session() as batched_telemetry:
-        expected = batched.maj3(plan, operands, lanes)
-        expected_counters = batched_telemetry.snapshot(
+    with telemetry_session() as oracle_telemetry:
+        expected = oracle.maj3(plan, operands, lanes)
+        expected_counters = oracle_telemetry.snapshot(
             deterministic=True)["counters"]
     with telemetry_session() as fused_telemetry:
         out = fused.maj3(plan, operands, lanes)
@@ -83,16 +121,16 @@ def test_maj3_matches_batched(seed, n_lanes, bank, subarray):
        n_frac=st.integers(0, 3))
 def test_f_maj_matches_batched(seed, n_lanes, frac_position, init_ones,
                                n_frac):
-    """Fused f_maj == batched f_maj across the fig9 config sweep."""
-    fused, batched = make_pair(n_lanes, seed)
+    """Fused f_maj == per-command f_maj across the fig9 config sweep."""
+    fused, oracle = make_pair(n_lanes, seed)
     plan = donor(seed).quad_plan(0, 0)
     config = FMajConfig(frac_position, init_ones, n_frac)
     operands = operand_planes(seed, n_lanes, 3)
     lanes = fused.all_lanes()
 
-    with telemetry_session() as batched_telemetry:
-        expected = batched.f_maj(plan, operands, config, lanes)
-        expected_counters = batched_telemetry.snapshot(
+    with telemetry_session() as oracle_telemetry:
+        expected = oracle.f_maj(plan, operands, config, lanes)
+        expected_counters = oracle_telemetry.snapshot(
             deterministic=True)["counters"]
     with telemetry_session() as fused_telemetry:
         out = fused.f_maj(plan, operands, config, lanes)
@@ -105,17 +143,17 @@ def test_f_maj_matches_batched(seed, n_lanes, frac_position, init_ones,
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**20), n_lanes=st.integers(1, 4))
 def test_nist_program_matches_batched(seed, n_lanes):
-    """The nist trial-batch program == the batched call sequence."""
-    fused, batched = make_pair(n_lanes, seed)
+    """The nist trial-batch program == the per-command call sequence."""
+    fused, oracle = make_pair(n_lanes, seed)
     lanes = fused.all_lanes()
     reserved = GEOMETRY.rows_per_subarray - 1
 
-    with telemetry_session() as batched_telemetry:
-        batched.fill_row(0, [reserved] * n_lanes, True, lanes)
-        batched.row_copy(0, [reserved] * n_lanes, [0] * n_lanes, lanes)
-        batched.frac(0, [0] * n_lanes, PUF_N_FRAC, lanes)
-        expected = batched.read_row(0, [0] * n_lanes, lanes)
-        expected_counters = batched_telemetry.snapshot(
+    with telemetry_session() as oracle_telemetry:
+        oracle.fill_row(0, [reserved] * n_lanes, True, lanes)
+        oracle.row_copy(0, [reserved] * n_lanes, [0] * n_lanes, lanes)
+        oracle.frac(0, [0] * n_lanes, PUF_N_FRAC, lanes)
+        expected = oracle.read_row(0, [0] * n_lanes, lanes)
+        expected_counters = oracle_telemetry.snapshot(
             deterministic=True)["counters"]
     with telemetry_session() as fused_telemetry:
         (out,) = fused.run_program(
@@ -132,8 +170,8 @@ def test_nist_program_matches_batched(seed, n_lanes):
 
 
 def test_validation_errors_match_batched():
-    """Refusals are byte-identical to the batched driver's."""
-    fused, batched = make_pair(2, 7)
+    """Refusals are byte-identical to the per-command oracle's."""
+    fused, oracle = make_pair(2, 7)
     plan = donor(7).quad_plan(0, 0)
     lanes = fused.all_lanes()
     bad_config = FMajConfig(frac_position=plan.n_rows, init_ones=True,
@@ -141,7 +179,7 @@ def test_validation_errors_match_batched():
     good_config = FMajConfig(frac_position=0, init_ones=True, n_frac=1)
     bad_operands = operand_planes(7, 2, 2)
 
-    for driver in (fused, batched):
+    for driver in (fused, oracle):
         with pytest.raises(ConfigurationError) as error:
             driver.f_maj(plan, bad_operands, bad_config, lanes)
         assert str(error.value) == (

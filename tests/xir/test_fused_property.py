@@ -34,7 +34,8 @@ from repro.dram.parameters import GeometryParams
 from repro.puf.batched_puf import BatchedFracPuf
 from repro.puf.frac_puf import PUF_N_FRAC, Challenge
 from repro.telemetry import session as telemetry_session
-from repro.xir import FusedRunner, FusedFracPuf, ir
+from repro.xir import FusedRunner, ir
+from repro.xir.puf import FusedFracPuf
 
 GEOMETRY = GeometryParams(n_banks=2, subarrays_per_bank=2,
                           rows_per_subarray=16, columns=32)

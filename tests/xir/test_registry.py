@@ -2,10 +2,11 @@
 
 ``repro.xir.XIR_LOWERED_EXPERIMENTS`` is the documented contract for
 which experiments ride the fused executor under ``--backend fused``
-(everything else inherits the batched engine).  Pinning it here keeps
-the registry and the docs from drifting apart silently; the fused leg
-of ``tests/backends/test_conformance_experiments.py`` checks that
-exactly these experiments reach the fused driver factories.
+(everything else runs per-command primitives on the same lanes).
+Pinning it here keeps the registry and the docs from drifting apart
+silently; the fused leg of
+``tests/backends/test_conformance_experiments.py`` checks that exactly
+these experiments run xir programs.
 """
 
 from __future__ import annotations
@@ -34,33 +35,31 @@ def test_registry_names_real_experiments():
         assert name in EXPERIMENTS
 
 
-class _ReachedFusedDriver(Exception):
-    """Raised by a spied factory to stop the experiment at its first call."""
+class _ReachedFusedRunner(Exception):
+    """Raised by the spied runner to stop the experiment at its first run."""
 
 
 def test_lowered_experiments_accept_the_fused_backend(monkeypatch):
-    """Under ``--backend fused`` each lowered experiment builds xir drivers.
+    """Under ``--backend fused`` each lowered experiment runs xir programs.
 
-    Every ``FusedBackend`` driver factory is replaced by one that raises
-    on its first call, so each experiment stops before any measurement
-    work; the full fused runs (and the converse, that no other
-    experiment reaches a factory) are in the backend conformance suite.
+    ``FusedRunner.run`` is replaced by one that raises on its first
+    call, so each experiment stops at its first xir program; the full
+    fused runs (and the converse, that no other experiment runs one)
+    are in the backend conformance suite.
     """
-    from repro.backends.fused import FusedBackend
     from repro.experiments import ExperimentConfig
     from repro.experiments.runner import run_experiment
 
     def reached(self, *args, **kwargs):
-        raise _ReachedFusedDriver
+        raise _ReachedFusedRunner
 
-    for factory in ("fracdram", "puf", "retention_profiler"):
-        monkeypatch.setattr(FusedBackend, factory, reached)
+    monkeypatch.setattr(FusedRunner, "run", reached)
     config = ExperimentConfig(
         master_seed=2022, columns=64, rows_per_subarray=16,
         subarrays_per_bank=2, n_banks=2, chips_per_group=2,
         backend="fused")
     for name in XIR_LOWERED_EXPERIMENTS:
-        with pytest.raises(_ReachedFusedDriver):
+        with pytest.raises(_ReachedFusedRunner):
             run_experiment(name, config)
 
 
