@@ -10,6 +10,16 @@ trial would own.  Charge sharing, partial amplification, sense, leakage
 and the decoder-glitch resolution then run as whole-batch NumPy
 expressions instead of B separate passes.
 
+Each analog phase — charge share, sense, write, interrupted-precharge
+freeze, glitch overwrite, close — is one ``xir_*`` kernel that only
+moves voltages.  The per-command walk (:meth:`BatchedSubArray.activate`,
+``precharge``, ``settle``) does the structural bookkeeping and per-lane
+draws, then calls the kernel; the fused executor
+(:mod:`repro.xir.executor`) calls the same kernels from a compiled
+schedule, plus two collapsed forms only it uses (``xir_frac_burst``,
+``xir_store``).  Sense, frac-freeze, glitch and drop events go through
+shared recorders, so both walks trace identical events.
+
 Byte-identity contract
 ----------------------
 
@@ -338,13 +348,11 @@ class BatchedSubArray:
             group[0].append(lane)
             group[1].append(index)
         for group_lanes, indices in groups.values():
-            lane_arr = np.asarray(group_lanes, dtype=np.intp)
             rows_mat = np.asarray([self._open_rows[lane]
                                    for lane in group_lanes], dtype=np.intp)
             group_bits = bits[indices]
-            level = np.where(group_bits, self._restore[lane_arr][:, None], 0.0)
-            self.bitline_v[lane_arr] = level
-            self.cell_v[lane_arr[:, None], rows_mat] = level[:, None, :]
+            self.xir_write(np.asarray(group_lanes, dtype=np.intp), rows_mat,
+                           group_bits)
             for offset, lane in enumerate(group_lanes):
                 self._row_buffer[lane] = group_bits[offset].copy()
 
@@ -453,16 +461,20 @@ class BatchedSubArray:
         return base
 
     # ------------------------------------------------------------------
-    # internals (vector kernels over structurally uniform lane groups)
+    # internals (the per-command walk over structurally uniform lane groups)
     # ------------------------------------------------------------------
 
     def _open_group(self, lanes: Sequence[int],
                     row_tuples: Sequence[tuple[int, ...]],
                     cycles: np.ndarray) -> None:
-        lane_arr = np.asarray(lanes, dtype=np.intp)
         rows_mat = np.asarray(row_tuples, dtype=np.intp)
-        self._written[lane_arr[:, None], rows_mat] = True
-        snapshots = self.cell_v[lane_arr[:, None], rows_mat]
+        # Jitter-free lanes draw nothing and skip the multiply and clip,
+        # exactly as the scalar engine does.
+        jitter = (self._lane_noise_draws(lanes, self._jitter_sigma,
+                                         (rows_mat.shape[1], self.n_cols))
+                  if self._jitter_any else None)
+        snapshots = self.xir_charge_share(
+            lanes, np.asarray(lanes, dtype=np.intp), rows_mat, jitter)
         for index, lane in enumerate(lanes):
             self._preshare_rows[lane] = row_tuples[index]
             self._preshare_snapshot[lane] = snapshots[index]
@@ -472,7 +484,6 @@ class BatchedSubArray:
             self._last_act[lane] = int(cycles[lane])
             self._sense_fired[lane] = False
             self._row_buffer[lane] = None
-        self._charge_share(lanes, lane_arr, rows_mat)
 
     def _abort_close_and_glitch(self, lanes: Sequence[int],
                                 rows: Sequence[int],
@@ -511,11 +522,8 @@ class BatchedSubArray:
         for group_lanes, opened_list in sensed_groups.values():
             # Bit-lines still driven: every opened row takes the sensed
             # value (the in-DRAM row-copy mechanism).
-            lane_arr = np.asarray(group_lanes, dtype=np.intp)
-            rows_mat = np.asarray(opened_list, dtype=np.intp)
-            self._written[lane_arr[:, None], rows_mat] = True
-            level = self.bitline_v[lane_arr]
-            self.cell_v[lane_arr[:, None], rows_mat] = level[:, None, :]
+            self.xir_overwrite(np.asarray(group_lanes, dtype=np.intp),
+                               np.asarray(opened_list, dtype=np.intp))
             for index, lane in enumerate(group_lanes):
                 self._open_rows[lane] = opened_list[index]
                 self._last_act[lane] = int(cycles[lane])
@@ -546,6 +554,42 @@ class BatchedSubArray:
             "overwrite": overwrite,
         })
 
+    def _record_sense(self, lanes: Sequence[int], rows_mat: np.ndarray,
+                      decision: np.ndarray, snapshots) -> None:
+        """Count and trace one sense-amp firing per lane.
+
+        ``snapshots[i]`` is lane ``lanes[i]``'s pre-share cell block; a
+        flip is a cell whose restored value differs from it.
+        """
+        telemetry = _telemetry_active()
+        if telemetry is None:
+            return
+        for index, lane in enumerate(lanes):
+            flips = int(np.sum((snapshots[index] > 0.5) != decision[index]))
+            telemetry.count("dram.sense_fired")
+            telemetry.count("dram.sense_flips", flips)
+            if telemetry.tracer is not None:
+                telemetry.emit("sense", {
+                    "bank": self.origins[lane][0],
+                    "subarray": self.origins[lane][1],
+                    "rows": [int(r) for r in rows_mat[index]],
+                    "ones": int(np.sum(decision[index])),
+                    "flips": flips,
+                })
+
+    def _record_frac_freeze(self, lanes: Sequence[int],
+                            rows_mat: np.ndarray) -> None:
+        telemetry = _telemetry_active()
+        if telemetry is None:
+            return
+        for index, lane in enumerate(lanes):
+            telemetry.count("dram.frac_freeze")
+            telemetry.emit("frac_freeze", {
+                "bank": self.origins[lane][0],
+                "subarray": self.origins[lane][1],
+                "rows": [int(r) for r in rows_mat[index]],
+            })
+
     def _rollback_partial_share(self, lanes: Sequence[int]) -> None:
         groups: dict[int, list[int]] = {}
         for lane in lanes:
@@ -569,25 +613,13 @@ class BatchedSubArray:
                     and self._preshare_snapshot[lane] is not None
                     and self._preshare_rows[lane]):
                 freeze.setdefault(len(self._preshare_rows[lane]), []).append(lane)
-        telemetry = _telemetry_active()
         for group_lanes in freeze.values():
-            lane_arr = np.asarray(group_lanes, dtype=np.intp)
             rows_mat = np.asarray([self._preshare_rows[lane]
                                    for lane in group_lanes], dtype=np.intp)
-            coupling = self.interrupt_coupling[lane_arr[:, None], rows_mat]
-            shared = self.cell_v[lane_arr[:, None], rows_mat]
-            snapshot = np.stack([self._preshare_snapshot[lane]
-                                 for lane in group_lanes])
-            self.cell_v[lane_arr[:, None], rows_mat] = (
-                snapshot + coupling * (shared - snapshot))
-            if telemetry is not None:
-                for lane in group_lanes:
-                    telemetry.count("dram.frac_freeze")
-                    telemetry.emit("frac_freeze", {
-                        "bank": self.origins[lane][0],
-                        "subarray": self.origins[lane][1],
-                        "rows": [int(r) for r in self._preshare_rows[lane]],
-                    })
+            self.xir_freeze(np.asarray(group_lanes, dtype=np.intp), rows_mat,
+                            np.stack([self._preshare_snapshot[lane]
+                                      for lane in group_lanes]))
+            self._record_frac_freeze(group_lanes, rows_mat)
         closed_open = 0
         for lane in lanes:
             self._pre_started[lane] = None
@@ -602,7 +634,7 @@ class BatchedSubArray:
         # leaves the pending set at once.
         self._n_pre -= len(lanes)
         self._n_open -= closed_open
-        self.bitline_v[np.asarray(lanes, dtype=np.intp)] = 0.5
+        self.xir_close(np.asarray(lanes, dtype=np.intp))
 
     def _primary_positions(self, k: int) -> list[int | None]:
         """Per-lane primary coupling position for ``k`` open rows, cached.
@@ -668,50 +700,18 @@ class BatchedSubArray:
         draws += 0.0
         return draws
 
-    def _coupling_weights(self, lanes: Sequence[int], lane_arr: np.ndarray,
-                          k: int) -> np.ndarray:
-        weights = self._weights_base(tuple(lanes), k)
-        if not self._jitter_any:
-            # No lane jitters: the scalar engine skips the multiply and
-            # the clip outright (and draws nothing), so skipping here is
-            # exact, not merely close.
-            return weights
-        # Zero-sigma lanes draw nothing (NoiseSource returns zeros
-        # without consuming); 1.0 + 0.0 multiplies are bitwise no-ops
-        # and the 0.05 clip never binds for weights >= 1.
-        draws = self._lane_noise_draws(lanes, self._jitter_sigma,
-                                       (k, self.n_cols))
-        weights = weights * (1.0 + draws)
-        np.clip(weights, 0.05, None, out=weights)
-        return weights
-
-    def _charge_share(self, lanes: Sequence[int], lane_arr: np.ndarray,
-                      rows_mat: np.ndarray) -> None:
-        k = rows_mat.shape[1]
-        if k == 0:
-            return
-        weights = self._coupling_weights(lanes, lane_arr, k)
-        cell_block = self.cell_v[lane_arr[:, None], rows_mat]
-        cb = self._cb[lane_arr][:, None]
-        if k == 1:
-            # A one-element reduction returns its element bit-for-bit, so
-            # the single-row case (every plain ACT) drops the axis sums.
-            numerator = cb * self.bitline_v[lane_arr] + (
-                weights[:, 0] * cell_block[:, 0])
-            denominator = cb + weights[:, 0]
-        else:
-            numerator = cb * self.bitline_v[lane_arr] + np.sum(
-                weights * cell_block, axis=1)
-            denominator = cb + np.sum(weights, axis=1)
-        equilibrium = numerator / denominator
-        self.bitline_v[lane_arr] = equilibrium
-        self.cell_v[lane_arr[:, None], rows_mat] = equilibrium[:, None, :]
+    def _threshold(self, lane_arr: np.ndarray, k: int) -> np.ndarray:
+        """Per-lane sense threshold with ``k`` rows open, ``(B, C)``."""
+        threshold = (0.5 + self.sa_offset[lane_arr]
+                     ) + self._offset_shift[lane_arr][:, None]
+        if k >= 3:
+            threshold = threshold + self.multirow_bias[lane_arr]
+        return threshold
 
     def _partial_amplify(self, lanes: Sequence[int], steps: int) -> None:
         lane_arr = np.asarray(lanes, dtype=np.intp)
         rows_mat = np.asarray([self._open_rows[lane] for lane in lanes],
                               dtype=np.intp)
-        k = rows_mat.shape[1]
         telemetry = _telemetry_active()
         if telemetry is not None:
             for lane in lanes:
@@ -725,10 +725,7 @@ class BatchedSubArray:
         draws = self._lane_noise_draws(lanes, self._noise_sigma,
                                        (self.n_cols,))
         sensed = self.bitline_v[lane_arr] + draws
-        threshold = (0.5 + self.sa_offset[lane_arr]
-                     ) + self._offset_shift[lane_arr][:, None]
-        if k >= 3:
-            threshold = threshold + self.multirow_bias[lane_arr]
+        threshold = self._threshold(lane_arr, rows_mat.shape[1])
         rail = np.where(sensed > threshold,
                         self._restore[lane_arr][:, None], 0.0)
         differential = np.abs(sensed - threshold)
@@ -743,67 +740,42 @@ class BatchedSubArray:
         self.cell_v[lane_arr[:, None], rows_mat] = cell_block
 
     def _fire_sense_amps(self, lanes: Sequence[int]) -> None:
-        lane_arr = np.asarray(lanes, dtype=np.intp)
         rows_mat = np.asarray([self._open_rows[lane] for lane in lanes],
                               dtype=np.intp)
-        k = rows_mat.shape[1]
         draws = self._lane_noise_draws(lanes, self._noise_sigma,
                                        (self.n_cols,))
-        sensed = self.bitline_v[lane_arr] + draws
-        threshold = (0.5 + self.sa_offset[lane_arr]
-                     ) + self._offset_shift[lane_arr][:, None]
-        if k >= 3:
-            threshold = threshold + self.multirow_bias[lane_arr]
-        decision = sensed > threshold
-        telemetry = _telemetry_active()
-        if telemetry is not None:
-            for index, lane in enumerate(lanes):
-                flips = 0
-                if self._preshare_snapshot[lane] is not None:
-                    flips = int(np.sum(
-                        (self._preshare_snapshot[lane] > 0.5) != decision[index]))
-                telemetry.count("dram.sense_fired")
-                telemetry.count("dram.sense_flips", flips)
-                telemetry.emit("sense", {
-                    "bank": self.origins[lane][0],
-                    "subarray": self.origins[lane][1],
-                    "rows": [int(r) for r in self._open_rows[lane]],
-                    "ones": int(np.sum(decision[index])),
-                    "flips": flips,
-                })
-        level = np.where(decision, self._restore[lane_arr][:, None], 0.0)
-        self.bitline_v[lane_arr] = level
-        self.cell_v[lane_arr[:, None], rows_mat] = level[:, None, :]
+        decision = self.xir_sense(np.asarray(lanes, dtype=np.intp),
+                                  rows_mat, draws)
+        self._record_sense(lanes, rows_mat, decision,
+                           [self._preshare_snapshot[lane] for lane in lanes])
         for index, lane in enumerate(lanes):
             self._row_buffer[lane] = decision[index].copy()
             self._sense_fired[lane] = True
 
     # ------------------------------------------------------------------
-    # fused entry points (repro.xir)
+    # phase kernels (shared by the per-command walk and repro.xir)
     # ------------------------------------------------------------------
     #
-    # The xir executor (:mod:`repro.xir.executor`) replays a compiled
-    # experiment program as whole-batch kernels.  These are the phases
-    # of the step-by-step walk above with the structural bookkeeping
-    # (open-row lists, pending-precharge scans, sense-window checks)
-    # stripped: the compiler already proved what each phase touches and
-    # when, so the kernels only move voltages.  Every expression mirrors
-    # its step-by-step counterpart bit-for-bit; RNG draws arrive
-    # pre-advanced from the executor's merged per-lane streams.  The
-    # kernels leave ``_open_rows``/``_pre_started`` untouched (lanes
-    # stay structurally idle), which is what lets batched and fused
-    # calls interleave on one device.
+    # Each analog phase has exactly one implementation, here.  The
+    # per-command walk above calls these kernels after its structural
+    # bookkeeping (open-row lists, pending-precharge scans, sense-window
+    # checks) has picked the lane group and drawn its noise; the xir
+    # executor (:mod:`repro.xir.executor`) calls them straight from a
+    # compiled schedule, with draws pre-advanced from its merged
+    # per-lane streams.  The kernels only move voltages: they leave
+    # ``_open_rows``/``_pre_started`` untouched, which is what lets
+    # per-command and fused calls interleave on one device.  The
+    # ``xir_`` prefix marks them as FORK002 purity entry points.
 
     def xir_charge_share(self, lanes: Sequence[int], lane_arr: np.ndarray,
                          rows_mat: np.ndarray,
-                         jitter_draws: np.ndarray | None,
-                         want_snapshot: bool) -> np.ndarray | None:
-        """Fused ACT body: mark written, snapshot, charge-share.
+                         jitter_draws: np.ndarray | None) -> np.ndarray:
+        """ACT body: mark written, snapshot, charge-share.
 
         ``jitter_draws`` is ``None`` on jitter-free sub-arrays, else the
         pre-scaled ``(B, k, C)`` weight-jitter draws.  Returns the
-        pre-share cell snapshot (for freeze and flips accounting) when
-        requested, else ``None``.
+        ``(B, k, C)`` pre-share cell snapshot (for freeze and flips
+        accounting).
         """
         k = rows_mat.shape[1]
         self._written[lane_arr[:, None], rows_mat] = True
@@ -812,10 +784,14 @@ class BatchedSubArray:
         cell_block = self.cell_v[lane_arr[:, None], rows_mat]
         weights = self._weights_base(tuple(lanes), k)
         if jitter_draws is not None:
+            # Zero-sigma lanes arrive as exact zeros: 1.0 + 0.0 is a
+            # bitwise no-op and the 0.05 clip never binds for weights >= 1.
             weights = weights * (1.0 + jitter_draws)
             np.clip(weights, 0.05, None, out=weights)
         cb = self._cb[lane_arr][:, None]
         if k == 1:
+            # A one-element reduction returns its element bit-for-bit, so
+            # the single-row case (every plain ACT) drops the axis sums.
             numerator = cb * self.bitline_v[lane_arr] + (
                 weights[:, 0] * cell_block[:, 0])
             denominator = cb + weights[:, 0]
@@ -826,18 +802,13 @@ class BatchedSubArray:
         equilibrium = numerator / denominator
         self.bitline_v[lane_arr] = equilibrium
         self.cell_v[lane_arr[:, None], rows_mat] = equilibrium[:, None, :]
-        return cell_block if want_snapshot else None
+        return cell_block
 
     def xir_sense(self, lane_arr: np.ndarray, rows_mat: np.ndarray,
                   draws: np.ndarray) -> np.ndarray:
-        """Fused sense-amp firing; returns the ``(B, C)`` decisions."""
-        k = rows_mat.shape[1]
+        """Sense-amp firing; returns the ``(B, C)`` decisions."""
         sensed = self.bitline_v[lane_arr] + draws
-        threshold = (0.5 + self.sa_offset[lane_arr]
-                     ) + self._offset_shift[lane_arr][:, None]
-        if k >= 3:
-            threshold = threshold + self.multirow_bias[lane_arr]
-        decision = sensed > threshold
+        decision = sensed > self._threshold(lane_arr, rows_mat.shape[1])
         level = np.where(decision, self._restore[lane_arr][:, None], 0.0)
         self.bitline_v[lane_arr] = level
         self.cell_v[lane_arr[:, None], rows_mat] = level[:, None, :]
@@ -845,7 +816,7 @@ class BatchedSubArray:
 
     def xir_write(self, lane_arr: np.ndarray, rows_mat: np.ndarray,
                   physical_bits: np.ndarray) -> None:
-        """Fused WRITE into sensed open rows (physical polarity)."""
+        """WRITE into sensed open rows (physical polarity)."""
         level = np.where(physical_bits, self._restore[lane_arr][:, None], 0.0)
         self.bitline_v[lane_arr] = level
         self.cell_v[lane_arr[:, None], rows_mat] = level[:, None, :]
@@ -868,7 +839,7 @@ class BatchedSubArray:
 
     def xir_freeze(self, lane_arr: np.ndarray, rows_mat: np.ndarray,
                    snapshot: np.ndarray) -> None:
-        """Fused interrupted-precharge freeze (the Frac payoff)."""
+        """Interrupted-precharge freeze (the Frac payoff)."""
         coupling = self.interrupt_coupling[lane_arr[:, None], rows_mat]
         shared = self.cell_v[lane_arr[:, None], rows_mat]
         self.cell_v[lane_arr[:, None], rows_mat] = (
@@ -916,13 +887,13 @@ class BatchedSubArray:
 
     def xir_overwrite(self, lane_arr: np.ndarray,
                       rows_mat: np.ndarray) -> None:
-        """Fused glitch overwrite: driven bit-lines into opened rows."""
+        """Glitch overwrite: driven bit-lines into every opened row."""
         self._written[lane_arr[:, None], rows_mat] = True
         self.cell_v[lane_arr[:, None], rows_mat] = (
             self.bitline_v[lane_arr][:, None, :])
 
     def xir_close(self, lane_arr: np.ndarray) -> None:
-        """Fused row close: restore the idle bit-line level."""
+        """Row close: restore the idle bit-line level."""
         self.bitline_v[lane_arr] = 0.5
 
 
@@ -1124,23 +1095,27 @@ class BatchedChip:
             # history is only ever read for enforcing lanes — skip the
             # per-lane bookkeeping outright.
             return lanes
-        allowed: list[int] = []
         telemetry = _telemetry_active()
-        for lane in lanes:
-            if not self._enforce[lane]:
-                allowed.append(lane)
-                continue
-            cycle = int(cycles[lane])
-            last = self._last_cmd[lane].get(bank)
-            if last is not None and cycle - last < MIN_COMMAND_SPACING_CYCLES:
-                self.dropped_commands[lane] += 1
-                if telemetry is not None:
-                    telemetry.count("dram.dropped_commands")
-                    telemetry.emit("drop", {"bank": bank, "cycle": cycle})
-                continue
-            self._last_cmd[lane][bank] = cycle
-            allowed.append(lane)
-        return allowed
+        return [lane for lane in lanes
+                if not self._enforce[lane] or self._spacing_step(
+                    lane, bank, int(cycles[lane]), telemetry)]
+
+    def _spacing_step(self, lane: int, bank: int, cycle: int,
+                      telemetry) -> bool:
+        """One command on an enforcing lane; ``False`` when it is dropped.
+
+        Keeps the lane's per-bank spacing history and drop count, and
+        records each drop, exactly as :class:`DramChip` does.
+        """
+        last = self._last_cmd[lane].get(bank)
+        if last is not None and cycle - last < MIN_COMMAND_SPACING_CYCLES:
+            self.dropped_commands[lane] += 1
+            if telemetry is not None:
+                telemetry.count("dram.dropped_commands")
+                telemetry.emit("drop", {"bank": bank, "cycle": cycle})
+            return False
+        self._last_cmd[lane][bank] = cycle
+        return True
 
     def activate(self, bank: int, rows: Sequence[int],
                  lanes: Sequence[int], cycles: np.ndarray) -> None:

@@ -4,8 +4,8 @@ The pipeline (see ``docs/performance.md``):
 
 1. **IR** (:mod:`repro.xir.ir`) — an experiment pass as a small program
    of whole-physics ops (``WriteRow``/``WriteData``/``Frac``/
-   ``ReadRow``/``PrechargeAll``/``Leak``/``RowCopy``) with structured
-   ``Repeat``/``Sweep`` regions, rows and durations as named parameters.
+   ``ReadRow``/``PrechargeAll``/``Leak``/``RowCopy``), rows and
+   durations as named parameters.
 2. **Compiler** (:mod:`repro.xir.compile`) — lowers a program through a
    symbolic replica of the batched engine's bank state machine into a
    flat phase-op schedule, hoisting plan compilation, lane-uniform
@@ -14,10 +14,10 @@ The pipeline (see ``docs/performance.md``):
    equivalent (the multi-row activation glitch) raise
    :class:`XirLoweringError` naming the offending op.
 3. **Executor** (:mod:`repro.xir.executor`) — replays a compiled
-   program as whole-batch NumPy kernels on
-   :class:`~repro.dram.batched.BatchedSubArray` (the ``xir_*`` entry
-   points), with per-region merged RNG pre-advancement and store
-   collapse for non-enforce lanes.
+   program on :class:`~repro.dram.batched.BatchedSubArray`'s phase
+   kernels (the ``xir_*`` methods the per-command walk also calls),
+   with per-region merged RNG pre-advancement and store collapse for
+   non-enforce lanes.
 
 The lane drivers run the experiments in :data:`XIR_LOWERED_EXPERIMENTS`
 through the executor: ``BatchedFracDram`` (fMAJ), ``BatchedRetentionProfiler``
@@ -29,7 +29,6 @@ executor, because ``repro.core.batched_ops`` imports it.
 
 from . import ir
 from .compile import (
-    LoweringError,
     XirLoweringError,
     clear_xir_cache,
     compile_program,
@@ -47,7 +46,6 @@ XIR_LOWERED_EXPERIMENTS = ("fig6", "fig9", "fig10", "fig11", "nist")
 
 __all__ = [
     "FusedRunner",
-    "LoweringError",
     "XIR_LOWERED_EXPERIMENTS",
     "XirLoweringError",
     "clear_xir_cache",

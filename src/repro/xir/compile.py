@@ -28,7 +28,7 @@ here once per program *shape*:
 Programs whose physics the fused kernels cannot reproduce exactly
 (multi-row activations, partial amplification, unsensed glitches,
 programs that leave a bank open) are rejected with
-:class:`LoweringError` instead of silently diverging.
+:class:`XirLoweringError` instead of silently diverging.
 
 Compiled programs are memoized in a process-local LRU keyed by the
 program :func:`~repro.xir.ir.signature`, the lane class, timing and the
@@ -63,7 +63,6 @@ __all__ = [
     "XIR_CACHE_CAPACITY",
     "CommandEvent",
     "CompiledProgram",
-    "LoweringError",
     "PrimSpec",
     "SpacingCheck",
     "XirLoweringError",
@@ -81,10 +80,6 @@ class XirLoweringError(CommandSequenceError):
     batched engine (``repro.xir.XIR_LOWERED_EXPERIMENTS`` lists which
     experiments ride the fused path).
     """
-
-
-#: Backwards-compatible alias (the PR 8 name).
-LoweringError = XirLoweringError
 
 
 @dataclass(frozen=True)
@@ -121,7 +116,7 @@ class PrimSpec:
     order::
 
         ("cmd", CommandEvent)
-        ("cs", bank, param, need_snapshot)    # open + charge share
+        ("cs", bank, param)                   # open + charge share
         ("sense", bank, param)                # sense amplifiers fire
         ("write", bank, param, value)         # whole-row write
         ("write-data", bank, param)           # run-time-bound row write
@@ -186,13 +181,12 @@ class CompiledProgram:
 class _BankState:
     """Symbolic per-bank replica of the batched sub-array lane state."""
 
-    __slots__ = ("open_param", "fired", "copy", "snap", "pre_at", "last_act")
+    __slots__ = ("open_param", "fired", "copy", "pre_at", "last_act")
 
     def __init__(self) -> None:
         self.open_param: str | None = None
         self.fired = False
         self.copy = False
-        self.snap: list | None = None  # the ["cs", ...] action to backpatch
         self.pre_at: int | None = None
         self.last_act = 0
 
@@ -237,7 +231,7 @@ def _template(op: ir.Op, timing: TimingParams,
     if isinstance(op, ir.RowCopy):
         return (seq.row_copy_sequence(op.bank, 0, 1, timing, electrical),
                 {0: op.src, 2: op.dst})
-    raise LoweringError(f"cannot lower {op!r}")  # pragma: no cover
+    raise XirLoweringError(f"cannot lower {op!r}")  # pragma: no cover
 
 
 def _compile(ops: Sequence[ir.Op], *, enforce: bool, timing: TimingParams,
@@ -274,15 +268,12 @@ def _compile(ops: Sequence[ir.Op], *, enforce: bool, timing: TimingParams,
         """Committed close: freeze an interrupted share, else plain close."""
         state = states[bank]
         if not state.fired:
-            assert state.snap is not None
-            state.snap[3] = True  # the charge share must keep its snapshot
             actions.append(("freeze", bank, state.open_param))
         else:
             actions.append(("close", bank, state.open_param))
         state.open_param = None
         state.fired = False
         state.copy = False
-        state.snap = None
         state.pre_at = None
 
     def settle_bank(bank: int, t: int) -> None:
@@ -299,14 +290,14 @@ def _compile(ops: Sequence[ir.Op], *, enforce: bool, timing: TimingParams,
 
     def do_act(bank: int, param: str | None, t: int) -> None:
         if param is None:  # pragma: no cover - templates always bind ACT rows
-            raise LoweringError("ACTIVATE without a row parameter")
+            raise XirLoweringError("ACTIVATE without a row parameter")
         state = states[bank]
         if state.pre_at is not None and t - state.pre_at < CLOSE_ABORT_WINDOW:
             # Close-abort: the decoder glitch path.  Only the sensed
             # (row-copy) shape is fused; an unsensed glitch re-shares
             # charge with history the compiler does not track.
             if state.open_param is None:  # pragma: no cover - pre => open
-                raise LoweringError("close-abort on a closed bank")
+                raise XirLoweringError("close-abort on a closed bank")
             if not state.fired:
                 refuse("unsensed close-abort glitches cannot be fused")
             if state.copy:
@@ -333,13 +324,11 @@ def _compile(ops: Sequence[ir.Op], *, enforce: bool, timing: TimingParams,
                        f"on bank {bank})")
             return  # same-row re-ACT: raises the word line again, no-op
         register(param, bank)
-        action = ["cs", bank, param, False]
-        actions.append(action)
+        actions.append(("cs", bank, param))
         regions[-1].append(("jitter", bank, param))
         state.open_param = param
         state.fired = False
         state.copy = False
-        state.snap = action
         state.last_act = t
 
     def do_pre(bank: int, t: int) -> None:
@@ -362,7 +351,7 @@ def _compile(ops: Sequence[ir.Op], *, enforce: bool, timing: TimingParams,
             if states[bank].pre_at is not None:
                 commit(bank)
 
-    for op in ir.flatten(ops):
+    for op in ops:
         actions = []
         if isinstance(op, ir.Leak):
             for bank, state in enumerate(states):
@@ -454,7 +443,7 @@ def _compile(ops: Sequence[ir.Op], *, enforce: bool, timing: TimingParams,
                 actions.append(("readout", command.bank, param))
                 n_reads += 1
             else:  # pragma: no cover - defensive
-                raise LoweringError(f"unknown command kind {kind!r}")
+                raise XirLoweringError(f"unknown command kind {kind!r}")
 
         finish(start + template.duration)
         store = False
@@ -485,14 +474,13 @@ def _compile(ops: Sequence[ir.Op], *, enforce: bool, timing: TimingParams,
             src_param=getattr(op, "src", None),
             dst_param=getattr(op, "dst", None),
             dt_param=None,
-            actions=tuple(tuple(a) if isinstance(a, list) else a
-                          for a in actions),
+            actions=tuple(actions),
             store=store))
         start += template.duration
 
     for bank, state in enumerate(states):
         if not state.idle:
-            raise LoweringError(
+            raise XirLoweringError(
                 f"program leaves bank {bank} open; fused programs must end "
                 "with every bank idle (add a read or PrechargeAll)")
 
@@ -526,10 +514,11 @@ def compile_program(ops: Sequence[ir.Op], *, enforce: bool,
     """Memoized lowering (process-local LRU, like :func:`plan_for`).
 
     The key is the program :func:`~repro.xir.ir.signature` — rows and
-    leak durations are bound at execution, so every sweep point of a
-    :class:`~repro.xir.ir.Sweep` hits the same entry — plus the lane
-    class (spacing-enforcing or not), the timing parameters and the
-    sense-enable window (the only electrical input the lowering reads).
+    leak durations are bound at execution, so every point of a
+    :meth:`~repro.xir.executor.FusedRunner.run_sweep` hits the same
+    entry — plus the lane class (spacing-enforcing or not), the timing
+    parameters and the sense-enable window (the only electrical input
+    the lowering reads).
 
     The cache mutations below are exempt from the kernel-purity rule for
     the reason :func:`plan_for`'s are: ``_compile`` is a pure function

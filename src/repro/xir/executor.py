@@ -19,14 +19,17 @@ bypassing the per-command Python dispatch of
   ``w * sigma + 0.0`` reproduces ``normal(0, sigma)`` exactly (including
   the ``-0.0`` normalization); zero-sigma draws consume nothing in both
   engines.
+* Physics runs on the sub-arrays' phase kernels (the ``xir_*``
+  methods of :class:`~repro.dram.batched.BatchedSubArray`), the same
+  ones the per-command walk calls.
 * Lane-uniform telemetry counters apply as one hoisted delta table;
-  data-dependent counters (sense flips, drops, glitches) and trace
-  events are produced inline, gated exactly as the batched engine gates
-  them.
+  data-dependent counters and events (sense flips, frac freezes,
+  glitches, drops) go through the device's own recorders, so both
+  walks report them identically.
 * For spacing-enforcing lanes the real ``_last_cmd`` bookkeeping is
-  mirrored per command and checked against the compiler's prediction —
-  a divergence raises instead of silently drifting from the batched
-  engine.
+  stepped per command and checked against the compiler's prediction —
+  a divergence raises instead of silently drifting from the
+  per-command walk.
 
 The runner leaves the device's *structural* bookkeeping untouched (every
 program must end with all banks idle, enforced at compile time), so
@@ -42,12 +45,16 @@ from typing import Sequence
 import numpy as np
 
 from ..controller.batched import BatchedSoftMC
-from ..dram.chip import MIN_COMMAND_SPACING_CYCLES
 from ..dram.decoder import resolve_glitch
 from ..errors import AddressError, CommandSequenceError
 from ..telemetry.registry import active as _telemetry_active
 from . import ir
-from .compile import CompiledProgram, LoweringError, PrimSpec, compile_program
+from .compile import (
+    CompiledProgram,
+    PrimSpec,
+    XirLoweringError,
+    compile_program,
+)
 
 __all__ = ["FusedRunner"]
 
@@ -55,18 +62,15 @@ __all__ = ["FusedRunner"]
 class _Group:
     """One (param, bank, sub-array) lane group with resolved indices."""
 
-    __slots__ = ("cell", "lanes", "lane_arr", "pos", "rows_mat", "anti",
-                 "logical", "physical")
+    __slots__ = ("cell", "lanes", "lane_arr", "pos", "rows_mat", "anti")
 
-    def __init__(self, cell, lanes, positions, logical, physical, anti):
+    def __init__(self, cell, lanes, positions, physical, anti):
         self.cell = cell
         self.lanes = lanes
         self.lane_arr = np.asarray(lanes, dtype=np.intp)
         self.pos = np.asarray(positions, dtype=np.intp)
         self.rows_mat = np.asarray(physical, dtype=np.intp)[:, None]
         self.anti = np.asarray(anti, dtype=bool)
-        self.logical = logical
-        self.physical = physical
 
 
 class _FastPrim:
@@ -112,7 +116,7 @@ class FusedRunner:
         se = int(mc.electrical.sense_enable_cycles)
         for group in self.device.groups:
             if int(group.electrical.sense_enable_cycles) != se:
-                raise LoweringError(
+                raise XirLoweringError(
                     "fused programs need a lane-uniform sense-enable "
                     "window (the compiled schedule bakes it in)")
         # Per (lane, bank, sub, src, dst) decoder-glitch resolution; the
@@ -195,14 +199,13 @@ class FusedRunner:
     def run_sweep(self, body: Sequence[ir.Op],
                   points: Sequence[dict], *,
                   lanes: Sequence[int] | None = None) -> list[list[np.ndarray]]:
-        """Run a :class:`~repro.xir.ir.Sweep` body once per point.
+        """Run ``body`` once per point.
 
-        Each point is ``{"rows": {...}}`` with an optional ``"dts"``;
-        compilation happens once (the sweep body's signature is
+        Each point is ``{"rows": {...}}`` with optional ``"dts"`` and
+        ``"data"``; compilation happens once (the body's signature is
         point-independent) and every point replays the cached program.
         """
-        ops = (ir.Sweep(tuple(body)),)
-        return [self.run(ops, rows=point["rows"], dts=point.get("dts"),
+        return [self.run(body, rows=point["rows"], dts=point.get("dts"),
                          data=point.get("data"), lanes=lanes)
                 for point in points]
 
@@ -263,7 +266,7 @@ class FusedRunner:
         for param, bank in program.param_banks:
             values = rows[param]
             logical_rows: list[int] = []
-            by_sub: dict[int, list[tuple[int, int, int, int]]] = {}
+            by_sub: dict[int, list[tuple[int, int, int]]] = {}
             for lane, position in zip(class_lanes, class_pos):
                 row = int(values[position])
                 if not 0 <= row < geometry.rows_per_bank:
@@ -272,7 +275,7 @@ class FusedRunner:
                         f"{geometry.rows_per_bank} rows")
                 logical_rows.append(row)
                 sub, local = divmod(row, rps)
-                by_sub.setdefault(sub, []).append((lane, position, row, local))
+                by_sub.setdefault(sub, []).append((lane, position, local))
             class_logical[param] = logical_rows
             groups = []
             for sub, entries in by_sub.items():
@@ -280,11 +283,10 @@ class FusedRunner:
                     cell=device.cells[bank][sub],
                     lanes=[entry[0] for entry in entries],
                     positions=[entry[1] for entry in entries],
-                    logical=[entry[2] for entry in entries],
                     physical=[device._phys_rows[lane][local]
-                              for lane, _, _, local in entries],
+                              for lane, _, local in entries],
                     anti=[device._anti_rows[lane][local]
-                          for lane, _, _, local in entries]))
+                          for lane, _, local in entries]))
             bindings[(param, bank)] = groups
         pair_bindings = {
             pair: self._bind_pair(pair, class_lanes, class_pos, rows)
@@ -304,7 +306,7 @@ class FusedRunner:
             src_sub, src_local = divmod(src, rps)
             dst_sub, dst_local = divmod(dst, rps)
             if src_sub != dst_sub:
-                raise LoweringError(
+                raise XirLoweringError(
                     f"row copy {src}->{dst} crosses sub-arrays; the "
                     "decoder glitch only opens rows of one sub-array")
             cell = device.cells[bank][src_sub]
@@ -320,7 +322,7 @@ class FusedRunner:
             group = by_shape.setdefault((src_sub, len(opened)), ([], [], []))
             group[0].append(lane)
             group[1].append(opened)
-            group[2].append((lane, [src_phys], dst_phys, list(opened)))
+            group[2].append((lane, (src_phys,), dst_phys, opened))
         return [
             _PairGroup(cell=device.cells[bank][sub], lanes=lanes,
                        opened_rows=opened_rows, events=events)
@@ -482,17 +484,18 @@ class FusedRunner:
         self._fast_cache[program.token] = cached
         return cached
 
-    def _label(self, prim: PrimSpec, class_logical) -> str:
+    def _label(self, prim: PrimSpec, class_logical, index: int) -> str:
+        """The ``sequence`` label of class lane ``index``, from its rows."""
         if prim.op == "precharge-all":
             return "precharge-all"
         if prim.op == "row-copy":
             return (f"row-copy b{prim.bank} "
-                    f"{class_logical[prim.src_param][0]}"
-                    f"->{class_logical[prim.dst_param][0]}")
-        row0 = class_logical[prim.rows_param][0]
+                    f"{class_logical[prim.src_param][index]}"
+                    f"->{class_logical[prim.dst_param][index]}")
+        row = class_logical[prim.rows_param][index]
         if prim.op == "frac":
-            return f"frac x{prim.n_frac} b{prim.bank} r{row0}"
-        return f"{prim.op} b{prim.bank} r{row0}"
+            return f"frac x{prim.n_frac} b{prim.bank} r{row}"
+        return f"{prim.op} b{prim.bank} r{row}"
 
     def _run_class(self, program: CompiledProgram, class_lanes: list[int],
                    class_pos: list[int], rows, dts, planes, out):
@@ -537,10 +540,9 @@ class FusedRunner:
 
         for prim in prims:
             if tracer is not None and prim.op != "leak":
-                label = self._label(prim, class_logical)
-                for lane in class_lanes:
+                for index, lane in enumerate(class_lanes):
                     telemetry.emit("sequence", {
-                        "label": label,
+                        "label": self._label(prim, class_logical, index),
                         "op": prim.op,
                         "start_cycle": int(base[lane]) + prim.start,
                         "duration": prim.duration,
@@ -567,19 +569,16 @@ class FusedRunner:
                         self._mirror_spacing(check, class_lanes, base,
                                              telemetry)
                 elif tag == "cs":
-                    _, bank, param, need_snap = action
+                    _, bank, param = action
                     seg_slots = slots[seg_cursor]
                     seg_cursor += 1
-                    want = need_snap or telemetry is not None
-                    snaps = []
-                    for group, index_arr in zip(bindings[(param, bank)],
-                                                seg_slots):
-                        snaps.append(group.cell.xir_charge_share(
+                    snap_store[bank] = [
+                        group.cell.xir_charge_share(
                             group.lanes, group.lane_arr, group.rows_mat,
                             (None if index_arr is None
-                             else flat[index_arr][:, None, :]),
-                            want))
-                    snap_store[bank] = snaps
+                             else flat[index_arr][:, None, :]))
+                        for group, index_arr in zip(bindings[(param, bank)],
+                                                    seg_slots)]
                 elif tag == "burst":
                     _, bank, param, n_burst = action
                     burst_slots = slots[seg_cursor:seg_cursor + n_burst]
@@ -607,20 +606,9 @@ class FusedRunner:
                             group.lane_arr, group.rows_mat, flat[index_arr])
                         decisions.append(decision)
                         if telemetry is not None:
-                            snap = snap_store[bank][group_index]
-                            for offset, lane in enumerate(group.lanes):
-                                flips = int(np.sum(
-                                    (snap[offset] > 0.5) != decision[offset]))
-                                telemetry.count("dram.sense_fired")
-                                telemetry.count("dram.sense_flips", flips)
-                                if tracer is not None:
-                                    telemetry.emit("sense", {
-                                        "bank": group.cell.origins[lane][0],
-                                        "subarray": group.cell.origins[lane][1],
-                                        "rows": [int(group.physical[offset])],
-                                        "ones": int(np.sum(decision[offset])),
-                                        "flips": flips,
-                                    })
+                            group.cell._record_sense(
+                                group.lanes, group.rows_mat, decision,
+                                snap_store[bank][group_index])
                     dec_store[bank] = decisions
                 elif tag == "write":
                     _, bank, param, value = action
@@ -679,14 +667,8 @@ class FusedRunner:
                             group.lane_arr, group.rows_mat,
                             snap_store[bank][group_index])
                         if telemetry is not None:
-                            for offset, lane in enumerate(group.lanes):
-                                telemetry.count("dram.frac_freeze")
-                                if tracer is not None:
-                                    telemetry.emit("frac_freeze", {
-                                        "bank": group.cell.origins[lane][0],
-                                        "subarray": group.cell.origins[lane][1],
-                                        "rows": [int(group.physical[offset])],
-                                    })
+                            group.cell._record_frac_freeze(group.lanes,
+                                                           group.rows_mat)
                 elif tag == "close":
                     _, bank, param = action
                     for group in bindings[(param, bank)]:
@@ -696,19 +678,11 @@ class FusedRunner:
                     for pair_group in pair_bindings[(src_param, dst_param,
                                                      bank)]:
                         if telemetry is not None:
-                            cell = pair_group.cell
                             for lane, previous, requested, opened in (
                                     pair_group.events):
-                                telemetry.count("dram.glitch_overwrite")
-                                if tracer is not None:
-                                    telemetry.emit("glitch", {
-                                        "bank": cell.origins[lane][0],
-                                        "subarray": cell.origins[lane][1],
-                                        "previous": previous,
-                                        "requested": requested,
-                                        "opened": opened,
-                                        "overwrite": True,
-                                    })
+                                pair_group.cell._record_glitch(
+                                    lane, previous, requested, opened,
+                                    overwrite=True)
                         pair_group.cell.xir_overwrite(
                             pair_group.lane_arr, pair_group.opened_mat)
                 elif tag == "leak":
@@ -724,28 +698,17 @@ class FusedRunner:
 
     def _mirror_spacing(self, check, class_lanes: list[int],
                         base: np.ndarray, telemetry) -> None:
-        """Replay the device's command-spacing bookkeeping for one check.
+        """Step the device's command-spacing bookkeeping for one check.
 
         The compiled schedule already decided allowed/dropped; a lane
         whose real history disagrees would execute different physics, so
         divergence is a hard error, not a silent fallback.
         """
-        device = self.device
         for lane in class_lanes:
             cycle = int(base[lane]) + check.offset
-            last = device._last_cmd[lane].get(check.bank)
-            dropped = (last is not None
-                       and cycle - last < MIN_COMMAND_SPACING_CYCLES)
-            if dropped == check.allowed:
+            if self.device._spacing_step(lane, check.bank, cycle,
+                                         telemetry) != check.allowed:
                 raise CommandSequenceError(
                     f"command-spacing prediction diverged on lane {lane} "
                     f"bank {check.bank} at cycle {cycle} (compiled="
                     f"{'allowed' if check.allowed else 'dropped'})")
-            if dropped:
-                device.dropped_commands[lane] += 1
-                if telemetry is not None:
-                    telemetry.count("dram.dropped_commands")
-                    telemetry.emit("drop", {"bank": check.bank,
-                                            "cycle": cycle})
-            else:
-                device._last_cmd[lane][check.bank] = cycle

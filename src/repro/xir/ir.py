@@ -1,4 +1,4 @@
-"""Experiment-level IR: whole physics phases as ops, sweeps as regions.
+"""Experiment-level IR: whole physics phases as ops.
 
 The batched engine (PRs 3-4) vectorized the *lane* axis but still walks
 every experiment inner loop primitive-by-primitive through
@@ -6,12 +6,11 @@ every experiment inner loop primitive-by-primitive through
 re-dispatches per timed command, re-scans per-lane bookkeeping lists in
 ``settle``, and re-derives telemetry per issue.  ``repro.xir`` lifts the
 loop one level: an experiment pass is a small *program* of *experiment
-ops* (:class:`WriteRow`, :class:`Frac`, :class:`ReadRow`,
-:class:`PrechargeAll`, :class:`Leak`, :class:`RowCopy`, plus the
-structured :class:`Repeat`/:class:`Sweep` regions), which the compiler
-(:mod:`repro.xir.compile`) lowers into a flat list of *phase ops* —
-``CHARGE_SHARE``, ``SENSE``, ``WRITE``, ``FREEZE``, ``READOUT``,
-``GLITCH_OVERWRITE``, ``CLOSE``, ``LEAK`` — over the full
+ops* (:class:`WriteRow`, :class:`WriteData`, :class:`Frac`,
+:class:`ReadRow`, :class:`PrechargeAll`, :class:`Leak`, :class:`RowCopy`),
+which the compiler (:mod:`repro.xir.compile`) lowers into a flat list of
+*phase ops* — ``CHARGE_SHARE``, ``SENSE``, ``WRITE``, ``FREEZE``,
+``READOUT``, ``GLITCH_OVERWRITE``, ``CLOSE``, ``LEAK`` — over the full
 ``(lanes, rows, cols)`` state.
 
 Ops do not carry concrete rows: they name *parameters* (``rows="target"``,
@@ -24,7 +23,7 @@ byte-identity argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Sequence, Union
 
 __all__ = [
     "Frac",
@@ -32,12 +31,9 @@ __all__ = [
     "Op",
     "PrechargeAll",
     "ReadRow",
-    "Repeat",
     "RowCopy",
-    "Sweep",
     "WriteData",
     "WriteRow",
-    "flatten",
     "signature",
 ]
 
@@ -104,53 +100,11 @@ class RowCopy:
     dst: str
 
 
-@dataclass(frozen=True)
-class Repeat:
-    """Static repetition region: the body is flattened ``count`` times.
+Op = Union[WriteRow, WriteData, Frac, ReadRow, PrechargeAll, Leak, RowCopy]
 
-    The compiler unrolls a :class:`Repeat` before lowering, so repeated
-    physics (e.g. the PUF's fixed Frac burst) costs one compile.
-    """
-
-    count: int
-    body: tuple["Op", ...]
-
-    def __post_init__(self) -> None:
-        if self.count < 0:
-            raise ValueError("Repeat count must be >= 0")
-
-
-@dataclass(frozen=True)
-class Sweep:
-    """Sweep region: compile the body once, rebind it per sweep point.
-
-    A :class:`Sweep` never changes the lowered phase-op structure — only
-    the bound rows/durations vary — which is what lets the executor
-    replay one compiled body across every point
-    (:meth:`repro.xir.executor.FusedRunner.run_sweep`).
-    """
-
-    body: tuple["Op", ...]
-
-
-Op = Union[WriteRow, WriteData, Frac, ReadRow, PrechargeAll, Leak, RowCopy,
-           Repeat, Sweep]
-
-#: Ops that lower directly to phase ops (no region structure).
+#: Every op a program may contain; each lowers directly to phase ops.
 PRIMITIVE_OPS = (WriteRow, WriteData, Frac, ReadRow, PrechargeAll, Leak,
                  RowCopy)
-
-
-def flatten(ops: Sequence[Op]) -> Iterator[Op]:
-    """Unroll :class:`Repeat`/:class:`Sweep` regions into primitive ops."""
-    for op in ops:
-        if isinstance(op, Repeat):
-            for _ in range(op.count):
-                yield from flatten(op.body)
-        elif isinstance(op, Sweep):
-            yield from flatten(op.body)
-        else:
-            yield op
 
 
 def signature(ops: Sequence[Op]) -> tuple:
@@ -163,4 +117,4 @@ def signature(ops: Sequence[Op]) -> tuple:
     return tuple(
         (type(op).__name__,) + tuple(
             getattr(op, name) for name in op.__dataclass_fields__)
-        for op in flatten(ops))
+        for op in ops)

@@ -18,10 +18,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..dram.batched import BatchedChip
 from ..errors import ConfigurationError
 from ..puf.batched_puf import BatchedFracPuf
-from ..puf.frac_puf import PUF_N_FRAC, Challenge
+from ..puf.frac_puf import Challenge
 from . import ir
 
 __all__ = ["FusedFracPuf"]
@@ -29,27 +28,6 @@ __all__ = ["FusedFracPuf"]
 
 class FusedFracPuf(BatchedFracPuf):
     """Challenge/response PUF with the fused evaluation pass."""
-
-    def __init__(self, device: BatchedChip, *,
-                 n_frac: int = PUF_N_FRAC) -> None:
-        super().__init__(device, n_frac=n_frac)
-        self._ops: tuple[ir.Op, ...] | None = None
-
-    def evaluate(self, challenge: Challenge) -> np.ndarray:
-        """Response bits for every lane, ``(n_lanes, response_bits)``."""
-        bank, row = challenge.bank, challenge.row
-        reserved = self._reserved_row(bank, row)
-        if self._ops is None or self._ops[0].bank != bank:
-            self._ops = (
-                ir.RowCopy(bank, "res", "row"),
-                ir.Frac(bank, "row", self.n_frac),
-                ir.ReadRow(bank, "row"),
-            )
-        n_lanes = self.n_lanes
-        (response,) = self.bfd.run_program(
-            self._ops,
-            rows={"res": [reserved] * n_lanes, "row": [row] * n_lanes})
-        return response
 
     def evaluate_many(self, challenges: list[Challenge]) -> np.ndarray:
         """Stacked responses, ``(n_lanes, len(challenges), response_bits)``.

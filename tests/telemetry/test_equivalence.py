@@ -8,8 +8,11 @@
 * a traced fig6 run replays exactly: per-command trace events agree with
   the counters, frac op accounting matches the ACT/PRE pair count, and
   the whole trace passes repro-trace/1 validation,
+* scalar and fused traces carry the same events of each kind,
 * two serial traced runs of the same seed are byte-identical.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -129,6 +132,52 @@ class TestFig6TraceReplay:
         declared = sum(event["n_commands"] for event in events
                        if event["kind"] == "sequence")
         assert declared == counters["controller.commands"]
+
+
+#: Event kinds the dram layer records (one per lane per physical event).
+PHYSICS_KINDS = ("sense", "frac_freeze", "glitch", "partial_amplify", "drop",
+                 "leak")
+
+
+def events_by_kind(path) -> dict[str, Counter]:
+    """Trace events as per-kind multisets, ``seq`` dropped.
+
+    The tracer writes keys sorted, so an event's ``repr`` is canonical.
+    """
+    out: dict[str, Counter] = {}
+    for event in read_trace(path):
+        del event["seq"]
+        out.setdefault(event["kind"], Counter())[repr(event)] += 1
+    return out
+
+
+class TestTraceEventEquivalence:
+    """The lane engine traces every event the scalar engine traces.
+
+    Event order differs (lanes advance in lock-step), so each kind is
+    compared as a multiset.  nist compares the physics kinds only: its
+    lanes are ``BatchedChip.from_subarray_views`` views, which trace
+    view-local bank/row addresses in ``sequence``/``command`` events
+    and start every lane at cycle 0.
+    """
+
+    @pytest.mark.parametrize("name, kinds", [
+        ("fig6", PHYSICS_KINDS + ("sequence", "command")),
+        ("fig8", PHYSICS_KINDS + ("sequence", "command")),
+        ("fig11", PHYSICS_KINDS + ("sequence", "command")),
+        ("nist", PHYSICS_KINDS),
+    ])
+    def test_events_match_scalar(self, tmp_path, name, kinds):
+        traced = {}
+        for backend in ("scalar", "fused"):
+            path = tmp_path / f"{backend}.jsonl"
+            with session(trace_path=path):
+                run_experiment(name, CONFIG.scaled(backend=backend))
+            traced[backend] = events_by_kind(path)
+        assert any(traced["scalar"].get(kind) for kind in kinds)
+        for kind in kinds:
+            assert (traced["fused"].get(kind, Counter())
+                    == traced["scalar"].get(kind, Counter())), kind
 
 
 class TestTraceByteIdentity:

@@ -11,7 +11,7 @@ from repro.dram.batched import BatchedChip
 from repro.dram.parameters import ElectricalParams, GeometryParams
 from repro.errors import AddressError, CommandSequenceError, ConfigurationError
 from repro.puf.frac_puf import Challenge
-from repro.xir import LoweringError, ir
+from repro.xir import XirLoweringError, ir
 from repro.xir.executor import FusedRunner
 from repro.xir.puf import FusedFracPuf
 
@@ -40,7 +40,7 @@ def test_non_uniform_sense_enable_is_refused():
                                sense_enable_cycles=5)
     device.groups = [device.groups[0],
                      dataclasses.replace(device.groups[1], electrical=slow)]
-    with pytest.raises(LoweringError, match="sense-enable"):
+    with pytest.raises(XirLoweringError, match="sense-enable"):
         FusedRunner(mc)
 
 
@@ -71,7 +71,7 @@ def test_row_copy_across_subarrays_is_refused():
     runner = make_runner()
     ops = (ir.WriteRow(0, "src", True), ir.RowCopy(0, "src", "dst"),
            ir.ReadRow(0, "dst"))
-    with pytest.raises(LoweringError, match="crosses sub-arrays"):
+    with pytest.raises(XirLoweringError, match="crosses sub-arrays"):
         runner.run(ops, rows={"src": [1, 1],
                               "dst": [GEOMETRY.rows_per_subarray] * 2})
 
