@@ -17,7 +17,7 @@ batched engine still pays per trial.  Two regimes are measured:
   deliver >= 10x over scalar and >= 2.5x over batched.
 * **fig6 end-to-end** — the retention experiment fabricates fresh
   devices and spends most of its wall inside the *shared* leak
-  machinery (PCG64 stream jumps) and an adaptively sequential bisection,
+  draws and an adaptively sequential bisection,
   none of which fusion can remove.  The honest expectation there is
   bounded: fused must beat scalar by >= 1.5x; the measured numbers are
   recorded, not inflated.

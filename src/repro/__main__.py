@@ -11,6 +11,8 @@ Subcommands:
 * ``assemble`` / ``disassemble`` — SoftMC program tooling,
 * ``validate-trace`` — check JSON-lines telemetry traces against the
   ``repro-trace/1`` schema,
+* ``trace-diff`` — compare two traces' events kind by kind, in any order
+  (exit 1 naming the kinds that differ),
 * ``lint`` — determinism & fork-safety static analysis over the source
   tree (see ``docs/linting.md``),
 * ``serve`` — run the PUF-authentication service over a JSON-lines TCP
@@ -102,6 +104,20 @@ def _cmd_validate_trace(arguments: argparse.Namespace) -> int:
     from .telemetry.schema import main as schema_main
 
     return schema_main(arguments.paths)
+
+
+def _cmd_trace_diff(arguments: argparse.Namespace) -> int:
+    from .telemetry import events_by_kind
+
+    a, b = events_by_kind(arguments.a), events_by_kind(arguments.b)
+    differ = sorted(kind for kind in a.keys() | b.keys()
+                    if a.get(kind) != b.get(kind))
+    if differ:
+        print(f"trace events differ in kinds: {', '.join(differ)}",
+              file=sys.stderr)
+        return 1
+    print(f"trace events match in all {len(a)} kinds")
+    return 0
 
 
 def _cmd_trng(arguments: argparse.Namespace) -> int:
@@ -398,6 +414,13 @@ def main(argv: list[str] | None = None) -> int:
         help="validate repro-trace/1 JSON-lines trace files")
     validate_trace.add_argument("paths", nargs="+", metavar="TRACE")
     validate_trace.set_defaults(handler=_cmd_validate_trace)
+
+    trace_diff = subparsers.add_parser(
+        "trace-diff",
+        help="compare two traces' events kind by kind, in any order")
+    trace_diff.add_argument("a", metavar="TRACE_A")
+    trace_diff.add_argument("b", metavar="TRACE_B")
+    trace_diff.set_defaults(handler=_cmd_trace_diff)
 
     # ``lint`` and ``run-program`` are dispatched above; registered here
     # so ``repro -h`` lists them alongside the other subcommands.

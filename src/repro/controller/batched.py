@@ -89,7 +89,7 @@ class BatchedSoftMC:
         plan = None
         if telemetry is not None:
             plan = plan_for(self.timing, sequence)
-            self._record_sequence(telemetry, sequence, lanes)
+            self._record_sequence(telemetry, sequence, lanes, lane_rows)
         reads: list[np.ndarray] = []
         base = self.cycles.copy()
         for index, timed in enumerate(sequence):
@@ -133,7 +133,8 @@ class BatchedSoftMC:
         self.device.finish(lanes, self.cycles)
 
     def _record_sequence(self, telemetry, sequence: CommandSequence,
-                         lanes: SequenceType[int]) -> None:
+                         lanes: SequenceType[int],
+                         lane_rows: dict[int, SequenceType[int]]) -> None:
         n_lanes = len(lanes)
         telemetry.count("controller.sequences", n_lanes)
         if sequence.op:
@@ -142,9 +143,23 @@ class BatchedSoftMC:
                 # One Frac operation per ACT/PRE pair, per lane.
                 telemetry.count("controller.frac_ops",
                                 (len(sequence) // 2) * n_lanes)
-        for lane in lanes:
+        if telemetry.tracer is None:
+            return
+        labels = [sequence.label] * n_lanes
+        if lane_rows and sequence.op:
+            # The template names the first lane's rows; label every lane
+            # from the rows it activates.
+            acts = [(index, timed.command)
+                    for index, timed in enumerate(sequence)
+                    if isinstance(timed.command, Activate)]
+            activated = zip(*(lane_rows.get(index, [act.row] * n_lanes)
+                              for index, act in acts))
+            labels = [seq.sequence_label(sequence.op, acts[0][1].bank,
+                                         [int(row) for row in rows])
+                      for rows in activated]
+        for lane, label in zip(lanes, labels):
             telemetry.emit("sequence", {
-                "label": sequence.label,
+                "label": label,
                 "op": sequence.op,
                 "start_cycle": int(self.cycles[lane]),
                 "duration": sequence.duration,
@@ -196,7 +211,7 @@ class BatchedSoftMC:
                 TimedCommand(timing.t_ras, Precharge(bank)),
             ),
             timing.row_cycle,
-            label=f"write-row b{bank} r{row0}",
+            label=seq.sequence_label("write-row", bank, (row0,)),
             op="write-row",
         )
         self.run(template, lanes, lane_rows={0: rows, 1: rows},

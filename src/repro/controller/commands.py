@@ -183,14 +183,6 @@ class CommandSequence:
             op=self.op if self.op == other.op else "",
         )
 
-    def command_counts(self) -> dict[str, int]:
-        """Commands per bus-mnemonic family ({"ACT": 2, "PRE": 2, ...})."""
-        counts: dict[str, int] = {}
-        for timed in self.commands:
-            kind = timed.command.KIND
-            counts[kind] = counts.get(kind, 0) + 1
-        return counts
-
     def describe(self) -> str:
         """Human-readable one-line-per-command trace."""
         lines = [f"# {self.label or 'sequence'} ({self.duration} cycles)"]

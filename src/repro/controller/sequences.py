@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import Sequence as SequenceType
 
-
 from ..dram.parameters import ElectricalParams, TimingParams
 from .commands import (
     Activate,
@@ -40,6 +39,7 @@ __all__ = [
     "multi_row_sequence",
     "half_m_sequence",
     "row_copy_sequence",
+    "sequence_label",
     "FRAC_OP_CYCLES",
     "ROW_COPY_CYCLES",
 ]
@@ -49,6 +49,22 @@ FRAC_OP_CYCLES: int = 7
 
 #: Latency of one in-DRAM row copy (Section VI-A.1).
 ROW_COPY_CYCLES: int = 18
+
+
+def sequence_label(op: str, bank: int | None,
+                   activated: SequenceType[int]) -> str:
+    """The ``label`` of a paper sequence, from its op, its bank and the
+    rows it activates in issue order (a Frac ladder activates its row
+    once per Frac)."""
+    if op == "precharge-all":
+        return op
+    if op == "frac":
+        return f"frac x{len(activated)} b{bank} r{activated[0]}"
+    if op == "row-copy":
+        return f"row-copy b{bank} {activated[0]}->{activated[1]}"
+    if op in ("multi-row-act", "half-m"):
+        return f"{op} b{bank} ({activated[0]},{activated[1]})"
+    return f"{op} b{bank} r{activated[0]}"
 
 
 def precharge_all_sequence(timing: TimingParams | None = None) -> CommandSequence:
@@ -70,7 +86,7 @@ def write_row_sequence(bank: int, row: int, bits: SequenceType[bool],
             TimedCommand(timing.t_ras, Precharge(bank)),
         ),
         timing.row_cycle,
-        label=f"write-row b{bank} r{row}",
+        label=sequence_label("write-row", bank, (row,)),
         op="write-row",
     )
 
@@ -87,7 +103,7 @@ def read_row_sequence(bank: int, row: int,
             TimedCommand(timing.t_ras, Precharge(bank)),
         ),
         timing.row_cycle,
-        label=f"read-row b{bank} r{row}",
+        label=sequence_label("read-row", bank, (row,)),
         op="read-row",
     )
 
@@ -102,7 +118,7 @@ def refresh_row_sequence(bank: int, row: int,
             TimedCommand(timing.t_ras, Precharge(bank)),
         ),
         timing.row_cycle,
-        label=f"refresh b{bank} r{row}",
+        label=sequence_label("refresh", bank, (row,)),
         op="refresh",
     )
 
@@ -126,7 +142,7 @@ def frac_sequence(bank: int, row: int, n_frac: int = 1,
         commands.append(TimedCommand(start + 1, Precharge(bank)))
     return CommandSequence(
         tuple(commands), n_frac * FRAC_OP_CYCLES,
-        label=f"frac x{n_frac} b{bank} r{row}", op="frac")
+        label=sequence_label("frac", bank, (row,) * n_frac), op="frac")
 
 
 def multi_row_sequence(bank: int, r1: int, r2: int,
@@ -152,7 +168,7 @@ def multi_row_sequence(bank: int, r1: int, r2: int,
             TimedCommand(settle_at, Precharge(bank)),
         ),
         settle_at + timing.t_rp,
-        label=f"multi-row-act b{bank} ({r1},{r2})",
+        label=sequence_label("multi-row-act", bank, (r1, r2)),
         op="multi-row-act",
     )
 
@@ -174,7 +190,7 @@ def half_m_sequence(bank: int, r1: int, r2: int,
             TimedCommand(4, Precharge(bank)),
         ),
         4 + timing.t_rp,
-        label=f"half-m b{bank} ({r1},{r2})",
+        label=sequence_label("half-m", bank, (r1, r2)),
         op="half-m",
     )
 
@@ -202,6 +218,6 @@ def row_copy_sequence(bank: int, src: int, dst: int,
             TimedCommand(final_pre_at, Precharge(bank)),
         ),
         final_pre_at + timing.t_rp + 1,
-        label=f"row-copy b{bank} {src}->{dst}",
+        label=sequence_label("row-copy", bank, (src, dst)),
         op="row-copy",
     )

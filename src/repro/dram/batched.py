@@ -72,7 +72,6 @@ from .chip import MIN_COMMAND_SPACING_CYCLES, DramChip
 from .decoder import resolve_glitch
 from .environment import Environment
 from .parameters import GeometryParams
-from .pcg_jump import JumpGroup, UniformBlockJump
 from .polarity import is_anti_row
 from .subarray import (
     _AMP_DIFFERENTIAL_SCALE,
@@ -156,13 +155,6 @@ class BatchedSubArray:
         self._vrt_idx = [np.nonzero(donor.vrt_mask) for donor in donors]
         self._vrt_tau = [self.tau_s[lane][idx]
                          for lane, idx in enumerate(self._vrt_idx)]
-        # Leak jump tables: the scalar engine draws a full (R, C) uniform
-        # block per leak event but only reads the VRT positions, so each
-        # lane gets a PCG64 jump that predicts exactly those positions
-        # and skips the stream past the block (bit-identical either way).
-        # Built lazily on the first leak — experiments that never advance
-        # retention time (e.g. the PUF sweeps) skip the setup entirely.
-        self._vrt_jump: list[UniformBlockJump | None] = [None] * self.n_lanes
         self._leak_ctx_cache: dict[tuple[int, ...], tuple] = {}
         self._noise_sigma = [
             env.read_noise_scale(donor.variation.read_noise_sigma,
@@ -369,7 +361,8 @@ class BatchedSubArray:
         if dt_s == 0:
             return
         base = self._leak_base(dt_s)
-        # Per-lane VRT draws, same shape/order as the scalar engine; the
+        # Each VRT lane draws its full (R, C) uniform block with the scalar
+        # engine's own call and keeps the VRT positions; the
         # expensive transcendental (one exp over every VRT cell of every
         # lane) runs once, concatenated — gather -> elementwise ->
         # scatter is bitwise identical to the scalar full-array version
@@ -378,16 +371,13 @@ class BatchedSubArray:
         corrected = None
         flat_cells = self.cell_v.reshape(-1)
         if vrt_lanes:
-            group, tau_cat, span_cat, acc_cat, flat_idx = (
+            tau_cat, span_cat, acc_cat, flat_idx = (
                 self._leak_ctx(tuple(vrt_lanes)))
-            picked = group.values_flat(
-                [self._noises[lane].rng.bit_generator for lane in vrt_lanes])
-            if picked is None:  # non-PCG64 stream: fall back to real draws
-                picked = np.concatenate([
-                    self._noises[lane].rng.uniform(
-                        -1.0, 1.0, size=(self.n_rows, self.n_cols)
-                    )[self._vrt_idx[lane]]
-                    for lane in vrt_lanes])
+            picked = np.concatenate([
+                self._noises[lane].rng.uniform(
+                    -1.0, 1.0, size=(self.n_rows, self.n_cols)
+                )[self._vrt_idx[lane]]
+                for lane in vrt_lanes])
             tau = tau_cat * span_cat ** picked
             corrected = flat_cells[flat_idx] * np.exp(((-dt_s) * acc_cat) / tau)
         if len(lanes) == self.n_lanes:
@@ -406,19 +396,8 @@ class BatchedSubArray:
         if vrt_lanes:
             flat_cells[flat_idx] = corrected
 
-    def _lane_jump(self, lane: int) -> UniformBlockJump | None:
-        """The lane's (lazily built) VRT leak jump table."""
-        jump = self._vrt_jump[lane]
-        if jump is None and self._vrt_any[lane]:
-            jump = UniformBlockJump(
-                np.ravel_multi_index(self._vrt_idx[lane],
-                                     (self.n_rows, self.n_cols)),
-                self.n_rows * self.n_cols)
-            self._vrt_jump[lane] = jump
-        return jump
-
     def _leak_ctx(self, key: tuple[int, ...]):
-        """Cached per-lane-set leak context: jump group + flattened params.
+        """Cached per-lane-set leak context: flattened VRT params and indices.
 
         Concatenating the per-lane VRT tau / span / acceleration vectors
         once per lane set turns the per-leak work into a handful of flat
@@ -429,7 +408,6 @@ class BatchedSubArray:
             counts = [self._vrt_tau[lane].size for lane in key]
             block = self.n_rows * self.n_cols
             ctx = (
-                JumpGroup([self._lane_jump(lane) for lane in key]),
                 np.concatenate([self._vrt_tau[lane] for lane in key]),
                 np.repeat(np.array([self._vrt_span[lane] for lane in key]),
                           counts),

@@ -186,13 +186,3 @@ class GeometryParams:
     def scaled(self, **overrides: int) -> "GeometryParams":
         """Return a copy with some dimensions overridden."""
         return replace(self, **overrides)
-
-
-def default_electrical() -> ElectricalParams:
-    """The calibrated default electrical model."""
-    return ElectricalParams()
-
-
-def default_timing() -> TimingParams:
-    """JEDEC DDR3 defaults at the SoftMC bus rate."""
-    return TimingParams()

@@ -22,7 +22,6 @@ perturbs existing streams (no ordering coupling between consumers).
 from __future__ import annotations
 
 import hashlib
-from typing import Iterable
 
 import numpy as np
 
@@ -110,8 +109,3 @@ class NoiseSource:
         if self._epoch:
             child.reseed(self._epoch)
         return child
-
-
-def interleave_identity(keys: Iterable[object]) -> tuple[object, ...]:
-    """Normalize an identity key path to a hashable tuple (helper)."""
-    return tuple(keys)

@@ -192,10 +192,6 @@ class SubArray:
         """Analog cell voltage (Vdd units) — simulator-only introspection."""
         return float(self.cell_v[row, col])
 
-    def probe_bitline(self, col: int) -> float:
-        """Analog bit-line voltage (Vdd units) — simulator-only introspection."""
-        return float(self.bitline_v[col])
-
     @property
     def is_idle(self) -> bool:
         """True when no rows are open and no precharge is in flight."""

@@ -27,7 +27,7 @@ from pathlib import Path
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .callgraph import Project
-from .model import Finding, ModuleContext, Severity, module_name_for_path
+from .model import Finding, ModuleContext, module_name_for_path
 from .rules import Rule, rules_for_codes
 from .summary import ModuleSummary, extract_summary
 
@@ -46,11 +46,6 @@ class LintReport:
     #: ``(path, message)`` for files that failed to parse.
     parse_errors: List[Tuple[str, str]] = field(default_factory=list)
     files_checked: int = 0
-
-    @property
-    def error_count(self) -> int:
-        return sum(1 for f in self.findings
-                   if f.severity is Severity.ERROR)
 
 
 def iter_python_files(paths: Sequence[Path]) -> Iterator[Path]:

@@ -8,7 +8,6 @@ instead of Python-level bit lists — fast enough to process hundreds of
 
 from __future__ import annotations
 
-
 import numpy as np
 
 from .common import TestResult, as_bits, igamc, not_applicable
@@ -22,31 +21,23 @@ _PI = (0.010417, 0.03125, 0.125, 0.5, 0.25, 0.0625, 0.020833)
 def berlekamp_massey(bits: np.ndarray) -> int:
     """Linear complexity (shortest LFSR length) of a 0/1 sequence.
 
-    The connection polynomials live in NumPy uint8 vectors so both the
-    discrepancy (a dot product) and the polynomial update (a shifted XOR)
-    are vectorized.
+    Bit ``j`` of ``c`` (and ``b``) is the connection coefficient of
+    ``x**j``; bit ``j - 1`` of ``window`` is ``s[i - j]``, so the
+    discrepancy ``s[i] + sum_{j>=1} c_j * s[i-j]`` is a masked popcount.
     """
-    s = np.asarray(bits, dtype=np.uint8).reshape(-1)
-    n = s.size
-    c = np.zeros(n + 1, dtype=np.uint8)
-    b = np.zeros(n + 1, dtype=np.uint8)
-    c[0] = b[0] = 1
+    c = b = 1
+    window = 0
     length = 0
     m = -1
-    for i in range(n):
-        # Discrepancy: s[i] + sum_{j=1..L} c_j * s[i-j]  (mod 2).
-        if length:
-            discrepancy = (int(s[i]) + int(c[1:length + 1] @ s[i - length:i][::-1])) & 1
-        else:
-            discrepancy = int(s[i])
-        if discrepancy:
-            previous_c = c.copy()
-            shift = i - m
-            c[shift:] ^= b[: n + 1 - shift]
+    for i, bit in enumerate(np.asarray(bits, dtype=np.uint8).ravel().tolist()):
+        if (bit + ((c >> 1) & window).bit_count()) & 1:
+            previous_c = c
+            c ^= b << (i - m)
             if 2 * length <= i:
                 length = i + 1 - length
                 m = i
                 b = previous_c
+        window = (window << 1) | bit
     return length
 
 

@@ -41,15 +41,6 @@ _LONGEST_RUN_TABLES: dict[int, tuple[int, tuple[int, int], tuple[float, ...]]] =
 }
 
 
-def _longest_run_of_ones(block: np.ndarray) -> int:
-    longest = current = 0
-    for bit in block:
-        current = current + 1 if bit else 0
-        if current > longest:
-            longest = current
-    return longest
-
-
 def longest_run_test(sequence) -> TestResult:
     """Longest run of ones in a block (section 2.4).
 

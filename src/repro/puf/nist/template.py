@@ -35,15 +35,6 @@ def aperiodic_templates(m: int = 9) -> tuple[tuple[int, ...], ...]:
     return tuple(templates)
 
 
-def _match_positions(block: np.ndarray, template: np.ndarray) -> np.ndarray:
-    """Boolean vector: template match starting at each position."""
-    m = template.size
-    if block.size < m:
-        return np.zeros(0, dtype=bool)
-    windows = np.lib.stride_tricks.sliding_window_view(block, m)
-    return np.all(windows == template, axis=1)
-
-
 def _block_matches(blocks: np.ndarray, template: np.ndarray) -> np.ndarray:
     """Per-block boolean match matrix, one sliding-window pass for all
     blocks at once."""

@@ -12,6 +12,9 @@ Three pieces, one activation switch:
 * :mod:`repro.telemetry.schema` — the ``repro-trace/1`` event schema and
   a strict validator (also ``python -m repro validate-trace``).
 
+Two traces of one run on different engines are compared kind by kind
+with :func:`events_by_kind` (also ``python -m repro trace-diff``).
+
 Quickstart::
 
     from repro.telemetry import session
@@ -45,7 +48,7 @@ from .schema import (
     validate_trace,
     validate_trace_file,
 )
-from .tracer import SCHEMA_VERSION, TraceWriter, read_trace
+from .tracer import SCHEMA_VERSION, TraceWriter, events_by_kind, read_trace
 
 __all__ = [
     "Counter",
@@ -60,6 +63,7 @@ __all__ = [
     "activate",
     "active",
     "deactivate",
+    "events_by_kind",
     "read_trace",
     "session",
     "validate_event",

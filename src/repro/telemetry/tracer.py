@@ -19,10 +19,11 @@ The format is documented in ``docs/telemetry.md`` and validated by
 from __future__ import annotations
 
 import json
+from collections import Counter
 from pathlib import Path
 from typing import Any, Mapping
 
-__all__ = ["SCHEMA_VERSION", "TraceWriter", "read_trace"]
+__all__ = ["SCHEMA_VERSION", "TraceWriter", "events_by_kind", "read_trace"]
 
 #: Bumped whenever an event kind or field changes incompatibly.
 SCHEMA_VERSION = "repro-trace/1"
@@ -38,11 +39,6 @@ class TraceWriter:
         self._seq = 0
         self._closed = False
         self._write({"kind": "trace_start", "schema": SCHEMA_VERSION})
-
-    @property
-    def n_events(self) -> int:
-        """Events written so far (header and footer included)."""
-        return self._seq
 
     def _write(self, event: dict[str, Any]) -> None:
         event["seq"] = self._seq
@@ -87,3 +83,17 @@ def read_trace(path: str | Path) -> list[dict[str, Any]]:
                 ) from error
             events.append(event)
     return events
+
+
+def events_by_kind(path: str | Path) -> dict[str, Counter]:
+    """A trace's events as per-kind multisets, ``seq`` dropped.
+
+    The writer sorts keys, so an event's ``repr`` is canonical: two
+    traces hold the same events of a kind, in any order, exactly when
+    their multisets for that kind are equal.
+    """
+    out: dict[str, Counter] = {}
+    for event in read_trace(path):
+        del event["seq"]
+        out.setdefault(event["kind"], Counter())[repr(event)] += 1
+    return out

@@ -23,7 +23,7 @@ here once per program *shape*:
 * **Draw regions** — the RNG consumption schedule (charge-share jitter,
   sense noise), split at :class:`~repro.xir.ir.Leak` boundaries so the
   executor can pre-draw each region in one merged ``normal`` call per
-  lane without reordering any stream relative to the leak jumps.
+  lane without reordering any stream relative to the leak draws.
 
 Programs whose physics the fused kernels cannot reproduce exactly
 (multi-row activations, partial amplification, unsensed glitches,
@@ -216,7 +216,7 @@ def _template(op: ir.Op, timing: TimingParams,
                 TimedCommand(timing.t_ras, Precharge(op.bank)),
             ),
             timing.row_cycle,
-            label=f"write-row b{op.bank} r0",
+            label=seq.sequence_label("write-row", op.bank, (0,)),
             op="write-row",
         )
         return template, {0: op.rows, 1: op.rows}

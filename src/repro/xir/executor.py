@@ -45,6 +45,7 @@ from typing import Sequence
 import numpy as np
 
 from ..controller.batched import BatchedSoftMC
+from ..controller.sequences import sequence_label
 from ..dram.decoder import resolve_glitch
 from ..errors import AddressError, CommandSequenceError
 from ..telemetry.registry import active as _telemetry_active
@@ -485,17 +486,12 @@ class FusedRunner:
         return cached
 
     def _label(self, prim: PrimSpec, class_logical, index: int) -> str:
-        """The ``sequence`` label of class lane ``index``, from its rows."""
-        if prim.op == "precharge-all":
-            return "precharge-all"
-        if prim.op == "row-copy":
-            return (f"row-copy b{prim.bank} "
-                    f"{class_logical[prim.src_param][index]}"
-                    f"->{class_logical[prim.dst_param][index]}")
-        row = class_logical[prim.rows_param][index]
-        if prim.op == "frac":
-            return f"frac x{prim.n_frac} b{prim.bank} r{row}"
-        return f"{prim.op} b{prim.bank} r{row}"
+        """The ``sequence`` label of class lane ``index``, from the rows
+        its commands activate."""
+        return sequence_label(prim.op, prim.bank, [
+            class_logical[action[1].row_param][index]
+            for action in prim.actions
+            if action[0] == "cmd" and action[1].kind == "ACT"])
 
     def _run_class(self, program: CompiledProgram, class_lanes: list[int],
                    class_pos: list[int], rows, dts, planes, out):

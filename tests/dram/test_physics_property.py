@@ -280,9 +280,10 @@ class TestBatchedKernelEquality:
 
     @given(batch_cases(), st.floats(0.001, 3600.0),
            st.floats(0.0, 1.0).flatmap(
-               lambda fraction: st.just(round(fraction, 3))))
+               lambda fraction: st.just(round(fraction, 3))),
+           st.data())
     @settings(deadline=None, max_examples=25)
-    def test_leak_matches_scalar_loop(self, case, dt, vrt_fraction):
+    def test_leak_matches_scalar_loop(self, case, dt, vrt_fraction, data):
         n_rows, n_cols, seeds, rows, volts = case
         variation = VariationParams(vrt_cell_fraction=vrt_fraction)
         scalars, batched = _make_pair(n_rows, n_cols, seeds, variation)
@@ -298,12 +299,23 @@ class TestBatchedKernelEquality:
             scalar.write_open_row(bits[lane])
             scalar.precharge(21, ENV)
             scalar.finish(21 + CLOSE_ABORT_WINDOW, ENV)
-            scalar.leak(dt, ENV)
         batched.activate(lanes, rows, _cycles(batched, 0))
         batched.settle(lanes, _cycles(batched, 20))
         batched.write_open_row(lanes, bits)
         batched.precharge(lanes, _cycles(batched, 21))
         batched.finish(lanes, _cycles(batched, 21 + CLOSE_ABORT_WINDOW))
-        batched.leak(lanes, dt)
-        for lane, scalar in enumerate(scalars):
-            assert np.array_equal(scalar.cell_v, batched.cell_v[lane])
+        # The second leak covers a drawn subset of lanes in drawn order,
+        # so the cached per-lane-set leak context is keyed twice.
+        subset = data.draw(st.lists(st.sampled_from(lanes), min_size=1,
+                                    unique=True), label="subset")
+        second_dt = data.draw(st.floats(0.001, 3600.0), label="second_dt")
+        for leak_lanes, leak_dt in ((lanes, dt), (subset, second_dt)):
+            for lane in leak_lanes:
+                scalars[lane].leak(leak_dt, ENV)
+            batched.leak(leak_lanes, leak_dt)
+            # Equal voltages alone would pass a lane that drew the wrong
+            # block size; equal stream states pin what each lane consumed.
+            for lane, scalar in enumerate(scalars):
+                assert np.array_equal(scalar.cell_v, batched.cell_v[lane])
+                assert (scalar._noise.rng.bit_generator.state
+                        == batched._noises[lane].rng.bit_generator.state)

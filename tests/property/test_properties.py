@@ -145,7 +145,39 @@ class TestGf2RankProperties:
         assert gf2_rank(duplicated) == gf2_rank(matrix)
 
 
+def _berlekamp_massey_oracle(bits: np.ndarray) -> int:
+    """The earlier NumPy-vector Berlekamp-Massey, kept as a reference."""
+    s = np.asarray(bits, dtype=np.uint8).reshape(-1)
+    n = s.size
+    c = np.zeros(n + 1, dtype=np.uint8)
+    b = np.zeros(n + 1, dtype=np.uint8)
+    c[0] = b[0] = 1
+    length = 0
+    m = -1
+    for i in range(n):
+        if length:
+            discrepancy = (int(s[i])
+                           + int(c[1:length + 1] @ s[i - length:i][::-1])) & 1
+        else:
+            discrepancy = int(s[i])
+        if discrepancy:
+            previous_c = c.copy()
+            shift = i - m
+            c[shift:] ^= b[: n + 1 - shift]
+            if 2 * length <= i:
+                length = i + 1 - length
+                m = i
+                b = previous_c
+    return length
+
+
 class TestBerlekampMasseyProperties:
+    @settings(deadline=None)
+    @given(npst.arrays(dtype=np.uint8, shape=st.integers(0, 700),
+                       elements=st.integers(0, 1)))
+    def test_equals_the_vector_oracle(self, bits):
+        assert berlekamp_massey(bits) == _berlekamp_massey_oracle(bits)
+
     @settings(deadline=None)
     @given(npst.arrays(dtype=np.uint8, shape=st.integers(1, 64),
                        elements=st.integers(0, 1)))

@@ -16,12 +16,18 @@ from collections import Counter
 
 import pytest
 
+from repro.controller.batched import BatchedSoftMC
+from repro.controller.softmc import SoftMC
+from repro.dram.batched import BatchedChip
+from repro.dram.chip import DramChip
+from repro.dram.parameters import GeometryParams
 from repro.experiments import ExperimentConfig
 from repro.experiments.runner import run_experiment
 from repro.telemetry import (
     Telemetry,
     activate,
     deactivate,
+    events_by_kind,
     read_trace,
     session,
     validate_trace,
@@ -139,18 +145,6 @@ PHYSICS_KINDS = ("sense", "frac_freeze", "glitch", "partial_amplify", "drop",
                  "leak")
 
 
-def events_by_kind(path) -> dict[str, Counter]:
-    """Trace events as per-kind multisets, ``seq`` dropped.
-
-    The tracer writes keys sorted, so an event's ``repr`` is canonical.
-    """
-    out: dict[str, Counter] = {}
-    for event in read_trace(path):
-        del event["seq"]
-        out.setdefault(event["kind"], Counter())[repr(event)] += 1
-    return out
-
-
 class TestTraceEventEquivalence:
     """The lane engine traces every event the scalar engine traces.
 
@@ -178,6 +172,41 @@ class TestTraceEventEquivalence:
         for kind in kinds:
             assert (traced["fused"].get(kind, Counter())
                     == traced["scalar"].get(kind, Counter())), kind
+
+    def test_per_command_lanes_label_their_own_rows(self, tmp_path):
+        """Lanes with distinct rows trace the labels scalar chips trace."""
+        geometry = GeometryParams(n_banks=2, subarrays_per_bank=2,
+                                  rows_per_subarray=16, columns=64)
+        specs = [("B", 0), ("B", 1)]
+        fill, frac, src, dst = [1, 5], [2, 7], [3, 8], [4, 10]
+        traced = {}
+        path = tmp_path / "scalar.jsonl"
+        with session(trace_path=path):
+            for lane, (group, serial) in enumerate(specs):
+                mc = SoftMC(DramChip(group, geometry=geometry, serial=serial,
+                                     master_seed=7))
+                mc.fill_row(0, fill[lane], True)
+                mc.frac(0, frac[lane], 3)
+                mc.row_copy(0, src[lane], dst[lane])
+                mc.multi_row_activate(0, src[lane], dst[lane])
+        traced["scalar"] = events_by_kind(path)
+        path = tmp_path / "lanes.jsonl"
+        with session(trace_path=path):
+            mc = BatchedSoftMC(BatchedChip.from_fleet(
+                specs, geometry=geometry, master_seed=7))
+            mc.fill_row(0, fill, True, [0, 1])
+            mc.frac(0, frac, 3, [0, 1])
+            mc.row_copy(0, src, dst, [0, 1])
+            mc.multi_row_activate(0, src, dst, [0, 1])
+        traced["lanes"] = events_by_kind(path)
+        labels = sorted(event["label"] for event in read_trace(path)
+                        if event["kind"] == "sequence")
+        assert labels == ["frac x3 b0 r2", "frac x3 b0 r7",
+                          "multi-row-act b0 (3,4)", "multi-row-act b0 (8,10)",
+                          "row-copy b0 3->4", "row-copy b0 8->10",
+                          "write-row b0 r1", "write-row b0 r5"]
+        for kind in ("sequence", "command"):
+            assert traced["lanes"][kind] == traced["scalar"][kind], kind
 
 
 class TestTraceByteIdentity:

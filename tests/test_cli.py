@@ -3,6 +3,7 @@
 import pytest
 
 from repro.__main__ import main
+from repro.telemetry import TraceWriter
 
 
 class TestCli:
@@ -84,3 +85,22 @@ class TestTelemetryCli:
         bad.write_text('{"kind":"nope","seq":0}\n')
         assert main(["validate-trace", str(bad)]) == 1
         assert "INVALID" in capsys.readouterr().err
+
+    def test_trace_diff_compares_kinds_in_any_order(self, tmp_path, capsys):
+        def write(name, events):
+            with TraceWriter(tmp_path / name) as writer:
+                for kind, fields in events:
+                    writer.emit(kind, fields)
+            return str(tmp_path / name)
+
+        act1, act5, act6 = (("command", {"cmd": "ACT", "row": row})
+                            for row in (1, 5, 6))
+        label = ("sequence", {"label": "frac x1 b0 r1"})
+        base = write("a.jsonl", [act1, act5, label])
+        reordered = write("b.jsonl", [label, act5, act1])
+        moved = write("c.jsonl", [act1, act6, label])
+        assert main(["trace-diff", base, reordered]) == 0
+        assert "match in all 4 kinds" in capsys.readouterr().out
+        assert main(["trace-diff", base, moved]) == 1
+        assert capsys.readouterr().err.strip() == (
+            "trace events differ in kinds: command")
