@@ -26,6 +26,7 @@ from scipy import optimize
 from scipy.stats import norm
 
 from ..core.ops import FracDram
+from ..xir import ir
 
 __all__ = [
     "ThresholdEstimate",
@@ -193,32 +194,49 @@ def batched_probe_opened_rows(bfd, bank: int, r1: int, r2: int,
     """:func:`probe_opened_rows` across the lanes of a device batch.
 
     ``bfd`` is a :class:`~repro.core.batched_ops.BatchedFracDram`;
-    ``rngs`` holds one pattern generator per entry of ``lanes``, each
-    consuming draws in exactly the scalar order (shared pattern first,
-    then one per non-R1/R2 row in row order, per repeat), so a lane's
-    result is byte-identical to the scalar probe on its chip.
+    ``rngs`` holds one pattern generator per entry of ``lanes``.  Each
+    repeat draws its patterns before touching the device, per generator
+    in exactly the scalar order (shared pattern first, then one per
+    non-R1/R2 row in row order), so a lane's result is byte-identical to
+    the scalar probe on its chip.
+
+    The in-spec phases run as compiled :mod:`repro.xir` programs: one
+    ``WriteData`` per sub-array row stores the patterns, and one
+    ``ReadRow`` per non-pair row reads them back.  Only the
+    ``ACT(R1)-PRE-ACT(R2)`` glitch between them runs per command (the
+    compiler refuses to lower it).  Parameters are named by position,
+    not by row, so every pair of a scan replays the same two programs.
     """
     rows_per_subarray = int(bfd.device.geometry.rows_per_subarray)
     base = (r1 // rows_per_subarray) * rows_per_subarray
     local_rows = range(base, base + rows_per_subarray)
     other = [row for row in local_rows if row not in (r1, r2)]
     n = len(lanes)
-    changed = {row: np.zeros(n) for row in other}
+    write_ops = tuple(ir.WriteData(bank, f"w{index}")
+                      for index in range(len(local_rows)))
+    write_rows = {f"w{index}": [row] * n
+                  for index, row in enumerate(local_rows)}
+    read_ops = tuple(ir.ReadRow(bank, f"r{index}")
+                     for index in range(len(other)))
+    read_rows = {f"r{index}": [row] * n for index, row in enumerate(other)}
+    changed = np.zeros((len(other), n))
     for _ in range(repeats):
-        shared = np.stack([rng.random(bfd.columns) < 0.5 for rng in rngs])
-        contents: dict[int, np.ndarray] = {}
-        for row in local_rows:
-            contents[row] = (shared if row in (r1, r2) else np.stack(
-                [rng.random(bfd.columns) < 0.5 for rng in rngs]))
-            bfd.write_row(bank, [row] * n, contents[row], lanes)
+        # (1 + len(other), n, C): the shared pattern, then the other rows.
+        patterns = np.stack(
+            [rng.random((1 + len(other), bfd.columns)) < 0.5
+             for rng in rngs], axis=1)
+        contents = dict(zip(other, patterns[1:]))
+        data = {f"w{index}": (patterns[0] if row in (r1, r2)
+                              else contents[row])
+                for index, row in enumerate(local_rows)}
+        bfd.run_program(write_ops, rows=write_rows, lanes=lanes, data=data)
         bfd.mc.multi_row_activate(bank, [r1] * n, [r2] * n, lanes)
-        for row in other:
-            readback = bfd.read_row(bank, [row] * n, lanes)
-            changed[row] += np.mean(readback != contents[row],
-                                    axis=1) / repeats
+        readback = bfd.run_program(read_ops, rows=read_rows, lanes=lanes)
+        changed += np.mean(np.stack(readback) != patterns[1:],
+                           axis=2) / repeats
     return [
-        (r1, r2, *(row for row in other
-                   if changed[row][index] > changed_threshold))
+        (r1, r2, *(row for slot, row in enumerate(other)
+                   if changed[slot, index] > changed_threshold))
         for index in range(n)]
 
 

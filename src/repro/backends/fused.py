@@ -10,7 +10,9 @@ loop would accumulate them.
 
 Experiments run at :meth:`FusedBackend.lane_width` on the lane drivers,
 whose hot loops in :data:`repro.xir.XIR_LOWERED_EXPERIMENTS` replay
-compiled :mod:`repro.xir` programs.  The conformance suite
+compiled :mod:`repro.xir` programs; only fig8 and the multi-row
+activation glitch between programs still run per command.  The
+conformance suite
 (``tests/backends``) holds ``fused`` byte-identical to the scalar
 reference, results and telemetry counters, serially and under fleet
 workers.

@@ -22,6 +22,7 @@ from typing import Literal
 import numpy as np
 
 from ..errors import ConfigurationError
+from ..xir import ir
 from .ops import FracDram, MultiRowPlan
 
 __all__ = ["MajVerifyResult", "verify_frac_by_maj3",
@@ -130,6 +131,12 @@ def batched_verify_frac_by_maj3(
     mixed :meth:`~repro.dram.batched.BatchedChip.from_fleet` cohort,
     whose groups resolve different multi-row plans.  The result list is
     ordered like ``lanes`` (default: all lanes in order).
+
+    Each pass runs its in-spec phases as compiled :mod:`repro.xir`
+    programs: one prepares the fractional rows (write, then the Frac
+    ladder when ``n_frac > 0``) and then the carrier, and one reads the
+    result row.  Only the three-row activation between them runs per
+    command (the compiler refuses to lower its decoder glitch).
     """
     r1, r2, r3 = plan.opened
     if frac_rows == "R1R2":
@@ -147,26 +154,30 @@ def batched_verify_frac_by_maj3(
         if not lanes:
             return []
     bank = plan.bank
-    ones = np.ones(bfd.columns, dtype=bool)
 
     def uniform(row: int) -> list[int]:
         return [int(row)] * len(lanes)
 
-    def prepare() -> None:
-        for row in fractional:
-            bfd.fill_row(bank, uniform(row), init_ones, lanes)
-            if n_frac > 0:
-                bfd.frac(bank, uniform(row), n_frac, lanes)
+    rows = {"carrier": uniform(carrier), "result": uniform(plan.opened[0])}
+    prepare: tuple[ir.Op, ...] = ()
+    for slot, row in enumerate(fractional):
+        param = f"frac{slot}"
+        rows[param] = uniform(row)
+        prepare += (ir.WriteRow(bank, param, init_ones),)
+        if n_frac > 0:
+            prepare += (ir.Frac(bank, param, n_frac),)
 
-    prepare()
-    bfd.write_row(bank, uniform(carrier), ones, lanes)
-    bfd.multi_row_activate(plan, lanes)
-    x1 = bfd.read_row(bank, uniform(plan.opened[0]), lanes)
+    def maj3_pass(carrier_ones: bool) -> np.ndarray:
+        bfd.run_program(
+            prepare + (ir.WriteRow(bank, "carrier", carrier_ones),),
+            rows=rows, lanes=lanes)
+        bfd.multi_row_activate(plan, lanes)
+        (read,) = bfd.run_program((ir.ReadRow(bank, "result"),),
+                                  rows=rows, lanes=lanes)
+        return read
 
-    prepare()
-    bfd.write_row(bank, uniform(carrier), ~ones, lanes)
-    bfd.multi_row_activate(plan, lanes)
-    x2 = bfd.read_row(bank, uniform(plan.opened[0]), lanes)
+    x1 = maj3_pass(True)
+    x2 = maj3_pass(False)
 
     return [MajVerifyResult(x1=x1[lane].astype(bool),
                             x2=x2[lane].astype(bool))

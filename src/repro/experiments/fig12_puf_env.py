@@ -22,9 +22,9 @@ import numpy as np
 
 from ..dram.batched import BatchedChip
 from ..dram.environment import Environment
-from ..puf.batched_puf import BatchedFracPuf
 from ..puf.frac_puf import FracPuf
 from ..puf.metrics import inter_hd_distances
+from ..xir.puf import FusedFracPuf
 from .base import (DEFAULT_CONFIG, ExperimentConfig, make_chip,
                    markdown_table, resolve_batch)
 from .fig11_puf_hd import default_challenges
@@ -168,7 +168,7 @@ def run_shard(config: ExperimentConfig, units, n_challenges: int = 16,
                 [(group_id, serial) for _, group_id, serial in cohort],
                 geometry=geometry, master_seed=config.master_seed,
                 environment=environment, epochs=[condition] * len(cohort))
-            stacks = BatchedFracPuf(device).evaluate_many(challenges)
+            stacks = FusedFracPuf(device).evaluate_many(challenges)
             payloads.extend((unit, stacks[lane].copy())
                             for lane, unit in enumerate(cohort))
     return payloads

@@ -28,6 +28,7 @@ from ..core.batched_ops import BatchedFracDram
 from ..core.ops import FracDram
 from ..dram.batched import BatchedChip
 from ..dram.vendor import GROUPS, GroupProfile
+from ..xir import ir
 from .base import (DEFAULT_CONFIG, ExperimentConfig, make_fd, markdown_table,
                    resolve_batch)
 
@@ -129,6 +130,11 @@ def _batched_probes(config: ExperimentConfig, group_ids: list[str],
                     seed: int = 7) -> list[tuple[bool, bool, bool]]:
     """Both behavioural probes for a cohort of groups, one lane each.
 
+    The Frac probe is one compiled (write, 10x Frac, read) xir program;
+    it lowers for the spacing-enforcing lanes too, whose dropped
+    PRECHARGEs the compiler predicts and the executor checks.  The pair
+    scan runs :func:`batched_probe_opened_rows`.
+
     The pair scan honours each lane's early exit: a lane that has seen
     both a three- and a four-row activation is retired from the active
     set, so its pattern generator and chip noise stream stop exactly
@@ -140,9 +146,11 @@ def _batched_probes(config: ExperimentConfig, group_ids: list[str],
     bfd = BatchedFracDram(device)
     lanes = bfd.all_lanes()
 
-    bfd.fill_row(bank, [row] * len(lanes), True, lanes)
-    bfd.frac(bank, [row] * len(lanes), 10, lanes)
-    weights = np.mean(bfd.read_row(bank, [row] * len(lanes), lanes), axis=1)
+    (readout,) = bfd.run_program(
+        (ir.WriteRow(bank, "row", True), ir.Frac(bank, "row", 10),
+         ir.ReadRow(bank, "row")),
+        rows={"row": [row] * len(lanes)}, lanes=lanes)
+    weights = np.mean(readout, axis=1)
     frac = [0.02 < float(weight) < 0.98 for weight in weights]
 
     rngs = {lane: np.random.default_rng(seed) for lane in lanes}

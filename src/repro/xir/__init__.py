@@ -20,8 +20,11 @@ The pipeline (see ``docs/performance.md``):
    non-enforce lanes.
 
 The lane drivers run the experiments in :data:`XIR_LOWERED_EXPERIMENTS`
-through the executor: ``BatchedFracDram`` (fMAJ), ``BatchedRetentionProfiler``
-(fig6) and :class:`repro.xir.puf.FusedFracPuf`.  Everything stays
+through the executor: ``BatchedFracDram`` (fMAJ), the MAJ3 verification
+and table1's black-box probes (``repro.core.verify``,
+``repro.analysis.reverse_engineering``; their multi-row activation stays
+per command), ``BatchedRetentionProfiler`` (fig6) and
+:class:`repro.xir.puf.FusedFracPuf` (fig11, fig12, nist).  Everything stays
 byte-identical to the ``scalar`` engine (conformance-gated in
 ``tests/backends``).  The package root holds only the IR, compiler and
 executor, because ``repro.core.batched_ops`` imports it.
@@ -38,11 +41,14 @@ from .executor import FusedRunner
 
 #: Experiments whose hot loops run through the fused xir executor when
 #: ``--backend fused`` is selected: exactly these run xir programs.
-#: Everything else runs per-command primitives on the same lanes (same
-#: results — the fused path is a perf lane, not a different model).
+#: Of the other lane-driven experiments, only fig8 runs per-command
+#: primitives on the same lanes (same results — the fused path is a perf
+#: lane, not a different model); the multi-row flows keep only their
+#: activation glitch per command.
 #: Pinned by ``tests/xir/test_registry.py`` and the fused leg of
 #: ``tests/backends/test_conformance_experiments.py``.
-XIR_LOWERED_EXPERIMENTS = ("fig6", "fig9", "fig10", "fig11", "nist")
+XIR_LOWERED_EXPERIMENTS = ("fig6", "fig7", "fig9", "fig10", "fig11", "fig12",
+                           "nist", "table1")
 
 __all__ = [
     "FusedRunner",

@@ -12,6 +12,21 @@ TINY_GEOMETRY = GeometryParams(
     n_banks=2, subarrays_per_bank=2, rows_per_subarray=16, columns=64)
 
 
+def chip_streams(chip: DramChip) -> list:
+    """Every sub-array noise-generator state of a scalar chip."""
+    return [[subarray._noise.rng.bit_generator.state
+             for subarray in bank.subarrays]
+            for bank in chip.banks]
+
+
+def lane_streams(device, lane: int) -> list:
+    """Every sub-array noise-generator state of one lane of a batch,
+    nested like :func:`chip_streams`."""
+    return [[cell._noises[lane].rng.bit_generator.state
+             for cell in bank_cells]
+            for bank_cells in device.cells]
+
+
 @pytest.fixture(autouse=True)
 def _isolated_fleet_cache(monkeypatch, tmp_path_factory):
     """Keep the fleet result cache out of the user's real cache dir.

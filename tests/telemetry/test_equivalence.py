@@ -160,6 +160,8 @@ class TestTraceEventEquivalence:
         ("fig8", PHYSICS_KINDS + ("sequence", "command")),
         ("fig11", PHYSICS_KINDS + ("sequence", "command")),
         ("nist", PHYSICS_KINDS),
+        ("fig7", PHYSICS_KINDS + ("sequence", "command")),
+        ("fig12", PHYSICS_KINDS + ("sequence", "command")),
     ])
     def test_events_match_scalar(self, tmp_path, name, kinds):
         traced = {}
