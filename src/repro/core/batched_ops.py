@@ -87,10 +87,6 @@ class BatchedFracDram:
                  lanes: Sequence[int]) -> np.ndarray:
         return self.mc.read_row(bank, rows, lanes)
 
-    def refresh_row(self, bank: int, rows: Sequence[int],
-                    lanes: Sequence[int]) -> None:
-        self.mc.refresh_row(bank, rows, lanes)
-
     def precharge_all(self, lanes: Sequence[int]) -> None:
         self.mc.precharge_all(lanes)
 

@@ -46,18 +46,28 @@ support mid-run :meth:`~repro.dram.chip.DramChip.set_environment`.
 
 :class:`BatchedChip` assembles a grid of batched sub-arrays with the
 bank/row routing, polarity and command-spacing semantics of
-:class:`~repro.dram.chip.DramChip`, again per lane.  Construct one with
+:class:`~repro.dram.chip.DramChip`, again per lane; its logical-to-
+physical row and anti-row tables are ``(lanes, rows)`` arrays, so a
+batch's row lookups are one fancy index.  Construct one with
 :meth:`BatchedChip.from_chips` (one donor chip per lane, e.g. a serial
-sweep), :meth:`BatchedChip.from_fleet` (one freshly fabricated chip per
-``(group_id, serial)`` spec — the device axis), or
+sweep), :meth:`BatchedChip.from_fleet` (one module per ``(group_id,
+serial)`` spec — the device axis — fabricated straight into the stacked
+planes, with no scalar chip built), or
 :meth:`BatchedChip.from_subarray_views` (one donor *sub-array* per lane
 from a single chip, e.g. the PUF experiments).
 
-Lanes carry *heterogeneous fabrication state*: every per-lane array —
-sense-amp offsets, leak taus, VRT population, coupling weights, decoder
-profile, polarity, row map — is stacked from its donor, so a batch may
-mix vendor groups and serials freely as long as geometry (and, for the
-controller's shared command templates, electrical timing) agree.
+Lanes carry *heterogeneous fabrication state*: a
+:class:`BatchedSubArray` is built from stacked variation planes
+(sense-amp offsets, leak taus, VRT population, coupling weights) plus a
+per-lane vendor profile (decoder, coupling, electrical and variation
+parameters), and the chip keeps each lane's polarity and row map, so a
+batch may mix vendor groups and serials freely as long as geometry
+(and, for the controller's shared command templates, electrical
+timing) agree.  ``from_fleet`` draws the planes with
+:func:`~repro.dram.subarray.fabricate_planes`, the one definition of the
+variation model the scalar :class:`~repro.dram.subarray.SubArray` also
+uses; the donor constructors stack their donors' planes, broadcasting
+one shared donor instead of copying it.
 """
 
 from __future__ import annotations
@@ -68,17 +78,21 @@ import numpy as np
 
 from ..errors import AddressError, CommandSequenceError, ConfigurationError
 from ..telemetry.registry import active as _telemetry_active
+from .addressing import IdentityMap
 from .chip import MIN_COMMAND_SPACING_CYCLES, DramChip
 from .decoder import resolve_glitch
 from .environment import Environment
 from .parameters import GeometryParams
 from .polarity import is_anti_row
+from .rng import NoiseSource, derive_rng
 from .subarray import (
     _AMP_DIFFERENTIAL_SCALE,
     CLOSE_ABORT_WINDOW,
     INTERRUPTED_SHARE_FRACTION,
-    SubArray,
+    VariationPlanes,
+    fabricate_planes,
 )
+from .vendor import GroupProfile, get_group
 
 __all__ = ["BatchedSubArray", "BatchedChip"]
 
@@ -87,79 +101,73 @@ __all__ = ["BatchedSubArray", "BatchedChip"]
 _LEAK_CACHE_CAPACITY: int = 8
 
 
-def _stack_fab(donors: Sequence[SubArray], attr: str) -> np.ndarray:
-    """Stack a fabrication array across lanes.
-
-    When every lane shares one donor (trial batching over a single chip)
-    the array is broadcast instead of copied — fabrication data is
-    read-only, so the zero-copy view is safe.
-    """
-    first = getattr(donors[0], attr)
-    if all(donor is donors[0] for donor in donors):
-        return np.broadcast_to(first, (len(donors),) + first.shape)
-    return np.stack([getattr(donor, attr) for donor in donors])
-
-
 class BatchedSubArray:
-    """``B`` scalar sub-arrays executing in lock-step vector form."""
+    """``B`` scalar sub-arrays executing in lock-step vector form.
+
+    Built from stacked fabrication planes (leading lane axis) plus, per
+    lane, the vendor profile (anything with the ``electrical``,
+    ``variation``, ``decoder`` and ``coupling`` of a
+    :class:`~repro.dram.vendor.GroupProfile`), noise source, operating
+    environment and ``(bank, sub-array)`` origin.
+    """
 
     def __init__(
         self,
         *,
-        donors: Sequence[SubArray],
-        noises: Sequence,
+        planes: VariationPlanes,
+        profiles: Sequence[GroupProfile],
+        noises: Sequence[NoiseSource],
         environments: Sequence[Environment],
         origins: Sequence[tuple[int, int]],
     ) -> None:
-        if not donors:
+        n_lanes, n_rows, n_cols = planes.tau_s.shape
+        if not n_lanes:
             raise ConfigurationError("batched sub-array needs at least one lane")
-        if not (len(donors) == len(noises) == len(environments) == len(origins)):
+        if not (n_lanes == len(profiles) == len(noises) == len(environments)
+                == len(origins)):
             raise ConfigurationError("per-lane inputs must have equal length")
-        first = donors[0]
-        for donor in donors:
-            if (donor.n_rows, donor.n_cols) != (first.n_rows, first.n_cols):
-                raise ConfigurationError("all lanes must share sub-array shape")
-        self.n_lanes = len(donors)
-        self.n_rows = first.n_rows
-        self.n_cols = first.n_cols
+        self.n_lanes = n_lanes
+        self.n_rows = n_rows
+        self.n_cols = n_cols
         self.origins = [(int(b), int(s)) for b, s in origins]
         self._noises = list(noises)
 
         # --- fabrication variation, stacked lane-major ---
-        self.sa_offset = _stack_fab(donors, "sa_offset")            # (B, C)
-        self.primary_boost = _stack_fab(donors, "primary_boost")    # (B, C)
-        self.multirow_bias = _stack_fab(donors, "multirow_bias")    # (B, C)
-        self.amp_alpha = _stack_fab(donors, "amp_alpha")            # (B, C)
-        self.tau_s = _stack_fab(donors, "tau_s")                    # (B, R, C)
-        self.vrt_mask = _stack_fab(donors, "vrt_mask")              # (B, R, C)
-        self.interrupt_coupling = _stack_fab(donors, "interrupt_coupling")
+        self.sa_offset = planes.sa_offset                    # (B, C)
+        self.primary_boost = planes.primary_boost            # (B, C)
+        self.multirow_bias = planes.multirow_bias            # (B, C)
+        self.amp_alpha = planes.amp_alpha                    # (B, C)
+        self.tau_s = planes.tau_s                            # (B, R, C)
+        self.vrt_mask = planes.vrt_mask                      # (B, R, C)
+        self.interrupt_coupling = planes.interrupt_coupling  # (B, R, C)
 
         # --- per-lane parameters (vendor profile x environment) ---
-        self._couplings = [donor.coupling for donor in donors]
-        self._decoders = [donor.decoder_profile for donor in donors]
-        self._sense_enable = [donor.electrical.sense_enable_cycles
-                              for donor in donors]
-        self._restore = np.array([donor.electrical.restore_level
-                                  for donor in donors])
-        self._cb = np.array([donor.electrical.bitline_to_cell_ratio
-                             for donor in donors])
-        self._jitter_sigma = [donor.variation.weight_jitter_sigma
-                              for donor in donors]
+        self._couplings = [profile.coupling for profile in profiles]
+        self._decoders = [profile.decoder for profile in profiles]
+        self._sense_enable = [profile.electrical.sense_enable_cycles
+                              for profile in profiles]
+        self._restore = np.array([profile.electrical.restore_level
+                                  for profile in profiles])
+        self._cb = np.array([profile.electrical.bitline_to_cell_ratio
+                             for profile in profiles])
+        self._jitter_sigma = [profile.variation.weight_jitter_sigma
+                              for profile in profiles]
         self._jitter_any = any(sigma > 0 for sigma in self._jitter_sigma)
         self._primary_cache: dict[int, list[int | None]] = {}
         self._weights_base_cache: dict[tuple, np.ndarray] = {}
-        self._vrt_span = [donor.variation.vrt_tau_span for donor in donors]
-        self._vrt_any = [bool(donor.vrt_mask.any()) for donor in donors]
+        self._vrt_span = [profile.variation.vrt_tau_span
+                          for profile in profiles]
         # Static per-lane VRT cell coordinates and their tau values, so
         # the leak path never re-scans the (sparse) mask.
-        self._vrt_idx = [np.nonzero(donor.vrt_mask) for donor in donors]
+        self._vrt_idx = [np.nonzero(lane_mask) for lane_mask in self.vrt_mask]
+        self._vrt_any = [idx[0].size > 0 for idx in self._vrt_idx]
         self._vrt_tau = [self.tau_s[lane][idx]
                          for lane, idx in enumerate(self._vrt_idx)]
         self._leak_ctx_cache: dict[tuple[int, ...], tuple] = {}
         self._noise_sigma = [
-            env.read_noise_scale(donor.variation.read_noise_sigma,
-                                 donor.variation.read_noise_temp_coeff)
-            for donor, env in zip(donors, environments)]
+            env.read_noise_scale(profile.variation.read_noise_sigma,
+                                 profile.variation.read_noise_temp_coeff)
+            for profile, env in zip(profiles, environments)]
         self._offset_shift = np.array([env.effective_offset_shift()
                                        for env in environments])
         self._leak_acc = np.array([env.leakage_acceleration
@@ -894,16 +902,24 @@ class BatchedChip:
         self.groups = list(groups)
         self._row_maps = list(row_maps)
         self._polarity = list(polarity_schemes)
-        # Per-lane logical->physical and anti-cell tables: the row map and
-        # polarity scheme are frozen at construction, so every ACT's
-        # per-lane lookups collapse to plain list indexing.
+        # Per-lane logical->physical and anti-cell tables, ``(lanes,
+        # rows_per_subarray)``: the row map and polarity scheme are frozen
+        # at construction, so every ACT's per-lane lookups collapse to one
+        # fancy index.  Lanes sharing a (row map, scheme) share one row.
         rps = geometry.rows_per_subarray
-        self._phys_rows = [
-            [row_map.to_physical(row) for row in range(rps)]
-            for row_map in self._row_maps]
-        self._anti_rows = [
-            [is_anti_row(scheme, physical) for physical in lane_rows]
-            for scheme, lane_rows in zip(self._polarity, self._phys_rows)]
+        slots: dict[tuple[int, str], int] = {}
+        phys: list[list[int]] = []
+        anti: list[list[bool]] = []
+        lane_slots = []
+        for row_map, scheme in zip(self._row_maps, self._polarity):
+            slot = slots.setdefault((id(row_map), scheme), len(phys))
+            if slot == len(phys):
+                phys.append([row_map.to_physical(row) for row in range(rps)])
+                anti.append([is_anti_row(scheme, physical)
+                             for physical in phys[-1]])
+            lane_slots.append(slot)
+        self._phys_rows = np.array(phys, dtype=np.intp)[lane_slots]
+        self._anti_rows = np.array(anti, dtype=bool)[lane_slots]
         self._enforce = [group.decoder.enforces_command_spacing
                          for group in self.groups]
         self._any_enforce = any(self._enforce)
@@ -922,10 +938,11 @@ class BatchedChip:
         """One lane per donor chip.
 
         With ``epochs`` given, each lane's sub-array noise sources are
-        freshly spawned children reseeded to that epoch — exactly the tree
-        :meth:`DramChip.reseed_noise` builds — so a single donor chip can
-        be broadcast across trial lanes.  Without ``epochs`` the donors'
-        live noise sources are adopted (and must no longer be used through
+        fresh children of the chip source at that epoch — exactly the
+        tree :meth:`DramChip.reseed_noise` builds — so a single donor
+        chip can be broadcast across trial lanes (its planes are then
+        broadcast, not copied).  Without ``epochs`` the donors' live
+        noise sources are adopted (and must no longer be used through
         the scalar chips).
         """
         if not chips:
@@ -942,13 +959,12 @@ class BatchedChip:
                 if epochs is None:
                     noises = [donor._noise for donor in donors]
                 else:
-                    noises = []
-                    for chip, epoch in zip(chips, epochs):
-                        child = chip.noise.spawn("bank", bank, "subarray", sub)
-                        child.reseed(int(epoch))
-                        noises.append(child)
+                    noises = [chip.noise.spawn("bank", bank, "subarray", sub,
+                                               epoch=int(epoch))
+                              for chip, epoch in zip(chips, epochs)]
                 bank_cells.append(BatchedSubArray(
-                    donors=donors, noises=noises,
+                    planes=VariationPlanes.stack(donors),
+                    profiles=[chip.group for chip in chips], noises=noises,
                     environments=[chip.environment for chip in chips],
                     origins=[(bank, sub)] * len(chips)))
             cells.append(bank_cells)
@@ -971,22 +987,75 @@ class BatchedChip:
     ) -> "BatchedChip":
         """One lane per ``(group_id, serial)`` module spec — the device axis.
 
-        Each lane is fabricated exactly as ``make_chip`` fabricates a
-        scalar module: a fresh :class:`DramChip` seeded from
-        ``(master_seed, group_id, serial)``, so fabrication arrays are
-        bit-identical to the scalar fleet member.  Specs may mix vendor
-        groups; the per-lane parameter planes keep their distinct
-        decoders, couplings, polarity and variation.  ``epochs`` reseeds
-        each lane's noise tree exactly as ``DramChip.reseed_noise`` would
-        (default: every lane at epoch 0, i.e. the fresh-chip stream).
+        Each lane is the module ``make_chip`` fabricates — a
+        :class:`DramChip` seeded from ``(master_seed, group_id, serial)``
+        with the default row map and polarity — drawn straight into the
+        batch's planes without building the chip: the chip's
+        fabrication stream seeds one stream per sub-array, bank-major as
+        :class:`~repro.dram.bank.Bank` takes them, and each vendor group
+        runs :func:`~repro.dram.subarray.fabricate_planes` once over all
+        its lanes' sub-arrays.  Specs may mix vendor groups; the
+        per-lane parameter planes keep their distinct decoders,
+        couplings and variation.  ``epochs`` starts each lane's noise
+        sources at the epoch ``DramChip.reseed_noise`` would move them
+        to (default: every lane at epoch 0, the fresh-chip stream).
         """
         if not specs:
             raise ConfigurationError("fleet batch needs at least one module")
-        chips = [
-            DramChip(group_id, geometry=geometry, serial=int(serial),
-                     master_seed=master_seed, environment=environment)
-            for group_id, serial in specs]
-        return cls.from_chips(chips, epochs=epochs)
+        environment = environment or Environment()
+        groups = [get_group(group_id) for group_id, _ in specs]
+        serials = [int(serial) for _, serial in specs]
+        lane_epochs = ([0] * len(specs) if epochs is None
+                       else [int(epoch) for epoch in epochs])
+        n_lanes = len(specs)
+        sites = [(bank, sub) for bank in range(geometry.n_banks)
+                 for sub in range(geometry.subarrays_per_bank)]
+        # streams[site][lane]: the sub-array's fabrication stream.
+        streams: list[list[np.random.Generator]] = [[] for _ in sites]
+        for group, serial in zip(groups, serials):
+            fabrication = derive_rng(master_seed, "fab", group.group_id, serial)
+            for site_streams, seed in zip(
+                    streams, fabrication.integers(0, 2 ** 63, size=len(sites))):
+                site_streams.append(np.random.default_rng(seed))
+        by_group: dict[str, list[int]] = {}
+        for lane, group in enumerate(groups):
+            by_group.setdefault(group.group_id, []).append(lane)
+        planes: list[np.ndarray] = []
+        for lanes in by_group.values():
+            block = fabricate_planes(
+                groups[lanes[0]].variation,
+                [site_streams[lane] for site_streams in streams
+                 for lane in lanes],
+                geometry.rows_per_subarray, geometry.columns)
+            parts = [part.reshape(len(sites), len(lanes), *part.shape[1:])
+                     for part in block]
+            if len(lanes) == n_lanes:
+                planes = parts
+                break
+            if not planes:
+                planes = [np.empty((len(sites), n_lanes, *part.shape[2:]),
+                                   dtype=part.dtype) for part in parts]
+            for plane, part in zip(planes, parts):
+                plane[:, lanes] = part
+        cells: list[list[BatchedSubArray]] = [
+            [] for _ in range(geometry.n_banks)]
+        for index, (bank, sub) in enumerate(sites):
+            # The identity DramChip's source spawns for this sub-array.
+            noises = [
+                NoiseSource(master_seed, "chip", group.group_id, serial,
+                            "bank", bank, "subarray", sub, epoch=epoch)
+                for group, serial, epoch in zip(groups, serials, lane_epochs)]
+            cells[bank].append(BatchedSubArray(
+                planes=VariationPlanes(*(plane[index] for plane in planes)),
+                profiles=groups, noises=noises,
+                environments=[environment] * n_lanes,
+                origins=[(bank, sub)] * n_lanes))
+        return cls(
+            geometry=geometry,
+            cells=cells,
+            groups=groups,
+            row_maps=[IdentityMap(geometry.rows_per_subarray)] * n_lanes,
+            polarity_schemes=["true-only"] * n_lanes)
 
     @classmethod
     def from_subarray_views(
@@ -1004,17 +1073,16 @@ class BatchedChip:
         if epochs is None:
             noises = [donor._noise for donor in donors]
         else:
-            noises = []
-            for (bank, sub), epoch in zip(sites, epochs):
-                child = chip.noise.spawn("bank", bank, "subarray", sub)
-                child.reseed(int(epoch))
-                noises.append(child)
+            noises = [chip.noise.spawn("bank", bank, "subarray", sub,
+                                       epoch=int(epoch))
+                      for (bank, sub), epoch in zip(sites, epochs)]
         geometry = GeometryParams(
             n_banks=1, subarrays_per_bank=1,
             rows_per_subarray=chip.geometry.rows_per_subarray,
             columns=chip.geometry.columns)
         cell = BatchedSubArray(
-            donors=donors, noises=noises,
+            planes=VariationPlanes.stack(donors),
+            profiles=[chip.group] * len(donors), noises=noises,
             environments=[chip.environment] * len(donors),
             origins=list(sites))
         return cls(
@@ -1060,7 +1128,7 @@ class BatchedChip:
             raise AddressError(f"bank {bank} out of range")
 
     def _is_anti(self, lane: int, row: int) -> bool:
-        return self._anti_rows[lane][row % self.geometry.rows_per_subarray]
+        return self._anti_rows[lane, row % self.geometry.rows_per_subarray]
 
     # ------------------------------------------------------------------
     # command interface
@@ -1117,7 +1185,7 @@ class BatchedChip:
             sub, local_logical = divmod(row, rps)
             group = by_sub.setdefault(sub, ([], []))
             group[0].append(lane)
-            group[1].append(self._phys_rows[lane][local_logical])
+            group[1].append(self._phys_rows[lane, local_logical])
         for sub, (sub_lanes, local_rows) in by_sub.items():
             self.cells[bank][sub].activate(sub_lanes, local_rows, cycles)
 

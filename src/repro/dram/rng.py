@@ -63,18 +63,21 @@ class NoiseSource:
     the chip identity, so a full simulation run is reproducible end to end;
     :meth:`reseed` lets experiments decorrelate repeated measurement
     campaigns (e.g. the two PUF response collections taken ten days apart
-    in the paper).
+    in the paper).  A source built with ``epoch=e`` is the source built
+    at epoch 0 and reseeded to ``e``, without deriving the epoch-0
+    generator first.
     """
 
-    def __init__(self, master_seed: int, *identity: object) -> None:
+    def __init__(self, master_seed: int, *identity: object,
+                 epoch: int = 0) -> None:
         self._master_seed = master_seed
         self._identity: tuple[object, ...] = tuple(identity)
-        self._epoch = 0
-        self._rng = derive_rng(master_seed, *identity, "noise", 0)
+        self._epoch = int(epoch)
+        self._rng = derive_rng(master_seed, *identity, "noise", self._epoch)
 
     @property
     def epoch(self) -> int:
-        """Number of times this source has been reseeded."""
+        """The measurement campaign (noise epoch) this source draws."""
         return self._epoch
 
     @property
@@ -98,14 +101,12 @@ class NoiseSource:
             return np.zeros(size)
         return self._rng.normal(0.0, scale, size=size)
 
-    def spawn(self, *keys: object) -> "NoiseSource":
+    def spawn(self, *keys: object, epoch: int | None = None) -> "NoiseSource":
         """Create an independent child source (e.g. one per bank).
 
-        The child inherits the parent's current epoch, so reseeding a
-        device-level source and re-spawning its children moves the whole
-        tree to the new measurement campaign.
+        The child starts at ``epoch``, by default the parent's current
+        epoch, so reseeding a device-level source and re-spawning its
+        children moves the whole tree to the new measurement campaign.
         """
-        child = NoiseSource(self._master_seed, *self._identity, *keys)
-        if self._epoch:
-            child.reseed(self._epoch)
-        return child
+        return NoiseSource(self._master_seed, *self._identity, *keys,
+                           epoch=self._epoch if epoch is None else epoch)

@@ -26,11 +26,16 @@ Manufacturing variation (sense-amp offsets, leakage time constants, the
 per-column primary-row coupling boost, multi-row threshold bias) is drawn
 once from the chip's deterministic fabrication stream; per-trial
 measurement noise comes from a separate :class:`~repro.dram.rng.NoiseSource`.
+:func:`fabricate_planes` is the one definition of that variation model
+(its draw order and maps): a scalar :class:`SubArray` calls it for itself,
+and :meth:`~repro.dram.batched.BatchedChip.from_fleet` calls it once per
+vendor group over every lane's sub-arrays.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -41,7 +46,8 @@ from .environment import Environment
 from .parameters import ElectricalParams, VariationParams
 from .rng import NoiseSource
 
-__all__ = ["SubArray", "CouplingProfile"]
+__all__ = ["SubArray", "CouplingProfile", "VariationPlanes",
+           "fabricate_planes"]
 
 #: An ACTIVATE arriving within this many cycles of a PRECHARGE aborts the
 #: row close (the decoder-glitch window of ComputeDRAM's sequence).
@@ -79,6 +85,120 @@ class CouplingProfile:
         return None
 
 
+class VariationPlanes(NamedTuple):
+    """Manufacturing-variation planes of ``n`` sub-arrays, stacked.
+
+    Per-column planes are ``(n, C)``, per-cell planes ``(n, R, C)``.
+    Planes are read-only once fabricated.
+    """
+
+    sa_offset: np.ndarray
+    primary_boost: np.ndarray
+    multirow_bias: np.ndarray
+    amp_alpha: np.ndarray
+    tau_s: np.ndarray
+    vrt_mask: np.ndarray
+    interrupt_coupling: np.ndarray
+
+    @classmethod
+    def stack(cls, donors: Sequence["SubArray"]) -> "VariationPlanes":
+        """The donors' planes, stacked lane-major.
+
+        When every lane shares one donor (trial batching over a single
+        chip) each plane is broadcast instead of copied.
+        """
+        first = donors[0]
+        for donor in donors:
+            if (donor.n_rows, donor.n_cols) != (first.n_rows, first.n_cols):
+                raise ConfigurationError("all lanes must share sub-array shape")
+        if all(donor is first for donor in donors):
+            return cls(*(np.broadcast_to(getattr(first, name),
+                                         (len(donors),)
+                                         + getattr(first, name).shape)
+                         for name in cls._fields))
+        return cls(*(np.stack([getattr(donor, name) for donor in donors])
+                     for name in cls._fields))
+
+
+def fabricate_planes(variation: VariationParams,
+                     rngs: Sequence[np.random.Generator],
+                     n_rows: int, n_cols: int) -> VariationPlanes:
+    """The variation model: one sub-array's planes per fabrication stream.
+
+    Each stream draws all its normals, then all its uniforms:
+
+    * normals, in order: the ``C`` sense-amp offsets, the primary-boost
+      module shift (one value, only when its sigma is positive), the
+      ``C`` primary boosts, the multi-row bias module shift (likewise),
+      the ``C`` multi-row biases, the ``C`` Half-m amplification
+      strengths and the ``R x C`` log leakage time constants;
+    * uniforms, four ``R x C`` planes: the strong-cell, VRT and
+      frac-weak thresholds, then the weak cells' interrupt coupling.
+
+    One ``standard_normal`` call per stream draws its normals and one
+    ``random`` call per stream and plane its uniforms; each map runs
+    once over all streams.  ``loc + scale * z`` is
+    ``Generator.normal(loc, scale)`` value for value, and ``m * u`` is
+    ``Generator.uniform(0, m)``, so the planes equal a sequence of
+    per-plane ``normal``/``random``/``uniform`` calls.
+    """
+    var = variation
+    n_cells = n_rows * n_cols
+    primary_shift = var.primary_weight_module_sigma > 0
+    bias_shift = var.multirow_bias_module_sigma > 0
+    normals = np.empty((len(rngs), 4 * n_cols + primary_shift + bias_shift
+                        + n_cells))
+    for index, rng in enumerate(rngs):
+        rng.standard_normal(out=normals[index])
+    at = 0
+
+    def take(count: int) -> np.ndarray:
+        nonlocal at
+        block = normals[:, at:at + count]
+        at += count
+        return block
+
+    def next_uniforms() -> np.ndarray:
+        plane = np.empty((len(rngs), n_rows, n_cols))
+        for index, rng in enumerate(rngs):
+            rng.random(out=plane[index])
+        return plane
+
+    sa_offset = var.sa_offset_mean + var.sa_offset_sigma * take(n_cols)
+    primary_mean = var.primary_weight_mean
+    if primary_shift:
+        primary_mean = primary_mean + (
+            0.0 + var.primary_weight_module_sigma * take(1))
+    primary_boost = np.abs(
+        primary_mean + var.primary_weight_sigma * take(n_cols))
+    bias_mean = var.multirow_bias_mean
+    if bias_shift:
+        bias_mean = bias_mean + (
+            0.0 + var.multirow_bias_module_sigma * take(1))
+    multirow_bias = bias_mean + var.multirow_bias_sigma * take(n_cols)
+    amp_alpha = np.clip(
+        var.halfm_amp_mean + var.halfm_amp_sigma * take(n_cols), 0.02, 0.998)
+    tau_s = take(n_cells).reshape(len(rngs), n_rows, n_cols) * (
+        var.tau_log_sigma)
+    tau_s += var.tau_log_median_s
+    # Free each draw buffer before the next plane is allocated (here,
+    # and each uniform plane once used): a many-sub-array chip then
+    # keeps the memory footprint per-plane draws had.
+    del normals
+    np.add(tau_s, np.log(var.strong_cell_tau_multiplier), out=tau_s,
+           where=next_uniforms() < var.strong_cell_fraction)
+    np.exp(tau_s, out=tau_s)
+    vrt_mask = next_uniforms() < var.vrt_cell_fraction
+    # Normal cells latch the interrupted level fully; frac-weak cells
+    # only to their own coupling.
+    weak = next_uniforms() < var.frac_weak_fraction
+    weak_coupling = next_uniforms()[weak]
+    interrupt_coupling = np.ones_like(tau_s)
+    interrupt_coupling[weak] = 0.0 + var.frac_weak_coupling_max * weak_coupling
+    return VariationPlanes(sa_offset, primary_boost, multirow_bias,
+                           amp_alpha, tau_s, vrt_mask, interrupt_coupling)
+
+
 class SubArray:
     """One DRAM sub-array: ``n_rows`` word-lines crossing ``n_cols`` bit-lines."""
 
@@ -109,42 +229,17 @@ class SubArray:
         self._noise = noise
 
         # --- manufacturing variation (fixed at "fabrication") ---
-        var = variation
-        self.sa_offset = fabrication_rng.normal(
-            var.sa_offset_mean, var.sa_offset_sigma, size=n_cols)
-        primary_mean = var.primary_weight_mean
-        if var.primary_weight_module_sigma > 0:
-            primary_mean += float(fabrication_rng.normal(
-                0.0, var.primary_weight_module_sigma))
-        self.primary_boost = np.abs(fabrication_rng.normal(
-            primary_mean, var.primary_weight_sigma, size=n_cols))
-        bias_mean = var.multirow_bias_mean
-        if var.multirow_bias_module_sigma > 0:
-            bias_mean += float(fabrication_rng.normal(
-                0.0, var.multirow_bias_module_sigma))
-        self.multirow_bias = fabrication_rng.normal(
-            bias_mean, var.multirow_bias_sigma, size=n_cols)
-        self.amp_alpha = np.clip(
-            fabrication_rng.normal(var.halfm_amp_mean, var.halfm_amp_sigma,
-                                   size=n_cols),
-            0.02, 0.998)
-        log_tau = fabrication_rng.normal(
-            var.tau_log_median_s, var.tau_log_sigma, size=(n_rows, n_cols))
-        strong = (fabrication_rng.random(size=(n_rows, n_cols))
-                  < var.strong_cell_fraction)
-        log_tau = np.where(
-            strong, log_tau + np.log(var.strong_cell_tau_multiplier),
-            log_tau)
-        self.tau_s = np.exp(log_tau)
-        self.vrt_mask = (fabrication_rng.random(size=(n_rows, n_cols))
-                         < var.vrt_cell_fraction)
+        planes = fabricate_planes(variation, [fabrication_rng], n_rows, n_cols)
+        self.sa_offset = planes.sa_offset[0]
+        self.primary_boost = planes.primary_boost[0]
+        self.multirow_bias = planes.multirow_bias[0]
+        self.amp_alpha = planes.amp_alpha[0]
+        self.tau_s = planes.tau_s[0]
+        self.vrt_mask = planes.vrt_mask[0]
         # Interrupt-coupling: how completely a cell latches the shared
         # (fractional) level when the activation is interrupted after one
         # cycle.  Normal cells latch fully; "frac-weak" cells barely move.
-        weak = fabrication_rng.random(size=(n_rows, n_cols)) < var.frac_weak_fraction
-        weak_coupling = fabrication_rng.uniform(
-            0.0, var.frac_weak_coupling_max, size=(n_rows, n_cols))
-        self.interrupt_coupling = np.where(weak, weak_coupling, 1.0)
+        self.interrupt_coupling = planes.interrupt_coupling[0]
 
         # --- dynamic state ---
         self.cell_v = np.zeros((n_rows, n_cols))

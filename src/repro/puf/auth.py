@@ -87,6 +87,21 @@ def _pack_words(bits: np.ndarray) -> np.ndarray:
     return np.packbits(bits, axis=-1).view(np.uint64)
 
 
+def _popcount_totals(references: PackedReferences,
+                     probe: np.ndarray) -> np.ndarray:
+    """Differing bits between ``probe`` and every enrolled row.
+
+    The per-word popcounts are summed in the narrowest unsigned type
+    that holds the largest possible total (64 bits per word), not in
+    the ``uint64`` a plain ``sum`` accumulates in: the totals are exact
+    either way, and the narrow add moves a fraction of the memory.
+    """
+    words = _pack_words(probe).reshape(-1, 1)
+    return np.add.reduce(
+        np.bitwise_count(references.words ^ words), axis=0,
+        dtype=np.min_scalar_type(64 * references.words.shape[0]))
+
+
 def match_probe(references: np.ndarray | PackedReferences, probe: np.ndarray,
                 ) -> tuple[int, float]:
     """Best enrolled index for a probe, plus its mean Hamming distance.
@@ -115,8 +130,7 @@ def match_probe(references: np.ndarray | PackedReferences, probe: np.ndarray,
             f"length mismatch: {references.shape[1:]} vs {probe.shape}")
     if probe.size == 0:
         raise InsufficientDataError("cannot compute HD of empty vectors")
-    words = _pack_words(probe).reshape(-1, 1)
-    totals = np.bitwise_count(references.words ^ words).sum(axis=0)
+    totals = _popcount_totals(references, probe)
     candidates = np.flatnonzero(totals == totals.min())
     per_challenge = np.mean(references.bits[candidates] ^ probe[np.newaxis],
                             axis=2)

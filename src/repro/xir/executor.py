@@ -9,16 +9,19 @@ bypassing the per-command Python dispatch of
   command spacing (the only structural divergence the fig6/fig11 flows
   exhibit); each class runs one compiled program.  Per-lane physics and
   RNG streams are independent, so the split is bitwise invisible.
-* Row parameters are bound once per run: per ``(param, bank)`` the class
-  lanes are grouped by target sub-array, with physical rows, anti-cell
-  polarity and output positions resolved into NumPy index arrays.
+* Row parameters are bound once per run, with array ops over the class
+  lanes: per ``(param, bank)`` the lanes are grouped by target
+  sub-array, with physical rows, anti-cell polarity and output positions
+  gathered from the device's ``(lanes, rows)`` tables.  Row copies
+  resolve their decoder glitch once per distinct (decoder profile, row
+  pair), not once per lane.
 * All RNG draws of a region (between :class:`~repro.xir.ir.Leak`
-  boundaries) are pre-drawn with **one** merged ``Generator.normal`` call
-  per (lane, sub-array) run — bitwise identical to the per-step draws
-  because the PCG64 ziggurat consumes the stream value-by-value and
-  ``w * sigma + 0.0`` reproduces ``normal(0, sigma)`` exactly (including
-  the ``-0.0`` normalization); zero-sigma draws consume nothing in both
-  engines.
+  boundaries) are pre-drawn with **one** merged ``standard_normal`` call
+  per (lane, sub-array) — bitwise identical to the per-step draws
+  because the PCG64 ziggurat consumes the stream value-by-value, each
+  (lane, sub-array) owns its generator, and ``w * sigma + 0.0``
+  reproduces ``normal(0, sigma)`` exactly (including the ``-0.0``
+  normalization); zero-sigma draws consume nothing in both engines.
 * Physics runs on the sub-arrays' phase kernels (the ``xir_*``
   methods of :class:`~repro.dram.batched.BatchedSubArray`), the same
   ones the per-command walk calls.
@@ -61,17 +64,26 @@ __all__ = ["FusedRunner"]
 
 
 class _Group:
-    """One (param, bank, sub-array) lane group with resolved indices."""
+    """One (param, bank, sub-array) lane group with resolved indices.
 
-    __slots__ = ("cell", "lanes", "lane_arr", "pos", "rows_mat", "anti")
+    ``pos`` indexes the run's ``lanes`` (planes, outputs); ``class_idx``
+    indexes the lane class (draw plans), and is ``None`` for the group
+    that holds every class lane in class order.
+    """
 
-    def __init__(self, cell, lanes, positions, physical, anti):
+    __slots__ = ("cell", "cell_index", "lanes", "lane_arr", "pos",
+                 "class_idx", "rows_mat", "anti")
+
+    def __init__(self, cell, cell_index, lanes, lane_arr, positions,
+                 class_idx, physical, anti):
         self.cell = cell
+        self.cell_index = cell_index
         self.lanes = lanes
-        self.lane_arr = np.asarray(lanes, dtype=np.intp)
-        self.pos = np.asarray(positions, dtype=np.intp)
-        self.rows_mat = np.asarray(physical, dtype=np.intp)[:, None]
-        self.anti = np.asarray(anti, dtype=bool)
+        self.lane_arr = lane_arr
+        self.pos = positions
+        self.class_idx = class_idx
+        self.rows_mat = physical[:, None]
+        self.anti = anti
 
 
 class _FastPrim:
@@ -87,25 +99,39 @@ class _FastPrim:
 class _PairGroup:
     """One glitch-overwrite lane group: uniform opened-row count."""
 
-    __slots__ = ("cell", "lane_arr", "opened_mat", "events")
+    __slots__ = ("cell", "lanes", "lane_arr", "src", "dst", "opened_mat")
 
-    def __init__(self, cell, lanes, opened_rows, events):
+    def __init__(self, cell, lane_arr, src, dst, opened_mat):
         self.cell = cell
-        self.lane_arr = np.asarray(lanes, dtype=np.intp)
-        self.opened_mat = np.asarray(opened_rows, dtype=np.intp)
-        self.events = events
+        self.lanes = lane_arr.tolist()
+        self.lane_arr = lane_arr
+        self.src = src
+        self.dst = dst
+        self.opened_mat = opened_mat
 
 
-def _sigma_column(n_rows: int, sigma_entries) -> np.ndarray:
-    """Per-row scale factors for one region's flat draw matrix.
+def _first_seen_groups(keys: np.ndarray
+                       ) -> list[tuple[int, np.ndarray | slice]]:
+    """``(key, index)`` per distinct value of an integer array, in
+    first-appearance order; ``index`` selects the key's positions (a
+    whole-array slice, without a scan, when every key agrees)."""
+    if keys.size and keys.min() == keys.max():
+        return [(int(keys[0]), slice(None))]
+    return [(key, np.flatnonzero(keys == key))
+            for key in dict.fromkeys(keys.tolist())]
 
-    Rows no draw run touches (the trailing shared-zeros row) get 1.0 —
-    they hold exact ``+0.0`` and must keep it.
+
+def _gather(flat: np.ndarray, rows: np.ndarray, spec) -> np.ndarray | None:
+    """One lane group's pre-drawn noise for a segment (or burst).
+
+    ``rows`` holds the class lanes' draw-matrix rows (lane-major); ``spec``
+    is the group's ``(class index, draws)``: ``None`` when the group draws
+    nothing, else its rows gathered from ``flat``.
     """
-    column = np.ones((n_rows, 1))
-    for start, sigmas in sigma_entries:
-        column[start:start + len(sigmas), 0] = sigmas
-    return column
+    index, draws = spec
+    if not draws:
+        return None
+    return flat[rows if index is None else rows[index]]
 
 
 class FusedRunner:
@@ -120,10 +146,13 @@ class FusedRunner:
                 raise XirLoweringError(
                     "fused programs need a lane-uniform sense-enable "
                     "window (the compiled schedule bakes it in)")
-        # Per (lane, bank, sub, src, dst) decoder-glitch resolution; the
-        # profile is frozen at fabrication, so the row-copy binding of a
-        # repeated challenge is a dict hit.
-        self._glitch_cache: dict[tuple, tuple[int, ...]] = {}
+        # Distinct decoder profiles met so far, and each cell's per-lane
+        # index into them: glitch resolution is keyed by (profile, row
+        # pair), so a batch resolves each pair once per profile.
+        self._decoders: dict = {}
+        self._decoder_ids: dict[int, np.ndarray] = {}
+        # Per (cell, segment kind): the sigma array, indexed by lane.
+        self._sigmas: dict[tuple[int, str], np.ndarray] = {}
         # Bindings + prefetch schedules keyed by (program, lanes, rows):
         # everything they hold — physical rows, anti polarity, sigmas,
         # glitch sets — is frozen at fabrication, so a repeated binding
@@ -216,6 +245,9 @@ class FusedRunner:
 
     def _split(self, lanes: Sequence[int]
                ) -> list[tuple[bool, list[int], list[int]]]:
+        if not self.device._any_enforce:
+            return [(False, [int(lane) for lane in lanes],
+                     list(range(len(lanes))))]
         enforce = self.device._enforce
         split: dict[bool, tuple[list[int], list[int]]] = {
             False: ([], []), True: ([], [])}
@@ -233,6 +265,10 @@ class FusedRunner:
     def _binding(self, program: CompiledProgram, class_lanes: list[int],
                  class_pos: list[int], rows: dict[str, Sequence[int]]):
         """Cached (bindings, class_logical, pair_bindings, schedule)."""
+        # Positions ascend, so a class ending at position n - 1 with n
+        # lanes holds every position: it reads each row vector whole.
+        n_class = len(class_pos)
+        whole = class_pos[-1] == n_class - 1
         key_rows = []
         for param, _bank in program.param_banks:
             try:
@@ -240,113 +276,200 @@ class FusedRunner:
             except KeyError:
                 raise CommandSequenceError(
                     f"missing row binding for parameter {param!r}") from None
-            key_rows.append(tuple(int(values[position])
-                                  for position in class_pos))
+            key_rows.append(tuple(values[:n_class]) if whole
+                            else tuple(values[pos] for pos in class_pos))
         key = (program.token, tuple(class_lanes), tuple(class_pos),
                tuple(key_rows))
         cached = self._bind_cache.get(key)
         if cached is not None:
             self._bind_cache.move_to_end(key)
             return cached
-        bindings, class_logical, pair_bindings = self._bind(
-            program, class_lanes, class_pos, rows)
-        schedule = self._schedule(program, bindings, class_lanes)
-        cached = (bindings, class_logical, pair_bindings, schedule)
+        logical = {param: np.array(values, dtype=np.intp)
+                   for (param, _bank), values in zip(program.param_banks,
+                                                     key_rows)}
+        pos_arr = np.asarray(class_pos, dtype=np.intp)
+        lane_arr = np.asarray(class_lanes, dtype=np.intp)
+        bindings, lane_rows = self._bind(program, lane_arr, pos_arr, logical)
+        pair_bindings = {
+            pair: self._bind_pair(pair, lane_arr, logical, lane_rows)
+            for pair in program.pairs}
+        schedule = self._schedule(program, bindings, lane_rows, class_lanes)
+        cached = (bindings, logical, pair_bindings, schedule)
         self._bind_cache[key] = cached
         if len(self._bind_cache) > self._BIND_CACHE_CAPACITY:
             self._bind_cache.popitem(last=False)
         return cached
 
-    def _bind(self, program: CompiledProgram, class_lanes: list[int],
-              class_pos: list[int], rows: dict[str, Sequence[int]]):
+    def _bind(self, program: CompiledProgram, lane_arr: np.ndarray,
+              pos_arr: np.ndarray, logical: dict[str, np.ndarray]):
+        """Per ``(param, bank)``: the class lanes grouped by sub-array.
+
+        Also returns, per ``(param, bank)``, each class lane's flat cell
+        index and physical row, in class order.  Parameters binding the
+        same rows on the same bank (a PUF's reserved-row fill and its
+        row-copy sources) share both.
+        """
         device = self.device
         geometry = device.geometry
         rps = geometry.rows_per_subarray
+        n_subs = geometry.subarrays_per_bank
+        lanes = lane_arr.tolist()
         bindings: dict[tuple[str, int], list[_Group]] = {}
-        class_logical: dict[str, list[int]] = {}
+        lane_rows: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
+        shared: dict[tuple[int, bytes], tuple[list[_Group], tuple]] = {}
         for param, bank in program.param_banks:
-            values = rows[param]
-            logical_rows: list[int] = []
-            by_sub: dict[int, list[tuple[int, int, int]]] = {}
-            for lane, position in zip(class_lanes, class_pos):
-                row = int(values[position])
-                if not 0 <= row < geometry.rows_per_bank:
+            rows = logical[param]
+            shared_key = (bank, rows.tobytes())
+            entry = shared.get(shared_key)
+            if entry is None:
+                low, high = int(rows.min()), int(rows.max())
+                if low < 0 or high >= geometry.rows_per_bank:
+                    outside = (rows < 0) | (rows >= geometry.rows_per_bank)
                     raise AddressError(
-                        f"row {row} out of range for bank with "
-                        f"{geometry.rows_per_bank} rows")
-                logical_rows.append(row)
-                sub, local = divmod(row, rps)
-                by_sub.setdefault(sub, []).append((lane, position, local))
-            class_logical[param] = logical_rows
-            groups = []
-            for sub, entries in by_sub.items():
-                groups.append(_Group(
-                    cell=device.cells[bank][sub],
-                    lanes=[entry[0] for entry in entries],
-                    positions=[entry[1] for entry in entries],
-                    physical=[device._phys_rows[lane][local]
-                              for lane, _, local in entries],
-                    anti=[device._anti_rows[lane][local]
-                          for lane, _, local in entries]))
-            bindings[(param, bank)] = groups
-        pair_bindings = {
-            pair: self._bind_pair(pair, class_lanes, class_pos, rows)
-            for pair in program.pairs}
-        return bindings, class_logical, pair_bindings
+                        f"row {int(rows[np.argmax(outside)])} out of range "
+                        f"for bank with {geometry.rows_per_bank} rows")
+                subs, local = np.divmod(rows, rps)
+                physical = device._phys_rows[lane_arr, local]
+                anti = device._anti_rows[lane_arr, local]
+                if low // rps == high // rps:
+                    # Every lane in one sub-array: the group is the class.
+                    sub = low // rps
+                    groups = [_Group(
+                        cell=device.cells[bank][sub],
+                        cell_index=bank * n_subs + sub, lanes=lanes,
+                        lane_arr=lane_arr, positions=pos_arr, class_idx=None,
+                        physical=physical, anti=anti)]
+                else:
+                    groups = [_Group(
+                        cell=device.cells[bank][sub],
+                        cell_index=bank * n_subs + sub,
+                        lanes=lane_arr[indices].tolist(),
+                        lane_arr=lane_arr[indices],
+                        positions=pos_arr[indices], class_idx=indices,
+                        physical=physical[indices], anti=anti[indices])
+                        for sub, indices in _first_seen_groups(subs)]
+                entry = (groups, (bank * n_subs + subs, physical))
+                shared[shared_key] = entry
+            bindings[(param, bank)], lane_rows[(param, bank)] = entry
+        return bindings, lane_rows
 
-    def _bind_pair(self, pair: tuple[str, str, int], class_lanes: list[int],
-                   class_pos: list[int], rows: dict[str, Sequence[int]]
+    def _lane_decoders(self, cell_index: int) -> np.ndarray:
+        """Per-lane index of the cell's decoder profile in
+        ``self._decoders`` (equal profiles share an index)."""
+        ids = self._decoder_ids.get(cell_index)
+        if ids is None:
+            decoders = self._flat_cells[cell_index]._decoders
+            # Lanes of one vendor group share its profile object, so each
+            # distinct object is hashed once.
+            slot_of: dict[int, int] = {}
+            for decoder in decoders:
+                if id(decoder) not in slot_of:
+                    slot_of[id(decoder)] = self._decoders.setdefault(
+                        decoder, len(self._decoders))
+            ids = np.array([slot_of[id(decoder)] for decoder in decoders],
+                           dtype=np.intp)
+            self._decoder_ids[cell_index] = ids
+        return ids
+
+    def _bind_pair(self, pair: tuple[str, str, int], lane_arr: np.ndarray,
+                   logical: dict[str, np.ndarray], lane_rows
                    ) -> list[_PairGroup]:
+        """The glitch-overwrite groups of one row-copy pair.
+
+        The opened rows depend only on the frozen decoder profile and the
+        physical (src, dst) pair, so each distinct combination resolves
+        once; lanes are then grouped by (sub-array, opened-row count) in
+        first-appearance order.
+        """
         src_param, dst_param, bank = pair
-        device = self.device
-        rps = device.geometry.rows_per_subarray
-        by_shape: dict[tuple[int, int], tuple[list, list, list]] = {}
-        for lane, position in zip(class_lanes, class_pos):
-            src = int(rows[src_param][position])
-            dst = int(rows[dst_param][position])
-            src_sub, src_local = divmod(src, rps)
-            dst_sub, dst_local = divmod(dst, rps)
-            if src_sub != dst_sub:
-                raise XirLoweringError(
-                    f"row copy {src}->{dst} crosses sub-arrays; the "
-                    "decoder glitch only opens rows of one sub-array")
-            cell = device.cells[bank][src_sub]
-            src_phys = device._phys_rows[lane][src_local]
-            dst_phys = device._phys_rows[lane][dst_local]
-            key = (lane, bank, src_sub, src_phys, dst_phys)
-            opened = self._glitch_cache.get(key)
-            if opened is None:
-                glitch_rows = resolve_glitch(
-                    cell._decoders[lane], src_phys, dst_phys, cell.n_rows)
-                opened = tuple(dict.fromkeys((src_phys, *glitch_rows)))
-                self._glitch_cache[key] = opened
-            group = by_shape.setdefault((src_sub, len(opened)), ([], [], []))
-            group[0].append(lane)
-            group[1].append(opened)
-            group[2].append((lane, (src_phys,), dst_phys, opened))
-        return [
-            _PairGroup(cell=device.cells[bank][sub], lanes=lanes,
-                       opened_rows=opened_rows, events=events)
-            for (sub, _), (lanes, opened_rows, events) in by_shape.items()]
+        cells, src_phys = lane_rows[(src_param, bank)]
+        dst_cells, dst_phys = lane_rows[(dst_param, bank)]
+        crossing = cells != dst_cells
+        if crossing.any():
+            first = np.argmax(crossing)
+            raise XirLoweringError(
+                f"row copy {int(logical[src_param][first])}->"
+                f"{int(logical[dst_param][first])} crosses sub-arrays; the "
+                "decoder glitch only opens rows of one sub-array")
+        by_cell = _first_seen_groups(cells)
+        decoder = np.empty(lane_arr.size, dtype=np.intp)
+        for cell_index, indices in by_cell:
+            decoder[indices] = self._lane_decoders(cell_index)[
+                lane_arr[indices]]
+        profiles = list(self._decoders)
+        n_rows = self.device.geometry.rows_per_subarray
+        keys = list(zip(decoder.tolist(), src_phys.tolist(),
+                        dst_phys.tolist()))
+        index_of = dict.fromkeys(keys)
+        table: list[tuple[int, ...]] = []
+        for key in index_of:
+            profile, src, dst = key
+            index_of[key] = len(table)
+            table.append(tuple(dict.fromkeys((src, *resolve_glitch(
+                profiles[profile], src, dst, n_rows)))))
+        picked = np.array([index_of[key] for key in keys], dtype=np.intp)
+        widths = [len(rows) for rows in table]
+        if len(by_cell) == 1 and len(set(widths)) == 1:
+            # One sub-array and one opened-row count: a single group.
+            shapes = [(by_cell[0][0] * (n_rows + 1) + widths[0], slice(None))]
+        else:
+            shapes = _first_seen_groups(cells * (n_rows + 1) + np.array(
+                widths, dtype=np.intp)[picked])
+        groups = []
+        for key, member in shapes:
+            size = key % (n_rows + 1)
+            # The group's opened rows: this width's table entries (the
+            # rest are placeholders no member picks), gathered per lane.
+            opened = np.array([rows if len(rows) == size else (0,) * size
+                               for rows in table], dtype=np.intp)
+            groups.append(_PairGroup(
+                cell=self._flat_cells[key // (n_rows + 1)],
+                lane_arr=lane_arr[member], src=src_phys[member],
+                dst=dst_phys[member], opened_mat=opened[picked[member]]))
+        return groups
 
     # ------------------------------------------------------------------
     # RNG pre-advancement
     # ------------------------------------------------------------------
 
-    def _schedule(self, program: CompiledProgram, bindings,
+    def _lane_sigmas(self, kind: str, groups: list[_Group],
+                     n_class: int) -> np.ndarray:
+        """Each class lane's draw sigma for one segment kind on
+        ``groups``; zero where the lane draws nothing."""
+        out = np.zeros(n_class)
+        for group in groups:
+            if kind != "sense" and not group.cell._jitter_any:
+                continue
+            per_lane = self._sigmas.get((group.cell_index, kind))
+            if per_lane is None:
+                per_lane = np.asarray(
+                    group.cell._noise_sigma if kind == "sense"
+                    else group.cell._jitter_sigma, dtype=float)
+                self._sigmas[(group.cell_index, kind)] = per_lane
+            out[group.class_idx if group.class_idx is not None
+                else slice(None)] = per_lane[group.lane_arr]
+        return out
+
+    def _schedule(self, program: CompiledProgram, bindings, lane_rows,
                   class_lanes: list[int]):
         """Precompute each region's draw plan: lane runs + gather maps.
 
         All of a region's scaled draws land in one flat ``(rows, C)``
-        matrix.  Per lane, maximal runs of consecutive draw segments
-        hitting the same sub-array merge into one ``normal(0, 1, C * n)``
-        call filling a contiguous row span (the PCG64 ziggurat consumes
-        the stream value-by-value, so one merged draw equals n sequential
-        ones).  Zero-sigma segments (and charge shares on jitter-free
-        sub-arrays) draw nothing, exactly like
+        matrix.  Each (lane, sub-array) owns its generator, so all of its
+        draw segments in the region merge into one run: one
+        ``standard_normal`` call filling a contiguous row span, in
+        segment order (the PCG64 ziggurat consumes the stream
+        value-by-value, so one merged draw equals n sequential ones).
+        Runs are lane-major, so lanes that share a generator still draw
+        in lane order.  Zero-sigma segments (and charge shares on
+        jitter-free sub-arrays) draw nothing, exactly like
         :class:`~repro.dram.rng.NoiseSource`: their gather rows point at
-        the matrix's trailing all-zeros row.  Each segment's per-group
-        lane buffer is then a single fancy-index gather.
+        the matrix's trailing all-zeros row.  A region's plan is
+        ``(rows, runs, row_of, gathers, sigma_column)``: ``row_of`` is
+        ``(segments, class lanes)`` matrix rows and ``gathers[segment]``
+        each group's ``(class index, draws)``, so each segment's
+        per-group lane buffer is a single fancy-index gather
+        (:func:`_gather`).
 
         Both action streams read the one plan.  The telemetry-off
         stream's ``store`` actions step past their cycle's two segments
@@ -354,56 +477,68 @@ class FusedRunner:
         reads; drawing them keeps every lane's stream exactly where the
         full stream leaves it.
         """
+        n_class = len(class_lanes)
+        n_cells = len(self._flat_cells)
+        lane_base = np.arange(n_class)[:, None] * n_cells
+        # One column per distinct (kind, binding): the class lanes' cells
+        # and draw sigmas; and per distinct segment, its column and each
+        # group's (class index, draws) pair.
+        column_by_binding: dict[tuple[str, int], int] = {}
+        column_cells: list[np.ndarray] = []
+        column_sigmas: list[np.ndarray] = []
+        column_of: dict[tuple[str, int, str], int] = {}
+        gathers: dict[tuple[str, int, str], list] = {}
         regions = []
         for region in program.regions:
-            entries: dict[int, list] = {lane: [] for lane in class_lanes}
-            slots: list[list[np.ndarray | None]] = []
-            for kind, bank, param in region:
-                seg_slots: list[np.ndarray | None] = []
-                for group in bindings[(param, bank)]:
-                    if kind == "sense" or group.cell._jitter_any:
-                        index_arr = np.empty(len(group.lanes), dtype=np.intp)
-                        sigma_vec = (group.cell._noise_sigma
-                                     if kind == "sense"
-                                     else group.cell._jitter_sigma)
-                        for offset, lane in enumerate(group.lanes):
-                            entries[lane].append(
-                                (group.cell, float(sigma_vec[lane]),
-                                 index_arr, offset))
-                    else:
-                        index_arr = None
-                    seg_slots.append(index_arr)
-                slots.append(seg_slots)
-
-            runs = []
-            run_sigmas: list[tuple[int, list[float]]] = []
-            row_counter = 0
-            for lane in class_lanes:
-                lane_entries = entries[lane]
-                index = 0
-                while index < len(lane_entries):
-                    cell = lane_entries[index][0]
-                    if lane_entries[index][1] <= 0:
-                        # zero-sigma: no draw; gather the shared zeros row
-                        lane_entries[index][2][lane_entries[index][3]] = -1
-                        index += 1
-                        continue
-                    start = row_counter
-                    sigmas: list[float] = []
-                    while (index < len(lane_entries)
-                           and lane_entries[index][0] is cell):
-                        _, sigma, index_arr, offset = lane_entries[index]
-                        if sigma > 0:
-                            sigmas.append(sigma)
-                            index_arr[offset] = row_counter
-                            row_counter += 1
-                        else:
-                            index_arr[offset] = -1
-                        index += 1
-                    runs.append((cell, lane, start, row_counter))
-                    run_sigmas.append((start, sigmas))
-            regions.append((row_counter + 1, runs, slots,
-                            _sigma_column(row_counter + 1, run_sigmas)))
+            n_seg = len(region)
+            if not n_seg:
+                regions.append((1, [], np.empty((0, n_class), dtype=np.intp),
+                                [], np.ones((1, 1))))
+                continue
+            for segment in dict.fromkeys(region):
+                if segment in column_of:
+                    continue
+                kind, bank, param = segment
+                groups = bindings[(param, bank)]
+                column = column_by_binding.setdefault(
+                    (kind, id(groups)), len(column_sigmas))
+                if column == len(column_sigmas):
+                    column_cells.append(lane_rows[(param, bank)][0])
+                    column_sigmas.append(
+                        self._lane_sigmas(kind, groups, n_class))
+                column_of[segment] = column
+                gathers[segment] = [
+                    (group.class_idx,
+                     kind == "sense" or group.cell._jitter_any)
+                    for group in groups]
+            pick = np.array([column_of[segment] for segment in region],
+                            dtype=np.intp)
+            # (class lanes, segments), flattened lane-major.
+            sigma = np.array(column_sigmas)[pick].T.reshape(-1)
+            drawn = np.flatnonzero(sigma > 0)
+            if n_cells > 1:
+                # One run per (lane, sub-array), segments in order.
+                run_key = (lane_base + np.array(column_cells)[pick].T
+                           ).reshape(-1)
+                drawn = drawn[np.argsort(run_key[drawn], kind="stable")]
+                run_ids = run_key[drawn]
+            else:
+                run_ids = drawn // n_seg
+            n_draw = drawn.size
+            row_of = np.full(n_class * n_seg, -1, dtype=np.intp)
+            row_of[drawn] = np.arange(n_draw)
+            sigma_column = np.ones((n_draw + 1, 1))
+            sigma_column[:n_draw, 0] = sigma[drawn]
+            bounds = (np.flatnonzero(run_ids[1:] != run_ids[:-1]) + 1).tolist()
+            starts = [0, *bounds] if n_draw else []
+            runs = [(self._flat_cells[run_id % n_cells],
+                     class_lanes[run_id // n_cells], start, stop)
+                    for run_id, start, stop in zip(
+                        run_ids[starts].tolist(), starts, [*bounds, n_draw])]
+            regions.append((n_draw + 1, runs,
+                            row_of.reshape(n_class, n_seg).T,
+                            [gathers[segment] for segment in region],
+                            sigma_column))
         return regions
 
     def _prefetch(self, region_schedule):
@@ -416,13 +551,12 @@ class FusedRunner:
         C-chunk separately, and ``standard_normal`` == ``normal(0, 1)``
         on the stream and on every value except ``-0.0``); the single
         trailing ``+ 0.0`` normalizes ``-0.0`` exactly like the
-        per-chunk form.  Returns the flat matrix plus the region's
-        per-segment gather maps; callers gather lazily at each kernel
-        site, so a Frac burst can pull all of its iterations in one
-        fancy index.
+        per-chunk form.  Callers gather lazily at each kernel site (see
+        :func:`_gather`), so a Frac burst pulls all of its iterations in
+        one fancy index.
         """
         columns = self.device.geometry.columns
-        n_rows, runs, slots, sigma_column = region_schedule
+        n_rows, runs, _, _, sigma_column = region_schedule
         flat = np.zeros((n_rows, columns))
         flat_1d = flat.reshape(-1)
         for cell, lane, start, stop in runs:
@@ -430,7 +564,7 @@ class FusedRunner:
                 out=flat_1d[start * columns:stop * columns])
         flat *= sigma_column
         flat += 0.0
-        return flat, slots
+        return flat
 
     # ------------------------------------------------------------------
     # execution
@@ -489,7 +623,7 @@ class FusedRunner:
         """The ``sequence`` label of class lane ``index``, from the rows
         its commands activate."""
         return sequence_label(prim.op, prim.bank, [
-            class_logical[action[1].row_param][index]
+            int(class_logical[action[1].row_param][index])
             for action in prim.actions
             if action[0] == "cmd" and action[1].kind == "ACT"])
 
@@ -528,7 +662,8 @@ class FusedRunner:
                 ) from None
 
         region_index = 0
-        flat, slots = self._prefetch(schedule[0])
+        flat = self._prefetch(schedule[0])
+        _, _, row_of, gathers, _ = schedule[0]
         seg_cursor = 0
         snap_store: dict[int, list] = {}
         dec_store: dict[int, list] = {}
@@ -550,7 +685,7 @@ class FusedRunner:
                     event = action[1]
                     if tracer is not None:
                         violations = list(event.violations)
-                        logical = (class_logical[event.row_param]
+                        logical = (class_logical[event.row_param].tolist()
                                    if event.row_param is not None else None)
                         for index, lane in enumerate(class_lanes):
                             telemetry.emit("command", {
@@ -566,40 +701,38 @@ class FusedRunner:
                                              telemetry)
                 elif tag == "cs":
                     _, bank, param = action
-                    seg_slots = slots[seg_cursor]
+                    rows = row_of[seg_cursor]
+                    gather = gathers[seg_cursor]
                     seg_cursor += 1
-                    snap_store[bank] = [
-                        group.cell.xir_charge_share(
+                    snap_store[bank] = []
+                    for group, spec in zip(bindings[(param, bank)], gather):
+                        draws = _gather(flat, rows, spec)
+                        snap_store[bank].append(group.cell.xir_charge_share(
                             group.lanes, group.lane_arr, group.rows_mat,
-                            (None if index_arr is None
-                             else flat[index_arr][:, None, :]))
-                        for group, index_arr in zip(bindings[(param, bank)],
-                                                    seg_slots)]
+                            None if draws is None else draws[:, None, :]))
                 elif tag == "burst":
                     _, bank, param, n_burst = action
-                    burst_slots = slots[seg_cursor:seg_cursor + n_burst]
+                    # (class lanes, n_burst) gather rows: the burst's
+                    # segments share one binding and one gather spec.
+                    rows = row_of[seg_cursor:seg_cursor + n_burst].T
+                    gather = gathers[seg_cursor]
                     seg_cursor += n_burst
-                    for group_index, group in enumerate(
-                            bindings[(param, bank)]):
-                        if group.cell._jitter_any:
-                            draws = flat[np.stack(
-                                [burst_slots[i][group_index]
-                                 for i in range(n_burst)], axis=1)]
-                        else:
-                            draws = None
+                    for group, spec in zip(bindings[(param, bank)], gather):
                         group.cell.xir_frac_burst(
                             group.lanes, group.lane_arr, group.rows_mat,
-                            draws, n_burst)
+                            _gather(flat, rows, spec), n_burst)
                 elif tag == "sense":
                     _, bank, param = action
-                    seg_slots = slots[seg_cursor]
+                    rows = row_of[seg_cursor]
+                    gather = gathers[seg_cursor]
                     seg_cursor += 1
                     decisions = []
                     groups = bindings[(param, bank)]
-                    for group_index, (group, index_arr) in enumerate(
-                            zip(groups, seg_slots)):
+                    for group_index, (group, spec) in enumerate(
+                            zip(groups, gather)):
                         decision = group.cell.xir_sense(
-                            group.lane_arr, group.rows_mat, flat[index_arr])
+                            group.lane_arr, group.rows_mat,
+                            _gather(flat, rows, spec))
                         decisions.append(decision)
                         if telemetry is not None:
                             group.cell._record_sense(
@@ -674,10 +807,11 @@ class FusedRunner:
                     for pair_group in pair_bindings[(src_param, dst_param,
                                                      bank)]:
                         if telemetry is not None:
-                            for lane, previous, requested, opened in (
-                                    pair_group.events):
+                            for lane, src, dst, opened in zip(
+                                    pair_group.lanes, pair_group.src,
+                                    pair_group.dst, pair_group.opened_mat):
                                 pair_group.cell._record_glitch(
-                                    lane, previous, requested, opened,
+                                    lane, (src,), dst, opened,
                                     overwrite=True)
                         pair_group.cell.xir_overwrite(
                             pair_group.lane_arr, pair_group.opened_mat)
@@ -685,7 +819,8 @@ class FusedRunner:
                     yield action[1]
                     region_index += 1
                     seg_cursor = 0
-                    flat, slots = self._prefetch(schedule[region_index])
+                    flat = self._prefetch(schedule[region_index])
+                    _, _, row_of, gathers, _ = schedule[region_index]
                 else:  # pragma: no cover - defensive
                     raise CommandSequenceError(f"unknown phase op {tag!r}")
 

@@ -24,7 +24,13 @@ from repro.dram.decoder import DecoderProfile
 from repro.dram.environment import Environment
 from repro.dram.parameters import ElectricalParams, VariationParams
 from repro.dram.rng import NoiseSource
-from repro.dram.subarray import CLOSE_ABORT_WINDOW, CouplingProfile, SubArray
+from repro.dram.subarray import (
+    CLOSE_ABORT_WINDOW,
+    CouplingProfile,
+    SubArray,
+    VariationPlanes,
+)
+from repro.dram.vendor import GroupProfile
 
 ENV = Environment()
 N_COLS = 8
@@ -192,8 +198,14 @@ def _make_pair(n_rows: int, n_cols: int, seeds: list[int],
                for seed in seeds]
     donors = [_build_subarray(n_rows, n_cols, seed, variation)
               for seed in seeds]
+    profile = GroupProfile(
+        group_id="T", vendor="test", freq_mhz=1333, n_chips=8,
+        frac_capable=True, three_row=True, four_row=True,
+        decoder=donors[0].decoder_profile, coupling=donors[0].coupling,
+        variation=variation, electrical=donors[0].electrical)
     batched = BatchedSubArray(
-        donors=donors, noises=[donor._noise for donor in donors],
+        planes=VariationPlanes.stack(donors), profiles=[profile] * len(seeds),
+        noises=[donor._noise for donor in donors],
         environments=[ENV] * len(seeds), origins=[(0, 0)] * len(seeds))
     return scalars, batched
 

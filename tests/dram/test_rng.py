@@ -88,3 +88,20 @@ class TestNoiseSource:
         # And the reseeded spawn is itself reproducible.
         again = parent.spawn("bank", 0).normal(1.0, 8)
         assert np.array_equal(child_after, again)
+
+    def test_source_started_at_an_epoch_is_the_reseeded_source(self):
+        reseeded = NoiseSource(0, "chip", 1)
+        reseeded.reseed(4)
+        started = NoiseSource(0, "chip", 1, epoch=4)
+        assert started.epoch == 4
+        assert (started.rng.bit_generator.state
+                == reseeded.rng.bit_generator.state)
+
+    def test_spawn_at_an_epoch_is_the_reseeded_child(self):
+        parent = NoiseSource(0, "chip", 1)
+        reseeded = parent.spawn("bank", 0)
+        reseeded.reseed(2)
+        child = parent.spawn("bank", 0, epoch=2)
+        assert child.epoch == 2 and parent.epoch == 0
+        assert (child.rng.bit_generator.state
+                == reseeded.rng.bit_generator.state)

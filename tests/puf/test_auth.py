@@ -8,7 +8,12 @@ from hypothesis import strategies as st
 from repro import DramChip, GeometryParams
 from repro.analysis.stats import hamming_distance
 from repro.errors import ConfigurationError, InsufficientDataError
-from repro.puf.auth import Authenticator, PackedReferences, match_probe
+from repro.puf.auth import (
+    Authenticator,
+    PackedReferences,
+    _popcount_totals,
+    match_probe,
+)
 from repro.puf.frac_puf import Challenge, FracPuf
 
 GEOM = GeometryParams(n_banks=2, subarrays_per_bank=2,
@@ -171,6 +176,36 @@ class TestVectorizedMatching:
             assert match_probe(packed, probe) == broadcast_match(
                 references, probe)
         assert match_probe(packed, references[1500]) == (300, 0.0)
+
+    def test_totals_past_uint16_stay_exact(self):
+        # One 70,000-bit challenge: a row can differ from the probe in
+        # more bits than uint16 holds, so the totals must widen.  Rows
+        # that would wrap (70,000 -> 4,464 and 65,546 -> 10) sit next
+        # to the true nearest row (10,000 bits away).
+        bits = 70_000
+        rng = np.random.default_rng(11)
+        probe = rng.random((1, bits)) < 0.5
+        flips = [bits, 65_546, 10_000, 65_535]
+        references = np.stack([probe ^ (np.arange(bits) < count)
+                               for count in flips])
+        totals = _popcount_totals(PackedReferences(references), probe)
+        xor_counts = np.count_nonzero(references ^ probe, axis=(1, 2))
+        assert totals.dtype == np.uint32
+        assert totals.tolist() == xor_counts.tolist() == flips
+        assert match_probe(references, probe) == broadcast_match(
+            references, probe) == (2, 10_000 / bits)
+        exact = np.concatenate([references, probe[np.newaxis]])
+        assert match_probe(exact, probe) == (4, 0.0)
+
+    def test_totals_use_the_narrowest_exact_type(self):
+        # 4 x 128 bits: at most 512 differing bits, so uint16.
+        rng = np.random.default_rng(12)
+        references = rng.random((50, 4, 128)) < 0.5
+        probe = rng.random((4, 128)) < 0.5
+        totals = _popcount_totals(PackedReferences(references), probe)
+        assert totals.dtype == np.uint16
+        assert totals.tolist() == np.count_nonzero(
+            references ^ probe, axis=(1, 2)).tolist()
 
     def test_tie_keeps_first_enrolled(self):
         probe = np.zeros((2, 8), dtype=bool)
