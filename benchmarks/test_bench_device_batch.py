@@ -61,7 +61,7 @@ def test_fig11_device_batch_speedup(benchmark, bench_config, capsys):
     config = bench_config.scaled(columns=128)
 
     scalar_wall, scalar = _best_wall(
-        fig11_puf_hd.run, config.scaled(batch=1),
+        fig11_puf_hd.run, config.scaled(backend="scalar"),
         n_challenges=N_CHALLENGES, modules_per_group=MODULES_PER_GROUP)
 
     started = time.perf_counter()

@@ -29,75 +29,9 @@ PATH`` to record counters, phase timers, and a structured event trace
 from __future__ import annotations
 
 import argparse
+import importlib
 import sys
 from pathlib import Path
-
-
-def _cmd_experiments(arguments: argparse.Namespace) -> int:
-    from .experiments.runner import main as runner_main
-
-    forwarded = []
-    if arguments.only:
-        forwarded.extend(["--only", *arguments.only])
-    if arguments.list:
-        forwarded.append("--list")
-    forwarded.extend(["--seed", str(arguments.seed)])
-    forwarded.extend(["--columns", str(arguments.columns)])
-    if arguments.workers is not None:
-        forwarded.extend(["--workers", str(arguments.workers)])
-    if arguments.batch is not None:
-        forwarded.extend(["--batch", str(arguments.batch)])
-    if arguments.backend is not None:
-        forwarded.extend(["--backend", arguments.backend])
-    if arguments.no_cache:
-        forwarded.append("--no-cache")
-    if arguments.cache_dir:
-        forwarded.extend(["--cache-dir", arguments.cache_dir])
-    if arguments.telemetry:
-        forwarded.append("--telemetry")
-    if arguments.trace_out:
-        forwarded.extend(["--trace-out", arguments.trace_out])
-    if arguments.cache_stats:
-        forwarded.append("--cache-stats")
-    return runner_main(forwarded)
-
-
-def _cmd_report(arguments: argparse.Namespace) -> int:
-    from contextlib import nullcontext
-
-    from .experiments.base import DEFAULT_CONFIG
-    from .experiments.report import generate_report
-    from .fleet import ResultCache, resolve_workers
-    from .telemetry import session as telemetry_session
-
-    if arguments.backend is not None:
-        from .backends import BackendError, get_backend
-
-        try:
-            get_backend(arguments.backend)  # fail fast on unknown names
-        except BackendError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-    config = DEFAULT_CONFIG.scaled(master_seed=arguments.seed,
-                                   columns=arguments.columns,
-                                   batch=arguments.batch,
-                                   backend=arguments.backend)
-    workers = resolve_workers(arguments.workers)
-    cache = None if arguments.no_cache else ResultCache(arguments.cache_dir)
-    use_telemetry = arguments.telemetry or arguments.trace_out is not None
-    context = (telemetry_session(trace_path=arguments.trace_out)
-               if use_telemetry else nullcontext(None))
-    with context:
-        path = generate_report(arguments.output, config,
-                               arguments.only or None,
-                               workers=workers, cache=cache)
-    print(f"report written to {path}")
-    if arguments.trace_out:
-        print(f"trace written to {arguments.trace_out}")
-    if cache is not None and cache.hits:
-        print(f"({cache.hits} experiment(s) served from cache "
-              f"{cache.directory})")
-    return 0
 
 
 def _cmd_validate_trace(arguments: argparse.Namespace) -> int:
@@ -313,81 +247,31 @@ def _cmd_bench_service(arguments: argparse.Namespace) -> int:
     return 0
 
 
-def main(argv: list[str] | None = None) -> int:
-    arguments_in = list(sys.argv[1:] if argv is None else argv)
-    if arguments_in and arguments_in[0] == "lint":
-        # Dispatched before argparse: the lint CLI owns its own flags
-        # (argparse.REMAINDER cannot forward leading ``--options``).
-        from .lint.cli import main as lint_main
+#: Subcommands that own their flags, by the module whose ``main`` takes
+#: the rest of the command line.  They are handed off before argparse
+#: runs (argparse.REMAINDER cannot forward leading ``--options``), and
+#: each module is imported only when its command runs.  ``experiments``
+#: and ``report`` share their run flags through
+#: :func:`repro.experiments.runner.add_run_arguments`.
+_HANDOFFS = {
+    "experiments": "repro.experiments.runner",
+    "report": "repro.experiments.report",
+    "lint": "repro.lint.cli",
+    "run-program": "repro.backends.frontend",
+}
 
-        return lint_main(arguments_in[1:])
-    if arguments_in and arguments_in[0] == "run-program":
-        # Also pre-dispatched: the frontend owns its flags (its --backend
-        # choices come from the registry, which should only be imported
-        # when the command actually runs).
-        from .backends.frontend import main as run_program_main
 
-        return run_program_main(arguments_in[1:])
-
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro", description="FracDRAM reproduction toolkit")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    experiments = subparsers.add_parser(
-        "experiments", help="run paper experiments")
-    experiments.add_argument("--only", nargs="*")
-    experiments.add_argument("--list", action="store_true")
-    experiments.add_argument("--seed", type=int, default=2022)
-    experiments.add_argument("--columns", type=int, default=1024)
-    experiments.add_argument("--workers", type=int, default=None,
-                             help="worker processes to shard experiments "
-                                  "over (0 = serial)")
-    experiments.add_argument("--batch", type=int, default=None,
-                             help="batched-engine lane width (trials or "
-                                  "modules; default auto; 1 = scalar; "
-                                  "results byte-identical)")
-    experiments.add_argument("--backend", default=None, metavar="NAME",
-                             help="execution backend (scalar/fused; "
-                                  "default fused; results byte-identical)")
-    experiments.add_argument("--no-cache", action="store_true",
-                             help="recompute results even if cached")
-    experiments.add_argument("--cache-dir", default=None)
-    experiments.add_argument("--telemetry", action="store_true",
-                             help="collect and print telemetry counters")
-    experiments.add_argument("--cache-stats", action="store_true",
-                             help="print plan/xir compile-cache "
-                                  "statistics after the run")
-    experiments.add_argument("--trace-out", default=None, metavar="PATH",
-                             help="write a JSON-lines event trace "
-                                  "(implies --telemetry)")
-    experiments.set_defaults(handler=_cmd_experiments)
-
-    report = subparsers.add_parser(
-        "report", help="write RESULTS.md + JSON exports")
-    report.add_argument("--output", default="results")
-    report.add_argument("--only", nargs="*")
-    report.add_argument("--seed", type=int, default=2022)
-    report.add_argument("--columns", type=int, default=1024)
-    report.add_argument("--workers", type=int, default=None,
-                        help="worker processes to shard experiments "
-                             "over (0 = serial)")
-    report.add_argument("--batch", type=int, default=None,
-                        help="batched-engine lane width (trials or "
-                             "modules; default auto; 1 = scalar; "
-                             "results byte-identical)")
-    report.add_argument("--backend", default=None, metavar="NAME",
-                        help="execution backend (scalar/fused; "
-                             "default fused; results byte-identical)")
-    report.add_argument("--no-cache", action="store_true",
-                        help="recompute results even if cached")
-    report.add_argument("--cache-dir", default=None)
-    report.add_argument("--telemetry", action="store_true",
-                        help="collect telemetry; adds a deterministic "
-                             "summary section to RESULTS.md")
-    report.add_argument("--trace-out", default=None, metavar="PATH",
-                        help="write a JSON-lines event trace "
-                             "(implies --telemetry)")
-    report.set_defaults(handler=_cmd_report)
+    # The handoffs are registered here only so ``repro -h`` lists them
+    # alongside the other subcommands.
+    subparsers.add_parser(
+        "experiments", add_help=False, help="run paper experiments")
+    subparsers.add_parser(
+        "report", add_help=False, help="write RESULTS.md + JSON exports")
 
     trng = subparsers.add_parser("trng", help="generate random bits")
     trng.add_argument("--bits", type=int, default=1024)
@@ -422,8 +306,6 @@ def main(argv: list[str] | None = None) -> int:
     trace_diff.add_argument("b", metavar="TRACE_B")
     trace_diff.set_defaults(handler=_cmd_trace_diff)
 
-    # ``lint`` and ``run-program`` are dispatched above; registered here
-    # so ``repro -h`` lists them alongside the other subcommands.
     subparsers.add_parser(
         "lint", add_help=False,
         help="determinism & fork-safety static analysis "
@@ -479,9 +361,16 @@ def main(argv: list[str] | None = None) -> int:
     disassemble.add_argument("--row", type=int, default=1)
     disassemble.add_argument("--n", type=int, default=1)
     disassemble.set_defaults(handler=_cmd_disassemble)
+    return parser
 
-    arguments = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    arguments_in = list(sys.argv[1:] if argv is None else argv)
     try:
+        if arguments_in and arguments_in[0] in _HANDOFFS:
+            module = importlib.import_module(_HANDOFFS[arguments_in[0]])
+            return module.main(arguments_in[1:])
+        arguments = _parser().parse_args(arguments_in)
         return arguments.handler(arguments)
     except BrokenPipeError:
         # Output piped into a pager/head that closed early: not an error.

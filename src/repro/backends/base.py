@@ -174,12 +174,11 @@ class Backend(abc.ABC):
     description: ClassVar[str] = ""
 
     @abc.abstractmethod
-    def lane_width(self, auto: int, batch: int | None) -> int:
+    def lane_width(self, auto: int) -> int:
         """Effective lane width for a batched experiment stage.
 
-        ``auto`` is the stage's natural lane count and ``batch`` the
-        config's cap (``None`` = auto).  Returning 1 forces the scalar
-        path.  Must be >= 1.
+        ``auto`` is the stage's natural lane count.  Returning 1 forces
+        the scalar path.  Must be >= 1.
         """
 
     @abc.abstractmethod

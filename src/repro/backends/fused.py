@@ -37,12 +37,8 @@ class FusedBackend(Backend):
     description = ("vectorized lanes (BatchedSoftMC over a device fleet) "
                    "with xir-compiled experiment hot paths")
 
-    def lane_width(self, auto: int, batch: int | None) -> int:
-        if auto < 1:
-            return 1
-        if batch is None:
-            return auto
-        return max(1, min(int(batch), auto))
+    def lane_width(self, auto: int) -> int:
+        return max(1, auto)
 
     def _execute(self, request: ProgramRequest) -> tuple[DeviceResult, ...]:
         device = BatchedChip.from_fleet(

@@ -27,7 +27,7 @@ class ScalarBackend(Backend):
     name = "scalar"
     description = "cycle-accurate reference (one SoftMC per device)"
 
-    def lane_width(self, auto: int, batch: int | None) -> int:
+    def lane_width(self, auto: int) -> int:
         return 1
 
     def _execute(self, request: ProgramRequest) -> tuple[DeviceResult, ...]:

@@ -4,8 +4,7 @@ Every experiment module exposes ``run(config) -> *Result`` where the
 result carries the measured series plus a ``format_table()`` renderer that
 prints the same rows/series the paper reports.  ``ExperimentConfig``
 scales the simulated hardware: the defaults are sized so the full suite
-runs in minutes; ``paper_scale()`` approaches the paper's geometry (8 KB
-rows, hundreds of chips) for overnight runs.
+runs in minutes.
 """
 
 from __future__ import annotations
@@ -19,14 +18,12 @@ import numpy as np
 from ..core.ops import FracDram
 from ..dram.chip import DramChip
 from ..dram.environment import Environment
-from ..dram.module_ import DramModule
 from ..dram.parameters import GeometryParams
 from ..dram.vendor import GroupProfile
 from ..telemetry.registry import active as _telemetry_active
 
-__all__ = ["ExperimentConfig", "make_chip", "make_fd",
-           "make_module", "markdown_table", "percent", "resolve_batch",
-           "stage"]
+__all__ = ["ExperimentConfig", "make_chip", "make_fd", "markdown_table",
+           "percent", "resolve_batch", "stage"]
 
 
 @contextmanager
@@ -61,16 +58,10 @@ class ExperimentConfig:
     subarrays_per_bank: int = 2
     n_banks: int = 2
     chips_per_group: int = 2
-    #: Trial-batch width for experiments with a batched engine: ``None``
-    #: picks the experiment's natural width automatically, ``0``/``1``
-    #: forces the scalar path, ``N > 1`` caps cohorts at N lanes.  Results
-    #: are byte-identical at every setting (the batched engine mirrors the
-    #: scalar RNG stream per lane); this knob only trades memory for speed.
-    batch: int | None = None
     #: Execution backend name (see :mod:`repro.backends`): ``None`` uses
     #: the registry default (``fused``).  Every registered backend is
     #: conformance-gated to byte-identical results and telemetry
-    #: counters, so this knob (like ``batch``) never changes outputs.
+    #: counters, so this knob never changes outputs.
     backend: str | None = None
 
     def __post_init__(self) -> None:
@@ -90,13 +81,6 @@ class ExperimentConfig:
     def scaled(self, **overrides) -> "ExperimentConfig":
         return replace(self, **overrides)
 
-    @staticmethod
-    def paper_scale() -> "ExperimentConfig":
-        """Geometry approaching the paper's setup (slow; for full runs)."""
-        return ExperimentConfig(
-            columns=65536, rows_per_subarray=16, subarrays_per_bank=4,
-            n_banks=2, chips_per_group=4)
-
 
 DEFAULT_CONFIG = ExperimentConfig()
 
@@ -107,13 +91,12 @@ def resolve_batch(config: ExperimentConfig, auto: int) -> int:
     ``auto`` is the experiment's natural lane count for the stage (all
     units of a shard, all serials of a group, ...).  Dispatch is the
     configured backend's policy (:mod:`repro.backends`): ``fused`` takes
-    ``auto`` capped by the ``batch`` knob (0/1 disables batching
-    entirely), while ``scalar`` forces width 1.  The returned width is
-    always at least 1.
+    ``auto``, while ``scalar`` forces width 1, the scalar path.  The
+    returned width is always at least 1.
     """
     from ..backends import resolve_backend
 
-    return resolve_backend(config.backend).lane_width(auto, config.batch)
+    return resolve_backend(config.backend).lane_width(auto)
 
 
 def make_chip(group: str | GroupProfile, config: ExperimentConfig,
@@ -124,20 +107,6 @@ def make_chip(group: str | GroupProfile, config: ExperimentConfig,
         group,
         geometry=config.geometry(),
         serial=serial,
-        master_seed=config.master_seed,
-        environment=environment,
-    )
-
-
-def make_module(group: str | GroupProfile, config: ExperimentConfig,
-                module_serial: int = 0, n_chips: int = 1,
-                environment: Environment | None = None) -> DramModule:
-    """Fabricate a module (defaults to a single-chip module for speed)."""
-    return DramModule(
-        group,
-        n_chips=n_chips,
-        geometry=config.geometry(),
-        module_serial=module_serial,
         master_seed=config.master_seed,
         environment=environment,
     )

@@ -164,17 +164,16 @@ def _combo_success_at(config: ExperimentConfig, group_id: str,
     exactly the command stream of the scalar serial loop (sub-array
     targets outer, input combinations inner), and the per-(serial,
     target) means are re-accumulated in scalar serial-major order, so
-    the averages are byte-identical at any batch width.
+    the averages are byte-identical to the scalar serial loop.
     """
     combos = input_combos(config.columns)
     targets = subarray_targets(config)
     fmaj_config = FMajConfig(fmaj_config_base.frac_position,
                              fmaj_config_base.init_ones, n_frac)
     serials = list(range(config.chips_per_group))
-    batch = resolve_batch(config, len(serials))
     sums = {pattern: 0.0 for pattern, _ in combos}
     all_correct_sum = 0.0
-    if batch <= 1:
+    if resolve_batch(config, len(serials)) <= 1:
         samples = 0
         for serial in serials:
             fd = make_fd(group_id, config, serial)
@@ -194,23 +193,20 @@ def _combo_success_at(config: ExperimentConfig, group_id: str,
     per_combo = {pattern: np.zeros((len(serials), len(targets)))
                  for pattern, _ in combos}
     all_matrix = np.zeros((len(serials), len(targets)))
-    for start in range(0, len(serials), batch):
-        cohort = serials[start:start + batch]
-        chips = [make_chip(group_id, config, serial) for serial in cohort]
-        bfd = BatchedFracDram(BatchedChip.from_chips(chips))
-        lanes = bfd.all_lanes()
-        rows = slice(start, start + len(cohort))
-        for t_index, (bank, subarray) in enumerate(targets):
-            plan = donor.quad_plan(bank, subarray)
-            correct_all = np.ones((len(cohort), bfd.columns), dtype=bool)
-            for pattern, operands in combos:
-                expected = sum(pattern) >= 2
-                ops = np.broadcast_to(
-                    np.stack(operands), (len(cohort), 3, bfd.columns))
-                matches = bfd.f_maj(plan, ops, fmaj_config, lanes) == expected
-                per_combo[pattern][rows, t_index] = matches.mean(axis=1)
-                correct_all &= matches
-            all_matrix[rows, t_index] = correct_all.mean(axis=1)
+    chips = [make_chip(group_id, config, serial) for serial in serials]
+    bfd = BatchedFracDram(BatchedChip.from_chips(chips))
+    lanes = bfd.all_lanes()
+    for t_index, (bank, subarray) in enumerate(targets):
+        plan = donor.quad_plan(bank, subarray)
+        correct_all = np.ones((len(serials), bfd.columns), dtype=bool)
+        for pattern, operands in combos:
+            expected = sum(pattern) >= 2
+            ops = np.broadcast_to(
+                np.stack(operands), (len(serials), 3, bfd.columns))
+            matches = bfd.f_maj(plan, ops, fmaj_config, lanes) == expected
+            per_combo[pattern][:, t_index] = matches.mean(axis=1)
+            correct_all &= matches
+        all_matrix[:, t_index] = correct_all.mean(axis=1)
     samples = len(serials) * len(targets)
     for s_index in range(len(serials)):
         for t_index in range(len(targets)):
@@ -247,11 +243,10 @@ def _stability_rates(config: ExperimentConfig, group_id: str,
     command stream while drawing its operands from the serial's own
     ``(master_seed, "fig10", group, operation, serial)`` stream — the
     same derivation the scalar path uses — so rates are byte-identical
-    at any batch width and under any shard slicing.
+    to the scalar path and under any shard slicing.
     """
-    batch = resolve_batch(config, len(serials))
     rates: dict[int, np.ndarray] = {}
-    if batch <= 1:
+    if resolve_batch(config, len(serials)) <= 1:
         for serial in serials:
             rng = derive_rng(config.master_seed, "fig10", group_id,
                              operation, serial)
@@ -263,26 +258,24 @@ def _stability_rates(config: ExperimentConfig, group_id: str,
     bank = subarray = 0
     plan = (donor.triple_plan(bank, subarray) if operation == "maj3"
             else donor.quad_plan(bank, subarray))
-    for start in range(0, len(serials), batch):
-        cohort = serials[start:start + batch]
-        rngs = [derive_rng(config.master_seed, "fig10", group_id,
-                           operation, serial) for serial in cohort]
-        chips = [make_chip(group_id, config, serial) for serial in cohort]
-        bfd = BatchedFracDram(BatchedChip.from_chips(chips))
-        lanes = bfd.all_lanes()
-        successes = np.zeros((len(cohort), bfd.columns))
-        for _ in range(trials):
-            operands = np.stack([
-                np.stack([rng.random(bfd.columns) < 0.5 for _ in range(3)])
-                for rng in rngs])
-            expected = operands.sum(axis=1) >= 2
-            if operation == "maj3":
-                result = bfd.maj3(plan, operands, lanes)
-            else:
-                result = bfd.f_maj(plan, operands, fmaj_config, lanes)
-            successes += result == expected
-        for lane, serial in enumerate(cohort):
-            rates[serial] = successes[lane] / trials
+    rngs = [derive_rng(config.master_seed, "fig10", group_id,
+                       operation, serial) for serial in serials]
+    chips = [make_chip(group_id, config, serial) for serial in serials]
+    bfd = BatchedFracDram(BatchedChip.from_chips(chips))
+    lanes = bfd.all_lanes()
+    successes = np.zeros((len(serials), bfd.columns))
+    for _ in range(trials):
+        operands = np.stack([
+            np.stack([rng.random(bfd.columns) < 0.5 for _ in range(3)])
+            for rng in rngs])
+        expected = operands.sum(axis=1) >= 2
+        if operation == "maj3":
+            result = bfd.maj3(plan, operands, lanes)
+        else:
+            result = bfd.f_maj(plan, operands, fmaj_config, lanes)
+        successes += result == expected
+    for lane, serial in enumerate(serials):
+        rates[serial] = successes[lane] / trials
     return rates
 
 
@@ -316,9 +309,9 @@ def run_shard(config: ExperimentConfig, units, trials: int = 500,
     """Execute part-(a) and stability units; one payload per unit.
 
     Stability units sharing a (group, operation) campaign are gathered
-    into trial-batch cohorts (``config.batch`` caps the width); each
-    unit's rates depend only on (config, unit key), so the payloads are
-    identical under any shard slicing or batch width.
+    into one trial-batch cohort; each unit's rates depend only on
+    (config, unit key), so the payloads are identical under any shard
+    slicing.
     """
     units = list(units)
     by_campaign: dict[tuple[str, str], list[int]] = {}

@@ -144,12 +144,11 @@ def run_shard(config: ExperimentConfig, units, n_challenges: int = 24,
     (:meth:`BatchedChip.from_fleet`): one cohort fabricates every module
     from its ``(group_id, serial)`` seed, evaluates the challenge set at
     noise epoch 0, reseeds all lanes to epoch 1 and evaluates again —
-    byte-identical to the scalar per-module loop at any batch width.
+    byte-identical to the scalar per-module loop.
     """
     challenges = default_challenges(config, n_challenges)
     units = list(units)
-    batch = resolve_batch(config, len(units))
-    if batch <= 1:
+    if resolve_batch(config, len(units)) <= 1:
         payloads = []
         for group_id, serial in units:
             chip = make_chip(group_id, config, serial)
@@ -160,20 +159,14 @@ def run_shard(config: ExperimentConfig, units, n_challenges: int = 24,
                 trials.append(puf.evaluate_many(challenges))
             payloads.append((group_id, serial, trials))
         return payloads
-    payloads = []
-    geometry = config.geometry()
-    for start in range(0, len(units), batch):
-        cohort = units[start:start + batch]
-        puf = FusedFracPuf(BatchedChip.from_fleet(
-            cohort, geometry=geometry, master_seed=config.master_seed,
-            epochs=[0] * len(cohort)))
-        epoch0 = puf.evaluate_many(challenges)
-        puf.reseed_noise(1)
-        epoch1 = puf.evaluate_many(challenges)
-        payloads.extend(
-            (group_id, serial, [epoch0[lane].copy(), epoch1[lane].copy()])
-            for lane, (group_id, serial) in enumerate(cohort))
-    return payloads
+    puf = FusedFracPuf(BatchedChip.from_fleet(
+        units, geometry=config.geometry(), master_seed=config.master_seed,
+        epochs=[0] * len(units)))
+    epoch0 = puf.evaluate_many(challenges)
+    puf.reseed_noise(1)
+    epoch1 = puf.evaluate_many(challenges)
+    return [(group_id, serial, [epoch0[lane].copy(), epoch1[lane].copy()])
+            for lane, (group_id, serial) in enumerate(units)]
 
 
 def merge(config: ExperimentConfig, payloads, **_kwargs) -> Fig11Result:

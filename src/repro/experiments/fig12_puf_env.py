@@ -140,12 +140,11 @@ def run_shard(config: ExperimentConfig, units, n_challenges: int = 16,
     batch as lanes of one :meth:`BatchedChip.from_fleet` device cohort;
     payloads are ``((condition, group_id, serial), responses)`` with
     ``responses`` a ``(n_challenges, columns)`` array, byte-identical to
-    the scalar per-module collection at any batch width.
+    the scalar per-module collection.
     """
     challenges = default_challenges(config, n_challenges)
     units = list(units)
-    batch = resolve_batch(config, len(units))
-    if batch <= 1:
+    if resolve_batch(config, len(units)) <= 1:
         payloads = []
         for condition, group_id, serial in units:
             chip = make_chip(group_id, config, serial,
@@ -160,17 +159,15 @@ def run_shard(config: ExperimentConfig, units, n_challenges: int = 16,
         by_condition.setdefault(unit[0], []).append(unit)
     payloads = []
     geometry = config.geometry()
-    for condition, condition_units in by_condition.items():
-        environment = _environment(condition)
-        for start in range(0, len(condition_units), batch):
-            cohort = condition_units[start:start + batch]
-            device = BatchedChip.from_fleet(
-                [(group_id, serial) for _, group_id, serial in cohort],
-                geometry=geometry, master_seed=config.master_seed,
-                environment=environment, epochs=[condition] * len(cohort))
-            stacks = FusedFracPuf(device).evaluate_many(challenges)
-            payloads.extend((unit, stacks[lane].copy())
-                            for lane, unit in enumerate(cohort))
+    for condition, cohort in by_condition.items():
+        device = BatchedChip.from_fleet(
+            [(group_id, serial) for _, group_id, serial in cohort],
+            geometry=geometry, master_seed=config.master_seed,
+            environment=_environment(condition),
+            epochs=[condition] * len(cohort))
+        stacks = FusedFracPuf(device).evaluate_many(challenges)
+        payloads.extend((unit, stacks[lane].copy())
+                        for lane, unit in enumerate(cohort))
     return payloads
 
 

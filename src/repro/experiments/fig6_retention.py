@@ -156,14 +156,13 @@ def run_shard(config: ExperimentConfig, units,
     has no effect) or ``"irregular"`` (non-capable group that failed
     the flat-profile sanity check).
 
-    Groups are profiled as lanes of one trial batch (one lane per unit,
-    ``config.batch`` caps the cohort width); lane ``i`` consumes exactly
-    the command stream and noise draws of a scalar run on group ``i``,
-    so payloads are byte-identical at any batch width.
+    Groups are profiled as lanes of one trial batch (one lane per
+    unit); lane ``i`` consumes exactly the command stream and noise
+    draws of a scalar run on group ``i``, so payloads are byte-identical
+    to the scalar per-group loop.
     """
     units = list(units)
-    batch = resolve_batch(config, len(units))
-    if batch <= 1:
+    if resolve_batch(config, len(units)) <= 1:
         payloads = []
         for group_id in units:
             fd = make_fd(group_id, config, serial=0)
@@ -171,19 +170,14 @@ def run_shard(config: ExperimentConfig, units,
             retention = RetentionProfiler(fd).profile_rows(targets, FRAC_COUNTS)
             payloads.append(_classify(group_id, retention))
         return payloads
-    payloads = []
-    for start in range(0, len(units), batch):
-        cohort = units[start:start + batch]
-        chips = [make_chip(group_id, config, serial=0) for group_id in cohort]
-        per_lane_targets = [
-            _unit_targets(config, group_id, rows_per_bank_sample)
-            for group_id in cohort]
-        profiler = BatchedRetentionProfiler(
-            BatchedFracDram(BatchedChip.from_chips(chips)))
-        retentions = profiler.profile_rows(per_lane_targets, FRAC_COUNTS)
-        payloads.extend(_classify(group_id, retention)
-                        for group_id, retention in zip(cohort, retentions))
-    return payloads
+    chips = [make_chip(group_id, config, serial=0) for group_id in units]
+    per_lane_targets = [_unit_targets(config, group_id, rows_per_bank_sample)
+                        for group_id in units]
+    profiler = BatchedRetentionProfiler(
+        BatchedFracDram(BatchedChip.from_chips(chips)))
+    retentions = profiler.profile_rows(per_lane_targets, FRAC_COUNTS)
+    return [_classify(group_id, retention)
+            for group_id, retention in zip(units, retentions)]
 
 
 def merge(config: ExperimentConfig, payloads, **_kwargs) -> Fig6Result:

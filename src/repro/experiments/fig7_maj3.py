@@ -117,11 +117,10 @@ def run_shard(config: ExperimentConfig, units, group_id: str = "B",
     :func:`subarray_targets` order.  Serials within one (setting,
     Frac count) cell are lanes of a :meth:`BatchedChip.from_fleet`
     device cohort; the shared multi-row plan is resolved once on a
-    scalar donor — byte-identical at any batch width.
+    scalar donor — byte-identical to the scalar per-unit loop.
     """
     units = list(units)
-    batch = resolve_batch(config, config.chips_per_group)
-    if batch <= 1:
+    if resolve_batch(config, config.chips_per_group) <= 1:
         payloads = []
         for setting_index, n_frac, serial in units:
             frac_rows, init_ones = SETTINGS[setting_index]
@@ -144,21 +143,19 @@ def run_shard(config: ExperimentConfig, units, group_id: str = "B",
     geometry = config.geometry()
     for (setting_index, n_frac), serials in by_cell.items():
         frac_rows, init_ones = SETTINGS[setting_index]
-        for start in range(0, len(serials), batch):
-            cohort = serials[start:start + batch]
-            device = BatchedChip.from_fleet(
-                [(group_id, serial) for serial in cohort],
-                geometry=geometry, master_seed=config.master_seed)
-            bfd = BatchedFracDram(device)
-            per_lane: list[list[dict[str, float]]] = [[] for _ in cohort]
-            for plan in plans:
-                results = batched_verify_frac_by_maj3(
-                    bfd, plan, frac_rows=frac_rows, init_ones=init_ones,
-                    n_frac=n_frac)
-                for lane, result in enumerate(results):
-                    per_lane[lane].append(result.combo_fractions())
-            payloads.extend((setting_index, n_frac, serial, per_lane[lane])
-                            for lane, serial in enumerate(cohort))
+        device = BatchedChip.from_fleet(
+            [(group_id, serial) for serial in serials],
+            geometry=geometry, master_seed=config.master_seed)
+        bfd = BatchedFracDram(device)
+        per_lane: list[list[dict[str, float]]] = [[] for _ in serials]
+        for plan in plans:
+            results = batched_verify_frac_by_maj3(
+                bfd, plan, frac_rows=frac_rows, init_ones=init_ones,
+                n_frac=n_frac)
+            for lane, result in enumerate(results):
+                per_lane[lane].append(result.combo_fractions())
+        payloads.extend((setting_index, n_frac, serial, per_lane[lane])
+                        for lane, serial in enumerate(serials))
     return payloads
 
 

@@ -218,12 +218,11 @@ def run_shard(config: ExperimentConfig, units, group_id: str = "B",
     cohort — the same serial-0 chip at each unit's noise epoch: the two
     Half-m retention PDFs together, the MAJ3 layouts together, the
     5x-Frac reference on its own — byte-identical to the scalar
-    per-unit loop at any batch width.
+    per-unit loop.
     """
     units = list(units)
     bank, subarray = 0, 0
-    batch = resolve_batch(config, len(units))
-    if batch <= 1:
+    if resolve_batch(config, len(units)) <= 1:
         payloads = []
         for index, kind, layout in units:
             fd = make_fd(group_id, config, serial=0)
@@ -256,42 +255,40 @@ def run_shard(config: ExperimentConfig, units, group_id: str = "B",
         shape = "frac5" if (kind, layout) == ("retention", "frac5") else kind
         by_shape.setdefault(shape, []).append(unit)
     payloads = []
-    for shape, shape_units in by_shape.items():
-        for start in range(0, len(shape_units), batch):
-            cohort = shape_units[start:start + batch]
-            bfd = _fleet(config, group_id, [index for index, _, _ in cohort])
-            lanes = bfd.all_lanes()
-            layouts = [layout for _, _, layout in cohort]
-            if shape == "frac5":
-                def prepare() -> None:
-                    bfd.fill_row(bank, [measure_row] * len(lanes), True, lanes)
-                    bfd.frac(bank, [measure_row] * len(lanes), 5, lanes)
-                buckets = _batched_retention_bucket(bfd, bank, prepare,
-                                                    measure_row, lanes)
-                payloads.extend((unit, buckets[lane].copy())
-                                for lane, unit in enumerate(cohort))
-            elif shape == "retention":
-                buckets = _batched_retention_bucket(
-                    bfd, bank,
-                    lambda: _batched_prepare_half_m(bfd, quad, layouts, lanes),
-                    measure_row, lanes)
-                payloads.extend((unit, buckets[lane].copy())
-                                for lane, unit in enumerate(cohort))
-            else:
-                carrier = triple.opened[1]  # local row 2
-                _batched_prepare_half_m(bfd, quad, layouts, lanes)
-                bfd.fill_row(bank, [carrier] * len(lanes), True, lanes)
-                bfd.multi_row_activate(triple, lanes)
-                x1 = bfd.read_row(bank, [triple.opened[0]] * len(lanes),
-                                  lanes).astype(bool)
-                _batched_prepare_half_m(bfd, quad, layouts, lanes)
-                bfd.fill_row(bank, [carrier] * len(lanes), False, lanes)
-                bfd.multi_row_activate(triple, lanes)
-                x2 = bfd.read_row(bank, [triple.opened[0]] * len(lanes),
-                                  lanes).astype(bool)
-                payloads.extend(
-                    (unit, (x1[lane].copy(), x2[lane].copy()))
-                    for lane, unit in enumerate(cohort))
+    for shape, cohort in by_shape.items():
+        bfd = _fleet(config, group_id, [index for index, _, _ in cohort])
+        lanes = bfd.all_lanes()
+        layouts = [layout for _, _, layout in cohort]
+        if shape == "frac5":
+            def prepare() -> None:
+                bfd.fill_row(bank, [measure_row] * len(lanes), True, lanes)
+                bfd.frac(bank, [measure_row] * len(lanes), 5, lanes)
+            buckets = _batched_retention_bucket(bfd, bank, prepare,
+                                                measure_row, lanes)
+            payloads.extend((unit, buckets[lane].copy())
+                            for lane, unit in enumerate(cohort))
+        elif shape == "retention":
+            buckets = _batched_retention_bucket(
+                bfd, bank,
+                lambda: _batched_prepare_half_m(bfd, quad, layouts, lanes),
+                measure_row, lanes)
+            payloads.extend((unit, buckets[lane].copy())
+                            for lane, unit in enumerate(cohort))
+        else:
+            carrier = triple.opened[1]  # local row 2
+            _batched_prepare_half_m(bfd, quad, layouts, lanes)
+            bfd.fill_row(bank, [carrier] * len(lanes), True, lanes)
+            bfd.multi_row_activate(triple, lanes)
+            x1 = bfd.read_row(bank, [triple.opened[0]] * len(lanes),
+                              lanes).astype(bool)
+            _batched_prepare_half_m(bfd, quad, layouts, lanes)
+            bfd.fill_row(bank, [carrier] * len(lanes), False, lanes)
+            bfd.multi_row_activate(triple, lanes)
+            x2 = bfd.read_row(bank, [triple.opened[0]] * len(lanes),
+                              lanes).astype(bool)
+            payloads.extend(
+                (unit, (x1[lane].copy(), x2[lane].copy()))
+                for lane, unit in enumerate(cohort))
     return payloads
 
 

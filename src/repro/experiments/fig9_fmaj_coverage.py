@@ -155,12 +155,11 @@ def _group_payload(config: ExperimentConfig, group_id: str,
     exactly the command stream of the scalar sweep (MAJ3 baseline first
     for group B, then the configuration sweep in frac-position / init /
     #Frac order, sub-array targets innermost), so the per-serial coverage
-    values are byte-identical at any batch width.
+    values are byte-identical to the scalar serial loop.
     """
     targets = subarray_targets(config)
     serials = list(range(config.chips_per_group))
-    batch = resolve_batch(config, len(serials))
-    if batch <= 1:
+    if resolve_batch(config, len(serials)) <= 1:
         devices = [make_fd(group_id, config, serial) for serial in serials]
         maj3_values = None
         if group_id == "B":
@@ -185,43 +184,34 @@ def _group_payload(config: ExperimentConfig, group_id: str,
     # Plans depend only on (group, row map, geometry) — shared by every
     # serial — so resolve them once on a scalar donor.
     donor = make_fd(group_id, config, 0)
-    maj3_matrix = (np.zeros((len(serials), len(targets)))
-                   if group_id == "B" else None)
-    coverage: dict[tuple[int, bool, int], np.ndarray] = {
-        (fp, init, n): np.zeros((len(serials), len(targets)))
-        for fp in range(4) for init in (True, False) for n in frac_counts}
-    for start in range(0, len(serials), batch):
-        cohort = serials[start:start + batch]
-        chips = [make_chip(group_id, config, serial) for serial in cohort]
-        bfd = BatchedFracDram(BatchedChip.from_chips(chips))
-        lanes = bfd.all_lanes()
-        rows = slice(start, start + len(cohort))
-        if maj3_matrix is not None:
-            for t_index, (bank, subarray) in enumerate(targets):
-                plan = donor.triple_plan(bank, subarray)
-                maj3_matrix[rows, t_index] = _lanes_coverage(
-                    bfd, plan, None, lanes)
-        for frac_position in range(4):
-            for init_ones in (True, False):
-                for n_frac in frac_counts:
-                    fmaj_config = FMajConfig(frac_position, init_ones, n_frac)
-                    for t_index, (bank, subarray) in enumerate(targets):
-                        plan = donor.quad_plan(bank, subarray)
-                        coverage[(frac_position, init_ones, n_frac)][
-                            rows, t_index] = _lanes_coverage(
-                                bfd, plan, fmaj_config, lanes)
+    chips = [make_chip(group_id, config, serial) for serial in serials]
+    bfd = BatchedFracDram(BatchedChip.from_chips(chips))
+    lanes = bfd.all_lanes()
+
+    def serial_major(columns: list[np.ndarray]) -> list[float]:
+        # One column per target -> values in the scalar (serial, target)
+        # order.
+        return [float(v) for v in np.stack(columns, axis=1).reshape(-1)]
+
+    maj3_values = None
+    if group_id == "B":
+        maj3_values = serial_major([
+            _lanes_coverage(bfd, donor.triple_plan(bank, subarray), None,
+                            lanes)
+            for bank, subarray in targets])
     group_curves = []
     for frac_position in range(4):
         for init_ones in (True, False):
             points = []
             for n_frac in frac_counts:
-                matrix = coverage[(frac_position, init_ones, n_frac)]
-                values = [float(v) for v in matrix.reshape(-1)]
+                fmaj_config = FMajConfig(frac_position, init_ones, n_frac)
+                values = serial_major([
+                    _lanes_coverage(bfd, donor.quad_plan(bank, subarray),
+                                    fmaj_config, lanes)
+                    for bank, subarray in targets])
                 points.append(mean_confidence_interval(values))
             group_curves.append(Fig9Curve(
                 group_id, frac_position, init_ones, tuple(points)))
-    maj3_values = ([float(v) for v in maj3_matrix.reshape(-1)]
-                   if maj3_matrix is not None else None)
     return (group_id, tuple(group_curves), maj3_values)
 
 
@@ -229,7 +219,7 @@ def _group_payload(config: ExperimentConfig, group_id: str,
 # Fleet shard protocol (see repro.fleet.merge).  The work unit is one
 # four-row-capable group; a unit's chips are fabricated from
 # (master_seed, group, serial) alone, so its payload is independent of
-# shard boundaries and batch width.
+# shard boundaries and engine.
 # ----------------------------------------------------------------------
 
 def shard_units(config: ExperimentConfig = DEFAULT_CONFIG,

@@ -112,7 +112,7 @@ def run_shard(config: ExperimentConfig, units, group_id: str = "B",
     the challenge's own sub-array (a :meth:`BatchedChip.from_subarray_views`
     view of the shared chip) with its noise reseeded to the challenge
     index — the exact epoch tree the scalar ``reseed_noise`` builds — so
-    responses are byte-identical at any batch width.
+    responses are byte-identical to the scalar per-challenge loop.
     """
     geometry = _nist_geometry(paper_scale)
     chip = DramChip(group_id, geometry=geometry,

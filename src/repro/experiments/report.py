@@ -7,11 +7,13 @@ plotting and regression tracking this module adds structured exports:
   (dataclasses, NumPy arrays, and nested containers handled),
 * :func:`export_json` / :func:`export_series_csv` — file writers,
 * :func:`generate_report` — run a set of experiments and write a single
-  RESULTS.md plus per-experiment JSON files.
+  RESULTS.md plus per-experiment JSON files; :func:`main` is
+  ``python -m repro report``.
 """
 
 from __future__ import annotations
 
+import argparse
 import dataclasses
 import json
 import time
@@ -21,10 +23,10 @@ from typing import Any, Iterable, Mapping, Sequence
 import numpy as np
 
 from .base import DEFAULT_CONFIG, ExperimentConfig
-from .runner import EXPERIMENTS, run_experiment
+from .runner import EXPERIMENTS, add_run_arguments, parse_run, run_experiment
 
 __all__ = ["result_to_dict", "export_json", "export_series_csv",
-           "generate_report"]
+           "generate_report", "main"]
 
 
 def result_to_dict(value: Any) -> Any:
@@ -154,3 +156,27 @@ def _telemetry_section() -> list[str]:
         lines.append("_no counters recorded_")
     lines.append("")
     return lines
+
+
+def main(argv: list[str] | None = None) -> int:
+    """``python -m repro report``: run experiments, write RESULTS.md."""
+    parser = argparse.ArgumentParser(
+        prog="repro report",
+        description="run experiments and write RESULTS.md + JSON exports")
+    parser.add_argument("--output", default="results",
+                        help="report directory (default: results)")
+    add_run_arguments(parser)
+    arguments = parser.parse_args(argv)
+    run = parse_run(arguments)
+    if run is None:
+        return 2
+    with run.session():
+        path = generate_report(arguments.output, run.config, run.names,
+                               workers=run.workers, cache=run.cache)
+    print(f"report written to {path}")
+    if run.trace_out:
+        print(f"trace written to {run.trace_out}")
+    if run.cache is not None and run.cache.hits:
+        print(f"({run.cache.hits} experiment(s) served from cache "
+              f"{run.cache.directory})")
+    return 0

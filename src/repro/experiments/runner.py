@@ -2,21 +2,26 @@
 
 Usage::
 
-    python -m repro.experiments.runner            # quick configuration
-    python -m repro.experiments.runner --only fig9 fig10
-    python -m repro.experiments.runner --only fig6 fig11 --workers 4
-    python -m repro.experiments.runner --list
+    python -m repro experiments            # quick configuration
+    python -m repro experiments --only fig9 fig10
+    python -m repro experiments --only fig6 fig11 --workers 4
+    python -m repro experiments --list
+
+``python -m repro.experiments.runner`` takes the same flags, and
+``python -m repro report`` takes the shared run flags of
+:func:`add_run_arguments`.
 
 Every experiment is fleet-capable: ``--workers N`` fans its work units
 out over N worker processes (see :mod:`repro.fleet`); ``--workers 0`` —
 the default, also settable via ``$REPRO_FLEET_WORKERS`` — runs serially.
-``--batch N`` caps the lane width of the batched execution engine
-(default: auto; 1 = scalar) — a lane is a trial for fig6/fig9/fig10/
-nist and a module for the device sweeps fig7/fig8/fig11/fig12/table1;
-every setting produces byte-identical results, so the result cache is
-keyed with the batch knob normalized out.  Results are memoized in a
-content-addressed on-disk cache keyed by (experiment, config, package
-version); disable with ``--no-cache``.
+``--backend`` picks the engine: ``fused`` (the default) runs each
+shard's lanes as one cohort — a lane is a trial for fig6/fig9/fig10/nist
+and a module for the device sweeps fig7/fig8/fig11/fig12/table1 — and
+``scalar`` runs the reference one device at a time.  Both produce
+byte-identical results, so the result cache is keyed with the backend
+normalized out.  Results are memoized in a content-addressed on-disk
+cache keyed by (experiment, config, package version); disable with
+``--no-cache``.
 """
 
 from __future__ import annotations
@@ -24,7 +29,9 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Callable
+from contextlib import AbstractContextManager, nullcontext
+from dataclasses import dataclass
+from typing import Any, Callable
 
 from . import (
     ddr4_outlook,
@@ -42,8 +49,9 @@ from . import (
 )
 from .base import DEFAULT_CONFIG, ExperimentConfig
 
-__all__ = ["EXPERIMENTS", "run_experiment", "cache_stats",
-           "format_cache_stats", "record_cache_notes", "main"]
+__all__ = ["EXPERIMENTS", "Run", "add_run_arguments", "cache_stats",
+           "format_cache_stats", "main", "parse_run", "record_cache_notes",
+           "run_experiment"]
 
 #: name -> (description, callable(config) -> result with format_table()).
 EXPERIMENTS: dict[str, tuple[str, Callable]] = {
@@ -83,10 +91,11 @@ def run_experiment(name: str, config: ExperimentConfig = DEFAULT_CONFIG, *,
     fleet shard protocol).  Passing a
     :class:`repro.fleet.ResultCache` as ``cache`` memoizes the result on
     disk — its ``hits``/``stores`` counters tell the caller whether the
-    result was recomputed.  Serial, parallel, batched, and cached runs
-    of the same (experiment, config, version) are all byte-identical;
-    the cache key therefore normalizes ``config.batch`` out, so a
-    batched run can serve a later scalar request and vice versa.
+    result was recomputed.  Serial, parallel, and cached runs on either
+    backend of the same (experiment, config, version) are all
+    byte-identical; the cache key therefore normalizes
+    ``config.backend`` out, so a fused run can serve a later scalar
+    request and vice versa.
     """
     try:
         _, runner = EXPERIMENTS[name]
@@ -103,24 +112,17 @@ def run_experiment(name: str, config: ExperimentConfig = DEFAULT_CONFIG, *,
     if cache is not None:
         from ..fleet import cache_key
 
-        # Batch width and backend choice never change results (the
-        # byte-identity / conformance contract), so they must not change
-        # the cache address either.
-        keyed_config = config
-        for knob in ("batch", "backend"):
-            if hasattr(keyed_config, knob):
-                keyed_config = keyed_config.scaled(**{knob: None})
-        key = cache_key(name, keyed_config)
+        # The backend never changes results (the conformance contract),
+        # so it must not change the cache address either.
+        key = cache_key(name, config.scaled(backend=None))
         hit, result = cache.fetch(key)
         if hit:
             if telemetry is not None:
                 telemetry.count("experiment.cache_hits")
             return result
 
-    from ..fleet import is_shardable
-
     with stage(f"experiment.{name}"):
-        if workers and is_shardable(name):
+        if workers:
             from ..fleet import FleetExecutor
 
             result = FleetExecutor(workers).run(name, config).result
@@ -172,13 +174,14 @@ def record_cache_notes(telemetry) -> None:
     telemetry.note("xir.compiles", stats["xir"]["misses"])
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        description="FracDRAM reproduction experiment runner")
+def add_run_arguments(parser: argparse.ArgumentParser) -> None:
+    """Declare the flags every experiment run takes.
+
+    ``python -m repro experiments`` (:func:`main`) and ``python -m repro
+    report`` both take exactly these; :func:`parse_run` reads them.
+    """
     parser.add_argument("--only", nargs="*", metavar="NAME",
                         help="run only the named experiments")
-    parser.add_argument("--list", action="store_true",
-                        help="list experiments and exit")
     parser.add_argument("--seed", type=int, default=DEFAULT_CONFIG.master_seed)
     parser.add_argument("--columns", type=int, default=DEFAULT_CONFIG.columns,
                         help="row width in bits (paper: 65536)")
@@ -186,11 +189,6 @@ def main(argv: list[str] | None = None) -> int:
                         help="worker processes to shard experiments over "
                              "(0 = serial; -1 = one per CPU; default "
                              "$REPRO_FLEET_WORKERS or 0)")
-    parser.add_argument("--batch", type=int, default=None, metavar="B",
-                        help="lane width for the batched execution engine "
-                             "(trials or modules per vector op; default: "
-                             "auto; 1 = scalar); results are byte-identical "
-                             "at every setting")
     parser.add_argument("--backend", default=None, metavar="NAME",
                         help="execution backend (scalar/fused; "
                              "default: fused); every registered backend "
@@ -202,11 +200,76 @@ def main(argv: list[str] | None = None) -> int:
                         help="result-cache directory (default "
                              "$REPRO_FLEET_CACHE or ~/.cache/repro-fleet)")
     parser.add_argument("--telemetry", action="store_true",
-                        help="collect counters/phase timers and print a "
-                             "summary after the run")
+                        help="collect counters/phase timers: experiments "
+                             "prints a summary, report adds a section to "
+                             "RESULTS.md")
     parser.add_argument("--trace-out", default=None, metavar="PATH",
                         help="write a repro-trace/1 JSON-lines event trace "
                              "(implies --telemetry)")
+
+
+@dataclass(frozen=True)
+class Run:
+    """An experiment run as the flags of :func:`add_run_arguments` ask."""
+
+    config: ExperimentConfig
+    names: list[str]
+    workers: int
+    #: A :class:`repro.fleet.ResultCache`, or None under ``--no-cache``.
+    cache: Any
+    telemetry: bool
+    trace_out: str | None
+
+    def session(self) -> AbstractContextManager:
+        """The telemetry session the flags ask for, else a null context."""
+        from ..telemetry import session
+
+        if self.telemetry or self.trace_out is not None:
+            return session(trace_path=self.trace_out)
+        return nullcontext(None)
+
+
+def parse_run(arguments: argparse.Namespace) -> Run | None:
+    """Check the shared run flags and resolve them into a :class:`Run`.
+
+    An unknown ``--backend`` or ``--only`` name prints one ``error:``
+    line and returns None before any experiment runs; the command then
+    exits 2.
+    """
+    from ..fleet import ResultCache, resolve_workers
+
+    if arguments.backend is not None:
+        from ..backends import BackendError, get_backend
+
+        try:
+            get_backend(arguments.backend)
+        except BackendError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return None
+    names = arguments.only or list(EXPERIMENTS)
+    unknown = [name for name in names if name not in EXPERIMENTS]
+    if unknown:
+        print(f"error: unknown experiment {', '.join(map(repr, unknown))}; "
+              f"choose from {', '.join(EXPERIMENTS)}", file=sys.stderr)
+        return None
+    return Run(
+        config=DEFAULT_CONFIG.scaled(master_seed=arguments.seed,
+                                     columns=arguments.columns,
+                                     backend=arguments.backend),
+        names=names,
+        workers=resolve_workers(arguments.workers),
+        cache=None if arguments.no_cache else ResultCache(arguments.cache_dir),
+        telemetry=arguments.telemetry,
+        trace_out=arguments.trace_out)
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="repro experiments",
+        description="FracDRAM reproduction experiment runner")
+    add_run_arguments(parser)
+    parser.add_argument("--list", action="store_true",
+                        help="list experiments and exit")
     parser.add_argument("--cache-stats", action="store_true",
                         help="print plan/xir compile-cache statistics "
                              "after the run")
@@ -217,40 +280,20 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{name:<10s} {description}")
         return 0
 
-    from contextlib import nullcontext
-
-    from ..fleet import ResultCache, resolve_workers
-    from ..telemetry import session as telemetry_session
-
-    workers = resolve_workers(arguments.workers)
-    cache = None if arguments.no_cache else ResultCache(arguments.cache_dir)
-
-    if arguments.backend is not None:
-        from ..backends import BackendError, get_backend
-
-        try:
-            get_backend(arguments.backend)  # fail fast on unknown names
-        except BackendError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 2
-
-    config = DEFAULT_CONFIG.scaled(master_seed=arguments.seed,
-                                   columns=arguments.columns,
-                                   batch=arguments.batch,
-                                   backend=arguments.backend)
-    names = arguments.only or list(EXPERIMENTS)
-    use_telemetry = arguments.telemetry or arguments.trace_out is not None
-    context = (telemetry_session(trace_path=arguments.trace_out)
-               if use_telemetry else nullcontext(None))
-    with context as telemetry:
-        for name in names:
+    run = parse_run(arguments)
+    if run is None:
+        return 2
+    cache = run.cache
+    with run.session() as telemetry:
+        for name in run.names:
             description, _ = EXPERIMENTS[name]
             print("=" * 72)
             print(f"{name}: {description}")
             print("=" * 72)
             started = time.time()
             hits_before = cache.hits if cache is not None else 0
-            result = run_experiment(name, config, workers=workers, cache=cache)
+            result = run_experiment(name, run.config, workers=run.workers,
+                                    cache=cache)
             print(result.format_table())
             cached = cache is not None and cache.hits > hits_before
             suffix = " (cache hit)" if cached else ""
@@ -259,8 +302,8 @@ def main(argv: list[str] | None = None) -> int:
         if telemetry is not None:
             record_cache_notes(telemetry)
             print(telemetry.format_summary())
-            if arguments.trace_out:
-                print(f"trace written to {arguments.trace_out}")
+            if run.trace_out:
+                print(f"trace written to {run.trace_out}")
     if arguments.cache_stats:
         print(format_cache_stats())
     return 0

@@ -196,11 +196,10 @@ def run_shard(config: ExperimentConfig, units, **_kwargs) -> list:
     Groups are probed as lanes of one :meth:`BatchedChip.from_fleet`
     device cohort (they share electrical timing; decoders, couplings and
     polarity stay per lane) — byte-identical to the scalar per-group
-    loop at any batch width.
+    loop.
     """
     units = list(units)
-    batch = resolve_batch(config, len(units))
-    if batch <= 1:
+    if resolve_batch(config, len(units)) <= 1:
         payloads = []
         for group_id in units:
             fd = make_fd(group_id, config, serial=0)
@@ -208,14 +207,9 @@ def run_shard(config: ExperimentConfig, units, **_kwargs) -> list:
             three_row, four_row = probe_multi_row_support(fd)
             payloads.append((group_id, frac, three_row, four_row))
         return payloads
-    payloads = []
-    for start in range(0, len(units), batch):
-        cohort = units[start:start + batch]
-        probes = _batched_probes(config, cohort)
-        payloads.extend(
-            (group_id, frac, three_row, four_row)
-            for group_id, (frac, three_row, four_row) in zip(cohort, probes))
-    return payloads
+    probes = _batched_probes(config, units)
+    return [(group_id, frac, three_row, four_row)
+            for group_id, (frac, three_row, four_row) in zip(units, probes)]
 
 
 def merge(config: ExperimentConfig, payloads, **_kwargs) -> Table1Result:

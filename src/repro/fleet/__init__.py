@@ -39,7 +39,6 @@ from .merge import (
     SHARDABLE_EXPERIMENTS,
     UnshardableExperimentError,
     get_shardable,
-    is_shardable,
     run_serial,
 )
 from .sharding import Shard, default_shard_count, partition, plan_shards
@@ -59,7 +58,6 @@ __all__ = [
     "default_cache_dir",
     "default_shard_count",
     "get_shardable",
-    "is_shardable",
     "partition",
     "plan_shards",
     "resolve_workers",

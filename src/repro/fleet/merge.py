@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 from ..errors import ConfigurationError
 
 __all__ = ["SHARDABLE_EXPERIMENTS", "UnshardableExperimentError",
-           "is_shardable", "get_shardable", "merge_payloads", "run_serial"]
+           "get_shardable", "merge_payloads", "run_serial"]
 
 #: Experiment name -> module path.  Every experiment in the suite speaks
 #: the protocol; modules are imported lazily so worker processes only pay
@@ -54,11 +54,6 @@ _PROTOCOL = ("shard_units", "run_shard", "merge")
 
 class UnshardableExperimentError(ConfigurationError):
     """The named experiment does not implement the shard protocol."""
-
-
-def is_shardable(name: str) -> bool:
-    """True if ``name`` is registered for fleet execution."""
-    return name in SHARDABLE_EXPERIMENTS
 
 
 def get_shardable(name: str) -> ModuleType:

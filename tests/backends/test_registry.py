@@ -68,23 +68,17 @@ class TestLaneWidthPolicy:
     """``resolve_batch`` dispatches width to the configured backend."""
 
     def test_scalar_forces_width_one(self):
-        assert get_backend("scalar").lane_width(8, None) == 1
-        assert get_backend("scalar").lane_width(8, 4) == 1
+        assert get_backend("scalar").lane_width(8) == 1
 
     def test_batched_auto(self):
-        """The lane engine takes the stage's natural width by default."""
-        assert get_backend("fused").lane_width(8, None) == 8
-
-    def test_batched_cap(self):
-        assert get_backend("fused").lane_width(8, 3) == 3
-        assert get_backend("fused").lane_width(2, 16) == 2
-        assert get_backend("fused").lane_width(8, 1) == 1
+        """The lane engine takes the stage's natural width."""
+        assert get_backend("fused").lane_width(8) == 8
 
     def test_width_never_below_one(self):
         for name in available_backends():
-            assert get_backend(name).lane_width(0, None) == 1
+            assert get_backend(name).lane_width(0) == 1
 
     def test_resolve_batch_respects_config_backend(self):
         assert resolve_batch(DEFAULT_CONFIG, 8) == 8  # default: fused
         assert resolve_batch(DEFAULT_CONFIG.scaled(backend="scalar"), 8) == 1
-        assert resolve_batch(DEFAULT_CONFIG.scaled(batch=3), 8) == 3
+        assert resolve_batch(DEFAULT_CONFIG.scaled(backend="fused"), 8) == 8

@@ -1,14 +1,14 @@
-"""Batched-vs-scalar byte-identity for the batched experiments.
+"""Fused-vs-scalar byte-identity for the lane experiments.
 
-The batching contract is absolute: ``--batch N`` (any N), ``--batch N
---workers W`` (any W), and the scalar path must all produce the same
-result, byte for byte, because per-lane RNG streams are derived exactly
-as the scalar path derives per-trial (or per-module) streams.  These
-tests pin that contract at a small configuration for every retrofitted
+The lane contract is absolute: ``--backend fused``, ``--backend fused
+--workers W`` (any W), and ``--backend scalar`` must all produce the
+same result, byte for byte, because per-lane RNG streams are derived
+exactly as the scalar path derives per-trial (or per-module) streams.
+These tests pin that contract at a small configuration for every lane
 experiment — the trial-batched fig6/fig9/fig10/nist and the
 device-batched fig7/fig8/fig11/fig12/table1 — by comparing canonical
 JSON renderings of the result objects.  The remaining experiments
-(latency, timing, ddr4) have no batch axis but still speak the fleet
+(latency, timing, ddr4) have no lane axis but still speak the fleet
 shard protocol; their serial shard path must reproduce ``run()``.
 """
 
@@ -39,7 +39,8 @@ def canonical(result) -> str:
 
 @pytest.fixture(scope="module")
 def scalar_renderings():
-    return {name: canonical(run_experiment(name, CONFIG.scaled(batch=1)))
+    return {name: canonical(run_experiment(name,
+                                           CONFIG.scaled(backend="scalar")))
             for name in BATCHED_EXPERIMENTS}
 
 
@@ -50,20 +51,18 @@ def test_auto_batch_matches_scalar(name, scalar_renderings):
         f"{name}: auto-batched result differs from scalar")
 
 
-@pytest.mark.parametrize("name", BATCHED_EXPERIMENTS)
-def test_explicit_batch_matches_scalar(name, scalar_renderings):
-    batched = canonical(run_experiment(name, CONFIG.scaled(batch=3)))
-    assert batched == scalar_renderings[name], (
-        f"{name}: --batch 3 result differs from scalar")
-
-
 @pytest.mark.fleet
 @pytest.mark.parametrize("name", BATCHED_EXPERIMENTS)
 def test_batch_composes_with_workers(name, scalar_renderings):
-    sharded = canonical(run_experiment(name, CONFIG.scaled(batch=2),
+    """Fused under ``workers=2`` equals scalar.
+
+    Each shard's lanes form their own cohort, so the lane batches change
+    with the sharding; the bytes must not.
+    """
+    sharded = canonical(run_experiment(name, CONFIG.scaled(backend="fused"),
                                        workers=2))
     assert sharded == scalar_renderings[name], (
-        f"{name}: --batch 2 --workers 2 result differs from scalar")
+        f"{name}: fused --workers 2 result differs from scalar")
 
 
 @pytest.mark.parametrize("name", SHARD_ONLY_EXPERIMENTS)

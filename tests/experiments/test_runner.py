@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments.runner import EXPERIMENTS, main, run_experiment
+from repro.fleet import SHARDABLE_EXPERIMENTS, UnshardableExperimentError
 
 
 class TestRunner:
@@ -18,6 +19,17 @@ class TestRunner:
     def test_unknown_name_raises(self):
         with pytest.raises(KeyError):
             run_experiment("fig99")
+
+    def test_every_experiment_is_shardable(self):
+        """``--workers`` trusts the fleet registry to name every runner."""
+        assert set(EXPERIMENTS) == set(SHARDABLE_EXPERIMENTS)
+
+    def test_unregistered_experiment_refuses_workers(self, monkeypatch):
+        """A runner the fleet does not know fails instead of running serially."""
+        monkeypatch.setitem(EXPERIMENTS, "unregistered",
+                            ("not in the fleet registry", lambda config: None))
+        with pytest.raises(UnshardableExperimentError, match="unregistered"):
+            run_experiment("unregistered", workers=2)
 
     def test_list_flag(self, capsys):
         assert main(["--list"]) == 0

@@ -2,9 +2,9 @@
 
 * serial and N-worker fleet runs report identical deterministic counter
   snapshots (the fleet merge contract),
-* scalar and trial-batched runs report identical deterministic counter
-  snapshots (the batching contract: compiled-plan violation accounting
-  multiplies by lane count instead of re-observing per lane),
+* scalar and fused (trial-batched) runs report identical deterministic
+  counter snapshots (the lane contract: compiled-plan violation
+  accounting multiplies by lane count instead of re-observing per lane),
 * a traced fig6 run replays exactly: per-command trace events agree with
   the counters, frac op accounting matches the ACT/PRE pair count, and
   the whole trace passes repro-trace/1 validation,
@@ -78,17 +78,18 @@ class TestBatchedScalarEquivalence:
 
     def test_fig6_batched_counters_match_scalar(self):
         scalar = snapshot_of_run("fig6", workers=0,
-                                 config=CONFIG.scaled(batch=1))
+                                 config=CONFIG.scaled(backend="scalar"))
         batched = snapshot_of_run("fig6", workers=0,
-                                  config=CONFIG.scaled(batch=16))
+                                  config=CONFIG.scaled(backend="fused"))
         assert batched == scalar
         assert scalar["counters"]["controller.jedec_violations"] > 0
 
     def test_nist_batched_counters_match_scalar(self):
+        """nist's 64 challenges run as four 16-lane cohorts."""
         scalar = snapshot_of_run("nist", workers=0,
-                                 config=CONFIG.scaled(batch=1))
+                                 config=CONFIG.scaled(backend="scalar"))
         batched = snapshot_of_run("nist", workers=0,
-                                  config=CONFIG.scaled(batch=4))
+                                  config=CONFIG.scaled(backend="fused"))
         assert batched == scalar
 
 

@@ -50,6 +50,37 @@ class TestCli:
         assert (tmp_path / "RESULTS.md").exists()
 
 
+class TestRunFlags:
+    """``experiments`` and ``report`` check their shared flags up front."""
+
+    def test_experiments_unknown_name_exits_before_running(self, capsys):
+        assert main(["experiments", "--only", "latency", "nosuch"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # latency, listed first, never ran
+        assert captured.err.count("\n") == 1
+        assert "unknown experiment 'nosuch'" in captured.err
+        assert "choose from table1, fig6" in captured.err
+
+    def test_report_unknown_name_exits_before_running(self, tmp_path,
+                                                       capsys):
+        assert main(["report", "--output", str(tmp_path),
+                     "--only", "latency", "nosuch"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "unknown experiment 'nosuch'" in captured.err
+        assert not (tmp_path / "latency.json").exists()
+        assert not (tmp_path / "RESULTS.md").exists()
+
+    @pytest.mark.parametrize("command", [["experiments"],
+                                         ["report", "--output", "unused"]])
+    def test_batch_flag_is_gone(self, command, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--only", "latency", "--batch", "4"])
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --batch 4" in capsys.readouterr().err
+
+
 class TestTelemetryCli:
     def test_experiments_telemetry_summary(self, capsys):
         assert main(["experiments", "--only", "latency",
