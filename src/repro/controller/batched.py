@@ -36,7 +36,6 @@ from .commands import (
     Precharge,
     PrechargeAll,
     ReadRow,
-    TimedCommand,
     WriteRow,
 )
 from .plan import plan_for
@@ -202,18 +201,7 @@ class BatchedSoftMC:
     def write_row(self, bank: int, rows: SequenceType[int],
                   bits: np.ndarray, lanes: SequenceType[int]) -> None:
         """In-spec ACT/WRITE/PRE; ``bits`` is ``(L, C)`` or broadcast ``(C,)``."""
-        timing = self.timing
-        row0 = int(rows[0])
-        template = CommandSequence(
-            (
-                TimedCommand(0, Activate(bank, row0)),
-                TimedCommand(timing.t_rcd, WriteRow(bank, row0, ())),
-                TimedCommand(timing.t_ras, Precharge(bank)),
-            ),
-            timing.row_cycle,
-            label=seq.sequence_label("write-row", bank, (row0,)),
-            op="write-row",
-        )
+        template = seq.write_row_sequence(bank, int(rows[0]), (), self.timing)
         self.run(template, lanes, lane_rows={0: rows, 1: rows},
                  lane_data={1: bits})
 

@@ -1,8 +1,10 @@
 """Experiment harnesses: one module per paper table/figure (see DESIGN.md).
 
-``python -m repro.experiments.runner`` runs everything and prints the
-paper-style tables; each sub-module also exposes ``run(config)`` for
-programmatic use.
+:data:`repro.experiments.runner.EXPERIMENTS` registers every module
+once; ``python -m repro.experiments.runner`` runs them through their
+shard hooks (``shard_units`` / ``run_shard`` / ``merge``) and prints the
+paper-style tables.  Each sub-module also exposes a typed
+``run(config)`` for programmatic use.
 """
 
 from .base import DEFAULT_CONFIG, ExperimentConfig

@@ -69,6 +69,13 @@ class ExperimentConfig:
             raise ValueError(
                 "rows_per_subarray must be >= 10 (group B's four-row set "
                 "uses local rows {8,1,0,9})")
+        if self.backend is not None:
+            # An unknown engine raises BackendError here, before anything
+            # runs or is served from the result cache.  Fleet workers
+            # unpickle configs without this check; the parent made it.
+            from ..backends import get_backend
+
+            get_backend(self.backend)
 
     def geometry(self) -> GeometryParams:
         return GeometryParams(

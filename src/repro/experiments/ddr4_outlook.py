@@ -76,7 +76,7 @@ class Ddr4OutlookResult:
 
 
 # ----------------------------------------------------------------------
-# Fleet shard protocol (see repro.fleet.merge).  The work unit is one
+# Fleet shard protocol (see docs/fleet.md).  The work unit is one
 # hypothetical DDR4 group; each unit fabricates its own chips, so units
 # never share state.
 # ----------------------------------------------------------------------

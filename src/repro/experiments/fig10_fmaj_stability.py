@@ -280,7 +280,7 @@ def _stability_rates(config: ExperimentConfig, group_id: str,
 
 
 # ----------------------------------------------------------------------
-# Fleet shard protocol (see repro.fleet.merge).  Two unit kinds:
+# Fleet shard protocol (see docs/fleet.md).  Two unit kinds:
 #   ("a", n_frac)                          — one part-(a) Frac count,
 #   ("stability", group, operation, serial) — one stability module.
 # Each stability unit draws its random inputs from a dedicated RNG

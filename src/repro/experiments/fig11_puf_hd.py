@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dram.batched import BatchedChip
-from ..puf.frac_puf import Challenge, FracPuf
+from ..puf.frac_puf import Challenge, FracPuf, challenge_set
 from ..puf.metrics import inter_hd_distances, intra_hd_distances, response_weights
 from ..xir.puf import FusedFracPuf
 from .base import (DEFAULT_CONFIG, ExperimentConfig, make_chip,
@@ -42,19 +42,8 @@ FRAC_CAPABLE_GROUPS = ("A", "B", "C", "D", "E", "F", "G", "H", "I")
 def default_challenges(config: ExperimentConfig,
                        n_challenges: int) -> list[Challenge]:
     """Challenges spread over banks/rows, avoiding each sub-array's
-    reserved initialization row."""
-    geometry = config.geometry()
-    challenges = []
-    for bank in range(geometry.n_banks):
-        for row in range(geometry.rows_per_bank):
-            if (row + 1) % geometry.rows_per_subarray == 0:
-                continue  # reserved all-ones row
-            challenges.append(Challenge(bank, row))
-    if len(challenges) < n_challenges:
-        raise ValueError(
-            f"geometry provides only {len(challenges)} challenge rows, "
-            f"need {n_challenges}")
-    return challenges[:n_challenges]
+    reserved initialization row (:func:`~repro.puf.frac_puf.challenge_set`)."""
+    return challenge_set(config.geometry(), n_challenges)
 
 
 @dataclass(frozen=True)
@@ -117,7 +106,7 @@ class Fig11Result:
 
 
 # ----------------------------------------------------------------------
-# Fleet shard protocol (see repro.fleet.merge).  The work unit is one
+# Fleet shard protocol (see docs/fleet.md).  The work unit is one
 # physical module, ``(group_id, serial)``: its two response collections
 # depend only on the chip identity (fabrication is a pure function of
 # master_seed/group/serial) and the per-epoch noise reseed, never on

@@ -105,7 +105,7 @@ def _condition(label: str,
 
 
 # ----------------------------------------------------------------------
-# Fleet shard protocol (see repro.fleet.merge).  The work unit is one
+# Fleet shard protocol (see docs/fleet.md).  The work unit is one
 # module under one environmental condition, ``(condition, group_id,
 # serial)``: each collection fabricates a fresh chip under that
 # environment and reseeds its noise to the condition's epoch, so units

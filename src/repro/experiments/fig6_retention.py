@@ -113,7 +113,7 @@ def _sample_rows(config: ExperimentConfig, rows_per_bank_sample: int,
 
 
 # ----------------------------------------------------------------------
-# Fleet shard protocol (see repro.fleet.merge).  The work unit is one
+# Fleet shard protocol (see docs/fleet.md).  The work unit is one
 # vendor group; each unit draws its row sample from a dedicated RNG
 # stream derived from (master_seed, "fig6", group_id), so a unit's
 # result is independent of which shard executes it or in what order.

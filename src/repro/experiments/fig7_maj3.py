@@ -92,7 +92,7 @@ class Fig7Result:
 
 
 # ----------------------------------------------------------------------
-# Fleet shard protocol (see repro.fleet.merge).  The work unit is one
+# Fleet shard protocol (see docs/fleet.md).  The work unit is one
 # chip under one (setting, Frac count) cell, ``(setting_index, n_frac,
 # serial)``: the scalar loop fabricates a fresh chip per cell anyway, so
 # units never share state.  Averaging happens at merge time, replaying

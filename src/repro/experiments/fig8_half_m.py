@@ -151,7 +151,7 @@ class Fig8Result:
 
 
 # ----------------------------------------------------------------------
-# Fleet shard protocol (see repro.fleet.merge).  The work unit is one
+# Fleet shard protocol (see docs/fleet.md).  The work unit is one
 # measurement — a retention PDF or one layout's MAJ3 test — on a fresh
 # group-B chip whose noise is reseeded to the unit's index, so units
 # never share analog state or stream position (the original

@@ -216,7 +216,7 @@ def _group_payload(config: ExperimentConfig, group_id: str,
 
 
 # ----------------------------------------------------------------------
-# Fleet shard protocol (see repro.fleet.merge).  The work unit is one
+# Fleet shard protocol (see docs/fleet.md).  The work unit is one
 # four-row-capable group; a unit's chips are fabricated from
 # (master_seed, group, serial) alone, so its payload is independent of
 # shard boundaries and engine.

@@ -102,7 +102,7 @@ def run(timing: TimingParams | None = None,
 
 
 # ----------------------------------------------------------------------
-# Fleet shard protocol (see repro.fleet.merge).  The accounting is one
+# Fleet shard protocol (see docs/fleet.md).  The accounting is one
 # cheap deterministic derivation, so there is exactly one work unit; the
 # hooks exist so every experiment speaks the same protocol.
 # ----------------------------------------------------------------------

@@ -76,7 +76,7 @@ def _nist_geometry(paper_scale: bool) -> GeometryParams:
 
 
 # ----------------------------------------------------------------------
-# Fleet shard protocol (see repro.fleet.merge).  The work unit is one
+# Fleet shard protocol (see docs/fleet.md).  The work unit is one
 # challenge (one sub-array's sense-amp stripe), keyed by its serial
 # position in the concatenated stream.  Before evaluating a challenge,
 # the chip's measurement noise is reseeded to an epoch derived from

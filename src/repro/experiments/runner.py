@@ -11,9 +11,11 @@ Usage::
 ``python -m repro report`` takes the shared run flags of
 :func:`add_run_arguments`.
 
-Every experiment is fleet-capable: ``--workers N`` fans its work units
-out over N worker processes (see :mod:`repro.fleet`); ``--workers 0`` —
-the default, also settable via ``$REPRO_FLEET_WORKERS`` — runs serially.
+:data:`EXPERIMENTS` is the one experiment registry; every module in it
+speaks the shard protocol.  ``--workers N`` fans an experiment's work
+units out over N worker processes (see :mod:`repro.fleet`);
+``--workers 0`` — the default, also settable via
+``$REPRO_FLEET_WORKERS`` — runs the same hooks serially in-process.
 ``--backend`` picks the engine: ``fused`` (the default) runs each
 shard's lanes as one cohort — a lane is a trial for fig6/fig9/fig10/nist
 and a module for the device sweeps fig7/fig8/fig11/fig12/table1 — and
@@ -31,7 +33,8 @@ import sys
 import time
 from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
-from typing import Any, Callable
+from types import ModuleType
+from typing import Any
 
 from . import (
     ddr4_outlook,
@@ -50,45 +53,50 @@ from . import (
 from .base import DEFAULT_CONFIG, ExperimentConfig
 
 __all__ = ["EXPERIMENTS", "Run", "add_run_arguments", "cache_stats",
-           "format_cache_stats", "main", "parse_run", "record_cache_notes",
-           "run_experiment"]
+           "experiment_module", "format_cache_stats", "main", "parse_run",
+           "record_cache_notes", "run_experiment"]
 
-#: name -> (description, callable(config) -> result with format_table()).
-EXPERIMENTS: dict[str, tuple[str, Callable]] = {
-    "table1": ("Table I — group capability matrix",
-               lambda config: table1.run(config)),
-    "fig6": ("Figure 6 — retention profiles under Frac",
-             lambda config: fig6_retention.run(config)),
-    "fig7": ("Figure 7 — MAJ3 verification of Frac",
-             lambda config: fig7_maj3.run(config)),
-    "fig8": ("Figure 8 — Half-m evaluation",
-             lambda config: fig8_half_m.run(config)),
-    "fig9": ("Figure 9 — F-MAJ coverage sweep",
-             lambda config: fig9_fmaj_coverage.run(config)),
-    "fig10": ("Figure 10 — F-MAJ stability CDFs",
-              lambda config: fig10_fmaj_stability.run(config)),
-    "fig11": ("Figure 11 — PUF intra/inter Hamming distance",
-              lambda config: fig11_puf_hd.run(config)),
+#: name -> (description, module).  The one experiment registry: every
+#: module speaks the shard protocol (``shard_units`` / ``run_shard`` /
+#: ``merge``, see docs/fleet.md), which both the serial path of
+#: :func:`run_experiment` and :class:`repro.fleet.FleetExecutor` drive.
+EXPERIMENTS: dict[str, tuple[str, ModuleType]] = {
+    "table1": ("Table I — group capability matrix", table1),
+    "fig6": ("Figure 6 — retention profiles under Frac", fig6_retention),
+    "fig7": ("Figure 7 — MAJ3 verification of Frac", fig7_maj3),
+    "fig8": ("Figure 8 — Half-m evaluation", fig8_half_m),
+    "fig9": ("Figure 9 — F-MAJ coverage sweep", fig9_fmaj_coverage),
+    "fig10": ("Figure 10 — F-MAJ stability CDFs", fig10_fmaj_stability),
+    "fig11": ("Figure 11 — PUF intra/inter Hamming distance", fig11_puf_hd),
     "fig12": ("Figure 12 — PUF under voltage/temperature changes",
-              lambda config: fig12_puf_env.run(config)),
+              fig12_puf_env),
     "nist": ("Section VI-B2 — NIST SP800-22 on whitened responses",
-             lambda config: nist_randomness.run(config)),
-    "latency": ("Latency accounting (7/18 cycles, +29%, 1.5 us)",
-                lambda config: latency.run()),
+             nist_randomness),
+    "latency": ("Latency accounting (7/18 cycles, +29%, 1.5 us)", latency),
     "timing": ("Timing-window exploration (Frac/glitch windows)",
-               lambda config: timing_sweep.run(config)),
+               timing_sweep),
     "ddr4": ("Section VII outlook on hypothetical DDR4 profiles",
-             lambda config: ddr4_outlook.run(config)),
+             ddr4_outlook),
 }
+
+
+def experiment_module(name: str) -> ModuleType:
+    """The module registered under ``name`` in :data:`EXPERIMENTS`."""
+    try:
+        return EXPERIMENTS[name][1]
+    except KeyError:
+        raise KeyError(
+            f"unknown experiment {name!r}; choose from {', '.join(EXPERIMENTS)}"
+        ) from None
 
 
 def run_experiment(name: str, config: ExperimentConfig = DEFAULT_CONFIG, *,
                    workers: int = 0, cache=None):
     """Run one experiment by name and return its result object.
 
-    ``workers > 0`` routes the experiment through
-    :class:`repro.fleet.FleetExecutor` (every experiment speaks the
-    fleet shard protocol).  Passing a
+    ``workers == 0`` runs the module's ``shard_units`` / ``run_shard`` /
+    ``merge`` hooks in-process as one shard; ``workers > 0`` routes the
+    experiment through :class:`repro.fleet.FleetExecutor`.  Passing a
     :class:`repro.fleet.ResultCache` as ``cache`` memoizes the result on
     disk — its ``hits``/``stores`` counters tell the caller whether the
     result was recomputed.  Serial, parallel, and cached runs on either
@@ -97,12 +105,7 @@ def run_experiment(name: str, config: ExperimentConfig = DEFAULT_CONFIG, *,
     ``config.backend`` out, so a fused run can serve a later scalar
     request and vice versa.
     """
-    try:
-        _, runner = EXPERIMENTS[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown experiment {name!r}; choose from {', '.join(EXPERIMENTS)}"
-        ) from None
+    module = experiment_module(name)
 
     from ..telemetry.registry import active as telemetry_active
     from .base import stage
@@ -127,7 +130,8 @@ def run_experiment(name: str, config: ExperimentConfig = DEFAULT_CONFIG, *,
 
             result = FleetExecutor(workers).run(name, config).result
         else:
-            result = runner(config)
+            units = module.shard_units(config)
+            result = module.merge(config, module.run_shard(config, units))
     if telemetry is not None:
         telemetry.count("experiment.runs")
 
@@ -236,16 +240,16 @@ def parse_run(arguments: argparse.Namespace) -> Run | None:
     line and returns None before any experiment runs; the command then
     exits 2.
     """
+    from ..backends.registry import BackendError
     from ..fleet import ResultCache, resolve_workers
 
-    if arguments.backend is not None:
-        from ..backends import BackendError, get_backend
-
-        try:
-            get_backend(arguments.backend)
-        except BackendError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return None
+    try:
+        config = DEFAULT_CONFIG.scaled(master_seed=arguments.seed,
+                                       columns=arguments.columns,
+                                       backend=arguments.backend)
+    except BackendError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return None
     names = arguments.only or list(EXPERIMENTS)
     unknown = [name for name in names if name not in EXPERIMENTS]
     if unknown:
@@ -253,9 +257,7 @@ def parse_run(arguments: argparse.Namespace) -> Run | None:
               f"choose from {', '.join(EXPERIMENTS)}", file=sys.stderr)
         return None
     return Run(
-        config=DEFAULT_CONFIG.scaled(master_seed=arguments.seed,
-                                     columns=arguments.columns,
-                                     backend=arguments.backend),
+        config=config,
         names=names,
         workers=resolve_workers(arguments.workers),
         cache=None if arguments.no_cache else ResultCache(arguments.cache_dir),

@@ -178,7 +178,7 @@ def _batched_probes(config: ExperimentConfig, group_ids: list[str],
 
 
 # ----------------------------------------------------------------------
-# Fleet shard protocol (see repro.fleet.merge).  The work unit is one
+# Fleet shard protocol (see docs/fleet.md).  The work unit is one
 # vendor group: each probe fabricates that group's serial-0 chip from
 # scratch, so units never share state.
 # ----------------------------------------------------------------------

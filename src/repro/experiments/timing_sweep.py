@@ -148,7 +148,7 @@ def _sweep_pre_act(fd: FracDram, bank: int,
 
 
 # ----------------------------------------------------------------------
-# Fleet shard protocol (see repro.fleet.merge).  The work unit is one
+# Fleet shard protocol (see docs/fleet.md).  The work unit is one
 # gap sweep; each unit fabricates its own group-B chip so a unit's
 # outcomes never depend on which other sweeps ran before it.
 # ----------------------------------------------------------------------

@@ -9,9 +9,12 @@ package provides:
 * :mod:`repro.fleet.sharding` — deterministic work decomposition,
 * :mod:`repro.fleet.executor` — a process-pool engine with a serial
   fallback, chunked dispatch, per-shard metrics, and crash surfacing,
-* :mod:`repro.fleet.cache` — a content-addressed on-disk result cache,
-* :mod:`repro.fleet.merge` — the shard-result aggregation protocol and
-  the registry of shard-capable experiments.
+* :mod:`repro.fleet.cache` — a content-addressed on-disk result cache.
+
+The experiments themselves are registered once, in
+:data:`repro.experiments.runner.EXPERIMENTS`; the executor looks a name
+up there on first use, so this package imports nothing from
+:mod:`repro.experiments` at module level.
 
 Quickstart::
 
@@ -23,7 +26,8 @@ Quickstart::
     print(outcome.describe())          # per-shard wall-time accounting
 
 Serial and parallel runs are byte-identical for a fixed seed: see
-:mod:`repro.fleet.merge` for the contract that guarantees it.
+``docs/fleet.md`` for the shard protocol and the contract that
+guarantees it.
 """
 
 from .cache import ENV_CACHE_DIR, ResultCache, cache_key, default_cache_dir
@@ -35,12 +39,6 @@ from .executor import (
     ShardStats,
     resolve_workers,
 )
-from .merge import (
-    SHARDABLE_EXPERIMENTS,
-    UnshardableExperimentError,
-    get_shardable,
-    run_serial,
-)
 from .sharding import Shard, default_shard_count, partition, plan_shards
 
 __all__ = [
@@ -50,16 +48,12 @@ __all__ = [
     "FleetOutcome",
     "FleetWorkerError",
     "ResultCache",
-    "SHARDABLE_EXPERIMENTS",
     "Shard",
     "ShardStats",
-    "UnshardableExperimentError",
     "cache_key",
     "default_cache_dir",
     "default_shard_count",
-    "get_shardable",
     "partition",
     "plan_shards",
     "resolve_workers",
-    "run_serial",
 ]

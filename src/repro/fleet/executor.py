@@ -4,6 +4,9 @@
 processes (``concurrent.futures.ProcessPoolExecutor``) and merges the
 per-shard payloads back in deterministic order.  Key properties:
 
+* **one registry** — the experiment module comes from
+  :data:`repro.experiments.runner.EXPERIMENTS`, imported on first use so
+  this package imports nothing from :mod:`repro.experiments`;
 * **serial fallback** — ``workers=0`` (the default, also settable via
   ``$REPRO_FLEET_WORKERS``) runs every unit in-process through the exact
   same shard/merge code path, so serial and parallel runs are
@@ -25,11 +28,11 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from ..errors import ReproError
-from . import merge as merge_mod
 from .sharding import Shard, default_shard_count, plan_shards
 
 __all__ = ["ENV_WORKERS", "FleetExecutor", "FleetOutcome", "FleetWorkerError",
@@ -138,12 +141,10 @@ def _execute_shard(module_path: str, config: Any, units: tuple,
 
 
 class FleetExecutor:
-    """Run shardable experiments over a pool of worker processes."""
+    """Run registered experiments over a pool of worker processes."""
 
-    def __init__(self, workers: int | None = None, *,
-                 chunks_per_worker: int = 2) -> None:
+    def __init__(self, workers: int | None = None) -> None:
         self.workers = resolve_workers(workers)
-        self.chunks_per_worker = chunks_per_worker
 
     def run(self, name: str, config: Any, *, n_shards: int | None = None,
             **kwargs: Any) -> FleetOutcome:
@@ -153,14 +154,14 @@ class FleetExecutor:
         ``shard_units`` / ``run_shard`` / ``merge`` hooks (e.g. fig10's
         ``trials``); they must be picklable primitives.
         """
+        from ..experiments.runner import experiment_module
         from ..telemetry.registry import active as telemetry_active
 
-        module = merge_mod.get_shardable(name)
+        module = experiment_module(name)
         units = tuple(module.shard_units(config, **kwargs))
         started = time.perf_counter()
         if n_shards is None:
-            n_shards = default_shard_count(len(units), self.workers,
-                                           self.chunks_per_worker)
+            n_shards = default_shard_count(len(units), self.workers)
         shards = plan_shards(name, units, n_shards)
         telemetry = telemetry_active()
         if telemetry is not None:
@@ -173,8 +174,8 @@ class FleetExecutor:
             telemetry.note(f"fleet.{name}.backend",
                            getattr(config, "backend", None))
         if self.workers == 0 or len(shards) <= 1:
-            payload_lists, stats = self._run_serial(module, config, shards,
-                                                    kwargs)
+            payload_lists, stats = self._run_in_process(module, config,
+                                                        shards, kwargs)
         else:
             payload_lists, stats = self._run_pool(module, config, shards,
                                                   kwargs, telemetry)
@@ -183,18 +184,17 @@ class FleetExecutor:
                 telemetry.observe("fleet.shard_wall_s", shard_stats.wall_s)
             merge_context = telemetry.phase("fleet.merge")
         else:
-            from contextlib import nullcontext
-
             merge_context = nullcontext()
         with merge_context:
-            result = merge_mod.merge_payloads(name, config, payload_lists,
-                                              **kwargs)
+            payloads = [payload for shard_payloads in payload_lists
+                        for payload in shard_payloads]
+            result = module.merge(config, payloads, **kwargs)
         return FleetOutcome(
             experiment=name, result=result, workers=self.workers,
             n_units=len(units), shard_stats=tuple(stats),
             wall_s=time.perf_counter() - started)
 
-    def _run_serial(self, module, config, shards, kwargs):
+    def _run_in_process(self, module, config, shards, kwargs):
         payload_lists, stats = [], []
         for shard in shards:
             shard_started = time.perf_counter()

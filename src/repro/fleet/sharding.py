@@ -101,14 +101,13 @@ def plan_shards(experiment: str, units: Sequence[Hashable],
         for index, chunk in enumerate(chunks))
 
 
-def default_shard_count(n_units: int, workers: int,
-                        chunks_per_worker: int = 2) -> int:
+def default_shard_count(n_units: int, workers: int) -> int:
     """Shards to create for ``workers`` processes (chunked dispatch).
 
-    Oversubscribing each worker by ``chunks_per_worker`` keeps the pool
-    busy when unit costs are uneven, without paying per-unit dispatch
-    overhead.  Never exceeds the unit count.
+    Two shards per worker keep the pool busy when unit costs are uneven,
+    without paying per-unit dispatch overhead.  Never exceeds the unit
+    count.
     """
     if workers < 1:
         return 1
-    return max(1, min(n_units, workers * chunks_per_worker))
+    return max(1, min(n_units, 2 * workers))

@@ -24,7 +24,7 @@ import numpy as np
 from ..core.batched_ops import BatchedFracDram
 from ..dram.batched import BatchedChip
 from ..errors import ConfigurationError, UnsupportedOperationError
-from .frac_puf import PUF_N_FRAC, Challenge
+from .frac_puf import PUF_N_FRAC, Challenge, reserved_row
 
 __all__ = ["BatchedFracPuf"]
 
@@ -64,18 +64,12 @@ class BatchedFracPuf:
         fill is shared batch state: the first challenge into a sub-array
         fills the reserved row on every lane at once.
         """
-        rows_per_subarray = int(self.bfd.device.geometry.rows_per_subarray)
-        subarray = row // rows_per_subarray
-        reserved = (subarray + 1) * rows_per_subarray - 1
-        if reserved == row:
-            raise ConfigurationError(
-                f"row {row} is the reserved initialization row; "
-                "challenge a different row")
-        key = (bank, subarray)
-        if key not in self._prepared_reserved:
+        reserved = reserved_row(
+            row, int(self.bfd.device.geometry.rows_per_subarray))
+        if (bank, reserved) not in self._prepared_reserved:
             lanes = self.bfd.all_lanes()
             self.bfd.fill_row(bank, [reserved] * len(lanes), True, lanes)
-            self._prepared_reserved.add(key)
+            self._prepared_reserved.add((bank, reserved))
         return reserved
 
     def evaluate(self, challenge: Challenge) -> np.ndarray:

@@ -21,10 +21,11 @@ import numpy as np
 
 from ..controller.sequences import FRAC_OP_CYCLES, ROW_COPY_CYCLES
 from ..core.ops import FracDram
-from ..dram.parameters import MEMORY_CYCLE_NS
+from ..dram.parameters import MEMORY_CYCLE_NS, GeometryParams
 from ..errors import ConfigurationError, UnsupportedOperationError
 
-__all__ = ["Challenge", "FracPuf", "PUF_N_FRAC", "evaluation_time_us"]
+__all__ = ["Challenge", "FracPuf", "PUF_N_FRAC", "challenge_set",
+           "evaluation_time_us", "reserved_row"]
 
 #: Frac operations per PUF evaluation — "ten Frac operations are enough to
 #: generate a voltage close to Vdd/2 for PUF" (Section VI-B1).
@@ -47,6 +48,35 @@ class Challenge:
     def __post_init__(self) -> None:
         if self.bank < 0 or self.row < 0:
             raise ConfigurationError("challenge addresses must be non-negative")
+
+
+def reserved_row(row: int, rows_per_subarray: int) -> int:
+    """The reserved all-ones row of ``row``'s sub-array: its last row.
+
+    Every evaluation initializes its challenge row by copying from this
+    row, so the reserved row itself is refused as a challenge.
+    """
+    reserved = (row // rows_per_subarray + 1) * rows_per_subarray - 1
+    if reserved == row:
+        raise ConfigurationError(
+            f"row {row} is the reserved initialization row; "
+            "challenge a different row")
+    return reserved
+
+
+def challenge_set(geometry: GeometryParams,
+                  n_challenges: int) -> list[Challenge]:
+    """The first ``n_challenges`` rows in address order (bank-major),
+    skipping each sub-array's reserved row."""
+    picked = [Challenge(bank, row)
+              for bank in range(geometry.n_banks)
+              for row in range(geometry.rows_per_bank)
+              if (row + 1) % geometry.rows_per_subarray]
+    if len(picked) < n_challenges:
+        raise ConfigurationError(
+            f"geometry provides only {len(picked)} challenge rows, "
+            f"need {n_challenges}")
+    return picked[:n_challenges]
 
 
 def evaluation_time_us(row_bits: int = PAPER_SEGMENT_BITS,
@@ -89,18 +119,12 @@ class FracPuf:
         return self.fd.columns
 
     def _reserved_row(self, bank: int, row: int) -> int:
-        """The reserved all-ones row in the challenge row's sub-array."""
-        rows_per_subarray = int(self.fd.device.geometry.rows_per_subarray)
-        subarray = row // rows_per_subarray
-        reserved = (subarray + 1) * rows_per_subarray - 1
-        if reserved == row:
-            raise ConfigurationError(
-                f"row {row} is the reserved initialization row; "
-                "challenge a different row")
-        key = (bank, subarray)
-        if key not in self._prepared_reserved:
+        """The challenge row's reserved row, filled with ones on first use."""
+        reserved = reserved_row(
+            row, int(self.fd.device.geometry.rows_per_subarray))
+        if (bank, reserved) not in self._prepared_reserved:
             self.fd.fill_row(bank, reserved, True)
-            self._prepared_reserved.add(key)
+            self._prepared_reserved.add((bank, reserved))
         return reserved
 
     def evaluate(self, challenge: Challenge) -> np.ndarray:

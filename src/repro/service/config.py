@@ -17,7 +17,7 @@ from ..dram.parameters import GeometryParams
 from ..dram.vendor import GROUPS
 from ..errors import ConfigurationError
 from ..puf.auth import DEFAULT_THRESHOLD
-from ..puf.frac_puf import PUF_N_FRAC, Challenge
+from ..puf.frac_puf import PUF_N_FRAC, Challenge, challenge_set
 
 __all__ = [
     "CoalescePolicy",
@@ -115,10 +115,7 @@ class ServiceConfig:
             raise ConfigurationError("threshold must be in (0, 0.5)")
         if self.enroll_batch < 1:
             raise ConfigurationError("enroll_batch must be >= 1")
-        if len(self.challenges()) < self.n_challenges:
-            raise ConfigurationError(
-                f"geometry provides only {len(self.challenges())} "
-                f"challenge rows, need {self.n_challenges}")
+        self.challenges()  # the geometry must hold n_challenges rows
 
     def geometry(self) -> GeometryParams:
         return GeometryParams(
@@ -135,14 +132,7 @@ class ServiceConfig:
         sub-array's reserved all-ones initialization row — the same
         layout the Figure 11 HD studies use.
         """
-        geometry = self.geometry()
-        picked: list[Challenge] = []
-        for bank in range(geometry.n_banks):
-            for row in range(geometry.rows_per_bank):
-                if (row + 1) % geometry.rows_per_subarray == 0:
-                    continue  # reserved all-ones row
-                picked.append(Challenge(bank, row))
-        return picked[:self.n_challenges]
+        return challenge_set(self.geometry(), self.n_challenges)
 
     def fleet_specs(self, n_modules: int) -> list[tuple[str, int]]:
         """``(group_id, serial)`` for each of ``n_modules`` modules.

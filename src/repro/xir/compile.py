@@ -45,13 +45,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from ..controller import sequences as seq
-from ..controller.commands import (
-    Activate,
-    CommandSequence,
-    Precharge,
-    TimedCommand,
-)
-from ..controller.commands import WriteRow as WriteRowCmd
+from ..controller.commands import CommandSequence
 from ..controller.plan import plan_for
 from ..dram.chip import MIN_COMMAND_SPACING_CYCLES
 from ..dram.parameters import ElectricalParams, TimingParams
@@ -205,21 +199,11 @@ def _template(op: ir.Op, timing: TimingParams,
     the plan-cache entries — are shared with the batched engine.
     """
     if isinstance(op, (ir.WriteRow, ir.WriteData)):
-        # Mirror BatchedSoftMC.write_row's inline template (empty
-        # payload; the data ships separately), not write_row_sequence.
-        # WriteData shares the template — only the stored plane differs,
-        # and that binds at run time.
-        template = CommandSequence(
-            (
-                TimedCommand(0, Activate(op.bank, 0)),
-                TimedCommand(timing.t_rcd, WriteRowCmd(op.bank, 0, ())),
-                TimedCommand(timing.t_ras, Precharge(op.bank)),
-            ),
-            timing.row_cycle,
-            label=seq.sequence_label("write-row", op.bank, (0,)),
-            op="write-row",
-        )
-        return template, {0: op.rows, 1: op.rows}
+        # BatchedSoftMC.write_row's template: an empty payload, the data
+        # ships separately.  WriteData shares it — only the stored plane
+        # differs, and that binds at run time.
+        return (seq.write_row_sequence(op.bank, 0, (), timing),
+                {0: op.rows, 1: op.rows})
     if isinstance(op, ir.Frac):
         template = seq.frac_sequence(op.bank, 0, op.n_frac, timing)
         return template, {2 * i: op.rows for i in range(op.n_frac)}

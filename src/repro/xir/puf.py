@@ -18,9 +18,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ConfigurationError
 from ..puf.batched_puf import BatchedFracPuf
-from ..puf.frac_puf import Challenge
+from ..puf.frac_puf import Challenge, reserved_row
 from . import ir
 
 __all__ = ["FusedFracPuf"]
@@ -46,16 +45,11 @@ class FusedFracPuf(BatchedFracPuf):
         prepared = set(self._prepared_reserved)
         for index, challenge in enumerate(challenges):
             bank, row = challenge.bank, challenge.row
-            subarray = row // rows_per_subarray
-            reserved = (subarray + 1) * rows_per_subarray - 1
-            if reserved == row:
-                raise ConfigurationError(
-                    f"row {row} is the reserved initialization row; "
-                    "challenge a different row")
-            if (bank, subarray) not in prepared:
+            reserved = reserved_row(row, rows_per_subarray)
+            if (bank, reserved) not in prepared:
                 ops.append(ir.WriteRow(bank, f"fill{index}", True))
                 rows[f"fill{index}"] = [reserved] * n_lanes
-                prepared.add((bank, subarray))
+                prepared.add((bank, reserved))
             ops.append(ir.RowCopy(bank, f"res{index}", f"row{index}"))
             ops.append(ir.Frac(bank, f"row{index}", self.n_frac))
             ops.append(ir.ReadRow(bank, f"row{index}"))

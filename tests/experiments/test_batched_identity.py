@@ -9,7 +9,8 @@ experiment — the trial-batched fig6/fig9/fig10/nist and the
 device-batched fig7/fig8/fig11/fig12/table1 — by comparing canonical
 JSON renderings of the result objects.  The remaining experiments
 (latency, timing, ddr4) have no lane axis but still speak the fleet
-shard protocol; their serial shard path must reproduce ``run()``.
+shard protocol; the runner's serial shard path must reproduce each
+module's own ``run()``.
 """
 
 import json
@@ -18,8 +19,7 @@ import pytest
 
 from repro.experiments import ExperimentConfig
 from repro.experiments.report import result_to_dict
-from repro.experiments.runner import run_experiment
-from repro.fleet import run_serial
+from repro.experiments.runner import EXPERIMENTS, run_experiment
 
 #: Two chips per group so the serial-lane experiments genuinely batch;
 #: small geometry keeps each run to a couple of seconds.
@@ -67,7 +67,10 @@ def test_batch_composes_with_workers(name, scalar_renderings):
 
 @pytest.mark.parametrize("name", SHARD_ONLY_EXPERIMENTS)
 def test_shard_protocol_matches_run(name):
-    direct = canonical(run_experiment(name, CONFIG))
-    sharded = canonical(run_serial(name, CONFIG))
+    _, module = EXPERIMENTS[name]
+    # latency's run() takes timing/electrical parameters, not a config.
+    direct = canonical(module.run() if name == "latency"
+                       else module.run(CONFIG))
+    sharded = canonical(run_experiment(name, CONFIG))
     assert sharded == direct, (
         f"{name}: serial shard-protocol result differs from run()")

@@ -3,6 +3,7 @@ paper's qualitative claims.  (The benchmarks run the full versions.)"""
 
 import pytest
 
+from repro.errors import ConfigurationError
 from repro.experiments import ExperimentConfig
 from repro.experiments import (
     fig6_retention,
@@ -95,6 +96,12 @@ class TestFig11:
         group_a = next(g for g in result.groups if g.group_id == "A")
         assert group_a.hamming_weight < 0.35
         assert "Figure 11" in result.format_table()
+
+    def test_too_many_challenges_is_a_configuration_error(self):
+        # 2 banks x 2 sub-arrays x 15 usable rows.
+        assert len(fig11_puf_hd.default_challenges(TINY, 60)) == 60
+        with pytest.raises(ConfigurationError, match="only 60"):
+            fig11_puf_hd.default_challenges(TINY, 61)
 
 
 class TestFig12:

@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.backends import BackendError
+from repro.experiments import ExperimentConfig
 from repro.experiments.runner import EXPERIMENTS, main, run_experiment
-from repro.fleet import SHARDABLE_EXPERIMENTS, UnshardableExperimentError
+from repro.fleet import ResultCache
 
 
 class TestRunner:
@@ -20,16 +22,12 @@ class TestRunner:
         with pytest.raises(KeyError):
             run_experiment("fig99")
 
-    def test_every_experiment_is_shardable(self):
-        """``--workers`` trusts the fleet registry to name every runner."""
-        assert set(EXPERIMENTS) == set(SHARDABLE_EXPERIMENTS)
-
-    def test_unregistered_experiment_refuses_workers(self, monkeypatch):
-        """A runner the fleet does not know fails instead of running serially."""
-        monkeypatch.setitem(EXPERIMENTS, "unregistered",
-                            ("not in the fleet registry", lambda config: None))
-        with pytest.raises(UnshardableExperimentError, match="unregistered"):
-            run_experiment("unregistered", workers=2)
+    def test_every_module_speaks_the_shard_protocol(self):
+        """Serial runs and the fleet both drive these three hooks."""
+        missing = [(name, hook) for name, (_, module) in EXPERIMENTS.items()
+                   for hook in ("shard_units", "run_shard", "merge")
+                   if not callable(getattr(module, hook, None))]
+        assert missing == []
 
     def test_list_flag(self, capsys):
         assert main(["--list"]) == 0
@@ -41,3 +39,25 @@ class TestRunner:
         out = capsys.readouterr().out
         assert "Frac operation" in out
         assert "Figure 11" not in out
+
+
+class TestBackendName:
+    """An unknown backend is refused when the config is built."""
+
+    def test_unknown_backend_refused_by_config(self):
+        with pytest.raises(BackendError, match="unknown backend 'nope'"):
+            ExperimentConfig(backend="nope")
+
+    def test_unknown_backend_refused_by_scaled(self):
+        with pytest.raises(BackendError, match="unknown backend 'nope'"):
+            ExperimentConfig().scaled(backend="nope")
+
+    def test_unknown_backend_never_served_from_cache(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        config = ExperimentConfig(columns=64)
+        run_experiment("fig8", config.scaled(backend="scalar"), cache=cache)
+        assert cache.stores == 1
+        with pytest.raises(BackendError):
+            run_experiment("fig8", config.scaled(backend="nope"),
+                           cache=cache)
+        assert (cache.hits, cache.misses) == (0, 1)

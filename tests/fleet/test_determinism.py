@@ -1,6 +1,6 @@
 """Fleet determinism: serial, parallel, and cached runs are identical.
 
-The contract under test (see repro.fleet.merge): for a fixed
+The contract under test (see docs/fleet.md): for a fixed
 ``master_seed``, ``run(config)`` and a fleet run over any number of
 workers/shards must produce byte-identical ``format_table()`` output,
 and a cache hit must reproduce every result field.
@@ -11,7 +11,7 @@ import pytest
 from repro.experiments import ExperimentConfig, fig6_retention, fig11_puf_hd
 from repro.experiments.report import result_to_dict
 from repro.experiments.runner import run_experiment
-from repro.fleet import FleetExecutor, ResultCache, run_serial
+from repro.fleet import FleetExecutor, ResultCache
 
 CONFIG = ExperimentConfig(columns=128, rows_per_subarray=16,
                           subarrays_per_bank=2, n_banks=2, chips_per_group=1)
@@ -22,7 +22,7 @@ class TestShardInvariance:
 
     def test_fig6_single_vs_many_shards(self):
         whole = fig6_retention.run(CONFIG).format_table()
-        sharded = run_serial("fig6", CONFIG)
+        sharded = run_experiment("fig6", CONFIG)
         resharded = FleetExecutor(0).run("fig6", CONFIG, n_shards=5)
         assert sharded.format_table() == whole
         assert resharded.result.format_table() == whole

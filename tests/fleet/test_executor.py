@@ -4,24 +4,18 @@ import os
 
 import pytest
 
-from repro.experiments import ExperimentConfig
+from repro.experiments import ExperimentConfig, runner
 from repro.errors import ReproError
-from repro.fleet import (
-    FleetExecutor,
-    FleetWorkerError,
-    UnshardableExperimentError,
-    resolve_workers,
-    run_serial,
-)
-from repro.fleet.merge import SHARDABLE_EXPERIMENTS
+from repro.fleet import FleetExecutor, FleetWorkerError, resolve_workers
+
+from . import _toy_experiment
 
 CONFIG = ExperimentConfig(columns=128)
-TOY = "tests.fleet._toy_experiment"
 
 
 @pytest.fixture
 def toy_registered(monkeypatch):
-    monkeypatch.setitem(SHARDABLE_EXPERIMENTS, "toy", TOY)
+    monkeypatch.setitem(runner.EXPERIMENTS, "toy", ("toy", _toy_experiment))
 
 
 class TestResolveWorkers:
@@ -70,12 +64,8 @@ class TestSerialExecution:
             FleetExecutor(0).run("toy", CONFIG, poison=5)
 
     def test_unknown_experiment(self):
-        with pytest.raises(UnshardableExperimentError, match="no shard"):
+        with pytest.raises(KeyError, match="unknown experiment"):
             FleetExecutor(0).run("not-an-experiment", CONFIG)
-
-    def test_run_serial_reference_path(self, toy_registered):
-        result = run_serial("toy", CONFIG, n_units=4)
-        assert result["values"] == [0, 10, 20, 30]
 
 
 @pytest.mark.fleet

@@ -10,7 +10,9 @@ from repro.puf.frac_puf import (
     PUF_N_FRAC,
     Challenge,
     FracPuf,
+    challenge_set,
     evaluation_time_us,
+    reserved_row,
 )
 
 GEOM = GeometryParams(n_banks=2, subarrays_per_bank=2,
@@ -25,6 +27,21 @@ class TestChallenge:
     def test_rejects_negative_addresses(self):
         with pytest.raises(ConfigurationError):
             Challenge(-1, 0)
+
+
+class TestChallengeLayout:
+    def test_reserved_row_is_last_of_subarray(self):
+        assert [reserved_row(row, 16) for row in (0, 14, 16)] == [15, 15, 31]
+        with pytest.raises(ConfigurationError, match="reserved"):
+            reserved_row(31, 16)
+
+    def test_challenge_set_sweeps_addresses_skipping_reserved_rows(self):
+        challenges = challenge_set(GEOM, 60)  # every usable row
+        assert challenges[:2] == [Challenge(0, 0), Challenge(0, 1)]
+        assert challenges[15] == Challenge(0, 16)
+        assert challenges[30] == Challenge(1, 0)
+        assert all((c.row + 1) % GEOM.rows_per_subarray
+                   for c in challenges)
 
 
 class TestResponses:
