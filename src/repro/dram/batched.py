@@ -933,17 +933,11 @@ class BatchedChip:
     # ------------------------------------------------------------------
 
     @classmethod
-    def from_chips(cls, chips: Sequence[DramChip],
-                   epochs: Sequence[int] | None = None) -> "BatchedChip":
+    def from_chips(cls, chips: Sequence[DramChip]) -> "BatchedChip":
         """One lane per donor chip.
 
-        With ``epochs`` given, each lane's sub-array noise sources are
-        fresh children of the chip source at that epoch — exactly the
-        tree :meth:`DramChip.reseed_noise` builds — so a single donor
-        chip can be broadcast across trial lanes (its planes are then
-        broadcast, not copied).  Without ``epochs`` the donors' live
-        noise sources are adopted (and must no longer be used through
-        the scalar chips).
+        The donors' live noise sources are adopted (and must no longer be
+        used through the scalar chips).
         """
         if not chips:
             raise ConfigurationError("batched chip needs at least one lane")
@@ -956,15 +950,10 @@ class BatchedChip:
             bank_cells = []
             for sub in range(first.geometry.subarrays_per_bank):
                 donors = [chip.banks[bank].subarrays[sub] for chip in chips]
-                if epochs is None:
-                    noises = [donor._noise for donor in donors]
-                else:
-                    noises = [chip.noise.spawn("bank", bank, "subarray", sub,
-                                               epoch=int(epoch))
-                              for chip, epoch in zip(chips, epochs)]
                 bank_cells.append(BatchedSubArray(
                     planes=VariationPlanes.stack(donors),
-                    profiles=[chip.group for chip in chips], noises=noises,
+                    profiles=[chip.group for chip in chips],
+                    noises=[donor._noise for donor in donors],
                     environments=[chip.environment for chip in chips],
                     origins=[(bank, sub)] * len(chips)))
             cells.append(bank_cells)

@@ -20,6 +20,7 @@ from ..dram.chip import DramChip
 from ..dram.environment import Environment
 from ..dram.parameters import GeometryParams
 from ..dram.vendor import GroupProfile
+from ..errors import ConfigurationError
 from ..telemetry.registry import active as _telemetry_active
 
 __all__ = ["ExperimentConfig", "make_chip", "make_fd", "markdown_table",
@@ -65,14 +66,22 @@ class ExperimentConfig:
     backend: str | None = None
 
     def __post_init__(self) -> None:
+        # A config the model refuses raises here, before anything runs
+        # or is served from the result cache.  Fleet workers unpickle
+        # configs without these checks; the parent made them.
         if self.rows_per_subarray < 10:
-            raise ValueError(
+            raise ConfigurationError(
                 "rows_per_subarray must be >= 10 (group B's four-row set "
                 "uses local rows {8,1,0,9})")
+        try:
+            self.geometry()
+        except ValueError as error:
+            raise ConfigurationError(
+                f"{error} (n_banks={self.n_banks}, subarrays_per_bank="
+                f"{self.subarrays_per_bank}, columns={self.columns})"
+            ) from None
         if self.backend is not None:
-            # An unknown engine raises BackendError here, before anything
-            # runs or is served from the result cache.  Fleet workers
-            # unpickle configs without this check; the parent made it.
+            # An unknown engine raises BackendError.
             from ..backends import get_backend
 
             get_backend(self.backend)

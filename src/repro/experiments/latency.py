@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from ..controller import sequences as seq
 from ..dram.parameters import ElectricalParams, TimingParams
 from ..puf.frac_puf import PAPER_SEGMENT_BITS, PUF_N_FRAC, evaluation_time_us
-from .base import markdown_table
+from .base import DEFAULT_CONFIG, ExperimentConfig, markdown_table
 
 __all__ = ["LatencyResult", "run", "shard_units", "run_shard", "merge"]
 
@@ -69,10 +69,14 @@ class LatencyResult:
                 and abs(self.puf_eval_optimized_us - 0.7) < 0.1)
 
 
-def run(timing: TimingParams | None = None,
-        electrical: ElectricalParams | None = None) -> LatencyResult:
-    timing = timing or TimingParams()
-    electrical = electrical or ElectricalParams()
+def run(config: ExperimentConfig = DEFAULT_CONFIG) -> LatencyResult:
+    """The accounting at the default timing/electrical parameters.
+
+    ``config`` is taken for the shared ``run(config)`` signature; no
+    latency depends on it.
+    """
+    timing = TimingParams()
+    electrical = ElectricalParams()
 
     frac_cycles = seq.frac_sequence(0, 1, 1, timing).duration
     row_copy_cycles = seq.row_copy_sequence(0, 0, 1, timing,
@@ -112,10 +116,9 @@ def shard_units(config=None, **_kwargs) -> tuple[str, ...]:
     return ("latency",)
 
 
-def run_shard(config, units, timing: TimingParams | None = None,
-              electrical: ElectricalParams | None = None, **_kwargs) -> list:
+def run_shard(config, units, **_kwargs) -> list:
     """Payload is the complete :class:`LatencyResult` (config-independent)."""
-    return [run(timing, electrical) for _unit in units]
+    return [run(config) for _unit in units]
 
 
 def merge(config, payloads, **_kwargs) -> LatencyResult:

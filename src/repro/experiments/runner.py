@@ -36,6 +36,7 @@ from dataclasses import dataclass
 from types import ModuleType
 from typing import Any
 
+from ..errors import ReproError
 from . import (
     ddr4_outlook,
     fig6_retention,
@@ -236,18 +237,17 @@ class Run:
 def parse_run(arguments: argparse.Namespace) -> Run | None:
     """Check the shared run flags and resolve them into a :class:`Run`.
 
-    An unknown ``--backend`` or ``--only`` name prints one ``error:``
-    line and returns None before any experiment runs; the command then
-    exits 2.
+    An unknown ``--backend`` or ``--only`` name, or a ``--columns`` the
+    model refuses, prints one ``error:`` line and returns None before
+    any experiment runs; the command then exits 2.
     """
-    from ..backends.registry import BackendError
     from ..fleet import ResultCache, resolve_workers
 
     try:
         config = DEFAULT_CONFIG.scaled(master_seed=arguments.seed,
                                        columns=arguments.columns,
                                        backend=arguments.backend)
-    except BackendError as error:
+    except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return None
     names = arguments.only or list(EXPERIMENTS)

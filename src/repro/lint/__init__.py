@@ -27,18 +27,14 @@ Entry points:
 from __future__ import annotations
 
 from . import builtin, dataflow, parity  # noqa: F401  (registers rules)
-from .baseline import Baseline, BaselineError, partition_findings
 from .callgraph import Project
 from .engine import LintReport, iter_python_files, lint_paths, lint_source
-from .fix import fix_source, fixable_codes
 from .model import Finding, ModuleContext, Severity
 from .rules import Rule, register, registered_rules, rules_for_codes
 from .sarif import render_sarif, sarif_json
 from .summary import ModuleSummary, extract_summary
 
 __all__ = [
-    "Baseline",
-    "BaselineError",
     "Finding",
     "LintReport",
     "ModuleContext",
@@ -47,12 +43,9 @@ __all__ = [
     "Rule",
     "Severity",
     "extract_summary",
-    "fix_source",
-    "fixable_codes",
     "iter_python_files",
     "lint_paths",
     "lint_source",
-    "partition_findings",
     "register",
     "registered_rules",
     "render_sarif",

@@ -12,7 +12,6 @@ that *dynamically*; these rules flag the common ways new code breaks it
 * DET002 — wall-clock reads outside the timing allowlist,
 * DET003 — iteration over unordered set values,
 * DET004 — environment reads outside fleet/config entry points,
-* FORK001 — module-state mutation reachable from ``run_shard`` workers,
 * TEL001 — wall-clock/RNG values fed into telemetry *counters*.
 
 The catalog with full rationale lives in ``docs/linting.md``.
@@ -21,7 +20,7 @@ The catalog with full rationale lives in ``docs/linting.md``.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .model import Finding, ModuleContext
 from .rules import Rule, dotted_name, register, walk_calls
@@ -31,7 +30,6 @@ __all__ = [
     "WallClockRule",
     "UnsortedSetIterationRule",
     "EnvironReadRule",
-    "WorkerGlobalMutationRule",
     "NondeterministicCounterRule",
 ]
 
@@ -344,158 +342,6 @@ class EnvironReadRule(Rule):
                 f"{name} accessed in module {ctx.module}; resolve "
                 f"environment variables in the fleet/config entry "
                 f"points and pass plain values down")
-
-
-# ----------------------------------------------------------------------
-# FORK001 — module-state mutation in fork workers
-# ----------------------------------------------------------------------
-
-def _module_level_names(tree: ast.Module) -> Set[str]:
-    """Names bound by assignment at module scope."""
-    names: Set[str] = set()
-    for node in tree.body:
-        targets: List[ast.AST] = []
-        if isinstance(node, ast.Assign):
-            targets.extend(node.targets)
-        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
-            targets.append(node.target)
-        for target in targets:
-            if isinstance(target, ast.Name):
-                names.add(target.id)
-            elif isinstance(target, (ast.Tuple, ast.List)):
-                names.update(element.id for element in target.elts
-                             if isinstance(element, ast.Name))
-    return names
-
-
-_MUTATING_METHODS = {
-    "append", "extend", "insert", "remove", "pop", "clear", "add",
-    "discard", "update", "setdefault", "popitem", "write", "sort",
-    "reverse", "appendleft", "popleft",
-}
-
-
-def _collect_functions(
-        tree: ast.Module,
-) -> Dict[str, ast.AST]:
-    """Map reachability keys to function nodes.
-
-    Top-level functions are keyed by name; methods by
-    ``"<Class>.<method>"`` *and* ``".<method>"`` (the latter lets a
-    ``self.foo()`` call resolve without type inference).
-    """
-    table: Dict[str, ast.AST] = {}
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            table[node.name] = node
-        elif isinstance(node, ast.ClassDef):
-            for item in node.body:
-                if isinstance(item, (ast.FunctionDef,
-                                     ast.AsyncFunctionDef)):
-                    table[f"{node.name}.{item.name}"] = item
-                    table.setdefault(f".{item.name}", item)
-    return table
-
-
-def _reachable_from(entry_keys: List[str],
-                    table: Dict[str, ast.AST]) -> List[Tuple[str, ast.AST]]:
-    """Intra-module closure of functions callable from the entries."""
-    seen: Set[str] = set()
-    order: List[Tuple[str, ast.AST]] = []
-    stack = [key for key in entry_keys if key in table]
-    while stack:
-        key = stack.pop()
-        if key in seen:
-            continue
-        seen.add(key)
-        node = table[key]
-        if any(existing is node for _, existing in order):
-            continue
-        order.append((key, node))
-        for call in walk_calls(node):
-            callee: Optional[str] = None
-            if isinstance(call.func, ast.Name):
-                callee = call.func.id
-            elif isinstance(call.func, ast.Attribute) and isinstance(
-                    call.func.value, ast.Name) and call.func.value.id in (
-                        "self", "cls"):
-                callee = f".{call.func.attr}"
-            if callee is not None and callee in table and callee not in seen:
-                stack.append(callee)
-    return order
-
-
-@register
-class WorkerGlobalMutationRule(Rule):
-    code = "FORK001"
-    summary = "module-level state mutated in code reachable from run_shard"
-    rationale = (
-        "Fleet workers execute run_shard in forked/spawned processes "
-        "(repro.fleet.executor); module-level mutations there are "
-        "invisible to the parent, differ between fork and spawn start "
-        "methods, and couple a unit's result to which units ran before "
-        "it in the same worker — breaking shard invariance.  Worker "
-        "code must stay pure: derive state per unit, return payloads.")
-
-    #: Entry points whose transitive intra-module callees must not touch
-    #: module state.  ``run_shard`` is the fleet worker protocol.
-    entry_points: Tuple[str, ...] = ("run_shard",)
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        module_names = _module_level_names(ctx.tree)
-        table = _collect_functions(ctx.tree)
-        entries: List[str] = []
-        for entry in self.entry_points:
-            entries.append(entry)
-            entries.extend(key for key in table
-                           if key.endswith(f".{entry}"))
-        for key, function in _reachable_from(entries, table):
-            yield from self._check_function(ctx, key, function,
-                                            module_names)
-
-    def _check_function(self, ctx: ModuleContext, key: str,
-                        function: ast.AST,
-                        module_names: Set[str]) -> Iterator[Finding]:
-        declared_global: Set[str] = set()
-        for node in ast.walk(function):
-            if isinstance(node, ast.Global):
-                declared_global.update(node.names)
-                yield self.finding(
-                    ctx, node,
-                    f"'global {', '.join(node.names)}' inside "
-                    f"{key} (reachable from run_shard); fleet workers "
-                    f"must not rebind module state")
-            elif isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = (node.targets if isinstance(node, ast.Assign)
-                           else [node.target])
-                for target in targets:
-                    root = target
-                    while isinstance(root, (ast.Subscript, ast.Attribute)):
-                        root = root.value
-                    if not isinstance(root, ast.Name):
-                        continue
-                    is_container_store = isinstance(
-                        target, (ast.Subscript, ast.Attribute))
-                    if root.id in module_names and (
-                            is_container_store
-                            or root.id in declared_global):
-                        yield self.finding(
-                            ctx, node,
-                            f"mutation of module-level {root.id!r} "
-                            f"inside {key} (reachable from run_shard)")
-            elif isinstance(node, ast.Call):
-                func = node.func
-                if (isinstance(func, ast.Attribute)
-                        and func.attr in _MUTATING_METHODS):
-                    root = func.value
-                    while isinstance(root, (ast.Subscript, ast.Attribute)):
-                        root = root.value
-                    if (isinstance(root, ast.Name)
-                            and root.id in module_names):
-                        yield self.finding(
-                            ctx, node,
-                            f"mutating call {root.id}.{func.attr}() "
-                            f"inside {key} (reachable from run_shard)")
 
 
 # ----------------------------------------------------------------------

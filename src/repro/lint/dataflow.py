@@ -14,8 +14,8 @@ table before classification, and two return-taint fixpoints (wall-clock
 and ambient RNG) propagate sourcehood through arbitrarily deep call
 chains.  The ``iter_*_findings`` helpers implement the project phase of
 DET001/DET002/TEL001 (the rule classes in ``builtin`` delegate here);
-:class:`KernelPurityRule` (FORK002) generalizes FORK001 to the full
-call graph.
+:class:`KernelPurityRule` (FORK002) proves worker and kernel purity
+over the full call graph.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import FrozenSet, Iterator, List, Optional, Tuple
 from .callgraph import FunctionKey, Project
 from .model import Finding
 from .rules import Rule, register
-from .summary import CallSite, FunctionSummary
+from .summary import CallSite
 
 __all__ = [
     "KernelPurityRule",
@@ -326,10 +326,12 @@ class KernelPurityRule(Rule):
     summary = ("module-level state mutated anywhere reachable from "
                "run_shard or an xir_* kernel (cross-module)")
     rationale = (
-        "FORK001 proves worker purity one module at a time; a helper "
-        "imported from elsewhere can still mutate its own module's "
-        "state when a forked worker calls it.  This rule walks the "
-        "whole-program call graph from every run_shard entry point and "
+        "Fleet workers execute run_shard in forked/spawned processes "
+        "(repro.fleet.executor); module-level mutations there are "
+        "invisible to the parent, differ between fork and spawn start "
+        "methods, and couple a unit's result to which units ran before "
+        "it in the same worker.  This rule walks the whole-program "
+        "call graph from every run_shard entry point and "
         "every xir_* batch kernel and flags any reachable function — "
         "in any module — that rebinds or mutates module-level state.  "
         "Kernels and workers must stay pure so shard count, worker "

@@ -15,8 +15,8 @@ suite use.  A run has two phases:
    by ``(path, line, code)`` — when both phases flag the same site, the
    per-module finding wins.
 
-The report's finding list is deterministic and sorted, so text output,
-JSON/SARIF output, and baselines are stable across runs and machines.
+The report's finding list is deterministic and sorted, so text, JSON
+and SARIF output are stable across runs and machines.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ _SKIP_DIRS = {"__pycache__", ".git", ".hypothesis", ".pytest_cache",
 
 @dataclass
 class LintReport:
-    """Outcome of one lint run (pre-baseline)."""
+    """Outcome of one lint run."""
 
     findings: List[Finding] = field(default_factory=list)
     #: ``(path, message)`` for files that failed to parse.
@@ -92,7 +92,7 @@ def _module_findings(ctx: ModuleContext,
             if not ctx.is_suppressed(finding, end_line=end_line):
                 kept.append(finding)
     # Sorted and deduplicated: rule execution order must never leak into
-    # the report, baselines, or exit codes.
+    # the report or exit codes.
     return sorted(set(kept))
 
 
@@ -117,8 +117,7 @@ def lint_paths(paths: Sequence[Path | str], *,
     """Lint every Python file under ``paths`` (both phases).
 
     Finding paths are rendered POSIX-style relative to ``root`` (default:
-    the current working directory) when possible, absolute otherwise —
-    the same normalization the baseline file relies on.
+    the current working directory) when possible, absolute otherwise.
     """
     if rules is None:
         rules = rules_for_codes(None)

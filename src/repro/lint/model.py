@@ -3,8 +3,7 @@
 A lint run parses every target file once into a :class:`ModuleContext`
 (AST + source + suppression pragmas + dotted module name) and hands that
 context to each registered rule.  Rules yield :class:`Finding` records;
-the engine then drops findings suppressed by a pragma and partitions the
-rest against the committed baseline.
+the engine then drops findings suppressed by a pragma.
 
 Suppression pragmas
 -------------------
@@ -16,10 +15,8 @@ A finding is suppressed by placing::
 on the flagged line, on the line directly above it (for statements that
 do not fit a trailing comment), or on the closing line of a multi-line
 statement.  Several codes may be listed (``lint-ok[DET001,TEL001]``) and
-``lint-ok[*]`` suppresses every rule on that line.  Pragmas are the
-reviewed, in-source escape hatch; the baseline file (see
-:mod:`repro.lint.baseline`) is for grandfathering pre-existing findings
-without touching the offending code.
+``lint-ok[*]`` suppresses every rule on that line.  A pragma is the only
+way to silence a finding, and it sits in the source where review sees it.
 """
 
 from __future__ import annotations
@@ -62,9 +59,7 @@ class Finding:
     """One rule violation at one source location.
 
     ``path`` is stored POSIX-style relative to the lint invocation root
-    so findings (and therefore baselines) are machine-independent.  The
-    baseline identity deliberately excludes the line/column — grandfathered
-    findings survive unrelated edits that shift them around a file.
+    so findings are machine-independent.
     """
 
     path: str
@@ -73,10 +68,6 @@ class Finding:
     code: str
     message: str
     severity: Severity = field(compare=False, default=Severity.ERROR)
-
-    def identity(self) -> Tuple[str, str, str]:
-        """The baseline-matching key: ``(path, code, message)``."""
-        return (self.path, self.code, self.message)
 
     def render(self) -> str:
         """``path:line:col: CODE [severity] message`` (one text line)."""

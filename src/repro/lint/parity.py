@@ -2,19 +2,18 @@
 
 The conformance suite proves *dynamically* that the scalar and fused
 backends agree byte-for-byte; these rules prove the cheaper structural
-half *statically*: every DDR command kind, every xir
-primitive op, and every lowered experiment must be *handled* by each
-dispatch surface that claims to consume it.  A new ``Command`` subclass
-or ``ir`` op that one backend silently ignores is caught at lint time,
-before a golden diff fails.
+half *statically*: every DDR command kind and every xir primitive op
+must be *handled* by each dispatch surface that claims to consume it.
+A new ``Command`` subclass or ``ir`` op that one backend silently
+ignores is caught at lint time, before a golden diff fails.
 
 The extraction is summary-based (see
 :class:`~repro.lint.summary.DispatchSummary`): ``isinstance`` targets,
 ``x == "ACT"`` / ``x in ("ACT", ...)`` string-comparison sets,
 ``actions.append(("tag", ...))`` heads, ``KIND`` class attributes, and
-module-level dict/tuple literals.  All three rules are silent when
-their anchor modules are absent from the linted tree, so partial runs
-(fixtures, single-directory lints) do not misfire.
+module-level tuple literals.  Both rules are silent when their anchor
+modules are absent from the linted tree, so partial runs (fixtures,
+single-directory lints) do not misfire.
 
 * PAR001 — a command ``KIND`` dispatched by one surface but unhandled
   by another (softmc / batched controller / program assembler +
@@ -22,8 +21,6 @@ their anchor modules are absent from the linted tree, so partial runs
 * PAR002 — an ``ir.PRIMITIVE_OPS`` member the xir compiler does not
   lower, or a compiler-emitted action tag the executor does not
   execute.
-* PAR003 — an ``XIR_LOWERED_EXPERIMENTS`` entry with no experiment
-  registered under that name.
 """
 
 from __future__ import annotations
@@ -37,7 +34,6 @@ from .summary import DispatchSummary
 
 __all__ = [
     "CommandParityRule",
-    "LoweredRegistryParityRule",
     "XirOpParityRule",
 ]
 
@@ -45,8 +41,6 @@ _COMMANDS_MODULE = "repro.controller.commands"
 _IR_MODULE = "repro.xir.ir"
 _COMPILE_MODULE = "repro.xir.compile"
 _EXECUTOR_MODULE = "repro.xir.executor"
-_XIR_PACKAGE = "repro.xir"
-_RUNNER_MODULE = "repro.experiments.runner"
 
 #: The non-abstract command base class KIND; not a dispatchable kind.
 _BASE_KIND = "CMD"
@@ -182,40 +176,5 @@ class XirOpParityRule(Rule):
                 f"action tag(s) {', '.join(unexecuted)} are emitted by "
                 f"{_COMPILE_MODULE} but have no handler in the "
                 f"{_EXECUTOR_MODULE} tag dispatch")
-            if finding is not None:
-                yield finding
-
-
-@register
-class LoweredRegistryParityRule(Rule):
-    code = "PAR003"
-    summary = ("XIR_LOWERED_EXPERIMENTS entry with no registered "
-               "experiment")
-    rationale = (
-        "XIR_LOWERED_EXPERIMENTS advertises which experiments the "
-        "fused backend serves through the xir pipeline; an entry that "
-        "no longer matches a key of repro.experiments.runner."
-        "EXPERIMENTS routes fused requests to a KeyError.  The "
-        "registry pin in tests/xir asserts the tuple's value — this "
-        "rule asserts its referential integrity.")
-
-    def check_project(self, project: Project) -> Iterator[Finding]:
-        xir_dispatch = _dispatch(project, _XIR_PACKAGE)
-        runner_dispatch = _dispatch(project, _RUNNER_MODULE)
-        if xir_dispatch is None or runner_dispatch is None:
-            return
-        lowered = dict(xir_dispatch.module_tuples).get(
-            "XIR_LOWERED_EXPERIMENTS", ())
-        registered = set(
-            dict(runner_dispatch.dict_keys).get("EXPERIMENTS", ()))
-        if not lowered or not registered:
-            return
-        unknown = sorted(set(lowered) - registered)
-        if unknown:
-            finding = _anchor(
-                self, project, _XIR_PACKAGE,
-                f"XIR_LOWERED_EXPERIMENTS entry(ies) "
-                f"{', '.join(unknown)} have no matching key in "
-                f"{_RUNNER_MODULE}.EXPERIMENTS")
             if finding is not None:
                 yield finding

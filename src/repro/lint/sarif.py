@@ -5,9 +5,7 @@ driver conforming to the SARIF 2.1.0 schema
 (https://json.schemastore.org/sarif-2.1.0.json): the full rule catalog
 (with each rule's summary and rationale) under
 ``tool.driver.rules``, and one ``result`` per finding with a physical
-location.  Baselined findings are still emitted but carry an
-``external`` suppression, so code-scanning UIs show them as reviewed
-rather than new.
+location.
 
 Only data already in the report is serialized — rendering is pure and
 deterministic (rules and results are sorted), so the SARIF artifact is
@@ -17,7 +15,7 @@ byte-stable for an unchanged tree.
 from __future__ import annotations
 
 import json
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, List, Sequence
 
 from .model import Finding, Severity
 from .rules import Rule
@@ -34,15 +32,8 @@ _LEVELS = {Severity.ERROR: "error", Severity.WARNING: "warning"}
 
 
 def render_sarif(findings: Sequence[Finding], *,
-                 rules: Sequence[Rule],
-                 baselined: Iterable[Tuple[str, str, str]] = (),
-                 ) -> dict:
-    """Build the SARIF log object for one lint run.
-
-    ``baselined`` is the set of finding identities (``Finding.identity()``
-    triples) grandfathered by the committed baseline; matching results
-    are marked suppressed.
-    """
+                 rules: Sequence[Rule]) -> dict:
+    """Build the SARIF log object for one lint run."""
     ordered_rules = sorted(rules, key=lambda rule: rule.code)
     rule_index: Dict[str, int] = {
         rule.code: index for index, rule in enumerate(ordered_rules)}
@@ -59,7 +50,6 @@ def render_sarif(findings: Sequence[Finding], *,
         }
         for rule in ordered_rules
     ]
-    suppressed: Set[Tuple[str, str, str]] = set(baselined)
     results: List[dict] = []
     for finding in sorted(findings):
         result = {
@@ -78,8 +68,6 @@ def render_sarif(findings: Sequence[Finding], *,
         }
         if finding.code in rule_index:
             result["ruleIndex"] = rule_index[finding.code]
-        if finding.identity() in suppressed:
-            result["suppressions"] = [{"kind": "external"}]
         results.append(result)
     return {
         "$schema": SARIF_SCHEMA,
@@ -100,8 +88,8 @@ def render_sarif(findings: Sequence[Finding], *,
     }
 
 
-def sarif_json(findings: Sequence[Finding], *, rules: Sequence[Rule],
-               baselined: Iterable[Tuple[str, str, str]] = ()) -> str:
+def sarif_json(findings: Sequence[Finding], *,
+               rules: Sequence[Rule]) -> str:
     """The SARIF log serialized with stable key order."""
-    log = render_sarif(findings, rules=rules, baselined=baselined)
+    log = render_sarif(findings, rules=rules)
     return json.dumps(log, indent=2, sort_keys=True) + "\n"

@@ -14,8 +14,8 @@ needs:
   feed sites, and module-state mutations (the FORK family),
 * the *dispatch surface*: ``isinstance`` targets, string equality/
   membership sets, ``xs.append(("tag", ...))`` heads, ``KIND`` class
-  attributes, dict-literal keys and module-level string tuples — the
-  raw material of the backend-parity checker (:mod:`.parity`).
+  attributes and module-level string tuples — the raw material of the
+  backend-parity checker (:mod:`.parity`).
 
 Link-time analysis lives in :mod:`repro.lint.callgraph`; this module is
 deliberately free of any other lint import so summaries stay a leaf of
@@ -110,8 +110,6 @@ class DispatchSummary:
     append_heads: Tuple[Tuple[str, Tuple[str, ...]], ...]
     #: class name -> its ``KIND`` class attribute value.
     class_kinds: Tuple[Tuple[str, str], ...]
-    #: module-level name -> string keys of its dict-literal value.
-    dict_keys: Tuple[Tuple[str, Tuple[str, ...]], ...]
     #: module-level name -> string/identifier items of its tuple value.
     module_tuples: Tuple[Tuple[str, Tuple[str, ...]], ...]
 
@@ -341,7 +339,6 @@ def _extract_dispatch(tree: ast.Module) -> DispatchSummary:
     compare_sets: Dict[str, set] = {}
     append_heads: Dict[str, set] = {}
     class_kinds: List[Tuple[str, str]] = []
-    dict_keys: Dict[str, Tuple[str, ...]] = {}
     module_tuples: Dict[str, Tuple[str, ...]] = {}
 
     def class_names(node: ast.AST) -> List[str]:
@@ -414,13 +411,7 @@ def _extract_dispatch(tree: ast.Module) -> DispatchSummary:
             target, value = node.target.id, node.value
         if target is None or value is None:
             continue
-        if isinstance(value, ast.Dict):
-            keys = tuple(key.value for key in value.keys
-                         if isinstance(key, ast.Constant)
-                         and isinstance(key.value, str))
-            if keys:
-                dict_keys[target] = keys
-        elif isinstance(value, (ast.Tuple, ast.List)):
+        if isinstance(value, (ast.Tuple, ast.List)):
             items: List[str] = []
             for element in value.elts:
                 if (isinstance(element, ast.Constant)
@@ -442,7 +433,6 @@ def _extract_dispatch(tree: ast.Module) -> DispatchSummary:
             (name, tuple(sorted(values)))
             for name, values in append_heads.items())),
         class_kinds=tuple(sorted(class_kinds)),
-        dict_keys=tuple(sorted(dict_keys.items())),
         module_tuples=tuple(sorted(module_tuples.items())),
     )
 

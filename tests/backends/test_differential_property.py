@@ -1,11 +1,13 @@
 """Differential fuzzing: random valid programs, every backend agrees.
 
 Hypothesis generates block-structured SoftMC programs — in-spec
-write/read blocks, Frac charge-sharing blocks, hardware loops, and LEAK
-retention pauses, over bounded banks/rows — and every registered backend
-must produce a byte-identical rendered outcome: returned read data,
-final cell-state digests, cycle/drop accounting, and telemetry counters
-(including the ``controller.jedec.*`` timing-observation counts).
+write/read blocks, Frac charge-sharing blocks, Half-m blocks whose PRE
+lands inside the sense amplifiers' amplify window, hardware loops, and
+LEAK retention pauses, over bounded banks/rows — and every registered
+backend must produce a byte-identical rendered outcome: returned read
+data, final cell-state digests, cycle/drop accounting, and telemetry
+counters (including the ``controller.jedec.*`` timing-observation
+counts).
 
 Blocks are self-closing (every block leaves all banks precharged), which
 keeps generated programs physically valid: RD/WR always follow an ACT
@@ -62,6 +64,17 @@ def frac_blocks(draw):
 
 
 @st.composite
+def half_m_blocks(draw):
+    """ACT->PRE->ACT, then a PRE 1-6 cycles later: inside the amplify
+    window it freezes partially amplified bit-lines into the open rows."""
+    bank, row_a, row_b = draw(banks), draw(rows), draw(rows)
+    later = draw(st.integers(min_value=1, max_value=6))
+    wait = [f"WAIT {later - 1}"] if later > 1 else []
+    return [f"ACT {bank} {row_a}", f"PRE {bank}", f"ACT {bank} {row_b}",
+            *wait, f"PRE {bank}", "WAIT 11", "PREA", "WAIT 4"]
+
+
+@st.composite
 def leak_blocks(draw):
     seconds = draw(st.integers(min_value=1, max_value=900))
     trailing_wait = draw(st.integers(min_value=0, max_value=6))
@@ -72,7 +85,8 @@ def leak_blocks(draw):
 
 
 programs = st.lists(
-    st.one_of(write_blocks(), read_blocks(), frac_blocks(), leak_blocks()),
+    st.one_of(write_blocks(), read_blocks(), frac_blocks(), half_m_blocks(),
+              leak_blocks()),
     min_size=1, max_size=6,
 ).map(lambda blocks: "\n".join(line for block in blocks for line in block)
       + "\n")

@@ -68,9 +68,7 @@ def test_batch_composes_with_workers(name, scalar_renderings):
 @pytest.mark.parametrize("name", SHARD_ONLY_EXPERIMENTS)
 def test_shard_protocol_matches_run(name):
     _, module = EXPERIMENTS[name]
-    # latency's run() takes timing/electrical parameters, not a config.
-    direct = canonical(module.run() if name == "latency"
-                       else module.run(CONFIG))
+    direct = canonical(module.run(CONFIG))
     sharded = canonical(run_experiment(name, CONFIG))
     assert sharded == direct, (
         f"{name}: serial shard-protocol result differs from run()")

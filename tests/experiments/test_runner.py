@@ -3,6 +3,7 @@
 import pytest
 
 from repro.backends import BackendError
+from repro.errors import ConfigurationError
 from repro.experiments import ExperimentConfig
 from repro.experiments.runner import EXPERIMENTS, main, run_experiment
 from repro.fleet import ResultCache
@@ -61,3 +62,15 @@ class TestBackendName:
             run_experiment("fig8", config.scaled(backend="nope"),
                            cache=cache)
         assert (cache.hits, cache.misses) == (0, 1)
+
+
+class TestGeometryRefusal:
+    """A geometry the model refuses is refused when the config is built."""
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"columns": 0}, "columns=0"),
+        ({"rows_per_subarray": 9}, "rows_per_subarray must be >= 10"),
+    ], ids=["columns", "rows_per_subarray"])
+    def test_refused_by_config(self, overrides, message):
+        with pytest.raises(ConfigurationError, match=message):
+            ExperimentConfig(**overrides)

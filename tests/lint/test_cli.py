@@ -1,4 +1,4 @@
-"""CLI behavior: exit codes, formats, selection, baseline workflow."""
+"""CLI behavior: exit codes, formats, selection, refused options."""
 
 import io
 import json
@@ -32,7 +32,7 @@ def run_cli(args):
 
 @pytest.fixture
 def tree(tmp_path, monkeypatch):
-    """A tiny lintable tree, with cwd pinned so baseline defaults work."""
+    """A tiny lintable tree, with cwd pinned so finding paths are relative."""
     package = tmp_path / "pkg"
     package.mkdir()
     (package / "dirty.py").write_text(DIRTY)
@@ -46,7 +46,7 @@ class TestExitCodes:
         (tree / "dirty.py").unlink()
         code, output = run_cli([str(tree)])
         assert code == EXIT_CLEAN
-        assert "0 new finding(s)" in output
+        assert "0 finding(s)" in output
 
     def test_findings_exit_one(self, tree):
         code, output = run_cli([str(tree)])
@@ -82,14 +82,16 @@ class TestOutputFormats:
         [entry] = payload["findings"]
         assert entry["code"] == "DET001"
         assert entry["path"] == "pkg/dirty.py"
-        assert payload["baselined"] == []
         assert payload["parse_errors"] == []
+        assert set(payload) == {"version", "files_checked", "findings",
+                                "parse_errors"}
 
     def test_list_rules_catalog(self, tree):
         code, output = run_cli(["--list-rules"])
         assert code == EXIT_CLEAN
-        for expected in ("DET001", "DET004", "FORK001", "TEL001"):
-            assert expected in output
+        assert [line.split()[0] for line in output.splitlines()] == [
+            "DET001", "DET002", "DET003", "DET004", "FORK002", "PAR001",
+            "PAR002", "TEL001"]
 
 
 class TestSelection:
@@ -110,79 +112,28 @@ class TestSelection:
         assert code == EXIT_USAGE
 
 
-class TestFixFlag:
-    def test_fix_applies_and_reports(self, tree):
-        (tree / "sets.py").write_text(textwrap.dedent("""\
-            def walk(rows):
-                for row in {3, 1, 2}:
-                    rows.append(row)
-        """))
-        code, output = run_cli([str(tree), "--select", "DET003",
-                                "--no-baseline", "--fix"])
-        assert code == EXIT_CLEAN
-        assert "fixed 1 finding(s) in 1 file(s)" in output
-        assert "sorted({3, 1, 2})" in (tree / "sets.py").read_text()
+class TestRefusedOptions:
+    """Flags and rule codes the linter does not have are usage errors;
+    a pragma is the one way to silence a finding."""
 
+    @pytest.mark.parametrize("flags", [
+        ["--fix"], ["--baseline", "baseline.json"], ["--no-baseline"],
+        ["--write-baseline"]], ids=lambda flags: flags[0])
+    def test_unknown_flag_is_usage_error(self, tree, flags, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            run_cli([str(tree), *flags])
+        assert excinfo.value.code == EXIT_USAGE
+        assert f"unrecognized arguments: {' '.join(flags)}" in \
+            capsys.readouterr().err
 
-class TestBaselineWorkflow:
-    def test_write_then_pass_then_flag_regressions(self, tree):
-        # 1. grandfather the existing debt
-        code, output = run_cli([str(tree), "--write-baseline"])
-        assert code == EXIT_CLEAN
-        assert "1 finding(s) written" in output
-
-        # 2. the default baseline file now green-lights the same tree
-        code, output = run_cli([str(tree)])
-        assert code == EXIT_CLEAN
-        assert "1 baselined" in output
-
-        # 3. a *new* finding still fails
-        (tree / "worse.py").write_text(DIRTY)
-        code, output = run_cli([str(tree)])
-        assert code == EXIT_FINDINGS
-        assert "pkg/worse.py" in output
-
-        # 4. --no-baseline makes the grandfathered finding fail again
-        (tree / "worse.py").unlink()
-        code, _ = run_cli([str(tree), "--no-baseline"])
-        assert code == EXIT_FINDINGS
-
-    def test_stale_entries_reported(self, tree):
-        run_cli([str(tree), "--write-baseline"])
-        (tree / "dirty.py").write_text(CLEAN)
-        code, output = run_cli([str(tree)])
-        assert code == EXIT_CLEAN
-        assert "stale baseline entry" in output
-
-    def test_rewrite_prunes_stale_entries_and_reports_count(self, tree):
-        run_cli([str(tree), "--write-baseline"])
-        (tree / "dirty.py").write_text(CLEAN)
-        code, output = run_cli([str(tree), "--write-baseline"])
-        assert code == EXIT_CLEAN
-        assert "0 finding(s) written" in output
-        assert "1 stale entry pruned" in output
-        # the pruned baseline no longer grandfathers anything
-        (tree / "worse.py").write_text(DIRTY)
-        code, _ = run_cli([str(tree)])
-        assert code == EXIT_FINDINGS
-
-    def test_rewrite_preserves_unselected_codes(self, tree):
-        # A full-rule baseline rewritten with --select must keep the
-        # entries owned by the codes outside the selection.
-        run_cli([str(tree), "--write-baseline"])
-        code, output = run_cli([str(tree), "--select", "DET002",
-                                "--write-baseline"])
-        assert code == EXIT_CLEAN
-        assert "0 stale" in output
-        code, output = run_cli([str(tree)])
-        assert code == EXIT_CLEAN
-        assert "1 baselined" in output
-
-    def test_malformed_baseline_is_usage_error(self, tree, tmp_path):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{")
-        code, _ = run_cli([str(tree), "--baseline", str(bad)])
-        assert code == EXIT_USAGE
+    @pytest.mark.parametrize("code", ["FORK001", "PAR003"])
+    def test_unknown_rule_is_usage_error(self, tree, code, capsys):
+        exit_code, _ = run_cli([str(tree), "--select", code])
+        assert exit_code == EXIT_USAGE
+        error = capsys.readouterr().err
+        assert f"unknown rule code {code!r}" in error
+        assert ("known: DET001, DET002, DET003, DET004, FORK002, PAR001, "
+                "PAR002, TEL001") in error
 
 
 class TestModuleEntryPoint:
@@ -190,5 +141,4 @@ class TestModuleEntryPoint:
         from repro.__main__ import main as repro_main
 
         assert repro_main(["lint", str(tree / "clean.py")]) == EXIT_CLEAN
-        assert repro_main(["lint", str(tree / "dirty.py"),
-                           "--no-baseline"]) == EXIT_FINDINGS
+        assert repro_main(["lint", str(tree / "dirty.py")]) == EXIT_FINDINGS

@@ -1,39 +1,29 @@
 """Meta-test: the linter's verdict on this repository itself.
 
-``src/repro`` must lint clean modulo the committed baseline — the same
-gate CI applies.  If this test fails you either introduced a
-determinism/fork-safety hazard (fix it or add a reviewed
-``# repro: lint-ok[CODE]`` pragma) or fixed grandfathered debt without
-pruning ``lint-baseline.json`` (regenerate with ``python -m repro lint
-src/repro --write-baseline``).
+``src/repro`` must lint clean — the same gate CI applies.  If this test
+fails you introduced a determinism/fork-safety hazard: fix it or add a
+reviewed ``# repro: lint-ok[CODE]`` pragma.
 """
 
 from pathlib import Path
 
-from repro.lint import Baseline, lint_paths, partition_findings
+from repro.lint import lint_paths
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
-BASELINE_PATH = REPO_ROOT / "lint-baseline.json"
 
 
-def test_src_repro_matches_committed_baseline():
+def test_src_repro_lints_clean():
     report = lint_paths([REPO_ROOT / "src" / "repro"], root=REPO_ROOT)
     assert report.parse_errors == []
     assert report.files_checked >= 100
-
-    baseline = Baseline.load(BASELINE_PATH)
-    new, _baselined, stale = partition_findings(report.findings, baseline)
-    assert new == [], (
-        "non-baselined lint findings in src/repro:\n"
-        + "\n".join(f.render() for f in new))
-    assert stale == [], (
-        "stale lint-baseline.json entries (debt already fixed — "
-        "regenerate the baseline): " + repr(stale))
+    assert report.findings == [], (
+        "lint findings in src/repro:\n"
+        + "\n".join(f.render() for f in report.findings))
 
 
 def test_known_suppressions_still_present():
     # The intentional wall-clock sidecar timestamp in the result cache is
-    # pragma-suppressed, not baselined; if that line changes, the pragma
-    # must move with it.
+    # pragma-suppressed; if that line changes, the pragma must move with
+    # it.
     cache_source = (REPO_ROOT / "src/repro/fleet/cache.py").read_text()
     assert "lint-ok[DET002]" in cache_source

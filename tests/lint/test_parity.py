@@ -33,8 +33,7 @@ def write_tree(tmp_path, files):
 def parity_findings(tmp_path, files):
     root = write_tree(tmp_path, files)
     report = lint_paths(
-        [root], rules=rules_for_codes(["PAR001", "PAR002", "PAR003"]),
-        root=root)
+        [root], rules=rules_for_codes(["PAR001", "PAR002"]), root=root)
     assert report.parse_errors == []
     return report.findings
 
@@ -105,8 +104,7 @@ class TestCommandParity:
             """,
         })
         stream = io.StringIO()
-        code = main([str(root), "--no-baseline", "--parity"],
-                    stream=stream)
+        code = main([str(root), "--parity"], stream=stream)
         assert code == EXIT_FINDINGS
         assert "PAR001" in stream.getvalue()
         assert "REF" in stream.getvalue()
@@ -164,41 +162,13 @@ class TestXirOpParity:
         assert findings[0].path == "repro/xir/executor.py"
 
 
-class TestLoweredRegistryParity:
-    def test_unknown_lowered_experiment_flagged(self, tmp_path):
-        findings = parity_findings(tmp_path, {
-            "repro/xir/__init__.py": """\
-                XIR_LOWERED_EXPERIMENTS = ("fig6", "fig99")
-            """,
-            "repro/experiments/runner.py": """\
-                EXPERIMENTS = {
-                    "fig6": ("Figure 6", None),
-                }
-            """,
-        })
-        assert [f.code for f in findings] == ["PAR003"]
-        assert "fig99" in findings[0].message
-
-    def test_matching_registry_is_clean(self, tmp_path):
-        assert parity_findings(tmp_path, {
-            "repro/xir/__init__.py": """\
-                XIR_LOWERED_EXPERIMENTS = ("fig6",)
-            """,
-            "repro/experiments/runner.py": """\
-                EXPERIMENTS = {
-                    "fig6": ("Figure 6", None),
-                }
-            """,
-        }) == []
-
-
 class TestLiveBackends:
     def test_live_tree_passes_parity(self):
         # Meta-test: the real scalar/batched/fused dispatch tables
-        # cover the full command/op/registry universe.
+        # cover the full command/op universe.
         report = lint_paths(
             [REPO_ROOT / "src" / "repro"],
-            rules=rules_for_codes(["PAR001", "PAR002", "PAR003"]),
+            rules=rules_for_codes(["PAR001", "PAR002"]),
             root=REPO_ROOT)
         assert report.findings == []
         assert report.parse_errors == []
@@ -206,5 +176,5 @@ class TestLiveBackends:
     def test_live_tree_parity_via_cli(self, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)
         stream = io.StringIO()
-        assert main(["src/repro", "--parity", "--no-baseline"],
+        assert main(["src/repro", "--parity"],
                     stream=stream) == EXIT_CLEAN

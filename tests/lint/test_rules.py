@@ -5,7 +5,7 @@ import textwrap
 
 import pytest
 
-from repro.lint import lint_source, registered_rules, rules_for_codes
+from repro.lint import lint_paths, lint_source, registered_rules, rules_for_codes
 
 
 def findings_for(code, source, module="repro.experiments.sample"):
@@ -227,9 +227,27 @@ class TestDet004EnvironRead:
         assert findings == []
 
 
-class TestFork001WorkerGlobalMutation:
-    def test_global_rebind_in_run_shard_flagged(self):
-        findings = findings_for("FORK001", """\
+def fork_findings(tmp_path, source):
+    """Lint a snippet as ``repro/experiments/sample.py`` with FORK002."""
+    package = tmp_path / "repro" / "experiments"
+    package.mkdir(parents=True)
+    (package / "sample.py").write_text(textwrap.dedent(source))
+    report = lint_paths([tmp_path], rules=rules_for_codes(["FORK002"]),
+                        root=tmp_path)
+    assert report.parse_errors == []
+    return report.findings
+
+
+def lines_of(findings):
+    return [(f.code, f.line) for f in findings]
+
+
+class TestFork002WorkerGlobalMutation:
+    """Single-module worker mutations: the whole-program rule sees them
+    through the same call graph it walks across modules."""
+
+    def test_global_rebind_in_run_shard_flagged(self, tmp_path):
+        findings = fork_findings(tmp_path, """\
             _CACHE = {}
 
             def run_shard(config, units):
@@ -237,11 +255,11 @@ class TestFork001WorkerGlobalMutation:
                 _CACHE = {}
                 return []
         """)
-        assert "FORK001" in codes_of(findings)
+        assert lines_of(findings) == [("FORK002", 4), ("FORK002", 5)]
 
-    def test_container_mutation_in_helper_flagged(self):
+    def test_container_mutation_in_helper_flagged(self, tmp_path):
         # Reachability: run_shard -> _record -> mutation of module state.
-        findings = findings_for("FORK001", """\
+        findings = fork_findings(tmp_path, """\
             _SEEN = []
 
             def _record(unit):
@@ -252,11 +270,11 @@ class TestFork001WorkerGlobalMutation:
                     _record(unit)
                 return list(units)
         """)
-        assert codes_of(findings) == ["FORK001"]
+        assert lines_of(findings) == [("FORK002", 4)]
         assert "_SEEN" in findings[0].message
 
-    def test_subscript_store_via_method_chain_flagged(self):
-        findings = findings_for("FORK001", """\
+    def test_subscript_store_via_method_chain_flagged(self, tmp_path):
+        findings = fork_findings(tmp_path, """\
             _RESULTS = {}
 
             def run_shard(config, units):
@@ -264,10 +282,10 @@ class TestFork001WorkerGlobalMutation:
                     _RESULTS[unit] = compute(unit)
                 return []
         """)
-        assert codes_of(findings) == ["FORK001"]
+        assert lines_of(findings) == [("FORK002", 5)]
 
-    def test_method_run_shard_reaches_self_calls(self):
-        findings = findings_for("FORK001", """\
+    def test_method_run_shard_reaches_self_calls(self, tmp_path):
+        findings = fork_findings(tmp_path, """\
             _STATE = {}
 
             class Experiment:
@@ -278,10 +296,10 @@ class TestFork001WorkerGlobalMutation:
                     _STATE.setdefault(unit, 0)
                     return unit
         """)
-        assert codes_of(findings) == ["FORK001"]
+        assert lines_of(findings) == [("FORK002", 8)]
 
-    def test_local_state_and_unreachable_mutation_clean(self):
-        findings = findings_for("FORK001", """\
+    def test_local_state_and_unreachable_mutation_clean(self, tmp_path):
+        findings = fork_findings(tmp_path, """\
             _REGISTRY = {}
 
             def register(name, value):
@@ -295,8 +313,8 @@ class TestFork001WorkerGlobalMutation:
         """)
         assert findings == []
 
-    def test_module_without_run_shard_clean(self):
-        findings = findings_for("FORK001", """\
+    def test_module_without_run_shard_clean(self, tmp_path):
+        findings = fork_findings(tmp_path, """\
             _CACHE = {}
 
             def remember(key, value):
@@ -357,8 +375,8 @@ class TestTel001NondeterministicCounter:
 class TestRegistry:
     def test_all_shipped_rules_registered(self):
         assert set(registered_rules()) == {
-            "DET001", "DET002", "DET003", "DET004", "FORK001", "FORK002",
-            "PAR001", "PAR002", "PAR003", "TEL001"}
+            "DET001", "DET002", "DET003", "DET004", "FORK002", "PAR001",
+            "PAR002", "TEL001"}
 
     def test_unknown_code_rejected(self):
         with pytest.raises(ValueError, match="unknown rule code"):

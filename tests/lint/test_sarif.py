@@ -1,4 +1,4 @@
-"""SARIF 2.1.0 rendering: structure, suppressions, determinism, CLI."""
+"""SARIF 2.1.0 rendering: structure, determinism, CLI."""
 
 import io
 import json
@@ -58,17 +58,6 @@ class TestDocumentStructure:
             assert physical["region"]["startLine"] >= 1
             assert physical["region"]["startColumn"] >= 1
 
-    def test_baselined_findings_marked_suppressed(self):
-        findings = dirty_findings()
-        baselined = [findings[0].identity()]
-        document = render_sarif(findings, rules=rules_for_codes(None),
-                                baselined=baselined)
-        [run] = document["runs"]
-        suppressed = [result for result in run["results"]
-                      if "suppressions" in result]
-        assert len(suppressed) == 1
-        assert suppressed[0]["suppressions"] == [{"kind": "external"}]
-
     def test_output_is_deterministic(self):
         findings = dirty_findings()
         rules = rules_for_codes(None)
@@ -87,8 +76,7 @@ class TestCliIntegration:
         (package / "sample.py").write_text(DIRTY)
         monkeypatch.chdir(tmp_path)
         stream = io.StringIO()
-        code = main(["repro", "--no-baseline", "--format", "sarif"],
-                    stream=stream)
+        code = main(["repro", "--format", "sarif"], stream=stream)
         assert code == EXIT_FINDINGS
         document = json.loads(stream.getvalue())
         assert document["version"] == SARIF_VERSION

@@ -72,6 +72,27 @@ class TestRunFlags:
         assert not (tmp_path / "latency.json").exists()
         assert not (tmp_path / "RESULTS.md").exists()
 
+    def test_experiments_refused_columns_exit_before_running(self, capsys):
+        assert main(["experiments", "--only", "latency", "fig6",
+                     "--columns", "0", "--no-cache"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""  # latency, listed first, never ran
+        assert captured.err.count("\n") == 1
+        assert captured.err.startswith(
+            "error: all geometry dimensions must be >= 1")
+        assert "columns=0" in captured.err
+
+    def test_report_refused_columns_exit_before_running(self, tmp_path,
+                                                        capsys):
+        assert main(["report", "--output", str(tmp_path), "--only", "fig6",
+                     "--columns", "0", "--no-cache"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert "columns=0" in captured.err
+        assert not (tmp_path / "fig6.json").exists()
+        assert not (tmp_path / "RESULTS.md").exists()
+
     @pytest.mark.parametrize("command", [["experiments"],
                                          ["report", "--output", "unused"]])
     def test_batch_flag_is_gone(self, command, capsys):
