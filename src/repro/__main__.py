@@ -24,6 +24,11 @@ Subcommands:
 ``experiments`` and ``report`` accept ``--telemetry`` / ``--trace-out
 PATH`` to record counters, phase timers, and a structured event trace
 (see ``docs/telemetry.md``).
+
+A flag value the model refuses (``--columns 0``, a row outside the
+device) prints one ``error:`` line on stderr and exits 2 before
+anything runs: each command catches the refusal where it turns its
+flags into a config.
 """
 
 from __future__ import annotations
@@ -32,6 +37,17 @@ import argparse
 import importlib
 import sys
 from pathlib import Path
+
+from .errors import ReproError
+
+#: What turning flags into a config raises for values the model refuses
+#: (``GeometryParams`` raises a bare ``ValueError``).
+_REFUSALS = (ReproError, ValueError)
+
+
+def _refused(error: Exception) -> int:
+    print(f"error: {error}", file=sys.stderr)
+    return 2
 
 
 def _cmd_validate_trace(arguments: argparse.Namespace) -> int:
@@ -59,12 +75,15 @@ def _cmd_trng(arguments: argparse.Namespace) -> int:
     from .dram.parameters import GeometryParams
     from .trng import QuacTrng
 
-    geometry = GeometryParams(n_banks=1, subarrays_per_bank=1,
-                              rows_per_subarray=16,
-                              columns=arguments.columns)
-    chip = DramChip(arguments.group, geometry=geometry,
-                    master_seed=arguments.seed)
-    trng = QuacTrng(chip)
+    try:
+        geometry = GeometryParams(n_banks=1, subarrays_per_bank=1,
+                                  rows_per_subarray=16,
+                                  columns=arguments.columns)
+        chip = DramChip(arguments.group, geometry=geometry,
+                        master_seed=arguments.seed)
+        trng = QuacTrng(chip)
+    except _REFUSALS as error:
+        return _refused(error)
     bits, stats = trng.generate(arguments.bits)
     print("".join(str(int(bit)) for bit in bits))
     print(f"# {stats.whitened_bits} whitened bits from {stats.raw_bits} raw "
@@ -76,10 +95,15 @@ def _cmd_puf(arguments: argparse.Namespace) -> int:
     from .dram.chip import DramChip
     from .puf import Challenge, FracPuf
 
-    chip = DramChip(arguments.group, serial=arguments.serial,
-                    master_seed=arguments.seed)
-    puf = FracPuf(chip)
-    response = puf.evaluate(Challenge(arguments.bank, arguments.row))
+    try:
+        chip = DramChip(arguments.group, serial=arguments.serial,
+                        master_seed=arguments.seed)
+        puf = FracPuf(chip)
+        challenge = Challenge(arguments.bank, arguments.row)
+        chip.bank(challenge.bank).locate(challenge.row)
+    except _REFUSALS as error:
+        return _refused(error)
+    response = puf.evaluate(challenge)
     print("".join(str(int(bit)) for bit in response))
     print(f"# group {arguments.group} serial {arguments.serial} "
           f"bank {arguments.bank} row {arguments.row} "
@@ -111,16 +135,20 @@ def _cmd_disassemble(arguments: argparse.Namespace) -> int:
     return 0
 
 
-def _service_db(arguments: argparse.Namespace):
-    from .service import (EnrollmentStore, ServiceConfig, build_enrollment,
-                          frac_capable_groups)
+def _service_config(arguments: argparse.Namespace):
+    from .service import ServiceConfig, frac_capable_groups
 
-    config = ServiceConfig(
+    return ServiceConfig(
         master_seed=arguments.seed,
         columns=arguments.columns,
         n_challenges=arguments.challenges,
         groups=(tuple(arguments.groups) if arguments.groups
                 else frac_capable_groups()))
+
+
+def _service_db(arguments: argparse.Namespace, config):
+    from .service import EnrollmentStore, build_enrollment
+
     if arguments.no_store:
         return build_enrollment(config, arguments.modules)
     store = EnrollmentStore(arguments.store_dir)
@@ -157,9 +185,13 @@ def _cmd_serve(arguments: argparse.Namespace) -> int:
     from .errors import ConfigurationError
     from .service import CoalescePolicy, PufAuthService
 
-    db = _service_db(arguments)
-    policy = CoalescePolicy(max_lanes=arguments.max_lanes,
-                            max_wait_s=arguments.max_wait_ms / 1e3)
+    try:
+        config = _service_config(arguments)
+        policy = CoalescePolicy(max_lanes=arguments.max_lanes,
+                                max_wait_s=arguments.max_wait_ms / 1e3)
+    except _REFUSALS as error:
+        return _refused(error)
+    db = _service_db(arguments, config)
 
     async def run() -> None:
         service = PufAuthService(db, policy=policy)
@@ -175,8 +207,7 @@ def _cmd_serve(arguments: argparse.Namespace) -> int:
     try:
         asyncio.run(run())
     except ConfigurationError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 2
+        return _refused(error)
     except KeyboardInterrupt:
         print("stopped")
     if arguments.cache_stats:
@@ -194,14 +225,18 @@ def _cmd_bench_service(arguments: argparse.Namespace) -> int:
                           generate_schedule, percentile, replay_scripted)
     from .telemetry import session as telemetry_session
 
-    db = _service_db(arguments)
-    spec = WorkloadSpec(seed=arguments.workload_seed,
-                        n_requests=arguments.requests,
-                        rate_rps=arguments.rate,
-                        impostor_fraction=arguments.impostors)
+    try:
+        config = _service_config(arguments)
+        spec = WorkloadSpec(seed=arguments.workload_seed,
+                            n_requests=arguments.requests,
+                            rate_rps=arguments.rate,
+                            impostor_fraction=arguments.impostors)
+        policy = CoalescePolicy(max_lanes=arguments.max_lanes,
+                                max_wait_s=arguments.max_wait_ms / 1e3)
+    except _REFUSALS as error:
+        return _refused(error)
+    db = _service_db(arguments, config)
     schedule = generate_schedule(db, spec)
-    policy = CoalescePolicy(max_lanes=arguments.max_lanes,
-                            max_wait_s=arguments.max_wait_ms / 1e3)
     use_telemetry = arguments.telemetry or arguments.trace_out is not None
     context = (telemetry_session(trace_path=arguments.trace_out)
                if use_telemetry else nullcontext(None))

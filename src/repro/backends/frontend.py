@@ -17,7 +17,7 @@ import sys
 import time
 from pathlib import Path
 
-from ..controller.program import Program, ProgramError, assemble_program
+from ..controller.program import Program, assemble_program
 from ..dram.parameters import GeometryParams
 from ..errors import ReproError
 from .base import ProgramOutcome, ProgramRequest
@@ -78,14 +78,22 @@ def add_run_program_arguments(parser: argparse.ArgumentParser) -> None:
 
 
 def run_program_cli(arguments: argparse.Namespace) -> int:
-    """Handler behind ``python -m repro run-program``."""
+    """Handler behind ``python -m repro run-program``.
+
+    A program that fails to assemble or run, or a flag the model
+    refuses (``GeometryParams`` raises ``ValueError`` for a zero
+    dimension), prints one ``error:`` line and exits 2.
+    """
     try:
         program = load_program(arguments.program)
-        geometry = GeometryParams(
-            n_banks=arguments.banks,
-            subarrays_per_bank=arguments.subarrays,
-            rows_per_subarray=arguments.rows_per_subarray,
-            columns=arguments.columns)
+        try:
+            geometry = GeometryParams(
+                n_banks=arguments.banks,
+                subarrays_per_bank=arguments.subarrays,
+                rows_per_subarray=arguments.rows_per_subarray,
+                columns=arguments.columns)
+        except ValueError as error:
+            raise BackendError(str(error)) from None
         request = build_request(
             program, devices=arguments.devices,
             groups=tuple(arguments.groups), seed=arguments.seed,
@@ -94,7 +102,7 @@ def run_program_cli(arguments: argparse.Namespace) -> int:
         started = time.perf_counter()
         outcome = backend.execute_program(request,
                                           trace_path=arguments.trace_out)
-    except (ProgramError, ReproError) as error:
+    except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
     _report(outcome, backend.name, arguments,

@@ -9,11 +9,13 @@ historically break it (ambient RNG, wall-clock reads, unordered set
 iteration, environment coupling, fork-unsafe worker state, polluted
 telemetry counters) before they ever execute.
 
-Since the interprocedural engine landed, analysis runs in two phases:
-a per-module pass over each AST, and a whole-program pass over the
-linked :class:`~repro.lint.callgraph.Project` (taint data-flow across
-function/module boundaries, backend-parity checking, kernel-purity
-proofs).  Reports render as text, JSON, or SARIF 2.1.0.
+Analysis is one pass: each file is parsed once into a
+:class:`~repro.lint.summary.ModuleSummary`, the summaries are linked
+into a :class:`~repro.lint.callgraph.Project`, and every rule runs once
+over it (taint data-flow across function/module boundaries,
+backend-parity checking, kernel-purity proofs).  Every finding goes
+through one pragma matcher.  Reports render as text, JSON, or SARIF
+2.1.0.
 
 Entry points:
 
@@ -29,7 +31,7 @@ from __future__ import annotations
 from . import builtin, dataflow, parity  # noqa: F401  (registers rules)
 from .callgraph import Project
 from .engine import LintReport, iter_python_files, lint_paths, lint_source
-from .model import Finding, ModuleContext, Severity
+from .model import Finding, Severity
 from .rules import Rule, register, registered_rules, rules_for_codes
 from .sarif import render_sarif, sarif_json
 from .summary import ModuleSummary, extract_summary
@@ -37,7 +39,6 @@ from .summary import ModuleSummary, extract_summary
 __all__ = [
     "Finding",
     "LintReport",
-    "ModuleContext",
     "ModuleSummary",
     "Project",
     "Rule",

@@ -1,9 +1,10 @@
 """Whole-program linking: symbol table, call graph, taint fixpoints.
 
 A :class:`Project` is built from the :class:`~repro.lint.summary.ModuleSummary`
-records of every linted file (linking never touches an AST).  It
-provides the
-three resolution services the project-phase rules need:
+records of every linted file (linking never touches an AST) and is the
+one thing every rule reads.  It provides the three resolution services
+the rules need, plus the one pragma matcher
+(:meth:`Project.is_suppressed`):
 
 * **name resolution** — a dotted name as written in a module is mapped
   through that module's import table (and through package re-export
@@ -267,38 +268,53 @@ class Project:
         return result
 
     # ------------------------------------------------------------------
-    # pragma filtering (the project phase has no AST to consult)
+    # pragma filtering: the one matcher every finding goes through
     # ------------------------------------------------------------------
 
     def is_suppressed(self, path: str, code: str, line: int,
                       end_line: Optional[int] = None) -> bool:
-        """True when a pragma in ``path`` covers ``(code, line)``."""
+        """True when a pragma in ``path`` covers ``(code, line)``.
+
+        A pragma counts when it sits on the flagged line; on a
+        comment-only line directly above it; on a comment-only line
+        above or inside the decorator stack of a decorated definition
+        the finding anchors on (the stack or the ``def``/``class``
+        line); or on the closing line ``end_line`` of a multi-line
+        statement.
+        """
         summary = self.by_path.get(path)
         if summary is None:
             return False
-        suppressions = {entry_line: codes
-                        for entry_line, codes in summary.suppressions}
-        standalone = set(summary.standalone_pragma_lines)
+        pragmas = dict(summary.suppressions)
 
-        def line_suppresses(lineno: int) -> bool:
-            codes = suppressions.get(lineno)
-            return bool(codes) and (code in codes or "*" in codes)
+        def covers(lineno: int) -> bool:
+            codes = pragmas.get(lineno, ())
+            return code in codes or "*" in codes
 
-        if line_suppresses(line):
+        if covers(line) or (end_line is not None and covers(end_line)):
             return True
-        if line - 1 in standalone and line_suppresses(line - 1):
-            return True
-        return (end_line is not None and end_line != line
-                and line_suppresses(end_line))
+        above = [line - 1]
+        anchor = dict(summary.decorator_anchors).get(line)
+        if anchor is not None:
+            above.extend(range(anchor - 1, line - 1))
+        return any(lineno in summary.standalone_pragma_lines
+                   and covers(lineno) for lineno in above)
 
     # ------------------------------------------------------------------
     # convenience accessors
     # ------------------------------------------------------------------
 
-    def iter_functions(self) -> Iterator[Tuple[FunctionKey,
+    def iter_functions(self) -> Iterator[Tuple[ModuleSummary,
                                                FunctionSummary]]:
-        for key in sorted(self.functions):
-            yield key, self.functions[key]
+        """Every summarized body of every linted file, with its file.
+
+        Walks the files, not the call graph: files outside a ``repro``
+        package that share a module name (two ``conftest.py``) each
+        yield their own bodies, though the graph keeps only the last.
+        """
+        for summary in self.by_path.values():
+            for function in summary.functions:
+                yield summary, function
 
     def path_of(self, module: str) -> str:
         return self.modules[module].path

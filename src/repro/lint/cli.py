@@ -10,7 +10,7 @@ A finding is silenced only by a ``# repro: lint-ok[CODE]`` pragma at
 its site (see :mod:`repro.lint.model`).  ``--format json`` emits a
 single machine-readable object with the full finding list;
 ``--format sarif`` emits a SARIF 2.1.0 log for CI code scanning.
-``--parity`` restricts the run to the backend-parity rules.
+``--select PAR001,PAR002`` runs only the backend-parity rules.
 """
 
 from __future__ import annotations
@@ -46,9 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--select", default=None, metavar="CODES",
                         help="comma-separated rule codes to run "
                              "(default: all)")
-    parser.add_argument("--parity", action="store_true",
-                        help="run only the backend-parity rules "
-                             "(PAR...)")
     parser.add_argument("--list-rules", action="store_true",
                         help="print the rule catalog and exit")
     return parser
@@ -96,18 +93,11 @@ def main(argv: Sequence[str] | None = None,
         _print_rules(stream)
         return EXIT_CLEAN
 
+    codes: Optional[List[str]] = None
+    if arguments.select is not None:
+        codes = [c.strip() for c in arguments.select.split(",")
+                 if c.strip()]
     try:
-        if arguments.select is not None and arguments.parity:
-            raise ValueError("--select and --parity are exclusive")
-        if arguments.parity:
-            codes: Optional[List[str]] = [
-                code for code in registered_rules()
-                if code.startswith("PAR")]
-        elif arguments.select is not None:
-            codes = [c.strip() for c in arguments.select.split(",")
-                     if c.strip()]
-        else:
-            codes = None
         rules = rules_for_codes(codes)
     except ValueError as error:
         print(f"repro lint: {error}", file=sys.stderr)

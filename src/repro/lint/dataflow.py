@@ -1,37 +1,39 @@
-"""Interprocedural taint data-flow over the linked :class:`Project`.
+"""Determinism rules over the linked :class:`Project`: the one
+implementation each of DET001, DET002 and TEL001, plus FORK002.
 
-The per-module rules in :mod:`repro.lint.builtin` match *textual* call
-names — ``time.perf_counter()``, ``np.random.random()`` — and therefore
-miss the two cross-module escape hatches:
+A site is classified by its name *as written* first —
+``time.perf_counter()``, ``np.random.random()``, and for counter feeds
+a draw on a derived generator (``self.rng.normal()``) — and only then
+through the two cross-module escape hatches:
 
 * **aliased imports**: ``from time import perf_counter as pc; pc()``;
 * **value laundering**: a helper that *returns* a clock read or an
   unseeded generator, called from a module where the direct call would
   have been flagged.
 
-This module closes both.  Names are resolved through the project import
-table before classification, and two return-taint fixpoints (wall-clock
-and ambient RNG) propagate sourcehood through arbitrarily deep call
-chains.  The ``iter_*_findings`` helpers implement the project phase of
-DET001/DET002/TEL001 (the rule classes in ``builtin`` delegate here);
-:class:`KernelPurityRule` (FORK002) proves worker and kernel purity
-over the full call graph.
+Names are resolved through the project import table before the second
+classification, and two return-taint fixpoints (wall-clock and ambient
+RNG) propagate sourcehood through arbitrarily deep call chains.  The
+``iter_*_findings`` helpers are what the rule classes in ``builtin``
+run; :class:`KernelPurityRule` (FORK002) proves worker and kernel
+purity over the full call graph.
 """
 
 from __future__ import annotations
 
-from typing import FrozenSet, Iterator, List, Optional, Tuple
+from typing import FrozenSet, Iterator, List, Optional, Sequence, Tuple
 
 from .callgraph import FunctionKey, Project
 from .model import Finding
 from .rules import Rule, register
-from .summary import CallSite
+from .summary import CallSite, CounterFeed, FunctionSummary
 
 __all__ = [
     "KernelPurityRule",
     "classify_ambient_rng",
     "classify_wall_clock",
     "clock_taint",
+    "in_allowlist",
     "iter_counter_findings",
     "iter_clock_findings",
     "iter_rng_findings",
@@ -40,24 +42,32 @@ __all__ = [
 
 
 # ----------------------------------------------------------------------
-# absolute-name classifiers
+# name classifiers
 # ----------------------------------------------------------------------
-# These intentionally mirror the textual matchers in ``builtin`` (same
-# underlying name sets) but operate on *resolved* absolute names plus
-# the call-site argument shape recorded in the summary.
+# Each takes a dotted name — as written, or resolved to its absolute
+# form — plus, for the unseeded-generator check, the call-site argument
+# shape recorded in the summary.
 
+#: Legacy ``numpy.random`` module aliases whose function calls mutate the
+#: hidden global ``RandomState``.
 _NP_RANDOM_PREFIXES = ("np.random.", "numpy.random.")
 
+#: ``np.random`` members that are *constructors/containers*, not ambient
+#: draws; they are fine when given an explicit seed and are checked
+#: separately for the unseeded case.
 _NP_RANDOM_SAFE = {
     "default_rng", "SeedSequence", "Generator", "BitGenerator",
     "PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64", "RandomState",
 }
 
+#: Bit generators whose zero-argument construction seeds from the OS.
 _UNSEEDED_CONSTRUCTORS = {
     "default_rng", "PCG64", "PCG64DXSM", "MT19937", "Philox", "SFC64",
     "RandomState", "Random",
 }
 
+#: Module-level functions of stdlib :mod:`random` (the shared
+#: ``random.Random`` instance behind them is process-global state).
 _STDLIB_RANDOM_FUNCS = {
     "betavariate", "choice", "choices", "expovariate", "gauss",
     "getrandbits", "lognormvariate", "normalvariate", "paretovariate",
@@ -66,6 +76,7 @@ _STDLIB_RANDOM_FUNCS = {
     "weibullvariate",
 }
 
+#: Exact wall-clock reads from :mod:`time`.
 _TIME_FUNCS = {
     "time.time", "time.time_ns",
     "time.perf_counter", "time.perf_counter_ns",
@@ -73,10 +84,19 @@ _TIME_FUNCS = {
     "time.process_time", "time.process_time_ns",
 }
 
+#: Suffix-matched wall-clock reads from :mod:`datetime` (callers reach
+#: them as ``datetime.now``, ``datetime.datetime.now``, ``dt.now``...).
 _DATETIME_TAILS = ("datetime.now", "datetime.utcnow", "datetime.today",
                    "date.today")
 
 _SEED_KEYWORDS = {"seed", "entropy", "key", "bit_generator", "x"}
+
+#: Generator sampling methods: ``rng.<method>()`` is an RNG draw.
+_DRAW_METHODS = {
+    "random", "integers", "normal", "standard_normal", "uniform",
+    "choice", "shuffle", "permutation", "bytes", "bits",
+    "exponential", "poisson", "binomial",
+}
 
 
 def classify_wall_clock(name: str) -> Optional[str]:
@@ -91,12 +111,11 @@ def classify_wall_clock(name: str) -> Optional[str]:
 
 def classify_ambient_rng(name: str,
                          site: CallSite) -> Optional[Tuple[str, str]]:
-    """Classify a resolved call as ambient RNG.
+    """Classify a call of ``name`` as ambient RNG.
 
     Returns ``("global-state", name)`` for the legacy module-level APIs,
     ``("unseeded", name)`` for a generator constructed without a seed,
-    or ``None``.  Mirrors ``builtin._is_ambient_rng_call`` over
-    ``(absolute name, argument shape)`` instead of an AST node.
+    or ``None``.
     """
     tail = name.rsplit(".", 1)[-1]
     for prefix in _NP_RANDOM_PREFIXES:
@@ -119,6 +138,22 @@ def classify_ambient_rng(name: str,
     return None
 
 
+def _is_rng_draw(site: CallSite) -> bool:
+    """Ambient RNG, or a sampling call on a derived generator
+    (``rng.integers()``, ``self._rng.normal()``), as written."""
+    if classify_ambient_rng(site.name, site) is not None:
+        return True
+    parts = site.name.split(".")
+    return (len(parts) >= 2 and parts[-1] in _DRAW_METHODS
+            and ("rng" in parts[:-1] or parts[-2].endswith("rng")))
+
+
+def in_allowlist(module: str, allowlist: Sequence[str]) -> bool:
+    """True when ``module`` is an allowlist entry or inside one."""
+    return any(module == entry or module.startswith(entry + ".")
+               for entry in allowlist)
+
+
 # ----------------------------------------------------------------------
 # taint fixpoints
 # ----------------------------------------------------------------------
@@ -136,171 +171,148 @@ def rng_taint(project: Project) -> FrozenSet[FunctionKey]:
         lambda name, site: classify_ambient_rng(name, site) is not None)
 
 
-def _emit(rule: Rule, project: Project, path: str, site_line: int,
-          column: int, end_line: int, message: str) -> Optional[Finding]:
-    if project.is_suppressed(path, rule.code, site_line,
-                             end_line=end_line):
-        return None
-    return rule.project_finding(path, site_line, column, message)
-
-
 # ----------------------------------------------------------------------
-# DET002 project phase
+# DET002 — wall-clock reads
 # ----------------------------------------------------------------------
 
-def _module_allowlisted(module: str, allowlist) -> bool:
-    return any(module == entry or module.startswith(entry + ".")
-               for entry in allowlist)
+def _clock_message(project: Project, module: str,
+                   function: FunctionSummary, site: CallSite,
+                   tainted: FrozenSet[FunctionKey],
+                   allowlist: Sequence[str]) -> Optional[str]:
+    if classify_wall_clock(site.name) is not None:
+        return (f"wall-clock read {site.name}() in module {module}; "
+                f"simulated time comes from the SoftMC cycle counter "
+                f"(allowlisted timing modules: {', '.join(allowlist)})")
+    clock = classify_wall_clock(project.resolve_name(module, site.name))
+    if clock is not None:
+        return (f"wall-clock read: {site.name}() resolves to {clock}() "
+                f"in module {module}; simulated time comes from the "
+                f"SoftMC cycle counter")
+    target = project.resolve_call(module, function, site)
+    if target is not None and target in tainted:
+        return (f"call to {project.qualname(target)}() returns a "
+                f"wall-clock value into module {module}; pass an "
+                f"injected Clock or keep the value inside the timing "
+                f"allowlist")
+    return None
 
 
 def iter_clock_findings(rule: Rule, project: Project,
-                        allowlist) -> Iterator[Finding]:
-    """Cross-module DET002: aliased reads + laundered clock values."""
+                        allowlist: Sequence[str]) -> Iterator[Finding]:
+    """Direct and aliased clock reads, and calls returning clock values,
+    outside the allowlisted timing modules."""
     tainted = clock_taint(project)
-    for key, function in project.iter_functions():
-        module = key[0]
-        if _module_allowlisted(module, allowlist):
+    for summary, function in project.iter_functions():
+        if in_allowlist(summary.module, allowlist):
             continue
-        path = project.path_of(module)
         for site in function.calls:
-            absolute = project.resolve_name(module, site.name)
-            clock = classify_wall_clock(absolute)
-            if clock is not None:
-                if classify_wall_clock(site.name) is not None:
-                    continue  # the per-module pass already flagged it
-                finding = _emit(
-                    rule, project, path, site.line, site.column,
-                    site.end_line,
-                    f"wall-clock read: {site.name}() resolves to "
-                    f"{clock}() in module {module}; simulated time "
-                    f"comes from the SoftMC cycle counter")
-                if finding is not None:
-                    yield finding
-                continue
-            target = project.resolve_call(module, function, site)
-            if target is not None and target in tainted:
-                finding = _emit(
-                    rule, project, path, site.line, site.column,
-                    site.end_line,
-                    f"call to {project.qualname(target)}() returns a "
-                    f"wall-clock value into module {module}; pass an "
-                    f"injected Clock or keep the value inside the "
-                    f"timing allowlist")
-                if finding is not None:
-                    yield finding
+            message = _clock_message(project, summary.module, function,
+                                     site, tainted, allowlist)
+            if message is not None:
+                yield rule.project_finding(summary.path, site, message)
 
 
 # ----------------------------------------------------------------------
-# DET001 project phase
+# DET001 — ambient RNG
 # ----------------------------------------------------------------------
+
+def _rng_message(project: Project, module: str, function: FunctionSummary,
+                 site: CallSite,
+                 tainted: FrozenSet[FunctionKey]) -> Optional[str]:
+    written = classify_ambient_rng(site.name, site)
+    if written is not None:
+        kind, name = written
+        if kind == "global-state":
+            return (f"call to {name}() uses process-global RNG state; "
+                    f"derive a stream with repro.dram.rng.derive_rng "
+                    f"instead")
+        return (f"{name}() constructed without an explicit seed draws OS "
+                f"entropy; pass a seed derived from the master seed")
+    resolved = classify_ambient_rng(
+        project.resolve_name(module, site.name), site)
+    if resolved is not None:
+        kind, name = resolved
+        if kind == "global-state":
+            return (f"{site.name}() resolves to {name}(), which uses "
+                    f"process-global RNG state; derive a stream with "
+                    f"repro.dram.rng.derive_rng instead")
+        return (f"{site.name}() resolves to {name}() constructed without "
+                f"an explicit seed; pass a seed derived from the master "
+                f"seed")
+    target = project.resolve_call(module, function, site)
+    if target is not None and target in tainted:
+        return (f"call to {project.qualname(target)}() returns a value "
+                f"derived from ambient or unseeded RNG; thread a seeded "
+                f"Generator through instead")
+    return None
+
 
 def iter_rng_findings(rule: Rule, project: Project) -> Iterator[Finding]:
-    """Cross-module DET001: aliased ambient RNG + laundered generators."""
+    """Direct and aliased ambient RNG, and calls returning generators."""
     tainted = rng_taint(project)
-    for key, function in project.iter_functions():
-        module = key[0]
-        path = project.path_of(module)
+    for summary, function in project.iter_functions():
         for site in function.calls:
-            absolute = project.resolve_name(module, site.name)
-            verdict = classify_ambient_rng(absolute, site)
-            if verdict is not None:
-                if classify_ambient_rng(site.name, site) is not None:
-                    continue  # textual form — per-module pass owns it
-                kind, name = verdict
-                if kind == "global-state":
-                    message = (
-                        f"{site.name}() resolves to {name}(), which "
-                        f"uses process-global RNG state; derive a "
-                        f"stream with repro.dram.rng.derive_rng instead")
-                else:
-                    message = (
-                        f"{site.name}() resolves to {name}() "
-                        f"constructed without an explicit seed; pass a "
-                        f"seed derived from the master seed")
-                finding = _emit(rule, project, path, site.line,
-                                site.column, site.end_line, message)
-                if finding is not None:
-                    yield finding
-                continue
-            target = project.resolve_call(module, function, site)
-            if target is not None and target in tainted:
-                finding = _emit(
-                    rule, project, path, site.line, site.column,
-                    site.end_line,
-                    f"call to {project.qualname(target)}() returns a "
-                    f"value derived from ambient or unseeded RNG; "
-                    f"thread a seeded Generator through instead")
-                if finding is not None:
-                    yield finding
+            message = _rng_message(project, summary.module, function, site,
+                                   tainted)
+            if message is not None:
+                yield rule.project_finding(summary.path, site, message)
 
 
 # ----------------------------------------------------------------------
-# TEL001 project phase
+# TEL001 — nondeterministic values in telemetry counters
 # ----------------------------------------------------------------------
+
+_CLOCK_FEED = ("fed into a telemetry counter; counters are deterministic "
+               "— use a histogram or phase timer")
+_RNG_FEED = ("fed into a telemetry counter; counters must be a pure "
+             "function of (experiment, config, seed)")
+
 
 def iter_counter_findings(rule: Rule,
                           project: Project) -> Iterator[Finding]:
-    """Cross-module TEL001: laundered clock/RNG values into counters."""
+    """Clock and RNG values fed into counters: written, aliased, or
+    laundered through a local or a helper's return value."""
     clock_fns = clock_taint(project)
     rng_fns = rng_taint(project)
-    for key, function in project.iter_functions():
-        module = key[0]
-        path = project.path_of(module)
-        assigned = dict(function.assigned_calls)
+    for summary, function in project.iter_functions():
         for feed in function.counter_feeds:
-            sources: List[Tuple[CallSite, Optional[str]]] = [
-                (site, None) for site in feed.arg_calls]
-            sources.extend(
-                (assigned[name], name) for name in feed.arg_names
-                if name in assigned)
-            finding = _classify_feed(rule, project, module, path,
-                                     function, feed, sources,
-                                     clock_fns, rng_fns)
-            if finding is not None:
-                yield finding
+            message = _feed_message(project, summary.module, function,
+                                    feed, clock_fns, rng_fns)
+            if message is not None:
+                yield rule.project_finding(summary.path, feed, message)
 
 
-def _classify_feed(rule, project, module, path, function, feed, sources,
-                   clock_fns, rng_fns) -> Optional[Finding]:
+def _feed_message(project: Project, module: str,
+                  function: FunctionSummary, feed: CounterFeed,
+                  clock_fns: FrozenSet[FunctionKey],
+                  rng_fns: FrozenSet[FunctionKey]) -> Optional[str]:
+    # The value as written: a clock read anywhere wins over a draw.
+    for site in feed.arg_calls:
+        if classify_wall_clock(site.name) is not None:
+            return f"wall-clock value from {site.name}() {_CLOCK_FEED}"
+    for site in feed.arg_calls:
+        if _is_rng_draw(site):
+            return f"RNG value from {site.name}() {_RNG_FEED}"
+    # Resolved: aliases, helper returns, and one-hop locals.
+    assigned = dict(function.assigned_calls)
+    sources: List[Tuple[CallSite, Optional[str]]] = [
+        (site, None) for site in feed.arg_calls]
+    sources.extend((assigned[name], name) for name in feed.arg_names
+                   if name in assigned)
     for site, via in sources:
         absolute = project.resolve_name(module, site.name)
         target = project.resolve_call(module, function, site)
-        laundered = via is not None
         if classify_wall_clock(absolute) is not None:
-            if not laundered and classify_wall_clock(site.name) is not None:
-                continue  # per-module TEL001 already flagged this feed
-            return _emit(
-                rule, project, path, feed.line, feed.column,
-                feed.end_line,
-                f"wall-clock value from {site.name}() "
-                f"{_via(via)}fed into a telemetry counter; counters "
-                f"are deterministic — use a histogram or phase timer")
+            return (f"wall-clock value from {site.name}() {_via(via)}"
+                    f"{_CLOCK_FEED}")
         if target is not None and target in clock_fns:
-            return _emit(
-                rule, project, path, feed.line, feed.column,
-                feed.end_line,
-                f"value returned by {project.qualname(target)}() reads "
-                f"the wall clock and is {_via(via)}fed into a "
-                f"telemetry counter; counters are deterministic — use "
-                f"a histogram or phase timer")
+            return (f"value returned by {project.qualname(target)}() reads "
+                    f"the wall clock and is {_via(via)}{_CLOCK_FEED}")
         if classify_ambient_rng(absolute, site) is not None:
-            if (not laundered
-                    and classify_ambient_rng(site.name, site) is not None):
-                continue
-            return _emit(
-                rule, project, path, feed.line, feed.column,
-                feed.end_line,
-                f"RNG value from {site.name}() {_via(via)}fed into a "
-                f"telemetry counter; counters must be a pure function "
-                f"of (experiment, config, seed)")
+            return f"RNG value from {site.name}() {_via(via)}{_RNG_FEED}"
         if target is not None and target in rng_fns:
-            return _emit(
-                rule, project, path, feed.line, feed.column,
-                feed.end_line,
-                f"value returned by {project.qualname(target)}() "
-                f"carries ambient RNG and is {_via(via)}fed into a "
-                f"telemetry counter; counters must be a pure function "
-                f"of (experiment, config, seed)")
+            return (f"value returned by {project.qualname(target)}() "
+                    f"carries ambient RNG and is {_via(via)}{_RNG_FEED}")
     return None
 
 
@@ -339,11 +351,14 @@ class KernelPurityRule(Rule):
 
     def check_project(self, project: Project) -> Iterator[Finding]:
         entries: List[FunctionKey] = []
-        for key, _function in project.iter_functions():
+        for key in project.functions:
             name = key[1].rsplit(".", 1)[-1]
             if name == "run_shard" or name.startswith("xir_"):
                 entries.append(key)
         reached = project.reachable(entries)
+        # One finding per line (its first mutation); one pragma covers
+        # the whole line anyway.
+        reported = set()
         for key in sorted(reached):
             function = project.functions[key]
             if not function.mutations:
@@ -352,9 +367,9 @@ class KernelPurityRule(Rule):
             path = project.path_of(module)
             chain = _render_chain(project, reached[key])
             for mutation in function.mutations:
-                if project.is_suppressed(path, self.code, mutation.line,
-                                         end_line=mutation.end_line):
+                if (path, mutation.line) in reported:
                     continue
+                reported.add((path, mutation.line))
                 if mutation.kind == "global":
                     what = f"'global {mutation.detail}'"
                 elif mutation.kind == "call":
@@ -362,7 +377,7 @@ class KernelPurityRule(Rule):
                 else:
                     what = f"mutation of module-level {mutation.detail!r}"
                 yield self.project_finding(
-                    path, mutation.line, mutation.column,
+                    path, mutation,
                     f"{what} in {project.qualname(key)}, reachable "
                     f"from a worker/kernel entry ({chain}); worker and "
                     f"kernel code must not touch module state")

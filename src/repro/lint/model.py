@@ -1,9 +1,12 @@
-"""Core data model for :mod:`repro.lint`.
+"""Core data model for :mod:`repro.lint`: findings and pragmas.
 
-A lint run parses every target file once into a :class:`ModuleContext`
-(AST + source + suppression pragmas + dotted module name) and hands that
-context to each registered rule.  Rules yield :class:`Finding` records;
-the engine then drops findings suppressed by a pragma.
+A lint run parses every target file once into a
+:class:`~repro.lint.summary.ModuleSummary` (which carries the file's
+pragmas), links the summaries into a
+:class:`~repro.lint.callgraph.Project`, and runs each rule once over
+it.  Rules yield :class:`Finding` records; the engine then drops the
+findings a pragma covers (:meth:`Project.is_suppressed
+<repro.lint.callgraph.Project.is_suppressed>`).
 
 Suppression pragmas
 -------------------
@@ -21,18 +24,16 @@ way to silence a finding, and it sits in the source where review sees it.
 
 from __future__ import annotations
 
+import ast
 import enum
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, FrozenSet, Tuple
-
-import ast
+from typing import Dict, FrozenSet, Optional, Tuple
 
 __all__ = [
     "Severity",
     "Finding",
-    "ModuleContext",
     "decorator_anchor_lines",
     "parse_suppressions",
     "module_name_for_path",
@@ -68,6 +69,9 @@ class Finding:
     code: str
     message: str
     severity: Severity = field(compare=False, default=Severity.ERROR)
+    #: Closing line of the flagged statement; a pragma there covers the
+    #: finding too.
+    end_line: Optional[int] = field(compare=False, default=None)
 
     def render(self) -> str:
         """``path:line:col: CODE [severity] message`` (one text line)."""
@@ -151,63 +155,3 @@ def module_name_for_path(path: Path) -> str:
         if stem_parts[index] == "repro":
             return ".".join(stem_parts[index:])
     return path.stem
-
-
-@dataclass
-class ModuleContext:
-    """Everything a rule needs to inspect one parsed module."""
-
-    path: str
-    module: str
-    tree: ast.Module
-    source: str
-    suppressions: Dict[int, FrozenSet[str]]
-    standalone_pragma_lines: FrozenSet[int] = frozenset()
-    #: finding line -> first decorator line, for decorated definitions
-    #: (see :func:`decorator_anchor_lines`).
-    decorator_anchors: Dict[int, int] = field(default_factory=dict)
-
-    @classmethod
-    def from_source(cls, source: str, *, path: str,
-                    module: str | None = None) -> "ModuleContext":
-        """Parse ``source`` into a context (raises ``SyntaxError``)."""
-        if module is None:
-            module = module_name_for_path(Path(path))
-        suppressions, standalone = parse_suppressions(source)
-        tree = ast.parse(source, filename=path)
-        return cls(path=path, module=module,
-                   tree=tree, source=source,
-                   suppressions=suppressions,
-                   standalone_pragma_lines=standalone,
-                   decorator_anchors=decorator_anchor_lines(tree))
-
-    def _line_suppresses(self, lineno: int, code: str) -> bool:
-        codes = self.suppressions.get(lineno)
-        return bool(codes) and (code in codes or "*" in codes)
-
-    def is_suppressed(self, finding: Finding, *,
-                      end_line: int | None = None) -> bool:
-        """True if a pragma covers ``finding``.
-
-        A pragma counts when it sits on the flagged line, on a
-        comment-only line directly above it, on the comment-only line
-        above the decorator stack of a decorated definition the finding
-        anchors on, or — for multi-line statements — on the statement's
-        closing line (``end_line``).
-        """
-        if self._line_suppresses(finding.line, finding.code):
-            return True
-        candidates = [finding.line - 1]
-        anchor = self.decorator_anchors.get(finding.line)
-        if anchor is not None:
-            # Above the decorator stack, or sandwiched between
-            # decorators — anywhere a standalone pragma visually
-            # annotates the definition the finding anchors on.
-            candidates.extend(range(anchor - 1, finding.line - 1))
-        for above in candidates:
-            if (above in self.standalone_pragma_lines
-                    and self._line_suppresses(above, finding.code)):
-                return True
-        return (end_line is not None
-                and end_line != finding.line
-                and self._line_suppresses(end_line, finding.code))

@@ -30,7 +30,7 @@ from typing import Dict, Iterator, Optional, Tuple
 from .callgraph import Project
 from .model import Finding
 from .rules import Rule, register
-from .summary import DispatchSummary
+from .summary import DispatchSummary, Site
 
 __all__ = [
     "CommandParityRule",
@@ -69,13 +69,15 @@ def _dispatch(project: Project,
     return summary.dispatch if summary is not None else None
 
 
+#: Where a parity finding anchors: the top of the deficient module.
+_MODULE_TOP = Site(line=1, column=1, end_line=1)
+
+
 def _anchor(rule: Rule, project: Project, module: str,
-            message: str) -> Optional[Finding]:
-    """A finding pinned to line 1 of ``module`` unless suppressed."""
-    path = project.path_of(module)
-    if project.is_suppressed(path, rule.code, 1):
-        return None
-    return rule.project_finding(path, 1, 1, message)
+            message: str) -> Finding:
+    """A finding pinned to line 1 of ``module``."""
+    return rule.project_finding(project.path_of(module), _MODULE_TOP,
+                                message)
 
 
 @register
@@ -102,9 +104,12 @@ class CommandParityRule(Rule):
         universe = set(kind_of.values())
         if not universe:
             return
+        # One finding per module (its first deficient surface): every
+        # finding anchors on line 1, which one pragma covers anyway.
+        reported = set()
         for module, mode, label in _COMMAND_SURFACES:
             dispatch = _dispatch(project, module)
-            if dispatch is None:
+            if dispatch is None or module in reported:
                 continue
             if mode == "isinstance":
                 covered = {kind_of[name]
@@ -119,13 +124,12 @@ class CommandParityRule(Rule):
                 continue
             classes = sorted(cls for cls, kind in kind_of.items()
                              if kind in missing)
-            finding = _anchor(
+            reported.add(module)
+            yield _anchor(
                 self, project, module,
                 f"command kind(s) {', '.join(missing)} (class "
                 f"{', '.join(classes)}) defined in {_COMMANDS_MODULE} "
                 f"but not handled by the {label} in {module}")
-            if finding is not None:
-                yield finding
 
 
 @register
@@ -153,13 +157,11 @@ class XirOpParityRule(Rule):
             targets = set(compile_dispatch.isinstance_targets)
             missing = sorted(set(primitive_ops) - targets)
             if missing:
-                finding = _anchor(
+                yield _anchor(
                     self, project, _COMPILE_MODULE,
                     f"xir primitive op(s) {', '.join(missing)} are "
                     f"declared in {_IR_MODULE}.PRIMITIVE_OPS but have "
                     f"no isinstance lowering in {_COMPILE_MODULE}")
-                if finding is not None:
-                    yield finding
         executor_dispatch = _dispatch(project, _EXECUTOR_MODULE)
         if executor_dispatch is None:
             return
@@ -171,10 +173,8 @@ class XirOpParityRule(Rule):
             return
         unexecuted = sorted(emitted - handled)
         if unexecuted:
-            finding = _anchor(
+            yield _anchor(
                 self, project, _EXECUTOR_MODULE,
                 f"action tag(s) {', '.join(unexecuted)} are emitted by "
                 f"{_COMPILE_MODULE} but have no handler in the "
                 f"{_EXECUTOR_MODULE} tag dispatch")
-            if finding is not None:
-                yield finding

@@ -1,9 +1,8 @@
-"""Per-module analysis summaries: what the project phase reads.
+"""Module summaries: the one parse of each file that every rule reads.
 
-The interprocedural phase of :mod:`repro.lint` never walks two ASTs at
-once.  Each file is parsed exactly once into a :class:`ModuleSummary` —
-a compact, immutable record of everything the whole-program phase
-needs:
+:mod:`repro.lint` never walks two ASTs at once, and no rule sees an
+AST.  Each file is parsed exactly once into a :class:`ModuleSummary` —
+a compact, immutable record of everything the rules need:
 
 * the import table (aliases resolved at link time, so
   ``from numpy import random as r`` cannot launder ``r.default_rng()``),
@@ -11,24 +10,36 @@ needs:
   check) and the enclosing statement's end line (for pragma filtering),
 * per-function data-flow atoms: calls whose results are returned,
   locals assigned from calls (one-hop pass-through), telemetry counter
-  feed sites, and module-state mutations (the FORK family),
+  feed sites, and module-state mutations (FORK002).  Top-level
+  functions and methods get one summary each; everything else (module
+  statements, class bodies, class decorators and bases, nested classes)
+  lands in the :data:`MODULE_BODY` summary,
+* set-iteration sites (DET003) and environment reads (DET004),
+* the suppression pragmas and decorator-stack anchors (see
+  :meth:`repro.lint.callgraph.Project.is_suppressed`),
 * the *dispatch surface*: ``isinstance`` targets, string equality/
   membership sets, ``xs.append(("tag", ...))`` heads, ``KIND`` class
   attributes and module-level string tuples — the raw material of the
   backend-parity checker (:mod:`.parity`).
 
-Link-time analysis lives in :mod:`repro.lint.callgraph`; this module is
-deliberately free of any other lint import so summaries stay a leaf of
-the package graph.
+Link-time analysis lives in :mod:`repro.lint.callgraph`; this module
+imports only the pragma parsers of :mod:`.model`, so summaries stay a
+leaf of the package graph.
 """
 
 from __future__ import annotations
 
 import ast
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from pathlib import Path
+from typing import Dict, FrozenSet, List, Optional, Set, Tuple
+
+from .model import (decorator_anchor_lines, module_name_for_path,
+                    parse_suppressions)
 
 __all__ = [
+    "MODULE_BODY",
     "CallSite",
     "ClassSummary",
     "CounterFeed",
@@ -36,49 +47,54 @@ __all__ = [
     "FunctionSummary",
     "ModuleSummary",
     "Mutation",
+    "Site",
     "extract_summary",
 ]
 
+#: Qual of the summary holding the code outside top-level function and
+#: method bodies; no call can name it, so it is never a call-graph node.
+MODULE_BODY = "<module>"
+
 
 @dataclass(frozen=True)
-class CallSite:
-    """One resolvable-name call: ``a.b.c(args...)`` somewhere in a body."""
+class Site:
+    """Where a finding anchors: a node's start and its statement's end."""
 
-    name: str          # dotted name as written (unresolved)
     line: int
     column: int
     end_line: int      # closing line of the enclosing statement
+
+
+@dataclass(frozen=True)
+class CallSite(Site):
+    """One resolvable-name call: ``a.b.c(args...)`` somewhere in a body."""
+
+    name: str          # dotted name as written (unresolved)
     n_args: int
     keywords: Tuple[str, ...]  # keyword names; "*" for **kwargs
 
 
 @dataclass(frozen=True)
-class CounterFeed:
+class CounterFeed(Site):
     """A telemetry-counter feed site and the expressions feeding it."""
 
-    line: int
-    column: int
-    end_line: int
     arg_calls: Tuple[CallSite, ...]   # calls inside the value arguments
     arg_names: Tuple[str, ...]        # bare names inside the value arguments
 
 
 @dataclass(frozen=True)
-class Mutation:
+class Mutation(Site):
     """A module-level-state mutation inside one function body."""
 
     kind: str     # "global" | "store" | "call"
     detail: str   # rendered description fragment, e.g. "RESULTS.append()"
-    line: int
-    column: int
-    end_line: int
 
 
 @dataclass(frozen=True)
 class FunctionSummary:
     """Data-flow atoms of one function or method body."""
 
-    qual: str     # "func" or "Class.method" (module-relative)
+    qual: str     # "func", "Class.method" or MODULE_BODY (module-relative)
     line: int
     calls: Tuple[CallSite, ...]
     #: Calls whose result is (possibly via a one-hop local) returned.
@@ -116,7 +132,7 @@ class DispatchSummary:
 
 @dataclass(frozen=True)
 class ModuleSummary:
-    """Everything the project phase needs to know about one module."""
+    """Everything the rules need to know about one module."""
 
     module: str
     path: str
@@ -127,6 +143,12 @@ class ModuleSummary:
     classes: Tuple[ClassSummary, ...]
     suppressions: Tuple[Tuple[int, Tuple[str, ...]], ...]
     standalone_pragma_lines: Tuple[int, ...]
+    #: decorated-definition line -> first decorator line.
+    decorator_anchors: Tuple[Tuple[int, int], ...]
+    #: set-valued expressions iterated without ``sorted()``.
+    set_iterations: Tuple[Site, ...]
+    #: ``(name as written, site)`` of each ``os.environ``-style read.
+    environ_reads: Tuple[Tuple[str, Site], ...]
     dispatch: DispatchSummary
 
 
@@ -169,7 +191,7 @@ _MUTATING_METHODS = {
 }
 
 #: Receivers that identify the telemetry registry at instrumented call
-#: sites (mirrors the TEL001 per-module matcher).
+#: sites (``tel = active()`` is the repo-wide idiom).
 _TELEMETRY_RECEIVERS = {
     "tel", "telemetry", "self.telemetry", "self._telemetry", "registry",
 }
@@ -199,16 +221,21 @@ def _root_name(node: ast.AST) -> Optional[str]:
     return node.id if isinstance(node, ast.Name) else None
 
 
+def _at(node: ast.AST, ends: Dict[int, int]) -> Dict[str, int]:
+    """The :class:`Site` fields of ``node``."""
+    return {"line": node.lineno, "column": node.col_offset + 1,
+            "end_line": ends.get(id(node), node.lineno)}
+
+
 def _call_site(call: ast.Call, ends: Dict[int, int]) -> Optional[CallSite]:
     name = _dotted(call.func)
     if name is None:
         return None
     return CallSite(
-        name=name, line=call.lineno, column=call.col_offset + 1,
-        end_line=ends.get(id(call), call.lineno),
-        n_args=len(call.args),
+        name=name, n_args=len(call.args),
         keywords=tuple(kw.arg if kw.arg is not None else "*"
-                       for kw in call.keywords))
+                       for kw in call.keywords),
+        **_at(call, ends))
 
 
 def _is_telemetry_receiver(node: ast.AST) -> bool:
@@ -239,7 +266,21 @@ def _counter_value_args(call: ast.Call) -> List[ast.AST]:
     return []
 
 
-def _function_summary(qual: str, node: ast.AST, ends: Dict[int, int],
+def _walk(root: ast.AST, skip: Set[int]) -> List[ast.AST]:
+    """``ast.walk`` order, without descending into nodes whose id is in
+    ``skip``."""
+    nodes: List[ast.AST] = []
+    todo = deque([root])
+    while todo:
+        node = todo.popleft()
+        nodes.append(node)
+        todo.extend(child for child in ast.iter_child_nodes(node)
+                    if id(child) not in skip)
+    return nodes
+
+
+def _function_summary(qual: str, line: int, nodes: List[ast.AST],
+                      ends: Dict[int, int],
                       module_names: FrozenSet[str]) -> FunctionSummary:
     calls: List[CallSite] = []
     returned: List[CallSite] = []
@@ -249,7 +290,7 @@ def _function_summary(qual: str, node: ast.AST, ends: Dict[int, int],
     declared_global: set = set()
     returned_names: List[str] = []
 
-    for child in ast.walk(node):
+    for child in nodes:
         if isinstance(child, ast.Call):
             site = _call_site(child, ends)
             if site is not None:
@@ -267,10 +308,8 @@ def _function_summary(qual: str, node: ast.AST, ends: Dict[int, int],
                         elif isinstance(sub, ast.Name):
                             arg_names.append(sub.id)
                 feeds.append(CounterFeed(
-                    line=child.lineno, column=child.col_offset + 1,
-                    end_line=ends.get(id(child), child.lineno),
-                    arg_calls=tuple(arg_calls),
-                    arg_names=tuple(arg_names)))
+                    arg_calls=tuple(arg_calls), arg_names=tuple(arg_names),
+                    **_at(child, ends)))
             func = child.func
             if (isinstance(func, ast.Attribute)
                     and func.attr in _MUTATING_METHODS):
@@ -278,14 +317,12 @@ def _function_summary(qual: str, node: ast.AST, ends: Dict[int, int],
                 if root is not None and root in module_names:
                     mutations.append(Mutation(
                         kind="call", detail=f"{root}.{func.attr}()",
-                        line=child.lineno, column=child.col_offset + 1,
-                        end_line=ends.get(id(child), child.lineno)))
+                        **_at(child, ends)))
         elif isinstance(child, ast.Global):
             declared_global.update(child.names)
             mutations.append(Mutation(
                 kind="global", detail=", ".join(child.names),
-                line=child.lineno, column=child.col_offset + 1,
-                end_line=ends.get(id(child), child.lineno)))
+                **_at(child, ends)))
         elif isinstance(child, ast.Return) and child.value is not None:
             for sub in ast.walk(child.value):
                 if isinstance(sub, ast.Call):
@@ -296,7 +333,7 @@ def _function_summary(qual: str, node: ast.AST, ends: Dict[int, int],
                     returned_names.append(sub.id)
 
     # second pass: assignments (needs declared_global complete).
-    for child in ast.walk(node):
+    for child in nodes:
         if isinstance(child, (ast.Assign, ast.AugAssign)):
             targets = (child.targets if isinstance(child, ast.Assign)
                        else [child.target])
@@ -309,9 +346,7 @@ def _function_summary(qual: str, node: ast.AST, ends: Dict[int, int],
                 if root in module_names and (
                         is_container_store or root in declared_global):
                     mutations.append(Mutation(
-                        kind="store", detail=root,
-                        line=child.lineno, column=child.col_offset + 1,
-                        end_line=ends.get(id(child), child.lineno)))
+                        kind="store", detail=root, **_at(child, ends)))
             if (isinstance(child, ast.Assign) and len(child.targets) == 1
                     and isinstance(child.targets[0], ast.Name)
                     and isinstance(child.value, ast.Call)):
@@ -327,11 +362,60 @@ def _function_summary(qual: str, node: ast.AST, ends: Dict[int, int],
             returned.append(site)
 
     return FunctionSummary(
-        qual=qual, line=getattr(node, "lineno", 1),
+        qual=qual, line=line,
         calls=tuple(calls), returned_calls=tuple(returned),
         assigned_calls=tuple(assigned), counter_feeds=tuple(feeds),
         mutations=tuple(sorted(
             mutations, key=lambda m: (m.line, m.column, m.kind, m.detail))))
+
+
+def _is_set_expression(node: ast.AST) -> bool:
+    """True when ``node`` syntactically constructs a set/frozenset."""
+    if isinstance(node, (ast.Set, ast.SetComp)):
+        return True
+    if isinstance(node, ast.BinOp) and isinstance(
+            node.op, (ast.BitOr, ast.BitAnd, ast.BitXor, ast.Sub)):
+        return (_is_set_expression(node.left)
+                or _is_set_expression(node.right))
+    if isinstance(node, ast.Call):
+        if _dotted(node.func) in ("set", "frozenset"):
+            return True
+        if isinstance(node.func, ast.Attribute) and node.func.attr in (
+                "union", "intersection", "difference",
+                "symmetric_difference"):
+            return _is_set_expression(node.func.value)
+    return False
+
+
+def _rule_sites(tree: ast.Module, ends: Dict[int, int],
+                ) -> Tuple[List[Site], List[Tuple[str, Site]]]:
+    """Set-iteration sites (DET003) and environment reads (DET004)."""
+    set_iterations: List[Site] = []
+    environ_reads: List[Tuple[str, Site]] = []
+    for node in ast.walk(tree):
+        iterated: List[ast.AST] = []
+        if isinstance(node, (ast.For, ast.AsyncFor)):
+            iterated.append(node.iter)
+        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp,
+                               ast.GeneratorExp)):
+            iterated.extend(gen.iter for gen in node.generators)
+        elif isinstance(node, ast.Call):
+            if (_dotted(node.func) in ("list", "tuple", "enumerate")
+                    and node.args):
+                iterated.append(node.args[0])
+        elif isinstance(node, ast.Attribute):
+            # Exactly "os.environ" / "os.getenv": the innermost node of
+            # every access pattern (subscript, .get, membership), so
+            # each site is recorded once.
+            name = _dotted(node)
+            if name in ("os.environ", "os.getenv", "os.putenv"):
+                environ_reads.append((name, Site(**_at(node, ends))))
+        elif isinstance(node, ast.Name) and node.id == "environ":
+            environ_reads.append(("environ", Site(**_at(node, ends))))
+        set_iterations.extend(Site(**_at(target, ends))
+                              for target in iterated
+                              if _is_set_expression(target))
+    return set_iterations, environ_reads
 
 
 def _extract_dispatch(tree: ast.Module) -> DispatchSummary:
@@ -453,10 +537,18 @@ def _resolve_from_base(module: str, is_package: bool, node: ast.ImportFrom,
     return ".".join(parts) if parts else None
 
 
-def extract_summary(tree: ast.Module, *, module: str, path: str,
-                    suppressions: Dict[int, FrozenSet[str]],
-                    standalone: FrozenSet[int]) -> ModuleSummary:
-    """Extract the link-phase summary of one parsed module."""
+def extract_summary(source: str, *, path: str,
+                    module: Optional[str] = None) -> ModuleSummary:
+    """Parse ``source`` once into its summary (raises ``SyntaxError``).
+
+    ``module`` overrides the dotted name inferred from ``path`` — tests
+    use it to exercise the allowlists of DET002/DET004 without
+    fabricating a ``src/repro`` directory layout.
+    """
+    if module is None:
+        module = module_name_for_path(Path(path))
+    tree = ast.parse(source, filename=path)
+    suppressions, standalone = parse_suppressions(source)
     is_package = path.endswith("__init__.py")
     imports: Dict[str, str] = {}
     for node in ast.walk(tree):
@@ -483,20 +575,25 @@ def extract_summary(tree: ast.Module, *, module: str, path: str,
 
     functions: List[FunctionSummary] = []
     classes: List[ClassSummary] = []
+    bodies: Set[int] = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            functions.append(
-                _function_summary(node.name, node, ends, names_set))
+            bodies.add(id(node))
+            functions.append(_function_summary(
+                node.name, node.lineno, list(ast.walk(node)), ends,
+                names_set))
         elif isinstance(node, ast.ClassDef):
             methods: List[str] = []
             attr_types: Dict[str, str] = {}
             for item in node.body:
                 if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                    qual = f"{node.name}.{item.name}"
+                    bodies.add(id(item))
                     methods.append(item.name)
-                    summary = _function_summary(qual, item, ends, names_set)
-                    functions.append(summary)
-                    for sub in ast.walk(item):
+                    nodes = list(ast.walk(item))
+                    functions.append(_function_summary(
+                        f"{node.name}.{item.name}", item.lineno, nodes,
+                        ends, names_set))
+                    for sub in nodes:
                         if (isinstance(sub, ast.Assign)
                                 and len(sub.targets) == 1
                                 and isinstance(sub.targets[0], ast.Attribute)
@@ -510,6 +607,9 @@ def extract_summary(tree: ast.Module, *, module: str, path: str,
             classes.append(ClassSummary(
                 name=node.name, methods=tuple(methods),
                 attr_types=tuple(sorted(attr_types.items()))))
+    functions.append(_function_summary(
+        MODULE_BODY, 1, _walk(tree, bodies), ends, names_set))
+    set_iterations, environ_reads = _rule_sites(tree, ends)
 
     return ModuleSummary(
         module=module, path=path, is_package=is_package,
@@ -521,5 +621,9 @@ def extract_summary(tree: ast.Module, *, module: str, path: str,
             (line, tuple(sorted(codes)))
             for line, codes in suppressions.items())),
         standalone_pragma_lines=tuple(sorted(standalone)),
+        decorator_anchors=tuple(sorted(
+            decorator_anchor_lines(tree).items())),
+        set_iterations=tuple(set_iterations),
+        environ_reads=tuple(environ_reads),
         dispatch=_extract_dispatch(tree),
     )

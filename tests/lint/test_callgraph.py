@@ -1,24 +1,15 @@
 """Call-graph construction: linking, resolution, cycles, taint."""
 
 import textwrap
-from pathlib import Path
 
 from repro.lint.callgraph import Project
-from repro.lint.model import ModuleContext
 from repro.lint.summary import extract_summary
 
 
 def project_from(files):
     """Link a ``{relpath: source}`` mapping into a Project."""
-    summaries = []
-    for rel_path, source in files.items():
-        ctx = ModuleContext.from_source(
-            textwrap.dedent(source), path=rel_path)
-        summaries.append(extract_summary(
-            ctx.tree, module=ctx.module, path=rel_path,
-            suppressions=ctx.suppressions,
-            standalone=ctx.standalone_pragma_lines))
-    return Project(summaries)
+    return Project(extract_summary(textwrap.dedent(source), path=rel_path)
+                   for rel_path, source in files.items())
 
 
 class TestNameResolution:

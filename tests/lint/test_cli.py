@@ -100,16 +100,12 @@ class TestSelection:
         assert code == EXIT_CLEAN
         assert "DET001" not in output
 
-    def test_parity_flag_selects_par_rules(self, tree):
+    def test_select_parity_rules(self, tree):
         # The fixture tree has no dispatch tables, so parity-only runs
         # are clean even though DET001 findings exist.
-        code, output = run_cli([str(tree), "--parity"])
+        code, output = run_cli([str(tree), "--select", "PAR001,PAR002"])
         assert code == EXIT_CLEAN
         assert "DET001" not in output
-
-    def test_parity_conflicts_with_select(self, tree):
-        code, _ = run_cli([str(tree), "--parity", "--select", "DET001"])
-        assert code == EXIT_USAGE
 
 
 class TestRefusedOptions:
@@ -118,7 +114,7 @@ class TestRefusedOptions:
 
     @pytest.mark.parametrize("flags", [
         ["--fix"], ["--baseline", "baseline.json"], ["--no-baseline"],
-        ["--write-baseline"]], ids=lambda flags: flags[0])
+        ["--write-baseline"], ["--parity"]], ids=lambda flags: flags[0])
     def test_unknown_flag_is_usage_error(self, tree, flags, capsys):
         with pytest.raises(SystemExit) as excinfo:
             run_cli([str(tree), *flags])

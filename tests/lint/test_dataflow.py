@@ -19,8 +19,8 @@ def lint_tree(tmp_path, files, select=None):
 
 class TestInterproceduralRng:
     def test_aliased_unseeded_constructor_flagged(self, tmp_path):
-        # The per-module rule cannot see through the import alias; the
-        # resolved name can only come from the project phase.
+        # The written name ``make_rng`` classifies as nothing; only the
+        # name resolved through the import table does.
         findings = lint_tree(tmp_path, {
             "repro/maker.py": """\
                 from numpy.random import default_rng as make_rng
@@ -125,6 +125,21 @@ class TestInterproceduralClock:
                     return host_elapsed()
             """,
         }, select=["DET002"]) == []
+
+    def test_files_sharing_a_module_name_report_own_sites(self, tmp_path):
+        # Outside a ``repro`` package a module is named by its stem, so
+        # both conftest.py files are "conftest"; each reports its read.
+        source = """\
+            from time import perf_counter as pc
+
+            def stamp():
+                return pc()
+        """
+        findings = lint_tree(tmp_path, {"a/conftest.py": source,
+                                        "b/conftest.py": source},
+                             select=["DET002"])
+        assert [(f.path, f.line) for f in findings] == [
+            ("a/conftest.py", 4), ("b/conftest.py", 4)]
 
     def test_pragma_suppresses_project_finding(self, tmp_path):
         assert lint_tree(tmp_path, {

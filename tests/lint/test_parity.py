@@ -104,7 +104,7 @@ class TestCommandParity:
             """,
         })
         stream = io.StringIO()
-        code = main([str(root), "--parity"], stream=stream)
+        code = main([str(root), "--select", "PAR001,PAR002"], stream=stream)
         assert code == EXIT_FINDINGS
         assert "PAR001" in stream.getvalue()
         assert "REF" in stream.getvalue()
@@ -176,5 +176,5 @@ class TestLiveBackends:
     def test_live_tree_parity_via_cli(self, monkeypatch):
         monkeypatch.chdir(REPO_ROOT)
         stream = io.StringIO()
-        assert main(["src/repro", "--parity"],
+        assert main(["src/repro", "--select", "PAR001,PAR002"],
                     stream=stream) == EXIT_CLEAN

@@ -2,7 +2,7 @@
 
 import textwrap
 
-from repro.lint import lint_source
+from repro.lint import lint_paths, lint_source, rules_for_codes
 from repro.lint.model import parse_suppressions
 
 
@@ -128,6 +128,31 @@ class TestDecoratedDefs:
                 return v
         """)
         assert [f.code for f in findings] == ["DET001"]
+
+    def test_pragma_above_decorator_covers_aliased_def_line(self, tmp_path):
+        # An aliased read resolves only through the import table; the
+        # pragma above the decorator stack must cover it exactly like
+        # the written-out ``time.perf_counter()`` below.
+        (tmp_path / "sample.py").write_text(textwrap.dedent("""\
+            import functools
+            import time
+            from time import perf_counter as pc
+
+            # repro: lint-ok[DET002]
+            @functools.lru_cache(maxsize=None)
+            def sample(v=pc()):
+                return v
+
+
+            # repro: lint-ok[DET002]
+            @functools.lru_cache(maxsize=None)
+            def stamp(v=time.perf_counter()):
+                return v
+        """))
+        report = lint_paths([tmp_path], rules=rules_for_codes(["DET002"]),
+                            root=tmp_path)
+        assert report.files_checked == 1
+        assert report.findings == []
 
     def test_body_findings_not_covered_by_decorator_pragma(self):
         findings = lint("""\

@@ -18,6 +18,42 @@ def codes_of(findings):
     return [f.code for f in findings]
 
 
+#: Places outside any top-level function or method body, each holding
+#: ``{expr}`` once: the rules must see them as well as function bodies.
+OUTSIDE_BODIES = {
+    "class-body": """\
+        class Holder:
+            value = {expr}
+    """,
+    "nested-class-method": """\
+        class Outer:
+            class Inner:
+                def read(self):
+                    return {expr}
+    """,
+    "class-decorator": """\
+        def tag(value):
+            return lambda cls: cls
+
+        @tag({expr})
+        class Holder:
+            pass
+    """,
+    "module-level": """\
+        {expr}
+    """,
+}
+
+
+def outside_bodies(imports, expr):
+    """Parametrize ``source`` over OUTSIDE_BODIES with ``expr`` filled in."""
+    return pytest.mark.parametrize(
+        "source",
+        [textwrap.dedent(imports) + textwrap.dedent(shape).format(expr=expr)
+         for shape in OUTSIDE_BODIES.values()],
+        ids=list(OUTSIDE_BODIES))
+
+
 class TestDet001AmbientRng:
     def test_np_random_module_call_flagged(self):
         findings = findings_for("DET001", """\
@@ -75,6 +111,12 @@ class TestDet001AmbientRng:
         """)
         assert findings == []
 
+    @outside_bodies("import numpy as np\n", "np.random.random()")
+    def test_sites_outside_function_bodies_flagged(self, source):
+        findings = findings_for("DET001", source)
+        assert codes_of(findings) == ["DET001"]
+        assert "np.random.random" in findings[0].message
+
     def test_method_named_random_on_object_clean(self):
         # self.rng.random() is a derived-stream draw, not ambient state.
         findings = findings_for("DET001", """\
@@ -96,6 +138,12 @@ class TestDet002WallClock:
             stamp = {expr}
         """)
         assert codes_of(findings) == ["DET002"]
+
+    @outside_bodies("import time\n", "time.time()")
+    def test_sites_outside_function_bodies_flagged(self, source):
+        findings = findings_for("DET002", source)
+        assert codes_of(findings) == ["DET002"]
+        assert "time.time" in findings[0].message
 
     def test_allowlisted_module_clean(self):
         findings = findings_for("DET002", """\
@@ -342,6 +390,13 @@ class TestTel001NondeterministicCounter:
                 tel.counter("work.jitter").add(int(rng.integers(0, 9)))
         """)
         assert codes_of(findings) == ["TEL001"]
+
+    @outside_bodies("import time\nfrom repro.telemetry import active\n",
+                    'active().count("x", int(time.time()))')
+    def test_sites_outside_function_bodies_flagged(self, source):
+        findings = findings_for("TEL001", source)
+        assert codes_of(findings) == ["TEL001"]
+        assert "time.time" in findings[0].message
 
     def test_deterministic_count_clean(self):
         findings = findings_for("TEL001", """\

@@ -102,6 +102,33 @@ class TestRunFlags:
         assert "unrecognized arguments: --batch 4" in capsys.readouterr().err
 
 
+class TestRefusedFlags:
+    """Every other subcommand refuses a flag value the model rejects the
+    way ``experiments`` does: one ``error:`` line, exit 2, no traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        ["run-program", "PROGRAM", "--columns", "0"],
+        ["run-program", "PROGRAM", "--banks", "0"],
+        ["run-program", "PROGRAM", "--rows-per-subarray", "0"],
+        ["bench-service", "--no-store", "--columns", "0"],
+        ["bench-service", "--no-store", "--challenges", "0"],
+        ["serve", "--no-store", "--columns", "0"],
+        ["serve", "--no-store", "--challenges", "0"],
+        ["trng", "--columns", "0"],
+        ["puf", "--row", "9999"],
+    ], ids=" ".join)
+    def test_refused_flag_exits_before_running(self, argv, tmp_path,
+                                               capsys):
+        program = tmp_path / "noop.sfc"
+        program.write_text("ACT 0 1\nPRE 0\n")
+        argv = [str(program) if arg == "PROGRAM" else arg for arg in argv]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+
 class TestTelemetryCli:
     def test_experiments_telemetry_summary(self, capsys):
         assert main(["experiments", "--only", "latency",
