@@ -3,7 +3,9 @@
 The fused backend compiles an experiment pass to a phase-op schedule
 once and replays it as whole-batch kernels (see ``docs/performance.md``
 and ``repro.xir``), eliminating the per-command Python dispatch the
-batched engine still pays per trial.  Two regimes are measured:
+per-command walk (``BatchedSoftMC.replay``) pays per op.  The
+``batched`` leg replays each challenge's ops per command.  Two regimes
+are measured:
 
 * **fig11 steady state** — the PUF-serving regime (one enrolled fleet
   answering challenge sets repeatedly, as ``repro.service`` does): the
@@ -46,7 +48,8 @@ from repro.dram.batched import BatchedChip
 from repro.experiments import fig6_retention, fig11_puf_hd
 from repro.experiments.base import make_chip
 from repro.puf.batched_puf import BatchedFracPuf
-from repro.puf.frac_puf import FracPuf
+from repro.puf.frac_puf import FracPuf, reserved_row
+from repro.xir import ir
 from repro.xir.puf import FusedFracPuf
 
 #: Tentpole targets for the dispatch-bound fig11 steady-state regime.
@@ -64,6 +67,24 @@ N_EPOCHS = 2
 def _assert_speedups() -> bool:
     """Gate speedup assertions on having real parallel headroom."""
     return (os.cpu_count() or 1) >= 4
+
+
+def _evaluate_per_command(puf, challenge):
+    """``BatchedFracPuf.evaluate``'s command stream, replayed per command
+    (:meth:`BatchedSoftMC.replay`): the per-command engine's leg."""
+    mc, lanes = puf.bfd.mc, puf.bfd.all_lanes()
+    bank = challenge.bank
+    reserved = reserved_row(challenge.row,
+                            int(puf.bfd.device.geometry.rows_per_subarray))
+    rows = {"res": [reserved] * len(lanes),
+            "row": [challenge.row] * len(lanes)}
+    if (bank, reserved) not in puf._prepared_reserved:
+        mc.replay(ir.WriteRow(bank, "res", True), rows=rows, lanes=lanes)
+        puf._prepared_reserved.add((bank, reserved))
+    mc.replay(ir.RowCopy(bank, "res", "row"), rows=rows, lanes=lanes)
+    mc.replay(ir.Frac(bank, "row", puf.n_frac), rows=rows, lanes=lanes)
+    (bits,) = mc.replay(ir.ReadRow(bank, "row"), rows=rows, lanes=lanes)
+    return bits
 
 
 def _best_wall(function, rounds):
@@ -102,8 +123,8 @@ def test_fig11_fused_speedup(benchmark, bench_config, capsys):
         for epoch in range(N_EPOCHS):
             puf.reseed_noise(epoch)
             epochs.append(np.stack(
-                [puf.evaluate(challenge) for challenge in challenges],
-                axis=1))
+                [_evaluate_per_command(puf, challenge)
+                 for challenge in challenges], axis=1))
         return epochs
 
     def collect_fused(puf):

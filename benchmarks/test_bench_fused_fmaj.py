@@ -12,12 +12,13 @@ loops onto the fused executor (see ``repro.xir.XIR_LOWERED_EXPERIMENTS``):
   is bounded by that shared floor — the honest target is >= 2x, not the
   10x of the pure-dispatch fig11 regime.
 * **nist trial batch** — one four-op program (fill reserved row, row
-  copy, Frac, read) replaces four separate batched driver calls per
-  trial cohort.  Everything fuses, so the target is higher.
+  copy, Frac, read) replaces four per-command replays per trial
+  cohort.  Everything fuses, so the target is higher.
 
-The per-command side of each comparison composes the same flow from
-``BatchedFracDram``'s per-command primitives (``write_row``/``fill_row``/
-``frac``/``multi_row_activate``/``read_row`` on ``BatchedSoftMC``).
+The per-command side of each comparison composes the same flow with
+every in-spec step replayed per command (``BatchedSoftMC.replay`` of the
+``WriteRow``/``WriteData``/``Frac``/``RowCopy``/``ReadRow`` ops) around
+the shared ``multi_row_activate``.
 
 Byte-identity between the engines is asserted unconditionally on every
 swept configuration.  Speedup thresholds are asserted only on machines
@@ -82,24 +83,31 @@ def _best_wall(function, rounds):
 
 
 class PerCommandFracDram(BatchedFracDram):
-    """``f_maj`` composed from the per-command primitives."""
+    """``f_maj`` with every in-spec step replayed per command."""
+
+    def _replay(self, op, row, lanes, plane=None):
+        """Replay ``op`` on ``row`` of every lane (parameter ``"r"``)."""
+        return self.mc.replay(op, rows={"r": self._uniform(row, lanes)},
+                              lanes=lanes,
+                              data=None if plane is None else {"r": plane})
 
     def f_maj(self, plan, operands, config, lanes):
-        frac_rows = self._uniform(plan.opened[config.frac_position], lanes)
-        self.fill_row(plan.bank, frac_rows, config.init_ones, lanes)
+        frac_row = plan.opened[config.frac_position]
+        self._replay(ir.WriteRow(plan.bank, "r", config.init_ones), frac_row,
+                     lanes)
         if config.n_frac > 0:
-            self.frac(plan.bank, frac_rows, config.n_frac, lanes)
+            self._replay(ir.Frac(plan.bank, "r", config.n_frac), frac_row,
+                         lanes)
         positions = [index for index in range(plan.n_rows)
                      if index != config.frac_position]
         for slot, position in enumerate(positions):
-            self.write_row(plan.bank,
-                           self._uniform(plan.opened[position], lanes),
-                           operands[:, slot], lanes)
+            self._replay(ir.WriteData(plan.bank, "r"), plan.opened[position],
+                         lanes, operands[:, slot])
         self.multi_row_activate(plan, lanes)
         result_position = 0 if config.frac_position != 0 else 1
-        return self.read_row(
-            plan.bank, self._uniform(plan.opened[result_position], lanes),
-            lanes)
+        (bits,) = self._replay(ir.ReadRow(plan.bank, "r"),
+                               plan.opened[result_position], lanes)
+        return bits
 
 
 def _make_driver(cls):
@@ -173,23 +181,21 @@ def test_nist_trial_batch_fused_speedup(benchmark, capsys):
     reserved = GEOMETRY.rows_per_subarray // 2
     rounds = 20
 
+    program = (ir.WriteRow(0, "res", True),
+               ir.RowCopy(0, "res", "row"),
+               ir.Frac(0, "row", PUF_N_FRAC),
+               ir.ReadRow(0, "row"))
+
     def batched_trials(driver, lanes):
-        uniform_reserved = [reserved] * len(lanes)
-        uniform_zero = [0] * len(lanes)
+        rows = {"res": [reserved] * len(lanes), "row": [0] * len(lanes)}
         driver.mc.device.reseed_noise(0)
         out = []
         for _ in range(rounds):
-            driver.fill_row(0, uniform_reserved, True, lanes)
-            driver.row_copy(0, uniform_reserved, uniform_zero, lanes)
-            driver.frac(0, uniform_zero, PUF_N_FRAC, lanes)
-            out.append(driver.read_row(0, uniform_zero, lanes))
+            out += [read for op in program
+                    for read in driver.mc.replay(op, rows=rows, lanes=lanes)]
         return out
 
     def fused_trials(driver, lanes):
-        program = (ir.WriteRow(0, "res", True),
-                   ir.RowCopy(0, "res", "row"),
-                   ir.Frac(0, "row", PUF_N_FRAC),
-                   ir.ReadRow(0, "row"))
         rows = {"res": [reserved] * len(lanes), "row": [0] * len(lanes)}
         driver.mc.device.reseed_noise(0)
         out = []

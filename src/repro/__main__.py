@@ -73,9 +73,12 @@ def _cmd_trace_diff(arguments: argparse.Namespace) -> int:
 def _cmd_trng(arguments: argparse.Namespace) -> int:
     from .dram.chip import DramChip
     from .dram.parameters import GeometryParams
+    from .errors import ConfigurationError
     from .trng import QuacTrng
 
     try:
+        if arguments.bits < 1:
+            raise ConfigurationError("--bits must be at least 1")
         geometry = GeometryParams(n_banks=1, subarrays_per_bank=1,
                                   rows_per_subarray=16,
                                   columns=arguments.columns)
@@ -136,8 +139,11 @@ def _cmd_disassemble(arguments: argparse.Namespace) -> int:
 
 
 def _service_config(arguments: argparse.Namespace):
+    from .errors import ConfigurationError
     from .service import ServiceConfig, frac_capable_groups
 
+    if arguments.modules < 1:
+        raise ConfigurationError("--modules must be at least 1")
     return ServiceConfig(
         master_seed=arguments.seed,
         columns=arguments.columns,

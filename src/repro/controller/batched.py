@@ -1,35 +1,49 @@
-"""Batched SoftMC: one compiled sequence replayed across trial lanes.
+"""Batched SoftMC: paper sequences across trial lanes.
 
-:class:`BatchedSoftMC` drives a :class:`~repro.dram.batched.BatchedChip`.
-Each :meth:`run` call issues one *template* :class:`CommandSequence` to a
-set of lanes at once: the sequence shape (cycle offsets, command kinds,
-banks) is lane-uniform, while row addresses and write data may vary per
-lane via ``lane_rows`` / ``lane_data`` overrides.  That split is exactly
-what makes the compiled-plan cache (:mod:`repro.controller.plan`) sound
-here — JEDEC violations never depend on rows or data, so one plan
-annotates every lane and counter increments are simply multiplied by the
-lane count.
+:class:`BatchedSoftMC` drives a :class:`~repro.dram.batched.BatchedChip`
+and mirrors :class:`~repro.controller.softmc.SoftMC` one-for-one, with
+per-lane row vectors.  Per-lane cycle counters live in ``self.cycles``
+(lane ``i`` of a batch is cycle-identical to scalar trial ``i``).
 
-The convenience wrappers mirror :class:`~repro.controller.softmc.SoftMC`
-one-for-one but take per-lane row vectors.  ``write_row`` builds its
-template with an *empty* :class:`WriteRow` payload and ships the real
-bits through ``lane_data`` as a NumPy array, skipping the per-trial
-``tuple(bool(b) ...)`` conversion that dominates the scalar write path.
+The in-spec wrappers (``write_row``, ``fill_row``, ``read_row``,
+``frac``, ``row_copy`` and ``precharge_all``) are thin builders of
+:mod:`repro.xir` programs: each builds one xir op and runs it on the
+fused executor.  A wrapper replays its op per command (:meth:`replay`:
+the op's compiler template, issued through :meth:`run`) only when the
+device has an open row on one of its lanes or the compiler refuses the
+op before any lane runs — a Frac on lanes that enforce command spacing,
+whose dropped PRECHARGEs leave the row open, a row copy that crosses
+sub-arrays, or such a lane's last command being too recent for the
+compiled drop predictions.  Both paths produce the same bits, counters,
+trace events and noise-stream positions.
+
+:meth:`run` is the per-command walk: it issues one *template*
+:class:`CommandSequence` to a set of lanes at once.  The sequence shape
+(cycle offsets, command kinds, banks) is lane-uniform, while row
+addresses and write data may vary per lane via ``lane_rows`` /
+``lane_data`` overrides.  That split is exactly what makes the
+compiled-plan cache (:mod:`repro.controller.plan`) sound here — JEDEC
+violations never depend on rows or data, so one plan annotates every
+lane and counter increments are simply multiplied by the lane count.
+``multi_row_activate``, ``half_m`` and ``refresh_row`` stay on it: the
+compiler refuses the activation glitch, and no xir op refreshes a row.
 
 Strict (JEDEC-raising) mode is deliberately not offered: validation
-campaigns run scalar.  Per-lane cycle counters live in ``self.cycles``
-(lane ``i`` of a batch is cycle-identical to scalar trial ``i``).
+campaigns run scalar.
 """
 
 from __future__ import annotations
 
-from typing import Sequence as SequenceType
+from typing import Mapping, Sequence as SequenceType
 
 import numpy as np
 
 from ..dram.batched import BatchedChip
 from ..dram.parameters import MEMORY_CYCLE_NS, ElectricalParams, TimingParams
 from ..telemetry.registry import active as _telemetry_active
+from ..xir import ir
+from ..xir.compile import XirLoweringError, template
+from ..xir.executor import FusedRunner
 from .commands import (
     Activate,
     CommandSequence,
@@ -192,30 +206,72 @@ class BatchedSoftMC:
             })
 
     # ------------------------------------------------------------------
+    # xir ops: compiled, or replayed per command
+    # ------------------------------------------------------------------
+
+    def replay(self, op: ir.Op, *, rows: Mapping[str, SequenceType[int]],
+               lanes: SequenceType[int],
+               data: Mapping[str, np.ndarray] | None = None,
+               ) -> list[np.ndarray]:
+        """Issue ``op``'s command template per command through :meth:`run`.
+
+        ``rows`` and ``data`` bind the op's parameters as
+        :meth:`FusedRunner.run <repro.xir.executor.FusedRunner.run>`
+        takes them.  This is the reference walk a wrapper falls back to,
+        and the per-command oracle the compiled path is tested against.
+        """
+        sequence, row_params = template(op, self.timing, self.electrical)
+        lane_rows = {index: rows[param] for index, param in row_params.items()}
+        lane_data = {}
+        if isinstance(op, (ir.WriteRow, ir.WriteData)):
+            bits = (np.full(int(self.device.columns), op.value)
+                    if isinstance(op, ir.WriteRow) else data[op.rows])
+            lane_data = {index: bits for index, timed in enumerate(sequence)
+                         if isinstance(timed.command, WriteRow)}
+        return self.run(sequence, lanes, lane_rows=lane_rows,
+                        lane_data=lane_data)
+
+    def _run_op(self, op: ir.Op, lanes: SequenceType[int],
+                rows: Mapping[str, SequenceType[int]],
+                data: Mapping[str, np.ndarray] | None = None,
+                ) -> list[np.ndarray]:
+        """Run ``op`` as a one-op xir program, or :meth:`replay` it.
+
+        A runner is built per call: caching one here would tie the
+        controller and its runner into a reference cycle.
+        """
+        if len(lanes) and self.device.lanes_idle(lanes):
+            try:
+                return FusedRunner(self).run((op,), rows=rows, lanes=lanes,
+                                             data=data)
+            except XirLoweringError:
+                pass  # refused before any lane ran
+        return self.replay(op, rows=rows, lanes=lanes, data=data)
+
+    # ------------------------------------------------------------------
     # convenience wrappers (one per paper sequence, rows per lane)
     # ------------------------------------------------------------------
 
     def precharge_all(self, lanes: SequenceType[int]) -> None:
-        self.run(seq.precharge_all_sequence(self.timing), lanes)
+        self._run_op(ir.PrechargeAll(), lanes, {})
 
     def write_row(self, bank: int, rows: SequenceType[int],
                   bits: np.ndarray, lanes: SequenceType[int]) -> None:
         """In-spec ACT/WRITE/PRE; ``bits`` is ``(L, C)`` or broadcast ``(C,)``."""
-        template = seq.write_row_sequence(bank, int(rows[0]), (), self.timing)
-        self.run(template, lanes, lane_rows={0: rows, 1: rows},
-                 lane_data={1: bits})
+        bits = np.broadcast_to(np.asarray(bits, dtype=bool),
+                               (len(lanes), int(self.device.columns)))
+        self._run_op(ir.WriteData(bank, "row"), lanes, {"row": rows},
+                     {"row": bits})
 
     def fill_row(self, bank: int, rows: SequenceType[int], value: bool,
                  lanes: SequenceType[int]) -> None:
         """Store all-ones or all-zeros into each lane's row."""
-        bits = np.full(int(self.device.columns), bool(value))
-        self.write_row(bank, rows, bits, lanes)
+        self._run_op(ir.WriteRow(bank, "row", bool(value)), lanes,
+                     {"row": rows})
 
     def read_row(self, bank: int, rows: SequenceType[int],
                  lanes: SequenceType[int]) -> np.ndarray:
-        (data,) = self.run(
-            seq.read_row_sequence(bank, int(rows[0]), self.timing),
-            lanes, lane_rows={0: rows, 1: rows})
+        (data,) = self._run_op(ir.ReadRow(bank, "row"), lanes, {"row": rows})
         return data
 
     def refresh_row(self, bank: int, rows: SequenceType[int],
@@ -226,25 +282,22 @@ class BatchedSoftMC:
     def frac(self, bank: int, rows: SequenceType[int],
              n_frac: int, lanes: SequenceType[int]) -> None:
         """Issue ``n_frac`` Frac operations on each lane's row."""
-        template = seq.frac_sequence(bank, int(rows[0]), n_frac, self.timing)
-        lane_rows = {2 * index: rows for index in range(n_frac)}
-        self.run(template, lanes, lane_rows=lane_rows)
+        self._run_op(ir.Frac(bank, "row", n_frac), lanes, {"row": rows})
 
     def multi_row_activate(self, bank: int, r1s: SequenceType[int],
                            r2s: SequenceType[int],
                            lanes: SequenceType[int]) -> None:
-        template = seq.multi_row_sequence(
-            bank, int(r1s[0]), int(r2s[0]), self.timing, self.electrical)
-        self.run(template, lanes, lane_rows={0: r1s, 2: r2s})
+        self.run(seq.multi_row_sequence(bank, int(r1s[0]), int(r2s[0]),
+                                        self.timing, self.electrical),
+                 lanes, lane_rows={0: r1s, 2: r2s})
 
     def half_m(self, bank: int, r1s: SequenceType[int],
                r2s: SequenceType[int], lanes: SequenceType[int]) -> None:
-        template = seq.half_m_sequence(
-            bank, int(r1s[0]), int(r2s[0]), self.timing)
-        self.run(template, lanes, lane_rows={0: r1s, 2: r2s})
+        self.run(seq.half_m_sequence(bank, int(r1s[0]), int(r2s[0]),
+                                     self.timing),
+                 lanes, lane_rows={0: r1s, 2: r2s})
 
     def row_copy(self, bank: int, srcs: SequenceType[int],
                  dsts: SequenceType[int], lanes: SequenceType[int]) -> None:
-        template = seq.row_copy_sequence(
-            bank, int(srcs[0]), int(dsts[0]), self.timing, self.electrical)
-        self.run(template, lanes, lane_rows={0: srcs, 2: dsts})
+        self._run_op(ir.RowCopy(bank, "src", "dst"), lanes,
+                     {"src": srcs, "dst": dsts})

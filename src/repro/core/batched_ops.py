@@ -2,8 +2,10 @@
 
 :class:`BatchedFracDram` mirrors :class:`~repro.core.ops.FracDram` over a
 :class:`~repro.dram.batched.BatchedChip`: every operation takes per-lane
-row vectors (and ``(L, C)`` operand planes) and issues one batched
-command sequence instead of L scalar ones.
+row vectors (and ``(L, C)`` operand planes) and runs once across all
+lanes instead of L scalar times — the in-spec primitives as compiled
+:mod:`repro.xir` ops (through :class:`BatchedSoftMC`'s wrappers), the
+multi-row activations as batched command sequences.
 
 ``maj3``/``f_maj`` run their in-spec phases (operand stores, the Frac
 ladder, the final readout) as compiled :mod:`repro.xir` programs.  The

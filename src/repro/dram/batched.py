@@ -1101,6 +1101,16 @@ class BatchedChip:
         return all(cell.lane_is_idle(lane)
                    for bank_cells in self.cells for cell in bank_cells)
 
+    def lanes_idle(self, lanes: Sequence[int]) -> bool:
+        """Whether no bank of any of ``lanes`` has an open or closing row."""
+        # The sub-arrays keep exact open/pending-precharge counts; when
+        # every count is zero no lane can be busy, skipping the per-lane
+        # all-cells scan on the (overwhelmingly common) idle-device path.
+        if not any(cell._n_open or cell._n_pre
+                   for bank_cells in self.cells for cell in bank_cells):
+            return True
+        return all(self.lane_is_idle(lane) for lane in lanes)
+
     def reseed_noise(self, epoch: int) -> None:
         """Start a new measurement-noise epoch on every lane.
 
@@ -1249,16 +1259,9 @@ class BatchedChip:
     # ------------------------------------------------------------------
 
     def advance_time(self, dt_s: float, lanes: Sequence[int]) -> None:
-        # The sub-arrays keep exact open/pending-precharge counts; when
-        # every count is zero no lane can be busy and the per-lane
-        # all-cells scan (the hot cost of short leak probes) is skipped.
-        if any(cell._n_open or cell._n_pre
-               for bank_cells in self.cells for cell in bank_cells):
-            for lane in lanes:
-                if not self.lane_is_idle(lane):
-                    raise CommandSequenceError(
-                        "advance_time requires all banks idle "
-                        "(precharge first)")
+        if not self.lanes_idle(lanes):
+            raise CommandSequenceError(
+                "advance_time requires all banks idle (precharge first)")
         for bank_cells in self.cells:
             for cell in bank_cells:
                 cell.leak(lanes, dt_s)

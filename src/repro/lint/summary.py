@@ -168,11 +168,26 @@ def _dotted(node: ast.AST) -> Optional[str]:
     return None
 
 
-def _statement_ends(root: ast.AST) -> Dict[int, int]:
-    """Map ``id(node)`` -> innermost enclosing statement's end line.
+def _header(node: ast.stmt) -> List[ast.AST]:
+    """A def's or class's header: decorators, parameters with their
+    defaults and annotations, the return annotation, bases."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        return [*node.decorator_list, *ast.iter_child_nodes(node.args),
+                *filter(None, (node.returns,))]
+    if isinstance(node, ast.ClassDef):
+        return [*node.decorator_list, *node.bases, *node.keywords]
+    return []
 
-    ``ast.walk`` is breadth-first, so inner statements are visited after
-    outer ones and the last assignment wins — exactly the innermost.
+
+def _statement_ends(root: ast.AST) -> Dict[int, int]:
+    """Map ``id(node)`` -> the closing line a pragma on it may sit on.
+
+    That is the innermost enclosing statement's end line, except in a
+    def's or class's header, where each expression ends on its own last
+    line: a pragma at the end of a decorated body must not cover the
+    decorators.  ``ast.walk`` is breadth-first, so inner statements are
+    visited after outer ones and the last assignment wins — exactly the
+    innermost.
     """
     ends: Dict[int, int] = {}
     for node in ast.walk(root):
@@ -181,6 +196,9 @@ def _statement_ends(root: ast.AST) -> Dict[int, int]:
         end = getattr(node, "end_lineno", None) or node.lineno
         for child in ast.walk(node):
             ends[id(child)] = end
+        for header in _header(node):
+            for child in ast.walk(header):
+                ends[id(child)] = header.end_lineno
     return ends
 
 

@@ -6,7 +6,8 @@ modules (a :meth:`~repro.dram.batched.BatchedChip.from_fleet` batch).
 Each challenge is evaluated for all lanes in one vectorized pass through
 :class:`~repro.controller.batched.BatchedSoftMC`: the reserved-row fill,
 the in-DRAM row copy, the ten Frac operations and the destructive read
-are each a single batched command sequence instead of L scalar ones.
+are each one compiled :mod:`repro.xir` op run across every lane instead
+of L scalar command sequences.
 
 The byte-identity contract of the batched engine applies: lane ``i`` of
 ``evaluate_many`` equals the scalar ``FracPuf(make_chip(...))`` response

@@ -22,12 +22,16 @@ The pipeline (see ``docs/performance.md``):
 The lane drivers run the experiments in :data:`XIR_LOWERED_EXPERIMENTS`
 through the executor: ``BatchedFracDram`` (fMAJ), the MAJ3 verification
 and table1's black-box probes (``repro.core.verify``,
-``repro.analysis.reverse_engineering``; their multi-row activation stays
-per command), ``BatchedRetentionProfiler`` (fig6) and
-:class:`repro.xir.puf.FusedFracPuf` (fig11, fig12, nist).  Everything stays
-byte-identical to the ``scalar`` engine (conformance-gated in
-``tests/backends``).  The package root holds only the IR, compiler and
-executor, because ``repro.core.batched_ops`` imports it.
+``repro.analysis.reverse_engineering``), ``BatchedRetentionProfiler``
+(fig6) and :class:`repro.xir.puf.FusedFracPuf` (fig11, fig12, nist).
+``BatchedSoftMC``'s in-spec wrappers (``write_row``, ``fill_row``,
+``read_row``, ``frac``, ``row_copy``, ``precharge_all``) each build one
+op and run it here too, which moves fig8's in-spec steps and service
+enrollment onto compiled programs; only the multi-row activation and
+Half-m glitches stay per command.  Everything stays byte-identical to
+the ``scalar`` engine (conformance-gated in ``tests/backends``).  The
+package root holds only the IR, compiler and executor, because
+``repro.core.batched_ops`` and ``repro.controller.batched`` import it.
 """
 
 from . import ir
@@ -40,15 +44,14 @@ from .compile import (
 from .executor import FusedRunner
 
 #: Experiments whose hot loops run through the fused xir executor when
-#: ``--backend fused`` is selected: exactly these run xir programs.
-#: Of the other lane-driven experiments, only fig8 runs per-command
-#: primitives on the same lanes (same results — the fused path is a perf
-#: lane, not a different model); the multi-row flows keep only their
-#: activation glitch per command.
+#: ``--backend fused`` is selected: exactly these run xir programs.  Every
+#: lane-driven experiment is among them; each keeps only its multi-row
+#: activation and Half-m glitches per command (same results — the fused
+#: path is a perf lane, not a different model).
 #: Pinned by ``tests/xir/test_registry.py`` and the fused leg of
 #: ``tests/backends/test_conformance_experiments.py``.
-XIR_LOWERED_EXPERIMENTS = ("fig6", "fig7", "fig9", "fig10", "fig11", "fig12",
-                           "nist", "table1")
+XIR_LOWERED_EXPERIMENTS = ("fig6", "fig7", "fig8", "fig9", "fig10", "fig11",
+                           "fig12", "nist", "table1")
 
 __all__ = [
     "FusedRunner",

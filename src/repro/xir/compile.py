@@ -62,6 +62,7 @@ __all__ = [
     "XirLoweringError",
     "clear_xir_cache",
     "compile_program",
+    "template",
     "xir_cache_info",
 ]
 
@@ -189,24 +190,27 @@ class _BankState:
         return self.open_param is None and self.pre_at is None
 
 
-def _template(op: ir.Op, timing: TimingParams,
-              electrical: ElectricalParams,
-              ) -> tuple[CommandSequence, dict[int, str]]:
+def template(op: ir.Op, timing: TimingParams,
+             electrical: ElectricalParams,
+             ) -> tuple[CommandSequence, dict[int, str]]:
     """The op's command template plus the command-index -> row-param map.
 
-    Templates reuse the real sequence builders (rows are placeholders;
-    the compiled-plan key ignores them), so the JEDEC annotations — and
-    the plan-cache entries — are shared with the batched engine.
+    The one definition of each op's command stream: the compiler lowers
+    it, and :meth:`BatchedSoftMC.replay
+    <repro.controller.batched.BatchedSoftMC.replay>` issues it per
+    command with each row parameter's lane rows.  Templates reuse the
+    real sequence builders (rows are placeholders; the compiled-plan key
+    ignores them), so the JEDEC annotations — and the plan-cache
+    entries — are shared with the per-command walk.
     """
     if isinstance(op, (ir.WriteRow, ir.WriteData)):
-        # BatchedSoftMC.write_row's template: an empty payload, the data
-        # ships separately.  WriteData shares it — only the stored plane
-        # differs, and that binds at run time.
+        # An empty payload: the stored plane ships separately (a
+        # constant fill for WriteRow, a run-time binding for WriteData).
         return (seq.write_row_sequence(op.bank, 0, (), timing),
                 {0: op.rows, 1: op.rows})
     if isinstance(op, ir.Frac):
-        template = seq.frac_sequence(op.bank, 0, op.n_frac, timing)
-        return template, {2 * i: op.rows for i in range(op.n_frac)}
+        return (seq.frac_sequence(op.bank, 0, op.n_frac, timing),
+                {2 * i: op.rows for i in range(op.n_frac)})
     if isinstance(op, ir.ReadRow):
         return (seq.read_row_sequence(op.bank, 0, timing),
                 {0: op.rows, 1: op.rows})
@@ -290,7 +294,6 @@ def _compile(ops: Sequence[ir.Op], *, enforce: bool, timing: TimingParams,
             pair = (state.open_param, param, bank)
             if pair not in pairs:
                 pairs.append(pair)
-            register(param, bank)
             state.pre_at = None
             state.copy = True
             state.last_act = t
@@ -307,7 +310,6 @@ def _compile(ops: Sequence[ir.Op], *, enforce: bool, timing: TimingParams,
                        f"parameters {state.open_param!r} and {param!r} open "
                        f"on bank {bank})")
             return  # same-row re-ACT: raises the word line again, no-op
-        register(param, bank)
         actions.append(("cs", bank, param))
         regions[-1].append(("jitter", bank, param))
         state.open_param = param
@@ -352,14 +354,16 @@ def _compile(ops: Sequence[ir.Op], *, enforce: bool, timing: TimingParams,
                 dst_param=None, dt_param=op.dt, actions=(("leak", op.dt),)))
             continue
 
-        template, row_params = _template(op, timing, electrical)
-        plan = plan_for(timing, template)
+        if not 0 <= getattr(op, "bank", 0) < n_banks:
+            refuse(f"bank {op.bank} out of range")
+        sequence, row_params = template(op, timing, electrical)
+        plan = plan_for(timing, sequence)
         bump("controller.sequences")
-        bump(f"controller.seq.{template.op}")
-        if template.op == "frac":
-            bump("controller.frac_ops", len(template) // 2)
-        bump("controller.commands", len(template))
-        for index, timed in enumerate(template):
+        bump(f"controller.seq.{sequence.op}")
+        if sequence.op == "frac":
+            bump("controller.frac_ops", len(sequence) // 2)
+        bump("controller.commands", len(sequence))
+        for index, timed in enumerate(sequence):
             bump(f"controller.{timed.command.KIND.lower()}")
             violations = plan.violations[index]
             if violations:
@@ -367,7 +371,7 @@ def _compile(ops: Sequence[ir.Op], *, enforce: bool, timing: TimingParams,
                 for violation in violations:
                     bump(f"controller.jedec.{violation.constraint.lower()}")
 
-        for index, timed in enumerate(template):
+        for index, timed in enumerate(sequence):
             command = timed.command
             t = start + timed.cycle
             kind = command.KIND
@@ -386,9 +390,15 @@ def _compile(ops: Sequence[ir.Op], *, enforce: bool, timing: TimingParams,
                     last_allowed[bank] = t
                 checks.append(SpacingCheck(offset=t, bank=bank,
                                            allowed=allowed))
+            row_param = row_params.get(index)
+            if row_param is not None:
+                # Every row parameter binds here, before spacing can
+                # drop its command: a dropped command's trace event
+                # still names each lane's row.
+                register(row_param, command.bank)
             actions.append(("cmd", CommandEvent(
                 offset=t, kind=kind, bank=getattr(command, "bank", None),
-                row_param=row_params.get(index),
+                row_param=row_param,
                 violations=plan.violation_events[index],
                 spacing=tuple(checks))))
             allowed_by_bank = {check.bank: check.allowed for check in checks}
@@ -429,7 +439,7 @@ def _compile(ops: Sequence[ir.Op], *, enforce: bool, timing: TimingParams,
             else:  # pragma: no cover - defensive
                 raise XirLoweringError(f"unknown command kind {kind!r}")
 
-        finish(start + template.duration)
+        finish(start + sequence.duration)
         store = False
         if isinstance(op, (ir.WriteRow, ir.WriteData)) and not enforce:
             # A plain write-row cycle on a spacing-free lane class: the
@@ -447,11 +457,11 @@ def _compile(ops: Sequence[ir.Op], *, enforce: bool, timing: TimingParams,
                      and regions[-1][-2:] == [("jitter", op.bank, op.rows),
                                               ("sense", op.bank, op.rows)])
         prims.append(PrimSpec(
-            op=template.op,
+            op=sequence.op,
             bank=getattr(op, "bank", None),
             start=start,
-            duration=template.duration,
-            n_commands=len(template),
+            duration=sequence.duration,
+            n_commands=len(sequence),
             n_frac=getattr(op, "n_frac", 0),
             value=getattr(op, "value", None),
             rows_param=getattr(op, "rows", None),
@@ -460,7 +470,7 @@ def _compile(ops: Sequence[ir.Op], *, enforce: bool, timing: TimingParams,
             dt_param=None,
             actions=tuple(actions),
             store=store))
-        start += template.duration
+        start += sequence.duration
 
     for bank, state in enumerate(states):
         if not state.idle:

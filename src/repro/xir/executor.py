@@ -43,12 +43,12 @@ counters and retention clocks advance identically.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from ..controller.batched import BatchedSoftMC
 from ..controller.sequences import sequence_label
+from ..dram.chip import MIN_COMMAND_SPACING_CYCLES
 from ..dram.decoder import resolve_glitch
 from ..errors import AddressError, CommandSequenceError
 from ..telemetry.registry import active as _telemetry_active
@@ -59,6 +59,9 @@ from .compile import (
     XirLoweringError,
     compile_program,
 )
+
+if TYPE_CHECKING:  # the controller's wrappers run programs on this runner
+    from ..controller.batched import BatchedSoftMC
 
 __all__ = ["FusedRunner"]
 
@@ -137,7 +140,7 @@ def _gather(flat: np.ndarray, rows: np.ndarray, spec) -> np.ndarray | None:
 class FusedRunner:
     """Execute compiled experiment programs on a batched device."""
 
-    def __init__(self, mc: BatchedSoftMC) -> None:
+    def __init__(self, mc: "BatchedSoftMC") -> None:
         self.mc = mc
         self.device = mc.device
         se = int(mc.electrical.sense_enable_cycles)
@@ -181,6 +184,10 @@ class FusedRunner:
         durations in seconds; ``data[param]`` binds each
         :class:`~repro.xir.ir.WriteData` plane as a ``(len(lanes), C)``
         bool array (aligned with ``lanes``, like ``rows``).
+
+        Every lane class is compiled and bound before any class runs, so
+        a refusal (:class:`XirLoweringError`) always leaves the device
+        untouched.
         """
         ops = tuple(ops)
         if lanes is None:
@@ -188,27 +195,35 @@ class FusedRunner:
         dts = dts or {}
         planes = {param: np.asarray(plane, dtype=bool)
                   for param, plane in (data or {}).items()}
-        # The sub-arrays keep exact open/pending-precharge counts; when
-        # every count is zero no lane can be busy, skipping the per-lane
-        # all-cells scan on the (overwhelmingly common) idle-device path.
-        if any(cell._n_open or cell._n_pre for cell in self._flat_cells):
-            for lane in lanes:
-                if not self.device.lane_is_idle(lane):
-                    raise CommandSequenceError(
-                        "fused programs require an idle device (close open "
-                        "rows before handing the device to the runner)")
-        out: list[np.ndarray] | None = None
-        steps = []
-        for enforce, class_lanes, class_pos in self._split(lanes):
-            program = compile_program(
-                ops, enforce=enforce, timing=self.mc.timing,
-                electrical=self.mc.electrical, n_banks=self.device.n_banks)
-            if out is None:
-                out = [np.empty((len(lanes), self.device.geometry.columns),
-                                dtype=bool)
-                       for _ in range(program.n_reads)]
-            steps.append(self._run_class(program, class_lanes, class_pos,
-                                         rows, dts, planes, out))
+        if not self.device.lanes_idle(lanes):
+            raise CommandSequenceError(
+                "fused programs require an idle device (close open rows "
+                "before handing the device to the runner)")
+        if not self._spacing_settled(lanes):
+            raise XirLoweringError(
+                "a spacing-enforcing lane issued a command fewer than "
+                f"{MIN_COMMAND_SPACING_CYCLES} cycles ago; compiled spacing "
+                "predictions start from a settled history")
+        classes = [
+            (compile_program(ops, enforce=enforce, timing=self.mc.timing,
+                             electrical=self.mc.electrical,
+                             n_banks=self.device.n_banks),
+             class_lanes, class_pos)
+            for enforce, class_lanes, class_pos in self._split(lanes)]
+        if not classes:
+            return []
+        for dt_param in classes[0][0].dt_params:
+            if dt_param not in dts:
+                raise CommandSequenceError(
+                    f"missing duration binding for parameter {dt_param!r}")
+        bound = [(program, class_lanes,
+                  self._binding(program, class_lanes, class_pos, rows))
+                 for program, class_lanes, class_pos in classes]
+        out = [np.empty((len(lanes), self.device.geometry.columns),
+                        dtype=bool)
+               for _ in range(classes[0][0].n_reads)]
+        steps = [self._run_class(program, class_lanes, binding, planes, out)
+                 for program, class_lanes, binding in bound]
         # Lane classes advance in lockstep: every class pauses at each
         # Leak boundary (the op list is shared, so the boundaries line
         # up) and time advances ONCE for all lanes — halving the leak
@@ -224,7 +239,7 @@ class FusedRunner:
                 raise CommandSequenceError(  # pragma: no cover - defensive
                     "lane classes diverged at a leak boundary")
             self.device.advance_time(float(dts[live[0]]), lanes_list)
-        return out if out is not None else []
+        return out
 
     def run_sweep(self, body: Sequence[ir.Op],
                   points: Sequence[dict], *,
@@ -242,6 +257,21 @@ class FusedRunner:
     # ------------------------------------------------------------------
     # lane classes and parameter binding
     # ------------------------------------------------------------------
+
+    def _spacing_settled(self, lanes: Sequence[int]) -> bool:
+        """Whether every spacing-enforcing lane's last command on each
+        bank is at least ``MIN_COMMAND_SPACING_CYCLES`` old.
+
+        The compiler predicts drops from an empty history; an older
+        command can never drop one of the program's, a younger one can.
+        """
+        device = self.device
+        if not device._any_enforce:
+            return True
+        cycles = self.mc.cycles
+        return all(int(cycles[lane]) - last >= MIN_COMMAND_SPACING_CYCLES
+                   for lane in lanes if device._enforce[lane]
+                   for last in device._last_cmd[lane].values())
 
     def _split(self, lanes: Sequence[int]
                ) -> list[tuple[bool, list[int], list[int]]]:
@@ -628,21 +658,16 @@ class FusedRunner:
             if action[0] == "cmd" and action[1].kind == "ACT"])
 
     def _run_class(self, program: CompiledProgram, class_lanes: list[int],
-                   class_pos: list[int], rows, dts, planes, out):
-        """Generator: run one lane class, yielding the dt parameter at
-        every Leak boundary so :meth:`run` can advance all classes'
+                   binding, planes, out):
+        """Generator: run one bound lane class, yielding the dt parameter
+        at every Leak boundary so :meth:`run` can advance all classes'
         lanes in one ``advance_time`` call."""
         device = self.device
         mc = self.mc
         columns = device.geometry.columns
         telemetry = _telemetry_active()
         tracer = telemetry.tracer if telemetry is not None else None
-        for dt_param in program.dt_params:
-            if dt_param not in dts:
-                raise CommandSequenceError(
-                    f"missing duration binding for parameter {dt_param!r}")
-        bindings, class_logical, pair_bindings, schedule = self._binding(
-            program, class_lanes, class_pos, rows)
+        bindings, class_logical, pair_bindings, schedule = binding
         base = mc.cycles.copy()
 
         if telemetry is not None:

@@ -154,6 +154,36 @@ class TestDecoratedDefs:
         assert report.files_checked == 1
         assert report.findings == []
 
+    def test_pragma_at_the_end_of_the_body_does_not_cover_decorators(self):
+        source = """\
+            import functools
+            import time
+
+
+            @functools.lru_cache(maxsize=int(time.time()) % 7 + 1)
+            def add(x, y):
+                total = x
+                total += y
+                return x + y  # repro: lint-ok[DET002]
+        """
+        rules = rules_for_codes(["DET002"])
+        findings = lint(source, rules=rules)
+        assert [(f.code, f.line, f.column) for f in findings] == [
+            ("DET002", 5, 34)]
+        assert lint(source.replace("  # repro: lint-ok[DET002]", ""),
+                    rules=rules) == findings
+
+    def test_pragma_on_the_def_line_covers_a_default_argument(self):
+        assert lint("""\
+            import functools
+            import numpy as np
+
+            @functools.lru_cache(maxsize=None)
+            def sample(v=np.random.random()):  # repro: lint-ok[DET001]
+                total = v
+                return total
+        """) == []
+
     def test_body_findings_not_covered_by_decorator_pragma(self):
         findings = lint("""\
             import functools

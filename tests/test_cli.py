@@ -112,9 +112,12 @@ class TestRefusedFlags:
         ["run-program", "PROGRAM", "--rows-per-subarray", "0"],
         ["bench-service", "--no-store", "--columns", "0"],
         ["bench-service", "--no-store", "--challenges", "0"],
+        ["bench-service", "--no-store", "--modules", "0"],
         ["serve", "--no-store", "--columns", "0"],
         ["serve", "--no-store", "--challenges", "0"],
+        ["serve", "--no-store", "--modules", "0"],
         ["trng", "--columns", "0"],
+        ["trng", "--bits", "0"],
         ["puf", "--row", "9999"],
     ], ids=" ".join)
     def test_refused_flag_exits_before_running(self, argv, tmp_path,

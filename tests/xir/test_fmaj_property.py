@@ -1,12 +1,13 @@
-"""Property tests: fused fMAJ/nist flows equal the per-command primitives.
+"""Property tests: fused fMAJ/nist flows equal the per-command walk.
 
 :class:`~repro.core.batched_ops.BatchedFracDram` keeps the multi-row
 activation on :class:`~repro.controller.batched.BatchedSoftMC` but runs
 everything around it (operand stores, frac preparation, readout) as
 compiled xir programs.  These tests pin the contract the fig9/fig10/nist
 flows rely on: the result bits *and* deterministic telemetry counters of
-the same flow composed from the per-command primitives on an identically
-fabricated fleet, plus byte-identical validation errors.
+the same flow with every in-spec step replayed per command
+(:meth:`BatchedSoftMC.replay`) on an identically fabricated fleet, plus
+byte-identical validation errors.
 """
 
 from __future__ import annotations
@@ -31,28 +32,37 @@ GEOMETRY = GeometryParams(n_banks=2, subarrays_per_bank=2,
 
 
 class PerCommandFracDram(BatchedFracDram):
-    """The oracle: maj3/f_maj composed from the per-command primitives."""
+    """The oracle: maj3/f_maj with every in-spec step replayed per command."""
+
+    def _replay(self, op, row, lanes, plane=None):
+        """Replay ``op`` on ``row`` of every lane (parameter ``"r"``)."""
+        return self.mc.replay(op, rows={"r": self._uniform(row, lanes)},
+                              lanes=lanes,
+                              data=None if plane is None else {"r": plane})
 
     def maj3(self, plan, operands, lanes):
         self._write_operands(plan, operands, None, lanes)
         self.multi_row_activate(plan, lanes)
-        return self.read_row(plan.bank, self._uniform(plan.opened[0], lanes),
-                             lanes)
+        (bits,) = self._replay(ir.ReadRow(plan.bank, "r"), plan.opened[0],
+                               lanes)
+        return bits
 
     def f_maj(self, plan, operands, config, lanes):
         if not 0 <= config.frac_position < plan.n_rows:
             raise ConfigurationError(
                 f"frac_position {config.frac_position} outside opened set")
-        frac_rows = self._uniform(plan.opened[config.frac_position], lanes)
-        self.fill_row(plan.bank, frac_rows, config.init_ones, lanes)
+        frac_row = plan.opened[config.frac_position]
+        self._replay(ir.WriteRow(plan.bank, "r", config.init_ones), frac_row,
+                     lanes)
         if config.n_frac > 0:
-            self.frac(plan.bank, frac_rows, config.n_frac, lanes)
+            self._replay(ir.Frac(plan.bank, "r", config.n_frac), frac_row,
+                         lanes)
         self._write_operands(plan, operands, config.frac_position, lanes)
         self.multi_row_activate(plan, lanes)
         result_position = 0 if config.frac_position != 0 else 1
-        return self.read_row(
-            plan.bank, self._uniform(plan.opened[result_position], lanes),
-            lanes)
+        (bits,) = self._replay(ir.ReadRow(plan.bank, "r"),
+                               plan.opened[result_position], lanes)
+        return bits
 
     def _write_operands(self, plan, operands, skip_position, lanes):
         positions = [index for index in range(plan.n_rows)
@@ -62,9 +72,8 @@ class PerCommandFracDram(BatchedFracDram):
             raise ConfigurationError(
                 f"operand shape {operands.shape} != {expected}")
         for slot, position in enumerate(positions):
-            self.write_row(plan.bank,
-                           self._uniform(plan.opened[position], lanes),
-                           operands[:, slot], lanes)
+            self._replay(ir.WriteData(plan.bank, "r"), plan.opened[position],
+                         lanes, operands[:, slot])
 
 
 def make_pair(n_lanes, seed):
@@ -148,21 +157,20 @@ def test_nist_program_matches_batched(seed, n_lanes):
     lanes = fused.all_lanes()
     reserved = GEOMETRY.rows_per_subarray - 1
 
+    program = (ir.WriteRow(0, "res", True),
+               ir.RowCopy(0, "res", "row"),
+               ir.Frac(0, "row", PUF_N_FRAC),
+               ir.ReadRow(0, "row"))
+    rows = {"res": [reserved] * n_lanes, "row": [0] * n_lanes}
+
     with telemetry_session() as oracle_telemetry:
-        oracle.fill_row(0, [reserved] * n_lanes, True, lanes)
-        oracle.row_copy(0, [reserved] * n_lanes, [0] * n_lanes, lanes)
-        oracle.frac(0, [0] * n_lanes, PUF_N_FRAC, lanes)
-        expected = oracle.read_row(0, [0] * n_lanes, lanes)
+        (expected,) = [read for op in program
+                       for read in oracle.mc.replay(op, rows=rows,
+                                                    lanes=lanes)]
         expected_counters = oracle_telemetry.snapshot(
             deterministic=True)["counters"]
     with telemetry_session() as fused_telemetry:
-        (out,) = fused.run_program(
-            (ir.WriteRow(0, "res", True),
-             ir.RowCopy(0, "res", "row"),
-             ir.Frac(0, "row", PUF_N_FRAC),
-             ir.ReadRow(0, "row")),
-            rows={"res": [reserved] * n_lanes, "row": [0] * n_lanes},
-            lanes=lanes)
+        (out,) = fused.run_program(program, rows=rows, lanes=lanes)
         counters = fused_telemetry.snapshot(deterministic=True)["counters"]
 
     assert np.array_equal(out, expected)

@@ -1,19 +1,20 @@
-"""Property tests: fused xir execution equals the batched engine bit for bit.
+"""Property tests: fused xir execution equals the per-command walk bit for bit.
 
 Two independent equivalences are exercised under hypothesis:
 
 * **Kernel level** — the telemetry-off fast path (compacted action
   stream, one ``xir_frac_burst`` kernel per Frac ladder) against the
   telemetry-on slow path (per-step ``xir_charge_share``/``xir_freeze``
-  kernels) against the batched engine's per-challenge command dispatch.
-  All three must produce identical response bits on identically
-  fabricated mixed-vendor fleets whose lanes sit at different noise
-  epochs (a coalesced verification batch is one such fleet).
+  kernels) against each challenge's commands replayed per command
+  (:meth:`BatchedSoftMC.replay`).  All three must produce identical
+  response bits on identically fabricated mixed-vendor fleets whose
+  lanes sit at different noise epochs (a coalesced verification batch
+  is one such fleet).
 * **Program level** — the fig6 measurement-pass shape (write, Frac,
   precharge, leak, read) on fleets that mix spacing-enforcing and
   non-enforcing groups, so the runner's lane-class split and lockstep
   leak driver are both on the hot path.  Results *and* deterministic
-  telemetry counters must match the batched engine exactly.
+  telemetry counters must match the per-command replay exactly.
 
 Both levels also pin every lane's noise-stream *position* after the run.
 A write-row cycle's charge-share and sense draws are dead (its own write
@@ -32,7 +33,7 @@ from repro.core.batched_ops import BatchedFracDram
 from repro.dram.batched import BatchedChip
 from repro.dram.parameters import GeometryParams
 from repro.puf.batched_puf import BatchedFracPuf
-from repro.puf.frac_puf import PUF_N_FRAC, Challenge
+from repro.puf.frac_puf import PUF_N_FRAC, Challenge, reserved_row
 from repro.telemetry import session as telemetry_session
 from repro.xir import FusedRunner, ir
 from repro.xir.puf import FusedFracPuf
@@ -46,6 +47,33 @@ def make_fleet(units, seed, epochs=None, geometry=GEOMETRY):
     return BatchedChip.from_fleet(list(units), geometry=geometry,
                                   master_seed=seed,
                                   epochs=epochs or [0] * len(units))
+
+
+def run_per_command(bfd, ops, rows, lanes, dts=None):
+    """``ops`` replayed per command on ``bfd``'s controller: the reads."""
+    reads = []
+    for op in ops:
+        if isinstance(op, ir.Leak):
+            bfd.advance_time(dts[op.dt], lanes)
+        else:
+            reads += bfd.mc.replay(op, rows=rows, lanes=lanes)
+    return reads
+
+
+def evaluate_per_command(puf, challenge):
+    """``BatchedFracPuf.evaluate``'s command stream, replayed per command."""
+    lanes = puf.bfd.all_lanes()
+    bank = challenge.bank
+    reserved = reserved_row(challenge.row, GEOMETRY.rows_per_subarray)
+    ops = [ir.RowCopy(bank, "res", "row"), ir.Frac(bank, "row", puf.n_frac),
+           ir.ReadRow(bank, "row")]
+    if (bank, reserved) not in puf._prepared_reserved:
+        ops.insert(0, ir.WriteRow(bank, "res", True))
+        puf._prepared_reserved.add((bank, reserved))
+    rows = {"res": [reserved] * len(lanes),
+            "row": [challenge.row] * len(lanes)}
+    (bits,) = run_per_command(puf.bfd, ops, rows, lanes)
+    return bits
 
 
 def stream_states(device):
@@ -81,7 +109,7 @@ fleet_lanes = st.tuples(st.sampled_from("ABCG"), st.integers(0, 3),
                 ("A", 2, 1)])
 def test_frac_burst_matches_stepwise_and_batched(seed, n_frac, challenges,
                                                  lanes):
-    """Fast path == slow path == batched engine, bit for bit."""
+    """Fast path == slow path == per-command replay, bit for bit."""
     units = [(group_id, serial) for group_id, serial, _ in lanes]
     epochs = [epoch for _, _, epoch in lanes]
     chals = [Challenge(bank, row) for bank, row in challenges]
@@ -92,7 +120,7 @@ def test_frac_burst_matches_stepwise_and_batched(seed, n_frac, challenges,
     fast_out = fast.evaluate_many(chals)   # telemetry off: burst kernels
     with telemetry_session():
         slow_out = slow.evaluate_many(chals)  # telemetry on: stepwise
-    batched_out = np.stack([batched.evaluate(challenge)
+    batched_out = np.stack([evaluate_per_command(batched, challenge)
                             for challenge in chals], axis=1)
 
     assert np.array_equal(fast_out, slow_out)
@@ -115,18 +143,6 @@ def test_program_matches_batched_on_mixed_fleets(seed, n_frac, wait, bank,
     lanes = list(range(len(units)))
     rows = [row] * len(units)
 
-    bfd = BatchedFracDram(make_fleet(units, seed))
-    with telemetry_session() as batched_telemetry:
-        bfd.fill_row(bank, rows, True, lanes)
-        if n_frac:
-            bfd.frac(bank, rows, n_frac, lanes)
-        if wait > 0:
-            bfd.precharge_all(lanes)
-            bfd.advance_time(wait, lanes)
-        expected = bfd.read_row(bank, rows, lanes).astype(bool)
-        batched_counters = batched_telemetry.snapshot(
-            deterministic=True)["counters"]
-
     ops: list[ir.Op] = [ir.WriteRow(bank, "t", True)]
     if n_frac:
         ops.append(ir.Frac(bank, "t", n_frac))
@@ -134,6 +150,13 @@ def test_program_matches_batched_on_mixed_fleets(seed, n_frac, wait, bank,
         ops.append(ir.PrechargeAll())
         ops.append(ir.Leak("w"))
     ops.append(ir.ReadRow(bank, "t"))
+
+    bfd = BatchedFracDram(make_fleet(units, seed))
+    with telemetry_session() as batched_telemetry:
+        (expected,) = run_per_command(bfd, ops, {"t": rows}, lanes,
+                                      dts={"w": wait})
+        batched_counters = batched_telemetry.snapshot(
+            deterministic=True)["counters"]
 
     slow_runner = FusedRunner(BatchedFracDram(make_fleet(units, seed)).mc)
     with telemetry_session() as fused_telemetry:
@@ -158,20 +181,6 @@ WIDE = GeometryParams(n_banks=1, subarrays_per_bank=2, rows_per_subarray=16,
                       columns=8192)
 
 
-def run_batched(bfd, ops, rows, lanes):
-    """The batched engine's driver calls for a WriteRow/Frac/ReadRow list."""
-    outputs = []
-    for op in ops:
-        if isinstance(op, ir.WriteRow):
-            bfd.fill_row(op.bank, rows[op.rows], op.value, lanes)
-        elif isinstance(op, ir.Frac):
-            bfd.frac(op.bank, rows[op.rows], op.n_frac, lanes)
-        else:
-            outputs.append(
-                bfd.read_row(op.bank, rows[op.rows], lanes).astype(bool))
-    return outputs
-
-
 @pytest.mark.parametrize("ops", [
     # Write one sub-array, work on another, then read the first.
     [ir.WriteRow(0, "a", True), ir.WriteRow(0, "b", False),
@@ -181,7 +190,7 @@ def run_batched(bfd, ops, rows, lanes):
      ir.WriteRow(0, "b", False)],
 ], ids=["read-after-dead-spans", "trailing-write"])
 def test_dead_write_draws_keep_every_stream_in_step(ops):
-    """Fast == full == batched on outputs *and* every stream state."""
+    """Fast == full == per-command on outputs *and* every stream state."""
     units = [("B", 0), ("C", 1), ("G", 2)]
     epochs = [0, 1, 2]
     lanes = list(range(len(units)))
@@ -198,7 +207,7 @@ def test_dead_write_draws_keep_every_stream_in_step(ops):
     with telemetry_session():
         full_out = full.run(ops, rows=rows, lanes=lanes)  # every step
     bfd = BatchedFracDram(make_fleet(units, 7, epochs, geometry=WIDE))
-    batched_out = run_batched(bfd, ops, rows, lanes)
+    batched_out = run_per_command(bfd, ops, rows, lanes)
 
     assert len(fast_out) == len(batched_out)
     for fast_bits, full_bits, batched_bits in zip(fast_out, full_out,

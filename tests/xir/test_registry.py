@@ -24,8 +24,9 @@ GEOMETRY = GeometryParams(n_banks=2, subarrays_per_bank=2,
 
 
 def test_registry_pins_the_lowered_experiments():
-    assert XIR_LOWERED_EXPERIMENTS == ("fig6", "fig7", "fig9", "fig10",
-                                       "fig11", "fig12", "nist", "table1")
+    assert XIR_LOWERED_EXPERIMENTS == ("fig6", "fig7", "fig8", "fig9",
+                                       "fig10", "fig11", "fig12", "nist",
+                                       "table1")
 
 
 def test_registry_names_real_experiments():
