@@ -240,7 +240,7 @@ class BatchedSoftMC:
         A runner is built per call: caching one here would tie the
         controller and its runner into a reference cycle.
         """
-        if len(lanes) and self.device.lanes_idle(lanes):
+        if self.device.lanes_idle(lanes):
             try:
                 return FusedRunner(self).run((op,), rows=rows, lanes=lanes,
                                              data=data)

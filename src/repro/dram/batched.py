@@ -53,8 +53,9 @@ batch's row lookups are one fancy index.  Construct one with
 sweep), :meth:`BatchedChip.from_fleet` (one module per ``(group_id,
 serial)`` spec — the device axis — fabricated straight into the stacked
 planes, with no scalar chip built), or
-:meth:`BatchedChip.from_subarray_views` (one donor *sub-array* per lane
-from a single chip, e.g. the PUF experiments).
+:meth:`BatchedChip.from_subarray_views` (one donor *sub-array* per lane,
+chip-major over one or more chips, e.g. the PUF experiments and fig9's
+sub-array targets; exact only while time does not advance).
 
 Lanes carry *heterogeneous fabrication state*: a
 :class:`BatchedSubArray` is built from stacked variation planes
@@ -1048,38 +1049,51 @@ class BatchedChip:
 
     @classmethod
     def from_subarray_views(
-        cls, chip: DramChip, sites: Sequence[tuple[int, int]],
+        cls, chips: Sequence[DramChip], sites: Sequence[tuple[int, int]],
         epochs: Sequence[int] | None = None,
     ) -> "BatchedChip":
-        """One lane per (bank, sub-array) site of a single donor chip.
+        """One lane per (chip, (bank, sub-array) site): a sub-array view.
 
         The batched device is a virtual 1-bank x 1-sub-array chip whose
-        lane ``i`` *is* ``chip.banks[sites[i][0]].subarrays[sites[i][1]]``;
-        rows are sub-array-local.  Used when an experiment iterates
-        independent units that each touch one sub-array (the PUF reads).
+        lanes are chip-major: lane ``c * len(sites) + s`` *is*
+        ``chips[c].banks[bank].subarrays[sub]`` for ``sites[s] == (bank,
+        sub)``, with that sub-array's planes and rows (rows are
+        sub-array-local).  Each lane adopts the sub-array's live noise
+        source, so the donor chips must no longer be used; with
+        ``epochs`` (one per lane) it instead starts a fresh source at the
+        epoch ``DramChip.reseed_noise`` would move it to.
+
+        A sub-array's physics and draws touch only its own cells and
+        noise stream, so a view replays exactly its share of the scalar
+        chip's command stream — but only while time does not advance: a
+        scalar leak ages every sub-array of the chip, a view only its
+        own.  Views trace bank 0, their local row and their own cycle
+        counter in ``command``/``sequence`` events.  Used when an
+        experiment iterates independent units that each touch one
+        sub-array (the PUF reads, fig9's and fig10(a)'s targets).
         """
-        donors = [chip.banks[bank].subarrays[sub] for bank, sub in sites]
+        lanes = [(chip, bank, sub) for chip in chips for bank, sub in sites]
+        donors = [chip.banks[bank].subarrays[sub] for chip, bank, sub in lanes]
         if epochs is None:
             noises = [donor._noise for donor in donors]
         else:
             noises = [chip.noise.spawn("bank", bank, "subarray", sub,
                                        epoch=int(epoch))
-                      for (bank, sub), epoch in zip(sites, epochs)]
-        geometry = GeometryParams(
-            n_banks=1, subarrays_per_bank=1,
-            rows_per_subarray=chip.geometry.rows_per_subarray,
-            columns=chip.geometry.columns)
+                      for (chip, bank, sub), epoch in zip(lanes, epochs)]
+        groups = [chip.group for chip, _, _ in lanes]
         cell = BatchedSubArray(
             planes=VariationPlanes.stack(donors),
-            profiles=[chip.group] * len(donors), noises=noises,
-            environments=[chip.environment] * len(donors),
-            origins=list(sites))
+            profiles=groups, noises=noises,
+            environments=[chip.environment for chip, _, _ in lanes],
+            origins=[(bank, sub) for _, bank, sub in lanes])
         return cls(
-            geometry=geometry,
+            geometry=GeometryParams(
+                n_banks=1, subarrays_per_bank=1,
+                rows_per_subarray=cell.n_rows, columns=cell.n_cols),
             cells=[[cell]],
-            groups=[chip.group] * len(donors),
-            row_maps=[chip.row_map] * len(donors),
-            polarity_schemes=[chip.polarity_scheme] * len(donors))
+            groups=groups,
+            row_maps=[chip.row_map for chip, _, _ in lanes],
+            polarity_schemes=[chip.polarity_scheme for chip, _, _ in lanes])
 
     # ------------------------------------------------------------------
     # identity / bookkeeping

@@ -6,7 +6,10 @@ operations.  Combinations whose majority is one ("green" in the paper)
 start at 100% without Frac while majority-zero combinations ("blue")
 start low; issuing Frac operations lowers R1's voltage, raising the blue
 curves and slightly lowering the green ones — direct evidence of the
-relationship between Frac count and cell voltage.
+relationship between Frac count and cell voltage.  The lane engine runs
+one Frac count on one cohort of (chip serial, sub-array target) views
+(:meth:`BatchedChip.from_subarray_views`), every target of every serial
+per ``f_maj`` call.
 
 Parts (b)/(c): stability CDFs.  For sampled sub-arrays of groups B and C
 we run many F-MAJ operations with random inputs (the paper uses 10000;
@@ -160,11 +163,13 @@ def _combo_success_at(config: ExperimentConfig, group_id: str,
                       ) -> tuple[dict[tuple[int, int, int], float], float]:
     """Per-combination success rates at one Frac count (one work unit).
 
-    Chip serials are the trial-batch lanes: each lane's chip consumes
-    exactly the command stream of the scalar serial loop (sub-array
-    targets outer, input combinations inner), and the per-(serial,
-    target) means are re-accumulated in scalar serial-major order, so
-    the averages are byte-identical to the scalar serial loop.
+    The trial-batch lanes are (serial, sub-array target) views, serial
+    major: each view is one target sub-array of its serial's chip with
+    its own noise stream, and part (a) never advances time, so each view
+    consumes exactly that target's share of the scalar command stream
+    (input combinations in order).  The per-lane means are accumulated
+    in lane order — the scalar (serial, target) order — so the averages
+    are byte-identical to the scalar serial loop.
     """
     combos = input_combos(config.columns)
     targets = subarray_targets(config)
@@ -173,8 +178,8 @@ def _combo_success_at(config: ExperimentConfig, group_id: str,
     serials = list(range(config.chips_per_group))
     sums = {pattern: 0.0 for pattern, _ in combos}
     all_correct_sum = 0.0
-    if resolve_batch(config, len(serials)) <= 1:
-        samples = 0
+    samples = len(serials) * len(targets)
+    if resolve_batch(config, samples) <= 1:
         for serial in serials:
             fd = make_fd(group_id, config, serial)
             for bank, subarray in targets:
@@ -186,33 +191,28 @@ def _combo_success_at(config: ExperimentConfig, group_id: str,
                     sums[pattern] += float(np.mean(matches))
                     correct_all &= matches
                 all_correct_sum += float(np.mean(correct_all))
-                samples += 1
         return ({pattern: sums[pattern] / samples for pattern, _ in combos},
                 all_correct_sum / samples)
-    donor = make_fd(group_id, config, 0)
-    per_combo = {pattern: np.zeros((len(serials), len(targets)))
-                 for pattern, _ in combos}
-    all_matrix = np.zeros((len(serials), len(targets)))
+    # The plan is resolved once, in view coordinates (bank 0, sub-array
+    # 0), on a scalar donor.
+    plan = make_fd(group_id, config, 0).quad_plan(0, 0)
     chips = [make_chip(group_id, config, serial) for serial in serials]
-    bfd = BatchedFracDram(BatchedChip.from_chips(chips))
+    bfd = BatchedFracDram(BatchedChip.from_subarray_views(chips, targets))
     lanes = bfd.all_lanes()
-    for t_index, (bank, subarray) in enumerate(targets):
-        plan = donor.quad_plan(bank, subarray)
-        correct_all = np.ones((len(serials), bfd.columns), dtype=bool)
-        for pattern, operands in combos:
-            expected = sum(pattern) >= 2
-            ops = np.broadcast_to(
-                np.stack(operands), (len(serials), 3, bfd.columns))
-            matches = bfd.f_maj(plan, ops, fmaj_config, lanes) == expected
-            per_combo[pattern][:, t_index] = matches.mean(axis=1)
-            correct_all &= matches
-        all_matrix[:, t_index] = correct_all.mean(axis=1)
-    samples = len(serials) * len(targets)
-    for s_index in range(len(serials)):
-        for t_index in range(len(targets)):
-            for pattern, _ in combos:
-                sums[pattern] += per_combo[pattern][s_index, t_index]
-            all_correct_sum += all_matrix[s_index, t_index]
+    per_combo = {}
+    correct_all = np.ones((len(lanes), bfd.columns), dtype=bool)
+    for pattern, operands in combos:
+        expected = sum(pattern) >= 2
+        ops = np.broadcast_to(
+            np.stack(operands), (len(lanes), 3, bfd.columns))
+        matches = bfd.f_maj(plan, ops, fmaj_config, lanes) == expected
+        per_combo[pattern] = matches.mean(axis=1)
+        correct_all &= matches
+    all_rates = correct_all.mean(axis=1)
+    for lane in lanes:
+        for pattern, _ in combos:
+            sums[pattern] += per_combo[pattern][lane]
+        all_correct_sum += all_rates[lane]
     return ({pattern: float(sums[pattern] / samples)
              for pattern, _ in combos},
             float(all_correct_sum / samples))

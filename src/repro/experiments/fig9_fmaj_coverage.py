@@ -7,6 +7,11 @@ operations — and measure coverage: the fraction of columns that produce
 the correct majority for all six input combinations.  Group B also gets
 the original three-row MAJ3 as the dashed baseline.
 
+Every sub-array has its own sense-amp stripe and noise stream, so the
+lane engine runs a group's sweep on one cohort of (chip serial,
+sub-array target) views (:meth:`BatchedChip.from_subarray_views`): each
+``f_maj``/``maj3`` call covers every target of every serial at once.
+
 Paper expectations: a non-zero coverage for every group (F-MAJ works on
 all four-row-capable chips); different groups favor different
 configurations (B: frac in R2 init ones; C: R1 init ones; D: R4 init
@@ -151,15 +156,18 @@ def _group_payload(config: ExperimentConfig, group_id: str,
                    frac_counts: tuple[int, ...]):
     """One unit's data: (group_id, curves, maj3 values or None).
 
-    Chip serials are the trial-batch lanes: each serial's chip consumes
-    exactly the command stream of the scalar sweep (MAJ3 baseline first
+    The trial-batch lanes are (serial, sub-array target) views, serial
+    major — the scalar sweep's value order.  Each view is one target
+    sub-array of its serial's chip with its own noise stream, and the
+    sweep never advances time, so each view consumes exactly that
+    target's share of the scalar command stream (MAJ3 baseline first
     for group B, then the configuration sweep in frac-position / init /
-    #Frac order, sub-array targets innermost), so the per-serial coverage
-    values are byte-identical to the scalar serial loop.
+    #Frac order) and the per-lane coverage values are byte-identical to
+    the scalar serial loop.
     """
     targets = subarray_targets(config)
     serials = list(range(config.chips_per_group))
-    if resolve_batch(config, len(serials)) <= 1:
+    if resolve_batch(config, len(serials) * len(targets)) <= 1:
         devices = [make_fd(group_id, config, serial) for serial in serials]
         maj3_values = None
         if group_id == "B":
@@ -182,34 +190,25 @@ def _group_payload(config: ExperimentConfig, group_id: str,
                     group_id, frac_position, init_ones, tuple(points)))
         return (group_id, tuple(group_curves), maj3_values)
     # Plans depend only on (group, row map, geometry) — shared by every
-    # serial — so resolve them once on a scalar donor.
+    # view — so resolve them once, in view coordinates (bank 0,
+    # sub-array 0), on a scalar donor.
     donor = make_fd(group_id, config, 0)
     chips = [make_chip(group_id, config, serial) for serial in serials]
-    bfd = BatchedFracDram(BatchedChip.from_chips(chips))
+    bfd = BatchedFracDram(BatchedChip.from_subarray_views(chips, targets))
     lanes = bfd.all_lanes()
-
-    def serial_major(columns: list[np.ndarray]) -> list[float]:
-        # One column per target -> values in the scalar (serial, target)
-        # order.
-        return [float(v) for v in np.stack(columns, axis=1).reshape(-1)]
-
     maj3_values = None
     if group_id == "B":
-        maj3_values = serial_major([
-            _lanes_coverage(bfd, donor.triple_plan(bank, subarray), None,
-                            lanes)
-            for bank, subarray in targets])
+        maj3_values = _lanes_coverage(
+            bfd, donor.triple_plan(0, 0), None, lanes).tolist()
+    quad_plan = donor.quad_plan(0, 0)
     group_curves = []
     for frac_position in range(4):
         for init_ones in (True, False):
             points = []
             for n_frac in frac_counts:
                 fmaj_config = FMajConfig(frac_position, init_ones, n_frac)
-                values = serial_major([
-                    _lanes_coverage(bfd, donor.quad_plan(bank, subarray),
-                                    fmaj_config, lanes)
-                    for bank, subarray in targets])
-                points.append(mean_confidence_interval(values))
+                points.append(mean_confidence_interval(_lanes_coverage(
+                    bfd, quad_plan, fmaj_config, lanes)))
             group_curves.append(Fig9Curve(
                 group_id, frac_position, init_ones, tuple(points)))
     return (group_id, tuple(group_curves), maj3_values)

@@ -135,7 +135,8 @@ def run_shard(config: ExperimentConfig, units, group_id: str = "B",
         cohort = units[start:start + batch]
         sites = [(bank, subarray) for _, bank, subarray in cohort]
         epochs = [index for index, _, _ in cohort]
-        device = BatchedChip.from_subarray_views(chip, sites, epochs=epochs)
+        device = BatchedChip.from_subarray_views([chip], sites,
+                                                  epochs=epochs)
         # Each lane's device is its challenge's sub-array alone, so
         # Challenge(0, 0) replays the scalar evaluation per lane: fill
         # the reserved all-ones row, copy it onto row 0, Frac it to

@@ -45,28 +45,48 @@ class Project:
     """The linked whole-program view over a set of module summaries."""
 
     def __init__(self, summaries: Iterable[ModuleSummary]) -> None:
+        #: Module key -> summary.  A key is the module's dotted name,
+        #: made unique per file (see :meth:`module_key`).
         self.modules: Dict[str, ModuleSummary] = {}
         self.by_path: Dict[str, ModuleSummary] = {}
         self.functions: Dict[FunctionKey, FunctionSummary] = {}
         self.classes: Dict[Tuple[str, str], ClassSummary] = {}
+        self._keys: Dict[str, str] = {}
         self._imports: Dict[str, Dict[str, str]] = {}
         self._locals: Dict[str, Set[str]] = {}
         self._canonical_cache: Dict[str, str] = {}
         self._taint_cache: Dict[str, FrozenSet[FunctionKey]] = {}
 
-        for summary in summaries:
-            self.modules[summary.module] = summary
+        # Files outside a ``repro`` package are named by their stem, so
+        # two files may share a name (two ``conftest.py``).  In path
+        # order, the first keeps the name and the n-th links as
+        # ``name#n``: each file keeps its own symbols and imports
+        # whatever order the paths were given in.
+        for summary in sorted(summaries, key=lambda summary: summary.path):
+            module = summary.module
+            rank = 1
+            while module in self.modules:
+                rank += 1
+                module = f"{summary.module}#{rank}"
+            self._keys[summary.path] = module
+            self.modules[module] = summary
             self.by_path[summary.path] = summary
-            self._imports[summary.module] = dict(summary.imports)
+            self._imports[module] = dict(summary.imports)
             local_names: Set[str] = set(summary.module_names)
             for function in summary.functions:
-                self.functions[(summary.module, function.qual)] = function
+                self.functions[(module, function.qual)] = function
                 if "." not in function.qual:
                     local_names.add(function.qual)
             for cls in summary.classes:
-                self.classes[(summary.module, cls.name)] = cls
+                self.classes[(module, cls.name)] = cls
                 local_names.add(cls.name)
-            self._locals[summary.module] = local_names
+            self._locals[module] = local_names
+
+    def module_key(self, summary: ModuleSummary) -> str:
+        """The key ``summary``'s file links under: the ``module`` the
+        resolution methods take and the first half of its functions'
+        :data:`FunctionKey`."""
+        return self._keys[summary.path]
 
     # ------------------------------------------------------------------
     # name resolution
@@ -306,12 +326,7 @@ class Project:
 
     def iter_functions(self) -> Iterator[Tuple[ModuleSummary,
                                                FunctionSummary]]:
-        """Every summarized body of every linted file, with its file.
-
-        Walks the files, not the call graph: files outside a ``repro``
-        package that share a module name (two ``conftest.py``) each
-        yield their own bodies, though the graph keeps only the last.
-        """
+        """Every summarized body of every linted file, with its file."""
         for summary in self.by_path.values():
             for function in summary.functions:
                 yield summary, function
@@ -320,4 +335,4 @@ class Project:
         return self.modules[module].path
 
     def qualname(self, key: FunctionKey) -> str:
-        return f"{key[0]}.{key[1]}"
+        return f"{self.modules[key[0]].module}.{key[1]}"

@@ -26,7 +26,7 @@ from typing import FrozenSet, Iterator, List, Optional, Sequence, Tuple
 from .callgraph import FunctionKey, Project
 from .model import Finding
 from .rules import Rule, register
-from .summary import CallSite, CounterFeed, FunctionSummary
+from .summary import CallSite, CounterFeed, FunctionSummary, ModuleSummary
 
 __all__ = [
     "KernelPurityRule",
@@ -175,23 +175,24 @@ def rng_taint(project: Project) -> FrozenSet[FunctionKey]:
 # DET002 — wall-clock reads
 # ----------------------------------------------------------------------
 
-def _clock_message(project: Project, module: str,
+def _clock_message(project: Project, summary: ModuleSummary,
                    function: FunctionSummary, site: CallSite,
                    tainted: FrozenSet[FunctionKey],
                    allowlist: Sequence[str]) -> Optional[str]:
+    module, name = project.module_key(summary), summary.module
     if classify_wall_clock(site.name) is not None:
-        return (f"wall-clock read {site.name}() in module {module}; "
+        return (f"wall-clock read {site.name}() in module {name}; "
                 f"simulated time comes from the SoftMC cycle counter "
                 f"(allowlisted timing modules: {', '.join(allowlist)})")
     clock = classify_wall_clock(project.resolve_name(module, site.name))
     if clock is not None:
         return (f"wall-clock read: {site.name}() resolves to {clock}() "
-                f"in module {module}; simulated time comes from the "
+                f"in module {name}; simulated time comes from the "
                 f"SoftMC cycle counter")
     target = project.resolve_call(module, function, site)
     if target is not None and target in tainted:
         return (f"call to {project.qualname(target)}() returns a "
-                f"wall-clock value into module {module}; pass an "
+                f"wall-clock value into module {name}; pass an "
                 f"injected Clock or keep the value inside the timing "
                 f"allowlist")
     return None
@@ -206,8 +207,8 @@ def iter_clock_findings(rule: Rule, project: Project,
         if in_allowlist(summary.module, allowlist):
             continue
         for site in function.calls:
-            message = _clock_message(project, summary.module, function,
-                                     site, tainted, allowlist)
+            message = _clock_message(project, summary, function, site,
+                                     tainted, allowlist)
             if message is not None:
                 yield rule.project_finding(summary.path, site, message)
 
@@ -252,8 +253,8 @@ def iter_rng_findings(rule: Rule, project: Project) -> Iterator[Finding]:
     tainted = rng_taint(project)
     for summary, function in project.iter_functions():
         for site in function.calls:
-            message = _rng_message(project, summary.module, function, site,
-                                   tainted)
+            message = _rng_message(project, project.module_key(summary),
+                                   function, site, tainted)
             if message is not None:
                 yield rule.project_finding(summary.path, site, message)
 
@@ -276,8 +277,8 @@ def iter_counter_findings(rule: Rule,
     rng_fns = rng_taint(project)
     for summary, function in project.iter_functions():
         for feed in function.counter_feeds:
-            message = _feed_message(project, summary.module, function,
-                                    feed, clock_fns, rng_fns)
+            message = _feed_message(project, project.module_key(summary),
+                                    function, feed, clock_fns, rng_fns)
             if message is not None:
                 yield rule.project_finding(summary.path, feed, message)
 

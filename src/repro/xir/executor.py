@@ -187,11 +187,15 @@ class FusedRunner:
 
         Every lane class is compiled and bound before any class runs, so
         a refusal (:class:`XirLoweringError`) always leaves the device
-        untouched.
+        untouched.  With no lanes the device is untouched too: each read
+        is a ``(0, C)`` array.
         """
         ops = tuple(ops)
         if lanes is None:
             lanes = self.mc.all_lanes()
+        if not len(lanes):
+            return [np.empty((0, self.device.geometry.columns), dtype=bool)
+                    for op in ops if isinstance(op, ir.ReadRow)]
         dts = dts or {}
         planes = {param: np.asarray(plane, dtype=bool)
                   for param, plane in (data or {}).items()}
@@ -210,8 +214,6 @@ class FusedRunner:
                              n_banks=self.device.n_banks),
              class_lanes, class_pos)
             for enforce, class_lanes, class_pos in self._split(lanes)]
-        if not classes:
-            return []
         for dt_param in classes[0][0].dt_params:
             if dt_param not in dts:
                 raise CommandSequenceError(

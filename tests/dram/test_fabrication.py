@@ -208,6 +208,40 @@ def test_unknown_group_raises_like_the_scalar_chip(specs):
     assert str(lane.value) == str(scalar.value)
 
 
+def test_subarray_views_are_their_donor_subarrays_chip_major():
+    geometry = GEOMETRIES["2x2"]
+    specs = [("B", 0), ("C", 1)]
+    chips = _scalar_chips(specs, geometry, None, None)
+    twins = _scalar_chips(specs, geometry, None, None)
+    sites = [(1, 0), (0, 1), (1, 1)]
+    device = BatchedChip.from_subarray_views(chips, sites)
+    assert device.n_lanes == len(chips) * len(sites)
+    assert device.geometry == GeometryParams(
+        n_banks=1, subarrays_per_bank=1,
+        rows_per_subarray=geometry.rows_per_subarray,
+        columns=geometry.columns)
+    cell = device.cells[0][0]
+    for lane in range(device.n_lanes):
+        chip = chips[lane // len(sites)]
+        bank, sub = sites[lane % len(sites)]
+        donor = chip.banks[bank].subarrays[sub]
+        assert device.groups[lane] == chip.group
+        assert cell.origins[lane] == (bank, sub)
+        for name in PLANES:
+            assert _same_bytes(getattr(cell, name)[lane],
+                               getattr(donor, name)), (name, lane)
+        # The view draws from the donor's live stream: a draw through
+        # the lane moves the chip's own sub-array source past it.
+        assert cell._noises[lane] is donor._noise
+        twin = twins[lane // len(sites)].banks[bank].subarrays[sub]._noise
+        np.testing.assert_array_equal(cell._noises[lane].normal(1.0, 8),
+                                      twin.normal(1.0, 8))
+        np.testing.assert_array_equal(donor._noise.normal(1.0, 8),
+                                      twin.normal(1.0, 8))
+    with pytest.raises(ConfigurationError, match="equal length"):
+        BatchedChip.from_subarray_views(chips, sites, epochs=[0, 1])
+
+
 def _reference_planes(variation, rng, n_rows, n_cols):
     """The variation model as a sequence of per-plane generator calls."""
     var = variation

@@ -141,6 +141,35 @@ class TestInterproceduralClock:
         assert [(f.path, f.line) for f in findings] == [
             ("a/conftest.py", 4), ("b/conftest.py", 4)]
 
+    def test_same_named_files_keep_their_own_symbols(self, tmp_path):
+        # Each conftest resolves its calls against its own imports and
+        # functions, whichever order the paths come in.
+        lint_tree(tmp_path, {
+            "a/conftest.py": """\
+                import time
+
+
+                def stamp():
+                    return time.time()
+
+
+                def caller():
+                    return stamp()
+            """,
+            "b/conftest.py": """\
+                def unrelated():
+                    return 0
+            """,
+        }, select=["DET002"])
+        for order in (("a", "b"), ("b", "a")):
+            report = lint_paths([tmp_path / name for name in order],
+                                rules=rules_for_codes(["DET002"]),
+                                root=tmp_path)
+            assert [(f.path, f.line, f.column) for f in report.findings] == [
+                ("a/conftest.py", 5, 12), ("a/conftest.py", 9, 12)], order
+            assert "call to conftest.stamp() returns a wall-clock value" \
+                in report.findings[1].message
+
     def test_pragma_suppresses_project_finding(self, tmp_path):
         assert lint_tree(tmp_path, {
             "repro/timer.py": """\

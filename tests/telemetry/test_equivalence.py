@@ -150,10 +150,10 @@ class TestTraceEventEquivalence:
     """The lane engine traces every event the scalar engine traces.
 
     Event order differs (lanes advance in lock-step), so each kind is
-    compared as a multiset.  nist compares the physics kinds only: its
-    lanes are ``BatchedChip.from_subarray_views`` views, which trace
-    view-local bank/row addresses in ``sequence``/``command`` events
-    and start every lane at cycle 0.
+    compared as a multiset.  fig9, fig10 and nist compare the physics
+    kinds only: their lanes are ``BatchedChip.from_subarray_views``
+    views, which trace view-local bank/row addresses in
+    ``sequence``/``command`` events and keep their own cycle counters.
     """
 
     @pytest.mark.parametrize("name, kinds", [
@@ -163,6 +163,8 @@ class TestTraceEventEquivalence:
         ("nist", PHYSICS_KINDS),
         ("fig7", PHYSICS_KINDS + ("sequence", "command")),
         ("fig12", PHYSICS_KINDS + ("sequence", "command")),
+        ("fig9", PHYSICS_KINDS),
+        ("fig10", PHYSICS_KINDS),
     ])
     def test_events_match_scalar(self, tmp_path, name, kinds):
         traced = {}

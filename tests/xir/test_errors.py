@@ -1,9 +1,10 @@
-"""Error paths: lowering refusals and binding-time diagnostics."""
+"""Error paths: lowering refusals, binding-time diagnostics, no lanes."""
 
 from __future__ import annotations
 
 import dataclasses
 
+import numpy as np
 import pytest
 
 from repro.core.batched_ops import BatchedFracDram
@@ -11,6 +12,7 @@ from repro.dram.batched import BatchedChip
 from repro.dram.parameters import ElectricalParams, GeometryParams
 from repro.errors import AddressError, CommandSequenceError, ConfigurationError
 from repro.puf.frac_puf import Challenge
+from repro.telemetry import Telemetry, activate, deactivate
 from repro.xir import XirLoweringError, ir
 from repro.xir.executor import FusedRunner
 from repro.xir.puf import FusedFracPuf
@@ -81,3 +83,44 @@ def test_reserved_row_challenge_is_refused():
     reserved = GEOMETRY.rows_per_subarray - 1
     with pytest.raises(ConfigurationError, match="reserved"):
         puf.evaluate_many([Challenge(0, reserved)])
+
+
+def _device_state(device):
+    """Every piece of lane state a run could touch."""
+    cells = [cell for bank_cells in device.cells for cell in bank_cells]
+    return ([cell.cell_v.copy() for cell in cells],
+            [cell.bitline_v.copy() for cell in cells],
+            [[noise.rng.bit_generator.state for noise in cell._noises]
+             for cell in cells],
+            [dict(last) for last in device._last_cmd])
+
+
+# Group B's decoder never gates command spacing, group J's does: the two
+# lane-class layouts (one spacing-free class, one enforcing class).
+@pytest.mark.parametrize("group_id", ["B", "J"])
+def test_no_lanes_reads_empty_planes_and_leaves_the_device_untouched(
+        group_id):
+    device = make_device(((group_id, 0), (group_id, 1)))
+    mc = BatchedFracDram(device).mc
+    before = _device_state(device)
+    telemetry = activate(Telemetry())
+    try:
+        reads = FusedRunner(mc).run(
+            (ir.WriteRow(0, "w", True), ir.ReadRow(0, "r"),
+             ir.ReadRow(1, "r")),
+            rows={"w": [], "r": []}, lanes=[])
+        wrapper_read = mc.read_row(0, [], [])
+        mc.fill_row(0, [], True, [])
+    finally:
+        deactivate()
+    assert len(reads) == 2
+    for plane in (*reads, wrapper_read):
+        assert plane.shape == (0, GEOMETRY.columns)
+        assert plane.dtype == bool
+    after = _device_state(device)
+    for was, now in zip(before[:2], after[:2]):
+        for old, new in zip(was, now):
+            np.testing.assert_array_equal(old, new)
+    assert after[2:] == before[2:]
+    assert not mc.cycles.any()
+    assert telemetry.snapshot(deterministic=True)["counters"] == {}
