@@ -28,7 +28,9 @@ PATH`` to record counters, phase timers, and a structured event trace
 A flag value the model refuses (``--columns 0``, a row outside the
 device) prints one ``error:`` line on stderr and exits 2 before
 anything runs: each command catches the refusal where it turns its
-flags into a config.
+flags into a config.  So does an input file that cannot be read or
+parsed (``assemble``, ``trace-diff``); trace-diff keeps exit 1 for
+traces that differ.
 """
 
 from __future__ import annotations
@@ -59,7 +61,10 @@ def _cmd_validate_trace(arguments: argparse.Namespace) -> int:
 def _cmd_trace_diff(arguments: argparse.Namespace) -> int:
     from .telemetry import events_by_kind
 
-    a, b = events_by_kind(arguments.a), events_by_kind(arguments.b)
+    try:
+        a, b = events_by_kind(arguments.a), events_by_kind(arguments.b)
+    except (OSError, *_REFUSALS) as error:
+        return _refused(error)
     differ = sorted(kind for kind in a.keys() | b.keys()
                     if a.get(kind) != b.get(kind))
     if differ:
@@ -117,8 +122,11 @@ def _cmd_puf(arguments: argparse.Namespace) -> int:
 def _cmd_assemble(arguments: argparse.Namespace) -> int:
     from .controller import assemble
 
-    source = Path(arguments.program).read_text()
-    sequence = assemble(source, label=arguments.program)
+    try:
+        source = Path(arguments.program).read_text()
+        sequence = assemble(source, label=arguments.program)
+    except (OSError, *_REFUSALS) as error:
+        return _refused(error)
     print(sequence.describe())
     return 0
 
@@ -126,6 +134,7 @@ def _cmd_assemble(arguments: argparse.Namespace) -> int:
 def _cmd_disassemble(arguments: argparse.Namespace) -> int:
     from .controller import disassemble
     from .controller import sequences as seq
+    from .errors import ConfigurationError
 
     builders = {
         "frac": lambda: seq.frac_sequence(0, arguments.row, arguments.n),
@@ -134,7 +143,15 @@ def _cmd_disassemble(arguments: argparse.Namespace) -> int:
         "row-copy": lambda: seq.row_copy_sequence(0, arguments.row,
                                                   arguments.row + 1),
     }
-    print(disassemble(builders[arguments.primitive]()), end="")
+    try:
+        # The builders take any integer row; the assembler refuses a
+        # negative one, so the text printed here would not read back.
+        if arguments.row < 0:
+            raise ConfigurationError("--row must be non-negative")
+        sequence = builders[arguments.primitive]()
+    except _REFUSALS as error:
+        return _refused(error)
+    print(disassemble(sequence), end="")
     return 0
 
 

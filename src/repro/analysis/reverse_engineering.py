@@ -22,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from ..core.ops import FracDram
 from ..xir import ir
@@ -129,6 +128,11 @@ def estimate_share_factor(
     sigma_eff) in cell units; fitting (q, sigma_eff) to the measured
     ladder recovers q and hence the capacitance ratio Cb/Cc = 1/q - 1.
     """
+    # Imported here, in its only user, which no experiment calls:
+    # ``import repro`` must not load scipy.optimize
+    # (docs/performance.md, "Cold start").
+    from scipy import optimize
+
     fractions = []
     for n_frac in range(1, max_frac + 1):
         fd.fill_row(bank, row, True)
@@ -140,7 +144,7 @@ def estimate_share_factor(
     def model(params: np.ndarray) -> np.ndarray:
         q, sigma, mean_shift = params
         deviation = 0.5 * np.clip(q, 1e-3, 0.999) ** counts
-        return norm.cdf((deviation - mean_shift) / max(sigma, 1e-4))
+        return ndtr((deviation - mean_shift) / max(sigma, 1e-4))
 
     def loss(params: np.ndarray) -> float:
         return float(np.sum((model(params) - measured) ** 2))

@@ -3,6 +3,12 @@
 Implements the metrics the paper reports: normalized Hamming distance and
 weight (PUF, Section VI-B), empirical CDFs (F-MAJ stability, Figure 10),
 and mean confidence intervals (the shaded bands of Figure 9).
+
+The confidence interval calls ``scipy.special.stdtrit``, the Student-t
+quantile that ``scipy.stats.t`` itself evaluates, with the standard
+error ``scipy.stats.sem`` computes, so its bounds are bit-identical to
+``scipy.stats.t.interval``'s without importing ``scipy.stats``, which
+``import repro`` must not load (``docs/performance.md``, "Cold start").
 """
 
 from __future__ import annotations
@@ -10,7 +16,7 @@ from __future__ import annotations
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
+from scipy.special import stdtrit
 
 from ..errors import InsufficientDataError
 
@@ -84,7 +90,11 @@ def mean_confidence_interval(values: Iterable[float],
                              ) -> tuple[float, float, float]:
     """(mean, lower, upper) of a t-distribution confidence interval.
 
-    With a single sample the interval degenerates to the point estimate.
+    Each bound is ``stdtrit(df, q) * sem + mean`` at ``q = (1 -/+
+    confidence) / 2``: the arithmetic of ``scipy.stats.t.interval(
+    confidence, df, loc=mean, scale=scipy.stats.sem(values))``, operation
+    for operation.  With a single sample, or no spread, the interval
+    degenerates to the point estimate.
     """
     array = np.asarray(list(values), dtype=float)
     if array.size == 0:
@@ -92,11 +102,14 @@ def mean_confidence_interval(values: Iterable[float],
     mean = float(np.mean(array))
     if array.size == 1:
         return mean, mean, mean
-    sem = scipy_stats.sem(array)
+    sem = np.std(array, ddof=1) / array.size ** 0.5
     if sem == 0:
         return mean, mean, mean
-    lower, upper = scipy_stats.t.interval(
-        confidence, df=array.size - 1, loc=mean, scale=sem)
+    if confidence < 0.0 or confidence > 1.0:
+        raise ValueError(f"confidence must lie in [0, 1], got {confidence!r}")
+    df = array.size - 1
+    lower = stdtrit(df, (1.0 - confidence) / 2) * sem + mean
+    upper = stdtrit(df, (1.0 + confidence) / 2) * sem + mean
     return mean, float(lower), float(upper)
 
 

@@ -24,6 +24,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
+from scipy.special import ndtri
+
 from ..errors import ConfigurationError
 from .decoder import DecoderProfile
 from .parameters import ElectricalParams, VariationParams
@@ -94,13 +96,11 @@ def _offset_mean_for_weight(hamming_weight: float, sigma: float) -> float:
     """Sense-amp offset mean that yields a target PUF Hamming weight.
 
     After ~10 Frac ops the cell residue is negligible, so a column reads
-    one iff its offset is below ~zero: HW = Phi(-mean/sigma).  Inverting
-    with a rational approximation of the probit is overkill — scipy is a
-    dependency, but keeping this self-contained avoids an import cycle at
-    module-definition time, so we use a small fixed-point iteration.
+    one iff its offset is below ~zero: HW = Phi(-mean/sigma), inverted
+    with scipy's probit ``ndtri``.  ``GROUPS`` calls this for every group
+    when the module is imported, which is why ``scipy.special`` is on
+    ``import repro``'s path (``docs/performance.md``, "Cold start").
     """
-    from scipy.special import ndtri  # local import: cheap, avoids cycles
-
     return float(-ndtri(hamming_weight) * sigma)
 
 

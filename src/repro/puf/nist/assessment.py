@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import ClassVar, Sequence
 
 import numpy as np
+from scipy.special import bdtr
 
 from .common import DEFAULT_ALPHA, TestResult, igamc
 from .suite import ALL_TESTS, SuiteResult, run_all
@@ -70,13 +71,16 @@ class TestAssessment:
         NIST's 3-sigma proportion band is a normal approximation that
         breaks down for small sequence counts (it then tolerates zero
         failures, rejecting genuinely random data with high probability).
-        The exact binomial tail gives the equivalent criterion at any m.
+        The exact binomial tail gives the equivalent criterion at any m:
+        the smallest k whose binomial CDF reaches 0.999, which is
+        ``scipy.stats.binom.ppf(0.999, m, alpha)`` without importing
+        ``scipy.stats``.
         """
-        from scipy.stats import binom
-
         if not self.p_values:
             return 0
-        return int(binom.ppf(0.999, len(self.p_values), self.alpha))
+        m = len(self.p_values)
+        cdf = bdtr(np.arange(m + 1), m, self.alpha)
+        return int(np.argmax(cdf >= 0.999))
 
     @property
     def proportion_ok(self) -> bool:

@@ -63,6 +63,14 @@ class TestThresholdEstimation:
 
 
 class TestShareFactorEstimation:
+    def test_fit_is_unchanged_by_the_special_function_cdf(self):
+        """The fit's normal CDF is ``scipy.special.ndtr``, which is what
+        ``scipy.stats.norm.cdf`` evaluates: a fresh chip gives the value
+        the ``norm.cdf`` fit gave (recorded with scipy 1.17.1, numpy
+        2.4.6)."""
+        fresh = FracDram(DramChip("B", geometry=GEOM, serial=2))
+        assert estimate_share_factor(fresh, 0, 1) == 0.27979285448692254
+
     def test_recovers_default_ratio(self, fd):
         q = estimate_share_factor(fd, 0, 1)
         assert q == pytest.approx(0.25, abs=0.08)

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis.stats import (
     empirical_cdf,
@@ -88,6 +91,47 @@ class TestConfidenceInterval:
     def test_empty(self):
         with pytest.raises(InsufficientDataError):
             mean_confidence_interval([])
+
+    def test_refuses_confidence_outside_unit_interval(self):
+        with pytest.raises(ValueError):
+            mean_confidence_interval([1.0, 2.0], 1.5)
+
+
+def _scipy_interval(values, confidence):
+    """The interval as ``scipy.stats`` computes it (``repro`` may not
+    import ``scipy.stats``; the tests may)."""
+    array = np.asarray(values, dtype=float)
+    mean = float(np.mean(array))
+    if array.size == 1:
+        return mean, mean, mean
+    sem = scipy.stats.sem(array)
+    if sem == 0:
+        return mean, mean, mean
+    lower, upper = scipy.stats.t.interval(
+        confidence, array.size - 1, loc=mean, scale=sem)
+    return mean, float(lower), float(upper)
+
+
+#: Samples of three magnitudes, with small integers mixed in so values
+#: repeat; whole-sample constants and single samples reach the point
+#: estimates.
+_element = st.one_of(st.floats(-1e-6, 1e-6), st.floats(-1.0, 1.0),
+                     st.floats(-1e6, 1e6), st.integers(-3, 3).map(float))
+_samples = st.one_of(
+    st.lists(_element, min_size=2, max_size=200),
+    st.tuples(_element, st.integers(2, 200)).map(
+        lambda value_count: [value_count[0]] * value_count[1]),
+    st.lists(_element, min_size=1, max_size=1))
+
+
+class TestConfidenceIntervalMatchesScipyStats:
+    @settings(max_examples=300, deadline=None)
+    @given(_samples, st.sampled_from([0.9, 0.95, 0.99]))
+    def test_bit_identical_to_t_interval(self, values, confidence):
+        got = mean_confidence_interval(values, confidence)
+        expected = _scipy_interval(values, confidence)
+        assert [bound.hex() for bound in got] == [
+            bound.hex() for bound in expected]
 
 
 class TestFraction:

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.stats import binom
 
 from repro.puf.nist import TestAssessment, assess_sequences
 from repro.puf.nist.assessment import UNIFORMITY_THRESHOLD
@@ -46,6 +47,19 @@ class TestTestAssessment:
     def test_summary_contains_verdict(self):
         good = make_assessment([0.08 * k + 0.05 for k in range(11)], n=11)
         assert "PASS" in good.summary()
+
+    def test_no_failures_allowed_without_p_values(self):
+        assert make_assessment([]).max_allowed_failures == 0
+
+    @pytest.mark.parametrize("alpha", [0.001, 0.01, 0.05, 0.1])
+    def test_max_allowed_failures_is_the_binomial_quantile(self, alpha):
+        """The bound ``repro`` computes with ``scipy.special.bdtr`` is
+        ``scipy.stats.binom.ppf(0.999, m, alpha)`` at every m."""
+        counts = np.arange(1, 3001)
+        expected = binom.ppf(0.999, counts, alpha).astype(int).tolist()
+        got = [make_assessment((0.5,) * m, n=m, alpha=alpha)
+               .max_allowed_failures for m in counts.tolist()]
+        assert got == expected
 
 
 @pytest.mark.slow

@@ -103,8 +103,9 @@ class TestRunFlags:
 
 
 class TestRefusedFlags:
-    """Every other subcommand refuses a flag value the model rejects the
-    way ``experiments`` does: one ``error:`` line, exit 2, no traceback."""
+    """Every other subcommand refuses a flag value the model rejects, or
+    an input file it cannot read or parse, the way ``experiments`` does:
+    one ``error:`` line, exit 2, no traceback."""
 
     @pytest.mark.parametrize("argv", [
         ["run-program", "PROGRAM", "--columns", "0"],
@@ -119,17 +120,43 @@ class TestRefusedFlags:
         ["trng", "--columns", "0"],
         ["trng", "--bits", "0"],
         ["puf", "--row", "9999"],
+        ["assemble", "MISSING"],
+        ["assemble", "BAD_PROGRAM"],
+        ["trace-diff", "MISSING", "TRACE"],
+        ["trace-diff", "TRACE", "DIRECTORY"],
+        ["trace-diff", "NOT_JSON", "TRACE"],
+        ["disassemble", "frac", "--n", "0"],
+        # The assembler refuses a negative row, so this text would not
+        # read back.
+        ["disassemble", "row-copy", "--row", "-5"],
     ], ids=" ".join)
     def test_refused_flag_exits_before_running(self, argv, tmp_path,
                                                capsys):
         program = tmp_path / "noop.sfc"
         program.write_text("ACT 0 1\nPRE 0\n")
-        argv = [str(program) if arg == "PROGRAM" else arg for arg in argv]
+        bad_program = tmp_path / "bad.sfc"
+        bad_program.write_text("ACT 0 1\nACT 0 x\n")
+        not_json = tmp_path / "not-json.jsonl"
+        not_json.write_text("not json\n")
+        with TraceWriter(tmp_path / "trace.jsonl") as writer:
+            writer.emit("command", {"cmd": "ACT", "row": 1})
+        paths = {"PROGRAM": program, "BAD_PROGRAM": bad_program,
+                 "MISSING": tmp_path / "missing", "DIRECTORY": tmp_path,
+                 "NOT_JSON": not_json, "TRACE": tmp_path / "trace.jsonl"}
+        argv = [str(paths.get(arg, arg)) for arg in argv]
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
+
+    def test_assemble_error_names_the_line(self, tmp_path, capsys):
+        program = tmp_path / "bad.sfc"
+        program.write_text("ACT 0 1\nACT 0 x\n")
+        assert main(["assemble", str(program)]) == 2
+        assert capsys.readouterr().err == (
+            "error: line 2: row must be an integer, got 'x' "
+            "(offending text: 'ACT 0 x')\n")
 
 
 class TestTelemetryCli:
