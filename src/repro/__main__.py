@@ -4,8 +4,8 @@ Subcommands:
 
 * ``experiments`` — run paper experiments (delegates to the runner),
 * ``report`` — run experiments and write RESULTS.md + JSON exports,
-* ``run-program`` — execute a SoftMC assembly program file on any
-  registered execution backend (see ``docs/backends.md``),
+* ``run-program`` — execute a SoftMC assembly program file on either
+  execution engine, scalar or fused (see ``docs/backends.md``),
 * ``trng`` — generate random bits from a simulated device,
 * ``puf`` — print a device's PUF response to a challenge,
 * ``assemble`` / ``disassemble`` — SoftMC program tooling,
@@ -370,8 +370,8 @@ def _parser() -> argparse.ArgumentParser:
              "(see docs/linting.md)")
     subparsers.add_parser(
         "run-program", add_help=False,
-        help="execute a SoftMC program file on any registered backend "
-             "(see docs/backends.md)")
+        help="execute a SoftMC program file on the scalar or fused "
+             "engine (see docs/backends.md)")
 
     serve = subparsers.add_parser(
         "serve", help="serve PUF authentication over JSON-lines TCP")

@@ -1,36 +1,38 @@
-"""``repro.backends`` — pluggable, conformance-gated execution engines.
-
-The registry (:mod:`repro.backends.registry`) maps names to
-interchangeable :class:`~repro.backends.base.Backend` engines:
+"""``repro.backends`` — the two conformance-gated execution engines.
 
 * ``scalar`` — the cycle-accurate ``SoftMC`` + ``DramChip`` reference,
 * ``fused`` — every device a lane of the vectorized NumPy engine; the
-  lowered experiments' hot loops run as xir-compiled whole-batch phase
+  lane experiments' hot loops run as xir-compiled whole-batch phase
   kernels (:mod:`repro.xir`).
 
-Each backend executes assembled SoftMC programs over a deterministic
-device fleet (:meth:`~repro.backends.base.Backend.execute_program`) and
-drives experiment dispatch via ``ExperimentConfig.backend``: its lane
-width is the only engine choice an experiment makes.
-The differential conformance suite (``tests/backends/``) pins every
-registered backend byte-identical — results *and* telemetry counters —
-to the scalar reference across all experiments, a program corpus, and
-hypothesis-fuzzed programs, so a new engine plugs in against an existing
-gate.  See ``docs/backends.md``.
+:func:`execute_program` runs an assembled SoftMC program over a
+deterministic device fleet on either engine; experiments pick theirs
+through ``ExperimentConfig.backend``, which every lane stage reads.
+The differential conformance suite (``tests/backends/``) pins ``fused``
+byte-identical — results *and* telemetry counters — to the scalar
+reference across all experiments, a program corpus, and
+hypothesis-fuzzed programs.  See ``docs/backends.md``.
 
 Quickstart::
 
-    from repro.backends import get_backend, ProgramRequest
+    from repro.backends import ProgramRequest, execute_program
     from repro.controller import assemble_program
 
     program = assemble_program(open("prog.sfc").read())
-    outcome = get_backend("fused").execute_program(
-        ProgramRequest(program=program, devices=(("B", 0), ("C", 0))))
+    outcome = execute_program(
+        ProgramRequest(program=program, devices=(("B", 0), ("C", 0))),
+        "fused")
     print(outcome.render())
 """
 
+from ..backend_names import (
+    BACKENDS,
+    DEFAULT_BACKEND,
+    BackendError,
+    check_backend,
+)
+from ..telemetry import registry as _registry
 from .base import (
-    Backend,
     DeviceResult,
     ProgramOutcome,
     ProgramRequest,
@@ -38,31 +40,45 @@ from .base import (
     lane_state_digest,
     validate_request,
 )
-from .registry import (
-    DEFAULT_BACKEND,
-    BackendError,
-    available_backends,
-    get_backend,
-    register_backend,
-    resolve_backend,
-)
-
-# Importing the engine modules registers the built-in backends.
-from . import fused as _fused  # noqa: F401  (registration side effect)
-from . import scalar as _scalar  # noqa: F401
+from .fused import execute_fused
+from .scalar import execute_scalar
 
 __all__ = [
-    "Backend",
+    "BACKENDS",
     "BackendError",
     "DEFAULT_BACKEND",
     "DeviceResult",
     "ProgramOutcome",
     "ProgramRequest",
-    "available_backends",
     "chip_state_digest",
-    "get_backend",
+    "check_backend",
+    "execute_program",
     "lane_state_digest",
-    "register_backend",
-    "resolve_backend",
     "validate_request",
 ]
+
+
+def execute_program(request: ProgramRequest, backend: str, *,
+                    trace_path=None) -> ProgramOutcome:
+    """Validate ``request``, run it on ``backend``, collect its counters.
+
+    Runs under a nested telemetry registry so the returned ``counters``
+    reflect exactly this program execution; counts are folded back into
+    any enclosing registry afterwards.  ``trace_path`` additionally
+    writes a ``repro-trace/1`` JSON-lines event trace of the execution.
+    An unknown engine name or an invalid request raises
+    :class:`BackendError` before anything runs.
+    """
+    check_backend(backend)
+    validate_request(request)
+    execute = execute_scalar if backend == "scalar" else execute_fused
+    with _registry.session(trace_path=trace_path) as telemetry:
+        devices = execute(request)
+        snapshot = telemetry.snapshot()
+    enclosing = _registry.active()
+    if enclosing is not None:
+        enclosing.merge_snapshot(snapshot)
+    counters = {name: int(value)
+                for name, value in snapshot["counters"].items()}
+    return ProgramOutcome(label=request.program.label,
+                          devices=tuple(devices), counters=counters)

@@ -1,40 +1,35 @@
-"""The :class:`Backend` protocol plus shared request/outcome types.
+"""Program requests and outcomes shared by both engines.
 
-One contract, two engines.  A backend
-
-* executes an assembled SoftMC :class:`~repro.controller.program.Program`
-  over a fleet of simulated devices (:meth:`Backend.execute_program`), and
-* sets the lane width of every batched experiment stage
-  (:meth:`Backend.lane_width`, reached through ``ExperimentConfig.backend``),
-
-and every registered engine must produce **byte-identical** results and
-telemetry counters — the conformance suite under ``tests/backends/``
-enforces this across all experiments, a program corpus, and fuzzed
-programs.  See ``docs/backends.md`` for the full contract.
+:func:`repro.backends.execute_program` runs a :class:`ProgramRequest`,
+an assembled SoftMC :class:`~repro.controller.program.Program` over a
+fleet of simulated devices, on either engine and returns a
+:class:`ProgramOutcome`.  Both engines must produce **byte-identical**
+outcomes and telemetry counters; the conformance suite under
+``tests/backends/`` enforces this across all experiments, a program
+corpus, and fuzzed programs.  See ``docs/backends.md`` for the full
+contract.
 """
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass, field
 from hashlib import blake2b
-from typing import TYPE_CHECKING, ClassVar
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ..backend_names import BackendError
 from ..controller.commands import Activate, CommandSequence, ReadRow, WriteRow
 from ..controller.program import Program
 from ..dram.parameters import GeometryParams
 from ..dram.vendor import get_group
 from ..errors import ReproError
-from ..telemetry import registry as _registry
-from .registry import BackendError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..dram.batched import BatchedChip
     from ..dram.chip import DramChip
 
-__all__ = ["Backend", "DeviceResult", "ProgramOutcome", "ProgramRequest",
+__all__ = ["DeviceResult", "ProgramOutcome", "ProgramRequest",
            "chip_state_digest", "lane_state_digest", "validate_request"]
 
 
@@ -158,54 +153,3 @@ def validate_request(request: ProgramRequest) -> None:
                 raise BackendError(
                     f"{where}: WR payload is {len(command.data)} bits but "
                     f"the geometry has {geometry.columns} columns")
-
-
-class Backend(abc.ABC):
-    """An interchangeable execution engine behind the registry.
-
-    Subclasses implement :meth:`_execute` (program execution over a
-    device fleet) and :meth:`lane_width` (the experiment dispatch
-    policy); the shared :meth:`execute_program` wrapper adds request
-    validation and telemetry collection so every engine reports the same
-    counter surface.
-    """
-
-    name: ClassVar[str]
-    description: ClassVar[str] = ""
-
-    @abc.abstractmethod
-    def lane_width(self, auto: int) -> int:
-        """Effective lane width for a batched experiment stage.
-
-        ``auto`` is the stage's natural lane count.  Returning 1 forces
-        the scalar path.  Must be >= 1.
-        """
-
-    @abc.abstractmethod
-    def _execute(self, request: ProgramRequest) -> tuple[DeviceResult, ...]:
-        """Run the validated program on every requested device."""
-
-    def execute_program(self, request: ProgramRequest, *,
-                        trace_path=None) -> ProgramOutcome:
-        """Validate and run ``request``; collect a telemetry snapshot.
-
-        Runs under a nested telemetry registry so the returned
-        ``counters`` reflect exactly this program execution; counts are
-        folded back into any enclosing registry afterwards.
-        ``trace_path`` additionally writes a ``repro-trace/1`` JSON-lines
-        event trace of the execution.
-        """
-        validate_request(request)
-        with _registry.session(trace_path=trace_path) as telemetry:
-            devices = self._execute(request)
-            snapshot = telemetry.snapshot()
-        enclosing = _registry.active()
-        if enclosing is not None:
-            enclosing.merge_snapshot(snapshot)
-        counters = {name: int(value)
-                    for name, value in snapshot["counters"].items()}
-        return ProgramOutcome(label=request.program.label,
-                              devices=tuple(devices), counters=counters)
-
-    def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return f"<backend {self.name}: {self.description}>"

@@ -1,13 +1,14 @@
-"""Trace-driven frontend: run SoftMC program files on any backend.
+"""Trace-driven frontend: run SoftMC program files on either engine.
 
 ``python -m repro run-program prog.sfc --backend fused --devices 4``
 parses a SoftMC/DRAM-Bender-style assembly program (see
 :mod:`repro.controller.program`; ``LEAK`` makes retention studies
-expressible) and executes it over a deterministic device fleet on any
-registered backend.  Stdout carries only the backend-agnostic
+expressible) and executes it over a deterministic device fleet on the
+``scalar`` reference (the default) or the ``fused`` lane engine.  Stdout
+carries only the engine-agnostic
 :meth:`~repro.backends.base.ProgramOutcome.render` text, so outputs from
-conforming backends diff clean — the ``backend-conformance`` CI job
-relies on that.
+the two engines diff clean — the ``backend-conformance`` CI job relies
+on that.
 """
 
 from __future__ import annotations
@@ -17,11 +18,12 @@ import sys
 import time
 from pathlib import Path
 
+from ..backend_names import BACKENDS, BackendError
 from ..controller.program import Program, assemble_program
 from ..dram.parameters import GeometryParams
 from ..errors import ReproError
+from . import execute_program
 from .base import ProgramOutcome, ProgramRequest
-from .registry import BackendError, available_backends, get_backend
 
 __all__ = ["add_run_program_arguments", "build_request", "load_program",
            "main", "run_program_cli"]
@@ -58,10 +60,9 @@ def build_request(program: Program, *, devices: int = 1,
 
 def add_run_program_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("program", help="SoftMC program file (.sfc)")
-    parser.add_argument("--backend", default="scalar",
-                        choices=available_backends(),
-                        help="execution engine (conformance-gated: every "
-                             "choice produces byte-identical output)")
+    parser.add_argument("--backend", default="scalar", choices=BACKENDS,
+                        help="execution engine (conformance-gated: both "
+                             "produce byte-identical output)")
     parser.add_argument("--devices", type=int, default=1, metavar="N",
                         help="fleet size (serials 0..N-1 per group)")
     parser.add_argument("--groups", nargs="*", default=["B"], metavar="G",
@@ -98,14 +99,13 @@ def run_program_cli(arguments: argparse.Namespace) -> int:
             program, devices=arguments.devices,
             groups=tuple(arguments.groups), seed=arguments.seed,
             geometry=geometry)
-        backend = get_backend(arguments.backend)
         started = time.perf_counter()
-        outcome = backend.execute_program(request,
-                                          trace_path=arguments.trace_out)
+        outcome = execute_program(request, arguments.backend,
+                                  trace_path=arguments.trace_out)
     except ReproError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
-    _report(outcome, backend.name, arguments,
+    _report(outcome, arguments.backend, arguments,
             time.perf_counter() - started)
     return 0
 
@@ -114,16 +114,16 @@ def main(argv: list[str] | None = None) -> int:
     """Standalone entry point (``python -m repro run-program ...``)."""
     parser = argparse.ArgumentParser(
         prog="repro run-program",
-        description="Execute a SoftMC assembly program on any registered "
-                    "backend over a deterministic device fleet.")
+        description="Execute a SoftMC assembly program on either engine "
+                    "over a deterministic device fleet.")
     add_run_program_arguments(parser)
     return run_program_cli(parser.parse_args(argv))
 
 
 def _report(outcome: ProgramOutcome, backend_name: str,
             arguments: argparse.Namespace, elapsed_s: float) -> None:
-    # Stdout is the deterministic, backend-agnostic surface; everything
-    # engine-specific goes to stderr so backends diff clean.
+    # Stdout is the deterministic, engine-agnostic surface; everything
+    # engine-specific goes to stderr so the engines diff clean.
     print(outcome.render(), end="")
     print(f"# backend {backend_name}: {len(outcome.devices)} device(s) "
           f"in {elapsed_s:.3f}s", file=sys.stderr)

@@ -1,6 +1,6 @@
-"""The scalar reference backend: one ``SoftMC`` + ``DramChip`` per device.
+"""The scalar reference engine: one ``SoftMC`` + ``DramChip`` per device.
 
-This is the ground truth every other backend is pinned against.  Devices
+This is the ground truth the fused engine is pinned against.  Devices
 run one at a time through the permissive cycle-accurate controller —
 exactly the path the original experiments used before batching existed —
 so its outcomes define what "byte-identical" means for the conformance
@@ -14,38 +14,28 @@ import numpy as np
 from ..controller.program import LeakStep
 from ..controller.softmc import SoftMC
 from ..dram.chip import DramChip
-from .base import Backend, DeviceResult, ProgramRequest, chip_state_digest
-from .registry import register_backend
+from .base import DeviceResult, ProgramRequest, chip_state_digest
 
-__all__ = ["ScalarBackend"]
+__all__ = ["execute_scalar"]
 
 
-@register_backend
-class ScalarBackend(Backend):
-    """Reference engine: per-device ``SoftMC`` over a scalar ``DramChip``."""
-
-    name = "scalar"
-    description = "cycle-accurate reference (one SoftMC per device)"
-
-    def lane_width(self, auto: int) -> int:
-        return 1
-
-    def _execute(self, request: ProgramRequest) -> tuple[DeviceResult, ...]:
-        results = []
-        for group_id, serial in request.devices:
-            chip = DramChip(group_id, geometry=request.geometry,
-                            serial=int(serial),
-                            master_seed=request.master_seed)
-            mc = SoftMC(chip)
-            reads: list[np.ndarray] = []
-            for step in request.program.steps:
-                if isinstance(step, LeakStep):
-                    chip.advance_time(step.seconds)
-                else:
-                    reads.extend(mc.run(step))
-            results.append(DeviceResult(
-                group=group_id, serial=int(serial), reads=tuple(reads),
-                cycles=int(mc.cycle),
-                dropped_commands=int(chip.dropped_commands),
-                state_digest=chip_state_digest(chip)))
-        return tuple(results)
+def execute_scalar(request: ProgramRequest) -> tuple[DeviceResult, ...]:
+    """Run the validated program on each device in turn."""
+    results = []
+    for group_id, serial in request.devices:
+        chip = DramChip(group_id, geometry=request.geometry,
+                        serial=int(serial),
+                        master_seed=request.master_seed)
+        mc = SoftMC(chip)
+        reads: list[np.ndarray] = []
+        for step in request.program.steps:
+            if isinstance(step, LeakStep):
+                chip.advance_time(step.seconds)
+            else:
+                reads.extend(mc.run(step))
+        results.append(DeviceResult(
+            group=group_id, serial=int(serial), reads=tuple(reads),
+            cycles=int(mc.cycle),
+            dropped_commands=int(chip.dropped_commands),
+            state_digest=chip_state_digest(chip)))
+    return tuple(results)

@@ -15,6 +15,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from ..backend_names import DEFAULT_BACKEND, check_backend
 from ..core.ops import FracDram
 from ..dram.chip import DramChip
 from ..dram.environment import Environment
@@ -24,7 +25,7 @@ from ..errors import ConfigurationError
 from ..telemetry.registry import active as _telemetry_active
 
 __all__ = ["ExperimentConfig", "make_chip", "make_fd", "markdown_table",
-           "percent", "resolve_batch", "stage"]
+           "percent", "stage"]
 
 
 @contextmanager
@@ -59,11 +60,12 @@ class ExperimentConfig:
     subarrays_per_bank: int = 2
     n_banks: int = 2
     chips_per_group: int = 2
-    #: Execution backend name (see :mod:`repro.backends`): ``None`` uses
-    #: the registry default (``fused``).  Every registered backend is
-    #: conformance-gated to byte-identical results and telemetry
-    #: counters, so this knob never changes outputs.
-    backend: str | None = None
+    #: The engine every lane stage runs on (see :mod:`repro.backends`):
+    #: ``"fused"`` (the default) runs a stage's trials or modules as
+    #: lanes of one cohort, ``"scalar"`` runs the reference one at a
+    #: time.  Both are conformance-gated to byte-identical results and
+    #: telemetry counters, so this knob never changes outputs.
+    backend: str = DEFAULT_BACKEND
 
     def __post_init__(self) -> None:
         # A config the model refuses raises here, before anything runs
@@ -80,11 +82,7 @@ class ExperimentConfig:
                 f"{error} (n_banks={self.n_banks}, subarrays_per_bank="
                 f"{self.subarrays_per_bank}, columns={self.columns})"
             ) from None
-        if self.backend is not None:
-            # An unknown engine raises BackendError.
-            from ..backends import get_backend
-
-            get_backend(self.backend)
+        check_backend(self.backend)
 
     def geometry(self) -> GeometryParams:
         return GeometryParams(
@@ -99,20 +97,6 @@ class ExperimentConfig:
 
 
 DEFAULT_CONFIG = ExperimentConfig()
-
-
-def resolve_batch(config: ExperimentConfig, auto: int) -> int:
-    """Effective trial-batch width for one batched stage.
-
-    ``auto`` is the experiment's natural lane count for the stage (all
-    units of a shard, all serials of a group, ...).  Dispatch is the
-    configured backend's policy (:mod:`repro.backends`): ``fused`` takes
-    ``auto``, while ``scalar`` forces width 1, the scalar path.  The
-    returned width is always at least 1.
-    """
-    from ..backends import resolve_backend
-
-    return resolve_backend(config.backend).lane_width(auto)
 
 
 def make_chip(group: str | GroupProfile, config: ExperimentConfig,

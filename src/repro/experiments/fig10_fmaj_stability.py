@@ -39,7 +39,6 @@ from .base import (
     make_fd,
     markdown_table,
     percent,
-    resolve_batch,
     subarray_targets,
 )
 
@@ -179,7 +178,7 @@ def _combo_success_at(config: ExperimentConfig, group_id: str,
     sums = {pattern: 0.0 for pattern, _ in combos}
     all_correct_sum = 0.0
     samples = len(serials) * len(targets)
-    if resolve_batch(config, samples) <= 1:
+    if config.backend == "scalar":
         for serial in serials:
             fd = make_fd(group_id, config, serial)
             for bank, subarray in targets:
@@ -246,7 +245,7 @@ def _stability_rates(config: ExperimentConfig, group_id: str,
     to the scalar path and under any shard slicing.
     """
     rates: dict[int, np.ndarray] = {}
-    if resolve_batch(config, len(serials)) <= 1:
+    if config.backend == "scalar":
         for serial in serials:
             rng = derive_rng(config.master_seed, "fig10", group_id,
                              operation, serial)

@@ -26,7 +26,7 @@ from ..puf.frac_puf import Challenge, FracPuf, challenge_set
 from ..puf.metrics import inter_hd_distances, intra_hd_distances, response_weights
 from ..xir.puf import FusedFracPuf
 from .base import (DEFAULT_CONFIG, ExperimentConfig, make_chip,
-                   markdown_table, resolve_batch)
+                   markdown_table)
 
 __all__ = ["Fig11Group", "Fig11Result", "run", "default_challenges",
            "shard_units", "run_shard", "merge"]
@@ -137,7 +137,7 @@ def run_shard(config: ExperimentConfig, units, n_challenges: int = 24,
     """
     challenges = default_challenges(config, n_challenges)
     units = list(units)
-    if resolve_batch(config, len(units)) <= 1:
+    if config.backend == "scalar":
         payloads = []
         for group_id, serial in units:
             chip = make_chip(group_id, config, serial)

@@ -26,7 +26,7 @@ from ..puf.frac_puf import FracPuf
 from ..puf.metrics import inter_hd_distances
 from ..xir.puf import FusedFracPuf
 from .base import (DEFAULT_CONFIG, ExperimentConfig, make_chip,
-                   markdown_table, resolve_batch)
+                   markdown_table)
 from .fig11_puf_hd import default_challenges
 
 __all__ = ["EnvCondition", "Fig12Result", "run", "shard_units", "run_shard",
@@ -144,7 +144,7 @@ def run_shard(config: ExperimentConfig, units, n_challenges: int = 16,
     """
     challenges = default_challenges(config, n_challenges)
     units = list(units)
-    if resolve_batch(config, len(units)) <= 1:
+    if config.backend == "scalar":
         payloads = []
         for condition, group_id, serial in units:
             chip = make_chip(group_id, config, serial,

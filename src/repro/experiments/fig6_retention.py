@@ -37,7 +37,6 @@ from .base import (
     make_fd,
     markdown_table,
     percent,
-    resolve_batch,
 )
 
 __all__ = ["Fig6GroupResult", "Fig6Result", "run", "shard_units",
@@ -162,7 +161,7 @@ def run_shard(config: ExperimentConfig, units,
     to the scalar per-group loop.
     """
     units = list(units)
-    if resolve_batch(config, len(units)) <= 1:
+    if config.backend == "scalar":
         payloads = []
         for group_id in units:
             fd = make_fd(group_id, config, serial=0)

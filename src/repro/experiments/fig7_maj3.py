@@ -25,7 +25,6 @@ from .base import (
     ExperimentConfig,
     make_fd,
     markdown_table,
-    resolve_batch,
     subarray_targets,
 )
 
@@ -120,7 +119,7 @@ def run_shard(config: ExperimentConfig, units, group_id: str = "B",
     scalar donor — byte-identical to the scalar per-unit loop.
     """
     units = list(units)
-    if resolve_batch(config, config.chips_per_group) <= 1:
+    if config.backend == "scalar":
         payloads = []
         for setting_index, n_frac, serial in units:
             frac_rows, init_ones = SETTINGS[setting_index]

@@ -33,7 +33,7 @@ from ..core.ops import FracDram, MultiRowPlan
 from ..core.verify import COMBO_LABELS
 from ..dram.batched import BatchedChip
 from .base import (DEFAULT_CONFIG, ExperimentConfig, make_fd, markdown_table,
-                   percent, resolve_batch)
+                   percent)
 
 __all__ = ["Fig8Result", "run", "shard_units", "run_shard", "merge"]
 
@@ -222,7 +222,7 @@ def run_shard(config: ExperimentConfig, units, group_id: str = "B",
     """
     units = list(units)
     bank, subarray = 0, 0
-    if resolve_batch(config, len(units)) <= 1:
+    if config.backend == "scalar":
         payloads = []
         for index, kind, layout in units:
             fd = make_fd(group_id, config, serial=0)

@@ -36,7 +36,6 @@ from .base import (
     make_fd,
     markdown_table,
     percent,
-    resolve_batch,
     subarray_targets,
 )
 
@@ -167,7 +166,7 @@ def _group_payload(config: ExperimentConfig, group_id: str,
     """
     targets = subarray_targets(config)
     serials = list(range(config.chips_per_group))
-    if resolve_batch(config, len(serials) * len(targets)) <= 1:
+    if config.backend == "scalar":
         devices = [make_fd(group_id, config, serial) for serial in serials]
         maj3_values = None
         if group_id == "B":

@@ -29,7 +29,7 @@ from ..puf.extractor import von_neumann_extract
 from ..puf.frac_puf import Challenge, FracPuf
 from ..puf.nist import SuiteResult, run_all
 from ..xir.puf import FusedFracPuf
-from .base import DEFAULT_CONFIG, ExperimentConfig, resolve_batch
+from .base import DEFAULT_CONFIG, ExperimentConfig
 
 __all__ = ["NistExperimentResult", "run", "shard_units", "run_shard",
            "merge"]
@@ -98,10 +98,10 @@ def shard_units(config: ExperimentConfig = DEFAULT_CONFIG,
     return tuple(units)
 
 
-#: Natural trial-batch width for the challenge sweep: each lane is one
-#: sub-array view of the same chip, so wide cohorts trade cache locality
-#: for dispatch savings; 16 is the sweet spot on the default geometry.
-_NIST_AUTO_BATCH = 16
+#: Lanes per cohort of the challenge sweep: each lane is one sub-array
+#: view of the same chip, so wide cohorts trade cache locality for
+#: dispatch savings; 16 is the sweet spot on the default geometry.
+_NIST_COHORT = 16
 
 
 def run_shard(config: ExperimentConfig, units, group_id: str = "B",
@@ -118,8 +118,7 @@ def run_shard(config: ExperimentConfig, units, group_id: str = "B",
     chip = DramChip(group_id, geometry=geometry,
                     master_seed=config.master_seed, serial=99)
     units = list(units)
-    batch = resolve_batch(config, _NIST_AUTO_BATCH)
-    if batch <= 1:
+    if config.backend == "scalar":
         puf = FracPuf(chip)
         payloads = []
         for index, bank, subarray in units:
@@ -131,8 +130,8 @@ def run_shard(config: ExperimentConfig, units, group_id: str = "B",
             payloads.append((index, response))
         return payloads
     payloads = []
-    for start in range(0, len(units), batch):
-        cohort = units[start:start + batch]
+    for start in range(0, len(units), _NIST_COHORT):
+        cohort = units[start:start + _NIST_COHORT]
         sites = [(bank, subarray) for _, bank, subarray in cohort]
         epochs = [index for index, _, _ in cohort]
         device = BatchedChip.from_subarray_views([chip], sites,

@@ -167,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="report directory (default: results)")
     add_run_arguments(parser)
     arguments = parser.parse_args(argv)
-    run = parse_run(arguments)
+    run = parse_run(arguments, output=arguments.output)
     if run is None:
         return 2
     with run.session():

@@ -33,9 +33,11 @@ import sys
 import time
 from contextlib import AbstractContextManager, nullcontext
 from dataclasses import dataclass
+from pathlib import Path
 from types import ModuleType
 from typing import Any
 
+from ..backend_names import DEFAULT_BACKEND
 from ..errors import ReproError
 from . import (
     ddr4_outlook,
@@ -118,7 +120,7 @@ def run_experiment(name: str, config: ExperimentConfig = DEFAULT_CONFIG, *,
 
         # The backend never changes results (the conformance contract),
         # so it must not change the cache address either.
-        key = cache_key(name, config.scaled(backend=None))
+        key = cache_key(name, config.scaled(backend=DEFAULT_BACKEND))
         hit, result = cache.fetch(key)
         if hit:
             if telemetry is not None:
@@ -194,11 +196,10 @@ def add_run_arguments(parser: argparse.ArgumentParser) -> None:
                         help="worker processes to shard experiments over "
                              "(0 = serial; -1 = one per CPU; default "
                              "$REPRO_FLEET_WORKERS or 0)")
-    parser.add_argument("--backend", default=None, metavar="NAME",
-                        help="execution backend (scalar/fused; "
-                             "default: fused); every registered backend "
-                             "is conformance-gated to byte-identical "
-                             "results")
+    parser.add_argument("--backend", default=DEFAULT_BACKEND, metavar="NAME",
+                        help="execution engine (fused or scalar; default: "
+                             f"{DEFAULT_BACKEND}); both are "
+                             "conformance-gated to byte-identical results")
     parser.add_argument("--no-cache", action="store_true",
                         help="recompute results even if cached")
     parser.add_argument("--cache-dir", default=None, metavar="DIR",
@@ -234,11 +235,14 @@ class Run:
         return nullcontext(None)
 
 
-def parse_run(arguments: argparse.Namespace) -> Run | None:
+def parse_run(arguments: argparse.Namespace,
+              output: str | None = None) -> Run | None:
     """Check the shared run flags and resolve them into a :class:`Run`.
 
-    An unknown ``--backend`` or ``--only`` name, or a ``--columns`` the
-    model refuses, prints one ``error:`` line and returns None before
+    An unknown ``--backend`` or ``--only`` name, a ``--columns`` the
+    model refuses, or an output directory that cannot be created (the
+    result cache, the ``--trace-out`` directory, or ``output``, the
+    command's own) prints one ``error:`` line and returns None before
     any experiment runs; the command then exits 2.
     """
     from ..fleet import ResultCache, resolve_workers
@@ -256,11 +260,26 @@ def parse_run(arguments: argparse.Namespace) -> Run | None:
         print(f"error: unknown experiment {', '.join(map(repr, unknown))}; "
               f"choose from {', '.join(EXPERIMENTS)}", file=sys.stderr)
         return None
+    cache = None if arguments.no_cache else ResultCache(arguments.cache_dir)
+    # Create every directory the run writes into now, so a path that
+    # cannot be created is refused before any experiment runs.
+    directories = [Path(output)] if output is not None else []
+    if cache is not None:
+        directories.append(cache.directory)
+    if arguments.trace_out is not None:
+        directories.append(Path(arguments.trace_out).parent)
+    try:
+        for directory in directories:
+            directory.mkdir(parents=True, exist_ok=True)
+    except OSError as error:
+        print(f"error: cannot create directory {directory}: "
+              f"{error.strerror}", file=sys.stderr)
+        return None
     return Run(
         config=config,
         names=names,
         workers=resolve_workers(arguments.workers),
-        cache=None if arguments.no_cache else ResultCache(arguments.cache_dir),
+        cache=cache,
         telemetry=arguments.telemetry,
         trace_out=arguments.trace_out)
 

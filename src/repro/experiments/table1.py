@@ -29,8 +29,7 @@ from ..core.ops import FracDram
 from ..dram.batched import BatchedChip
 from ..dram.vendor import GROUPS, GroupProfile
 from ..xir import ir
-from .base import (DEFAULT_CONFIG, ExperimentConfig, make_fd, markdown_table,
-                   resolve_batch)
+from .base import (DEFAULT_CONFIG, ExperimentConfig, make_fd, markdown_table)
 
 __all__ = ["Table1Row", "Table1Result", "run", "probe_frac", "probe_pair",
            "shard_units", "run_shard", "merge"]
@@ -199,7 +198,7 @@ def run_shard(config: ExperimentConfig, units, **_kwargs) -> list:
     loop.
     """
     units = list(units)
-    if resolve_batch(config, len(units)) <= 1:
+    if config.backend == "scalar":
         payloads = []
         for group_id in units:
             fd = make_fd(group_id, config, serial=0)

@@ -20,7 +20,6 @@ through an atomic same-directory replace.
 
 from __future__ import annotations
 
-import hashlib
 import io
 import json
 from pathlib import Path
@@ -29,15 +28,13 @@ import numpy as np
 
 from ..dram.batched import BatchedChip
 from ..errors import ConfigurationError, InsufficientDataError
-from ..fleet.cache import config_fingerprint, default_cache_dir
+from ..fleet.cache import cache_key, default_cache_dir
 from ..puf.auth import Authenticator, PackedReferences
 from ..puf.batched_puf import BatchedFracPuf
 from ..telemetry.registry import active as _telemetry_active
 from .config import ServiceConfig, module_id
 
 __all__ = ["EnrollmentDb", "EnrollmentStore", "build_enrollment"]
-
-_DIGEST_CHARS = 24  # 96 bits in the entry name, matching the fleet cache
 
 
 class EnrollmentDb:
@@ -139,14 +136,7 @@ class EnrollmentStore:
 
     @staticmethod
     def key(config: ServiceConfig, n_modules: int) -> str:
-        from .. import __version__
-
-        hasher = hashlib.blake2b(digest_size=16)
-        hasher.update(str(__version__).encode())
-        hasher.update(b"\0")
-        hasher.update(config_fingerprint(
-            config, {"n_modules": int(n_modules)}).encode())
-        return f"enroll-{hasher.hexdigest()[:_DIGEST_CHARS]}"
+        return cache_key("enroll", config, {"n_modules": int(n_modules)})
 
     def _entry(self, key: str) -> Path:
         return self.directory / f"{key}.npz"

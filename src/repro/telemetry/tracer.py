@@ -68,7 +68,11 @@ class TraceWriter:
 
 
 def read_trace(path: str | Path) -> list[dict[str, Any]]:
-    """Parse a JSON-lines trace file into a list of event dicts."""
+    """Parse a JSON-lines trace file into a list of event dicts.
+
+    A line that is not JSON, or not an object with ``seq`` and ``kind``,
+    raises ``ValueError`` naming ``path:line``.
+    """
     events = []
     with Path(path).open("r", encoding="utf-8") as handle:
         for line_number, line in enumerate(handle):
@@ -81,6 +85,11 @@ def read_trace(path: str | Path) -> list[dict[str, Any]]:
                 raise ValueError(
                     f"{path}:{line_number + 1}: not valid JSON: {error}"
                 ) from error
+            if not (isinstance(event, dict) and "seq" in event
+                    and "kind" in event):
+                raise ValueError(
+                    f"{path}:{line_number + 1}: not a trace event (an "
+                    f"object with seq and kind)")
             events.append(event)
     return events
 

@@ -1,6 +1,6 @@
 """Shared fixtures for the cross-backend conformance suite.
 
-The suite's contract: every backend in :func:`available_backends` is
+The suite's contract: both engines in :data:`BACKENDS` are
 interchangeable — byte-identical experiment results, program outcomes,
 and telemetry counters.  Helpers here run one (backend, workload) pair
 and produce canonical byte strings for comparison.
@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.backends import ProgramRequest, available_backends, get_backend
+from repro.backends import BACKENDS, ProgramRequest, execute_program
 from repro.controller import assemble_program
 from repro.dram.parameters import GeometryParams
 from repro.experiments import ExperimentConfig
@@ -66,11 +66,10 @@ def execute_corpus_program(path: Path, backend: str) -> str:
     program = assemble_program(path.read_text(), label=path.name)
     request = ProgramRequest(program=program, devices=CORPUS_DEVICES,
                              geometry=CORPUS_GEOMETRY, master_seed=2022)
-    return get_backend(backend).execute_program(request).render()
+    return execute_program(request, backend).render()
 
 
 @pytest.fixture(scope="session")
 def backends() -> tuple[str, ...]:
-    names = available_backends()
-    assert {"scalar", "fused"} <= set(names)
-    return names
+    assert BACKENDS == ("fused", "scalar")
+    return BACKENDS

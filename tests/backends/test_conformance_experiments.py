@@ -1,14 +1,14 @@
-"""Experiment conformance: all 12 experiments x every registered backend.
+"""Experiment conformance: all 12 experiments x both engines.
 
-The headline gate of the backend registry: dispatching any experiment
-through any registered backend produces byte-identical canonical results
-*and* byte-identical deterministic telemetry counters.  The scalar
-backend is the reference; nothing may diverge from it.
+The headline gate of ``--backend``: running any experiment on either
+engine produces byte-identical canonical results *and* byte-identical
+deterministic telemetry counters.  The scalar engine is the reference;
+nothing may diverge from it.
 """
 
 import pytest
 
-from repro.backends import available_backends
+from repro.backends import BACKENDS
 from repro.errors import UnsupportedOperationError
 from repro.experiments import nist_randomness
 from repro.experiments.runner import EXPERIMENTS
@@ -55,9 +55,14 @@ def test_backends_byte_identical(name, backends, monkeypatch):
         f"{len(xir_runs)} xir program(s) ran on {name}")
 
 
-@pytest.mark.parametrize("name", ("fig6", "fig11"))
+@pytest.mark.parametrize("name", ("fig6", "fig8", "fig10", "fig11"))
 def test_backend_conformance_holds_under_fleet_workers(name, backends):
-    """Sharded runs on every backend reproduce the serial run exactly."""
+    """Sharded runs on both engines reproduce the serial run exactly.
+
+    fig8 and fig10 put single units in shards of their own under two
+    workers (fig8's units 4 and 5; fig10's two group-B MAJ3 stability
+    serials), so the fused leg also runs one-lane cohorts.
+    """
     reference_result, reference_counters = run_on_backend(name, "scalar")
     for backend in backends:
         result, counters = run_on_backend(name, backend, workers=2)
@@ -65,7 +70,7 @@ def test_backend_conformance_holds_under_fleet_workers(name, backends):
         assert counters == reference_counters
 
 
-@pytest.mark.parametrize("backend", available_backends())
+@pytest.mark.parametrize("backend", BACKENDS)
 def test_nist_refuses_a_group_that_cannot_frac(backend):
     """Group J drops the Frac PRECHARGEs: no engine may emit responses."""
     config = CONFIG.scaled(backend=backend)

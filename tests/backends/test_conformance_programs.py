@@ -1,6 +1,6 @@
 """Program-corpus conformance: every backend, byte-identical outcomes.
 
-Each corpus program runs on every registered backend over a mixed device
+Each corpus program runs on both engines over a mixed device
 fleet (including group J, which drops closely spaced commands); the
 rendered :class:`~repro.backends.base.ProgramOutcome` — reads, cycle
 counts, drop counts, cell-state digests, and telemetry counters — must
@@ -12,7 +12,7 @@ import pytest
 from repro.backends import (
     BackendError,
     ProgramRequest,
-    get_backend,
+    execute_program,
     validate_request,
 )
 from repro.controller import assemble_program
@@ -101,5 +101,4 @@ class TestRequestValidation:
         program = assemble_program(
             "ACT 0 1\nWAIT 6\nWR 0 1 1010\nWAIT 8\nPRE 0\nWAIT 4\n")
         with pytest.raises(BackendError, match="bits"):
-            get_backend("scalar").execute_program(
-                self._request(program=program))
+            execute_program(self._request(program=program), "scalar")

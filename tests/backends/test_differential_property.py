@@ -3,8 +3,8 @@
 Hypothesis generates block-structured SoftMC programs — in-spec
 write/read blocks, Frac charge-sharing blocks, Half-m blocks whose PRE
 lands inside the sense amplifiers' amplify window, hardware loops, and
-LEAK retention pauses, over bounded banks/rows — and every registered
-backend must produce a byte-identical rendered outcome: returned read
+LEAK retention pauses, over bounded banks/rows — and both engines must
+produce a byte-identical rendered outcome: returned read
 data, final cell-state digests, cycle/drop accounting, and telemetry
 counters (including the ``controller.jedec.*`` timing-observation
 counts).
@@ -18,7 +18,7 @@ the device idle.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends import ProgramRequest, available_backends, get_backend
+from repro.backends import BACKENDS, ProgramRequest, execute_program
 from repro.controller import assemble_program
 
 from .conftest import CORPUS_GEOMETRY
@@ -96,14 +96,14 @@ def execute(source: str, backend: str) -> str:
     program = assemble_program(source, label="fuzz")
     request = ProgramRequest(program=program, devices=FUZZ_DEVICES,
                              geometry=CORPUS_GEOMETRY, master_seed=2022)
-    return get_backend(backend).execute_program(request).render()
+    return execute_program(request, backend).render()
 
 
 @settings(deadline=None, max_examples=25)
 @given(source=programs)
 def test_fuzzed_programs_identical_across_backends(source):
     reference = execute(source, "scalar")
-    for backend in available_backends():
+    for backend in BACKENDS:
         if backend == "scalar":
             continue
         assert execute(source, backend) == reference, (

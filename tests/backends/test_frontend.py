@@ -93,4 +93,4 @@ class TestExperimentsBackendFlag:
                 name, "--no-cache")
             assert code == 2
             assert f"unknown backend {name!r}" in err
-            assert "registered backends: fused, scalar" in err
+            assert "choose from fused, scalar" in err

@@ -1,84 +1,80 @@
-"""Registry behaviour: registration, lookup, lane-width policy."""
+"""Engine names, and the lane-width policy the name selects.
+
+:data:`BACKENDS` holds the two names; any other raises
+:class:`BackendError`.  Each lane stage of an experiment reads
+``config.backend`` once: ``scalar`` runs the stage's units one at a
+time on the reference, ``fused`` runs them all as lanes of one device
+cohort, a single unit as one lane.
+"""
 
 import pytest
 
-from repro.backends import (
-    DEFAULT_BACKEND,
-    BackendError,
-    available_backends,
-    get_backend,
-    register_backend,
-    resolve_backend,
-)
-from repro.experiments.base import DEFAULT_CONFIG, resolve_batch
+from repro.backends import BACKENDS, DEFAULT_BACKEND, BackendError, check_backend
+from repro.dram.batched import BatchedChip
+from repro.experiments import ExperimentConfig, fig6_retention
+
+CONFIG = ExperimentConfig(columns=64)
+
+
+def spy_lane_widths(monkeypatch) -> list[int]:
+    """Record the lane count of every ``BatchedChip`` built."""
+    widths: list[int] = []
+    original = BatchedChip.__init__
+
+    def spy(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        widths.append(self.n_lanes)
+
+    monkeypatch.setattr(BatchedChip, "__init__", spy)
+    return widths
 
 
 class TestRegistry:
     def test_builtin_backends_registered(self):
-        assert available_backends() == ("fused", "scalar")
+        assert BACKENDS == ("fused", "scalar")
 
     def test_available_backends_sorted(self):
-        assert list(available_backends()) == sorted(available_backends())
+        assert list(BACKENDS) == sorted(BACKENDS)
 
     def test_unknown_backend_error_lists_names_sorted(self):
         """The error's name list is pinned to sorted order.
 
         Error text is effectively API — scripts and docs quote it — so
-        registration order (import side effects) must never leak into
-        the rendered list.
+        the rendered list must not depend on how the names are stored.
         """
-        with pytest.raises(
-                BackendError,
-                match=r"registered backends: fused, scalar"):
-            get_backend("nope")
-
-    def test_get_backend_returns_singleton(self):
-        assert get_backend("scalar") is get_backend("scalar")
-
-    def test_backend_name_attribute_matches_key(self):
-        for name in available_backends():
-            assert get_backend(name).name == name
+        with pytest.raises(BackendError, match=r"choose from fused, scalar"):
+            check_backend("nope")
 
     def test_unknown_backend_lists_known_names(self):
         with pytest.raises(BackendError, match="unknown backend 'nope'"):
-            get_backend("nope")
+            check_backend("nope")
         with pytest.raises(BackendError, match="scalar"):
-            get_backend("nope")
+            check_backend("nope")
 
     def test_resolve_backend_default(self):
-        assert resolve_backend(None) is get_backend(DEFAULT_BACKEND)
-        assert resolve_backend("fused") is get_backend("fused")
-
-    def test_duplicate_registration_rejected(self):
-        with pytest.raises(BackendError, match="already registered"):
-
-            @register_backend
-            class Duplicate:  # pragma: no cover - rejected at decoration
-                name = "scalar"
-
-    def test_unnamed_registration_rejected(self):
-        with pytest.raises(BackendError, match="non-empty"):
-
-            @register_backend
-            class Nameless:  # pragma: no cover - rejected at decoration
-                name = ""
+        """No name means fused; ``None`` is not a third spelling of it."""
+        assert DEFAULT_BACKEND == "fused"
+        assert ExperimentConfig().backend == DEFAULT_BACKEND
+        with pytest.raises(BackendError, match="unknown backend None"):
+            ExperimentConfig(backend=None)
 
 
 class TestLaneWidthPolicy:
-    """``resolve_batch`` dispatches width to the configured backend."""
+    """``config.backend`` sets the width of every lane stage."""
 
-    def test_scalar_forces_width_one(self):
-        assert get_backend("scalar").lane_width(8) == 1
+    def test_scalar_forces_width_one(self, monkeypatch):
+        widths = spy_lane_widths(monkeypatch)
+        fig6_retention.run_shard(CONFIG.scaled(backend="scalar"), ("B", "C"))
+        assert widths == []
 
-    def test_batched_auto(self):
+    def test_batched_auto(self, monkeypatch):
         """The lane engine takes the stage's natural width."""
-        assert get_backend("fused").lane_width(8) == 8
+        widths = spy_lane_widths(monkeypatch)
+        fig6_retention.run_shard(CONFIG.scaled(backend="fused"), ("B", "C"))
+        assert widths == [2]
 
-    def test_width_never_below_one(self):
-        for name in available_backends():
-            assert get_backend(name).lane_width(0) == 1
-
-    def test_resolve_batch_respects_config_backend(self):
-        assert resolve_batch(DEFAULT_CONFIG, 8) == 8  # default: fused
-        assert resolve_batch(DEFAULT_CONFIG.scaled(backend="scalar"), 8) == 1
-        assert resolve_batch(DEFAULT_CONFIG.scaled(backend="fused"), 8) == 8
+    def test_width_never_below_one(self, monkeypatch):
+        """A single-unit stage runs on the lane engine as one lane."""
+        widths = spy_lane_widths(monkeypatch)
+        fig6_retention.run_shard(CONFIG.scaled(backend="fused"), ("B",))
+        assert widths == [1]

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.retention import RetentionProfiler
-from repro.backends import ProgramRequest, chip_state_digest, get_backend
+from repro.backends import ProgramRequest, chip_state_digest, execute_program
 from repro.controller import TraceRecorder, assemble_program
 from repro.core.ops import FracDram
 from repro.dram.chip import DramChip
@@ -45,7 +45,7 @@ def assert_replay_matches(chip, recorder, source, *, group="B", serial=0):
     request = ProgramRequest(program=program, devices=((group, serial),),
                              geometry=CORPUS_GEOMETRY, master_seed=SEED)
     for backend in ("scalar", "fused"):
-        outcome = get_backend(backend).execute_program(request)
+        outcome = execute_program(request, backend)
         (device,) = outcome.devices
         assert len(device.reads) == len(recorder.reads), (
             f"{backend}: replay returned {len(device.reads)} reads, "
@@ -104,7 +104,7 @@ def test_roundtrip_detects_divergent_silicon():
     program = assemble_program(source, label="roundtrip")
     request = ProgramRequest(program=program, devices=(("B", 7),),
                              geometry=CORPUS_GEOMETRY, master_seed=SEED)
-    outcome = get_backend("scalar").execute_program(request)
+    outcome = execute_program(request, "scalar")
     assert outcome.devices[0].state_digest != chip_state_digest(chip)
 
 

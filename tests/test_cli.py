@@ -104,8 +104,9 @@ class TestRunFlags:
 
 class TestRefusedFlags:
     """Every other subcommand refuses a flag value the model rejects, or
-    an input file it cannot read or parse, the way ``experiments`` does:
-    one ``error:`` line, exit 2, no traceback."""
+    an input file it cannot read or parse, the way ``experiments`` does,
+    and ``experiments`` and ``report`` refuse an output path they cannot
+    create: one ``error:`` line, exit 2, no traceback."""
 
     @pytest.mark.parametrize("argv", [
         ["run-program", "PROGRAM", "--columns", "0"],
@@ -125,6 +126,11 @@ class TestRefusedFlags:
         ["trace-diff", "MISSING", "TRACE"],
         ["trace-diff", "TRACE", "DIRECTORY"],
         ["trace-diff", "NOT_JSON", "TRACE"],
+        ["trace-diff", "NOT_EVENT", "TRACE"],
+        ["trace-diff", "TRACE", "NUMBER"],
+        ["experiments", "--only", "latency", "--cache-dir", "FILE"],
+        ["experiments", "--only", "latency", "--trace-out", "UNDER_FILE"],
+        ["report", "--only", "latency", "--output", "UNDER_FILE"],
         ["disassemble", "frac", "--n", "0"],
         # The assembler refuses a negative row, so this text would not
         # read back.
@@ -138,11 +144,20 @@ class TestRefusedFlags:
         bad_program.write_text("ACT 0 1\nACT 0 x\n")
         not_json = tmp_path / "not-json.jsonl"
         not_json.write_text("not json\n")
+        not_event = tmp_path / "not-event.jsonl"
+        not_event.write_text('{"kind":"x"}\n')
+        number = tmp_path / "number.jsonl"
+        number.write_text("5\n")
+        regular_file = tmp_path / "file"
+        regular_file.write_text("")
         with TraceWriter(tmp_path / "trace.jsonl") as writer:
             writer.emit("command", {"cmd": "ACT", "row": 1})
         paths = {"PROGRAM": program, "BAD_PROGRAM": bad_program,
                  "MISSING": tmp_path / "missing", "DIRECTORY": tmp_path,
-                 "NOT_JSON": not_json, "TRACE": tmp_path / "trace.jsonl"}
+                 "NOT_JSON": not_json, "NOT_EVENT": not_event,
+                 "NUMBER": number, "TRACE": tmp_path / "trace.jsonl",
+                 "FILE": regular_file,
+                 "UNDER_FILE": regular_file / "t.jsonl"}
         argv = [str(paths.get(arg, arg)) for arg in argv]
         assert main(argv) == 2
         captured = capsys.readouterr()
