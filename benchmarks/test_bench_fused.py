@@ -1,11 +1,10 @@
-"""Benchmark: fused xir executor vs the per-command and scalar engines.
+"""Benchmark: fused xir executor vs the scalar per-command engine.
 
 The fused backend compiles an experiment pass to a phase-op schedule
 once and replays it as whole-batch kernels (see ``docs/performance.md``
 and ``repro.xir``), eliminating the per-command Python dispatch the
-per-command walk (``BatchedSoftMC.replay``) pays per op.  The
-``batched`` leg replays each challenge's ops per command.  Two regimes
-are measured:
+scalar engine pays per command and per module.  Two regimes are
+measured:
 
 * **fig11 steady state** — the PUF-serving regime (one enrolled fleet
   answering challenge sets repeatedly, as ``repro.service`` does): the
@@ -16,7 +15,7 @@ are measured:
   axis targets (the per-lane RNG draws, identical on every engine by the
   byte-identity contract, scale with columns and bound all engines below
   at wide rows).  This is the tentpole regime: the fused engine must
-  deliver >= 10x over scalar and >= 2.5x over batched.
+  deliver >= 11.5x over scalar.
 * **fig6 end-to-end** — the retention experiment fabricates fresh
   devices and spends most of its wall inside the *shared* leak
   draws and an adaptively sequential bisection,
@@ -47,14 +46,13 @@ from record import record_bench
 from repro.dram.batched import BatchedChip
 from repro.experiments import fig6_retention, fig11_puf_hd
 from repro.experiments.base import make_chip
-from repro.puf.batched_puf import BatchedFracPuf
-from repro.puf.frac_puf import FracPuf, reserved_row
-from repro.xir import ir
+from repro.puf.frac_puf import FracPuf
 from repro.xir.puf import FusedFracPuf
 
-#: Tentpole targets for the dispatch-bound fig11 steady-state regime.
-SCALAR_SPEEDUP_TARGET = 10.0
-BATCHED_SPEEDUP_TARGET = 2.5
+#: Target for the dispatch-bound fig11 steady-state regime: about
+#: 0.75x of the lowest measured speedup (15.5x; 17.6-18.6x on a 2-CPU
+#: host), so a fused slowdown of about a third fails it.
+SCALAR_SPEEDUP_TARGET = 11.5
 #: Honest target for the leak-bound fig6 end-to-end regime.
 FIG6_SCALAR_TARGET = 1.5
 
@@ -67,24 +65,6 @@ N_EPOCHS = 2
 def _assert_speedups() -> bool:
     """Gate speedup assertions on having real parallel headroom."""
     return (os.cpu_count() or 1) >= 4
-
-
-def _evaluate_per_command(puf, challenge):
-    """``BatchedFracPuf.evaluate``'s command stream, replayed per command
-    (:meth:`BatchedSoftMC.replay`): the per-command engine's leg."""
-    mc, lanes = puf.bfd.mc, puf.bfd.all_lanes()
-    bank = challenge.bank
-    reserved = reserved_row(challenge.row,
-                            int(puf.bfd.device.geometry.rows_per_subarray))
-    rows = {"res": [reserved] * len(lanes),
-            "row": [challenge.row] * len(lanes)}
-    if (bank, reserved) not in puf._prepared_reserved:
-        mc.replay(ir.WriteRow(bank, "res", True), rows=rows, lanes=lanes)
-        puf._prepared_reserved.add((bank, reserved))
-    mc.replay(ir.RowCopy(bank, "res", "row"), rows=rows, lanes=lanes)
-    mc.replay(ir.Frac(bank, "row", puf.n_frac), rows=rows, lanes=lanes)
-    (bits,) = mc.replay(ir.ReadRow(bank, "row"), rows=rows, lanes=lanes)
-    return bits
 
 
 def _best_wall(function, rounds):
@@ -118,15 +98,6 @@ def test_fig11_fused_speedup(benchmark, bench_config, capsys):
             epochs.append(np.stack(responses, axis=0))
         return epochs
 
-    def collect_batched(puf):
-        epochs = []
-        for epoch in range(N_EPOCHS):
-            puf.reseed_noise(epoch)
-            epochs.append(np.stack(
-                [_evaluate_per_command(puf, challenge)
-                 for challenge in challenges], axis=1))
-        return epochs
-
     def collect_fused(puf):
         epochs = []
         for epoch in range(N_EPOCHS):
@@ -139,16 +110,12 @@ def test_fig11_fused_speedup(benchmark, bench_config, capsys):
     scalar_pairs = [(chip, FracPuf(chip))
                     for chip in (make_chip(group_id, config, serial)
                                  for group_id, serial in units)]
-    batched_puf = BatchedFracPuf(make_fleet())
     fused_puf = FusedFracPuf(make_fleet())
     collect_scalar(scalar_pairs)
-    collect_batched(batched_puf)
     collect_fused(fused_puf)
 
     scalar_wall, scalar = _best_wall(
         lambda: collect_scalar(scalar_pairs), rounds=2)
-    batched_wall, batched = _best_wall(
-        lambda: collect_batched(batched_puf), rounds=3)
     started = time.perf_counter()
     run_once(benchmark, collect_fused, fused_puf)
     first = time.perf_counter() - started
@@ -157,37 +124,26 @@ def test_fig11_fused_speedup(benchmark, bench_config, capsys):
 
     # Byte-identity is unconditional: fusion must never change the
     # science.
-    for scalar_epoch, batched_epoch, fused_epoch in zip(scalar, batched,
-                                                        fused):
-        assert np.array_equal(batched_epoch, fused_epoch), (
-            "fused responses differ from batched")
+    for scalar_epoch, fused_epoch in zip(scalar, fused):
         assert np.array_equal(scalar_epoch, fused_epoch), (
             "fused responses differ from scalar")
 
     scalar_speedup = scalar_wall / fused_wall
-    batched_speedup = batched_wall / fused_wall
     benchmark.extra_info["backend"] = "fused"
     benchmark.extra_info["lanes"] = len(units)
     benchmark.extra_info["fig11_scalar_wall_s"] = round(scalar_wall, 3)
-    benchmark.extra_info["fig11_batched_wall_s"] = round(batched_wall, 3)
     benchmark.extra_info["fig11_fused_wall_s"] = round(fused_wall, 3)
     benchmark.extra_info["fig11_speedup_vs_scalar"] = round(scalar_speedup, 2)
-    benchmark.extra_info["fig11_speedup_vs_batched"] = round(
-        batched_speedup, 2)
     record_bench("fused", benchmark.extra_info)
     with capsys.disabled():
         print(f"\nfig11 fused steady state ({len(units)} module lanes): "
-              f"scalar {scalar_wall:.2f}s, batched {batched_wall:.2f}s, "
-              f"fused {fused_wall:.2f}s "
-              f"({scalar_speedup:.1f}x / {batched_speedup:.1f}x)")
+              f"scalar {scalar_wall:.2f}s, fused {fused_wall:.2f}s "
+              f"({scalar_speedup:.1f}x)")
 
     if _assert_speedups():
         assert scalar_speedup >= SCALAR_SPEEDUP_TARGET, (
             f"expected >= {SCALAR_SPEEDUP_TARGET}x fused speedup over "
             f"scalar, got {scalar_speedup:.2f}x")
-        assert batched_speedup >= BATCHED_SPEEDUP_TARGET, (
-            f"expected >= {BATCHED_SPEEDUP_TARGET}x fused speedup over "
-            f"batched, got {batched_speedup:.2f}x")
 
 
 def test_fig6_fused_speedup(benchmark, bench_config, capsys):

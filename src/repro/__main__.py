@@ -247,6 +247,7 @@ def _cmd_bench_service(arguments: argparse.Namespace) -> int:
     from .service import (CoalescePolicy, PufAuthService, WorkloadSpec,
                           generate_schedule, percentile, replay_scripted)
     from .telemetry import session as telemetry_session
+    from .telemetry.tracer import claim_trace_path
 
     try:
         config = _service_config(arguments)
@@ -256,6 +257,8 @@ def _cmd_bench_service(arguments: argparse.Namespace) -> int:
                             impostor_fraction=arguments.impostors)
         policy = CoalescePolicy(max_lanes=arguments.max_lanes,
                                 max_wait_s=arguments.max_wait_ms / 1e3)
+        if arguments.trace_out is not None:
+            claim_trace_path(arguments.trace_out).close()
     except _REFUSALS as error:
         return _refused(error)
     db = _service_db(arguments, config)

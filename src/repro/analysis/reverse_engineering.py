@@ -204,12 +204,12 @@ def batched_probe_opened_rows(bfd, bank: int, r1: int, r2: int,
     non-R1/R2 row in row order), so a lane's result is byte-identical to
     the scalar probe on its chip.
 
-    The in-spec phases run as compiled :mod:`repro.xir` programs: one
-    ``WriteData`` per sub-array row stores the patterns, and one
-    ``ReadRow`` per non-pair row reads them back.  Only the
-    ``ACT(R1)-PRE-ACT(R2)`` glitch between them runs per command (the
-    compiler refuses to lower it).  Parameters are named by position,
-    not by row, so every pair of a scan replays the same two programs.
+    Every phase runs as a compiled :mod:`repro.xir` program: one
+    ``WriteData`` per sub-array row stores the patterns, the
+    ``ACT(R1)-PRE-ACT(R2)`` glitch runs as one multi-row activation, and
+    one ``ReadRow`` per non-pair row reads them back.  Parameters are
+    named by position, not by row, so every pair of a scan replays the
+    same programs.
     """
     rows_per_subarray = int(bfd.device.geometry.rows_per_subarray)
     base = (r1 // rows_per_subarray) * rows_per_subarray

@@ -3,19 +3,17 @@
 :class:`BatchedFracDram` mirrors :class:`~repro.core.ops.FracDram` over a
 :class:`~repro.dram.batched.BatchedChip`: every operation takes per-lane
 row vectors (and ``(L, C)`` operand planes) and runs once across all
-lanes instead of L scalar times — the in-spec primitives as compiled
-:mod:`repro.xir` ops (through :class:`BatchedSoftMC`'s wrappers), the
-multi-row activations as batched command sequences.
+lanes instead of L scalar times, as compiled :mod:`repro.xir` programs —
+the primitives through :class:`BatchedSoftMC`'s wrappers, one op each,
+the multi-row activation and Half-m included.
 
-``maj3``/``f_maj`` run their in-spec phases (operand stores, the Frac
-ladder, the final readout) as compiled :mod:`repro.xir` programs.  The
-multi-row activation itself stays on :class:`BatchedSoftMC`: the decoder
-glitch is whole-sequence physics the compiler deliberately refuses to
-lower, and it both starts and ends precharged, so the programs on either
-side see an idle device and every lane's command stream and noise draws
-stay those of the per-command primitives.  Program shapes depend only on
-static fields (row count, ``init_ones``, ``n_frac``), so each flow
-compiles once and replays across trials.
+``maj3``/``f_maj`` run their operand stores and Frac ladder as one
+program, the multi-row activation through
+:meth:`BatchedSoftMC.multi_row_activate`, and the readout as a third.
+Every program starts and ends precharged, so each lane's command stream
+and noise draws stay those of the scalar primitives.  Program shapes
+depend only on static fields (row count, ``init_ones``, ``n_frac``), so
+each flow compiles once and replays across trials.
 
 Multi-row operations take a pre-resolved
 :class:`~repro.core.ops.MultiRowPlan`.  Plans depend only on the vendor
@@ -35,7 +33,6 @@ from ..controller.batched import BatchedSoftMC
 from ..dram.batched import BatchedChip
 from ..errors import ConfigurationError
 from ..xir import ir
-from ..xir.executor import FusedRunner
 from .ops import FMajConfig, MultiRowPlan
 
 __all__ = ["BatchedFracDram"]
@@ -57,7 +54,6 @@ class BatchedFracDram:
                     f"(lane group {group.group_id!r} differs from "
                     f"{device.groups[0].group_id!r})")
         self.mc = BatchedSoftMC(device, electrical=electrical)
-        self._runner = FusedRunner(self.mc)
 
     @property
     def n_lanes(self) -> int:
@@ -126,7 +122,7 @@ class BatchedFracDram:
                     data: dict[str, np.ndarray] | None = None,
                     ) -> list[np.ndarray]:
         """Run an xir program on this driver's controller."""
-        return self._runner.run(ops, rows=rows, dts=dts, lanes=lanes,
+        return self.mc.runner.run(ops, rows=rows, dts=dts, lanes=lanes,
                                 data=data)
 
     # ------------------------------------------------------------------
@@ -137,7 +133,7 @@ class BatchedFracDram:
              lanes: Sequence[int]) -> np.ndarray:
         """Majority-of-three; ``operands`` is ``(L, 3, C)`` lane-major."""
         ops, rows, data = self._store_program(plan, operands, None, lanes)
-        self._runner.run(ops, rows=rows, lanes=lanes, data=data)
+        self.mc.runner.run(ops, rows=rows, lanes=lanes, data=data)
         self.multi_row_activate(plan, lanes)
         return self._read_result(plan, 0, lanes)
 
@@ -154,7 +150,7 @@ class BatchedFracDram:
         if config.n_frac > 0:
             ops += (ir.Frac(plan.bank, "fr", config.n_frac),)
         rows["fr"] = self._uniform(frac_row, lanes)
-        self._runner.run(ops + store_ops, rows=rows, lanes=lanes, data=data)
+        self.mc.runner.run(ops + store_ops, rows=rows, lanes=lanes, data=data)
         self.multi_row_activate(plan, lanes)
         result_position = 0 if config.frac_position != 0 else 1
         return self._read_result(plan, result_position, lanes)
@@ -182,7 +178,7 @@ class BatchedFracDram:
 
     def _read_result(self, plan: MultiRowPlan, position: int,
                      lanes: Sequence[int]) -> np.ndarray:
-        (read,) = self._runner.run(
+        (read,) = self.mc.runner.run(
             (ir.ReadRow(plan.bank, "rd"),),
             rows={"rd": self._uniform(plan.opened[position], lanes)},
             lanes=lanes)

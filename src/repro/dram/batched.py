@@ -10,15 +10,16 @@ trial would own.  Charge sharing, partial amplification, sense, leakage
 and the decoder-glitch resolution then run as whole-batch NumPy
 expressions instead of B separate passes.
 
-Each analog phase — charge share, sense, write, interrupted-precharge
-freeze, glitch overwrite, close — is one ``xir_*`` kernel that only
-moves voltages.  The per-command walk (:meth:`BatchedSubArray.activate`,
-``precharge``, ``settle``) does the structural bookkeeping and per-lane
-draws, then calls the kernel; the fused executor
-(:mod:`repro.xir.executor`) calls the same kernels from a compiled
-schedule, plus two collapsed forms only it uses (``xir_frac_burst``,
-``xir_store``).  Sense, frac-freeze, glitch and drop events go through
-shared recorders, so both walks trace identical events.
+Each analog phase — charge share, sense, partial amplification, write,
+interrupted-precharge freeze, glitch rollback and overwrite, close — is
+one ``xir_*`` kernel that only moves voltages.  There is one walker:
+the fused executor (:mod:`repro.xir.executor`) calls the kernels from a
+compiled schedule, in which the compiler (:mod:`repro.xir.compile`) has
+already resolved every structural question — which rows are open, when
+the sense amplifiers fire, which precharge a glitch aborts — plus two
+collapsed forms (``xir_frac_burst``, ``xir_store``).  Sense, partial
+amplification, frac-freeze, glitch and drop events go through the
+recorders here, so a fused run traces the scalar engine's events.
 
 Byte-identity contract
 ----------------------
@@ -35,10 +36,9 @@ produces, lane by lane.  Three rules make that hold:
   operations (``a[mask] * b[mask]``) are used only where they are bitwise
   equal to the scalar gather-after-compute form.
 
-* **Structurally divergent lanes are partitioned, not masked.**  Open-row
-  tuples, pending precharges and sense flags are per-lane Python state;
-  each operation groups the active lanes by structural signature (open
-  count, glitch shape, amplify steps) and runs one vector kernel per
+* **Structurally divergent lanes are partitioned, not masked.**  Lanes
+  whose glitch opens a different number of rows, or whose row sits in
+  another sub-array, run in separate lane groups, one vector kernel per
   group.
 
 Environments are captured per lane at construction; batched lanes do not
@@ -77,18 +77,16 @@ from typing import Sequence
 
 import numpy as np
 
-from ..errors import AddressError, CommandSequenceError, ConfigurationError
+from ..errors import ConfigurationError
 from ..telemetry.registry import active as _telemetry_active
 from .addressing import IdentityMap
 from .chip import MIN_COMMAND_SPACING_CYCLES, DramChip
-from .decoder import resolve_glitch
 from .environment import Environment
 from .parameters import GeometryParams
 from .polarity import is_anti_row
 from .rng import NoiseSource, derive_rng
 from .subarray import (
     _AMP_DIFFERENTIAL_SCALE,
-    CLOSE_ABORT_WINDOW,
     INTERRUPTED_SHARE_FRACTION,
     VariationPlanes,
     fabricate_planes,
@@ -145,8 +143,6 @@ class BatchedSubArray:
         # --- per-lane parameters (vendor profile x environment) ---
         self._couplings = [profile.coupling for profile in profiles]
         self._decoders = [profile.decoder for profile in profiles]
-        self._sense_enable = [profile.electrical.sense_enable_cycles
-                              for profile in profiles]
         self._restore = np.array([profile.electrical.restore_level
                                   for profile in profiles])
         self._cb = np.array([profile.electrical.bitline_to_cell_ratio
@@ -175,35 +171,14 @@ class BatchedSubArray:
                                    for env in environments])
         self._leak_cache: dict[float, np.ndarray] = {}
 
-        # --- dynamic state: tensors for voltages, lists for structure ---
+        # --- dynamic state: voltages only (structure lives in the
+        # compiled program each run replays) ---
         self.cell_v = np.zeros((self.n_lanes, self.n_rows, self.n_cols))
         # Rows that have ever been opened (the only way cells get written).
         # Never-written rows hold exact +0.0, so the leak decay multiply
         # can skip them: 0.0 * decay == +0.0 bit-for-bit.
         self._written = np.zeros((self.n_lanes, self.n_rows), dtype=bool)
         self.bitline_v = np.full((self.n_lanes, self.n_cols), 0.5)
-        self._open_rows: list[tuple[int, ...]] = [()] * self.n_lanes
-        # Exact counts of lanes with open rows / a pending precharge.
-        # They let the hot no-op cases (settle/precharge hitting a
-        # sub-array no lane is using) return before any per-lane scan.
-        self._n_open = 0
-        self._n_pre = 0
-        self._sense_fired: list[bool] = [False] * self.n_lanes
-        self._row_buffer: list[np.ndarray | None] = [None] * self.n_lanes
-        self._last_act: list[int] = [-(10 ** 9)] * self.n_lanes
-        self._pre_started: list[int | None] = [None] * self.n_lanes
-        self._preshare_snapshot: list[np.ndarray | None] = [None] * self.n_lanes
-        self._preshare_rows: list[tuple[int, ...]] = [()] * self.n_lanes
-
-    # ------------------------------------------------------------------
-    # introspection
-    # ------------------------------------------------------------------
-
-    def lane_is_idle(self, lane: int) -> bool:
-        return not self._open_rows[lane] and self._pre_started[lane] is None
-
-    def open_rows(self, lane: int) -> tuple[int, ...]:
-        return self._open_rows[lane]
 
     def reseed_noise(self, epoch: int) -> None:
         """Reseed every lane's noise source to ``epoch``.
@@ -217,154 +192,10 @@ class BatchedSubArray:
             noise.reseed(int(epoch))
 
     # ------------------------------------------------------------------
-    # command interface (lanes: lane ids; cycles: (B,) absolute stamps)
-    # ------------------------------------------------------------------
-
-    def activate(self, lanes: Sequence[int], rows: Sequence[int],
-                 cycles: np.ndarray) -> None:
-        abort_lanes: list[int] = []
-        abort_rows: list[int] = []
-        advance: list[int] = []
-        advance_rows: list[int] = []
-        for lane, row in zip(lanes, rows):
-            row = int(row)
-            if not 0 <= row < self.n_rows:
-                raise CommandSequenceError(f"row {row} outside sub-array")
-            pre = self._pre_started[lane]
-            if pre is not None and cycles[lane] - pre < CLOSE_ABORT_WINDOW:
-                abort_lanes.append(lane)
-                abort_rows.append(row)
-            else:
-                advance.append(lane)
-                advance_rows.append(row)
-        if abort_lanes:
-            self._abort_close_and_glitch(abort_lanes, abort_rows, cycles)
-        if not advance:
-            return
-        if self._n_pre:
-            commit = [lane for lane in advance
-                      if self._pre_started[lane] is not None]
-            if commit:
-                self._commit_close(commit)
-        self.settle(advance, cycles)
-        groups: dict[int, tuple[list[int], list[tuple[int, ...]]]] = {}
-        for lane, row in zip(advance, advance_rows):
-            current = self._open_rows[lane]
-            if current:
-                # Out-of-spec ACT-ACT: physically just raises another word-line.
-                if row in current:
-                    continue
-                new_rows = (*current, row)
-            else:
-                new_rows = (row,)
-            group = groups.setdefault(len(new_rows), ([], []))
-            group[0].append(lane)
-            group[1].append(new_rows)
-        for group_lanes, row_tuples in groups.values():
-            self._open_group(group_lanes, row_tuples, cycles)
-
-    def precharge(self, lanes: Sequence[int], cycles: np.ndarray) -> None:
-        if not self._n_pre and not self._n_open:
-            # Nothing open, nothing closing: the command only re-asserts
-            # the idle bit-line level (exactly what the general path
-            # would do for every lane).
-            self.bitline_v[np.asarray(lanes, dtype=np.intp)] = 0.5
-            return
-        if self._n_pre:
-            commit = [lane for lane in lanes
-                      if self._pre_started[lane] is not None]
-            if commit:
-                self._commit_close(commit)
-        self.settle(lanes, cycles)
-        idle = [lane for lane in lanes if not self._open_rows[lane]]
-        if idle:
-            self.bitline_v[np.asarray(idle, dtype=np.intp)] = 0.5
-        open_lanes = [lane for lane in lanes if self._open_rows[lane]]
-        amp_groups: dict[tuple[int, int], list[int]] = {}
-        for lane in open_lanes:
-            if not self._sense_fired[lane]:
-                amplify_steps = int(cycles[lane]) - self._last_act[lane] - 1
-                if amplify_steps >= 1:
-                    key = (min(amplify_steps, 3), len(self._open_rows[lane]))
-                    amp_groups.setdefault(key, []).append(lane)
-        for (steps, _), group_lanes in amp_groups.items():
-            self._partial_amplify(group_lanes, steps)
-        for lane in open_lanes:
-            self._pre_started[lane] = int(cycles[lane])
-        self._n_pre += len(open_lanes)
-
-    def settle(self, lanes: Sequence[int], cycles: np.ndarray) -> None:
-        if not self._n_pre and not self._n_open:
-            return
-        commit: list[int] = []
-        fire: dict[int, list[int]] = {}
-        for lane in lanes:
-            pre = self._pre_started[lane]
-            if pre is not None:
-                if cycles[lane] - pre >= CLOSE_ABORT_WINDOW:
-                    commit.append(lane)
-                continue  # interrupted activation: sense amps can no longer fire
-            if (self._open_rows[lane] and not self._sense_fired[lane]
-                    and cycles[lane] - self._last_act[lane]
-                    >= self._sense_enable[lane]):
-                fire.setdefault(len(self._open_rows[lane]), []).append(lane)
-        if commit:
-            self._commit_close(commit)
-        for group_lanes in fire.values():
-            self._fire_sense_amps(group_lanes)
-
-    def finish(self, lanes: Sequence[int], cycles: np.ndarray) -> None:
-        self.settle(lanes, cycles)
-        if self._n_pre:
-            commit = [lane for lane in lanes
-                      if self._pre_started[lane] is not None]
-            if commit:
-                self._commit_close(commit)
-
-    def row_buffer(self, lanes: Sequence[int]) -> np.ndarray:
-        """Sensed bits (physical polarity), lane-major ``(len(lanes), C)``."""
-        out = np.empty((len(lanes), self.n_cols), dtype=bool)
-        for index, lane in enumerate(lanes):
-            buffer = self._row_buffer[lane]
-            if not self._sense_fired[lane] or buffer is None:
-                raise CommandSequenceError(
-                    "row buffer read before sense amplifiers fired")
-            out[index] = buffer
-        return out
-
-    def write_open_row(self, lanes: Sequence[int],
-                       physical_bits: np.ndarray) -> None:
-        bits = np.asarray(physical_bits, dtype=bool)
-        if bits.shape != (len(lanes), self.n_cols):
-            raise CommandSequenceError(
-                f"write data has shape {bits.shape}, expected "
-                f"({len(lanes)}, {self.n_cols})")
-        for lane in lanes:
-            if not self._sense_fired[lane]:
-                raise CommandSequenceError(
-                    "WRITE issued before sense amplifiers fired")
-        groups: dict[int, tuple[list[int], list[int]]] = {}
-        for index, lane in enumerate(lanes):
-            group = groups.setdefault(len(self._open_rows[lane]), ([], []))
-            group[0].append(lane)
-            group[1].append(index)
-        for group_lanes, indices in groups.values():
-            rows_mat = np.asarray([self._open_rows[lane]
-                                   for lane in group_lanes], dtype=np.intp)
-            group_bits = bits[indices]
-            self.xir_write(np.asarray(group_lanes, dtype=np.intp), rows_mat,
-                           group_bits)
-            for offset, lane in enumerate(group_lanes):
-                self._row_buffer[lane] = group_bits[offset].copy()
-
-    # ------------------------------------------------------------------
     # retention / leakage
     # ------------------------------------------------------------------
 
     def leak(self, lanes: Sequence[int], dt_s: float) -> None:
-        for lane in lanes:
-            if not self.lane_is_idle(lane):
-                raise CommandSequenceError("cannot advance time with rows open")
         if dt_s < 0:
             raise ValueError("dt_s must be non-negative")
         if dt_s == 0:
@@ -448,82 +279,8 @@ class BatchedSubArray:
         return base
 
     # ------------------------------------------------------------------
-    # internals (the per-command walk over structurally uniform lane groups)
+    # telemetry recorders and per-lane caches
     # ------------------------------------------------------------------
-
-    def _open_group(self, lanes: Sequence[int],
-                    row_tuples: Sequence[tuple[int, ...]],
-                    cycles: np.ndarray) -> None:
-        rows_mat = np.asarray(row_tuples, dtype=np.intp)
-        # Jitter-free lanes draw nothing and skip the multiply and clip,
-        # exactly as the scalar engine does.
-        jitter = (self._lane_noise_draws(lanes, self._jitter_sigma,
-                                         (rows_mat.shape[1], self.n_cols))
-                  if self._jitter_any else None)
-        snapshots = self.xir_charge_share(
-            lanes, np.asarray(lanes, dtype=np.intp), rows_mat, jitter)
-        for index, lane in enumerate(lanes):
-            self._preshare_rows[lane] = row_tuples[index]
-            self._preshare_snapshot[lane] = snapshots[index]
-            if not self._open_rows[lane]:
-                self._n_open += 1
-            self._open_rows[lane] = row_tuples[index]
-            self._last_act[lane] = int(cycles[lane])
-            self._sense_fired[lane] = False
-            self._row_buffer[lane] = None
-
-    def _abort_close_and_glitch(self, lanes: Sequence[int],
-                                rows: Sequence[int],
-                                cycles: np.ndarray) -> None:
-        for lane in lanes:
-            if self._pre_started[lane] is not None:
-                self._n_pre -= 1
-            self._pre_started[lane] = None
-        fresh: list[int] = []
-        fresh_rows: list[tuple[int, ...]] = []
-        sensed_groups: dict[int, tuple[list[int], list[tuple[int, ...]]]] = {}
-        unsensed: list[int] = []
-        unsensed_rows: list[tuple[int, ...]] = []
-        for lane, row in zip(lanes, rows):
-            previous = self._open_rows[lane]
-            if not previous:
-                fresh.append(lane)
-                fresh_rows.append((row,))
-                continue
-            glitch_rows = resolve_glitch(
-                self._decoders[lane], previous[0], row, self.n_rows)
-            if self._sense_fired[lane]:
-                opened = tuple(dict.fromkeys((*previous, *glitch_rows)))
-                self._record_glitch(lane, previous, row, opened, overwrite=True)
-                group = sensed_groups.setdefault(len(opened), ([], []))
-                group[0].append(lane)
-                group[1].append(opened)
-            else:
-                self._record_glitch(lane, previous, row, glitch_rows,
-                                    overwrite=False)
-                unsensed.append(lane)
-                unsensed_rows.append(glitch_rows)
-        if fresh:
-            self.bitline_v[np.asarray(fresh, dtype=np.intp)] = 0.5
-            self._open_group(fresh, fresh_rows, cycles)
-        for group_lanes, opened_list in sensed_groups.values():
-            # Bit-lines still driven: every opened row takes the sensed
-            # value (the in-DRAM row-copy mechanism).
-            self.xir_overwrite(np.asarray(group_lanes, dtype=np.intp),
-                               np.asarray(opened_list, dtype=np.intp))
-            for index, lane in enumerate(group_lanes):
-                self._open_rows[lane] = opened_list[index]
-                self._last_act[lane] = int(cycles[lane])
-        if unsensed:
-            self._rollback_partial_share(unsensed)
-            self.bitline_v[np.asarray(unsensed, dtype=np.intp)] = 0.5
-            glitch_groups: dict[int, tuple[list[int], list[tuple[int, ...]]]] = {}
-            for lane, glitch_rows in zip(unsensed, unsensed_rows):
-                group = glitch_groups.setdefault(len(glitch_rows), ([], []))
-                group[0].append(lane)
-                group[1].append(glitch_rows)
-            for group_lanes, rows_list in glitch_groups.values():
-                self._open_group(group_lanes, rows_list, cycles)
 
     def _record_glitch(self, lane: int, previous: tuple[int, ...],
                        requested: int, opened: tuple[int, ...],
@@ -564,6 +321,20 @@ class BatchedSubArray:
                     "flips": flips,
                 })
 
+    def _record_partial_amplify(self, lanes: Sequence[int],
+                                rows_mat: np.ndarray, steps: int) -> None:
+        telemetry = _telemetry_active()
+        if telemetry is None:
+            return
+        for index, lane in enumerate(lanes):
+            telemetry.count("dram.partial_amplify")
+            telemetry.emit("partial_amplify", {
+                "bank": self.origins[lane][0],
+                "subarray": self.origins[lane][1],
+                "rows": [int(r) for r in rows_mat[index]],
+                "steps": int(steps),
+            })
+
     def _record_frac_freeze(self, lanes: Sequence[int],
                             rows_mat: np.ndarray) -> None:
         telemetry = _telemetry_active()
@@ -576,52 +347,6 @@ class BatchedSubArray:
                 "subarray": self.origins[lane][1],
                 "rows": [int(r) for r in rows_mat[index]],
             })
-
-    def _rollback_partial_share(self, lanes: Sequence[int]) -> None:
-        groups: dict[int, list[int]] = {}
-        for lane in lanes:
-            if self._preshare_snapshot[lane] is None:
-                continue
-            groups.setdefault(len(self._preshare_rows[lane]), []).append(lane)
-        for group_lanes in groups.values():
-            lane_arr = np.asarray(group_lanes, dtype=np.intp)
-            rows_mat = np.asarray([self._preshare_rows[lane]
-                                   for lane in group_lanes], dtype=np.intp)
-            full = self.cell_v[lane_arr[:, None], rows_mat]
-            original = np.stack([self._preshare_snapshot[lane]
-                                 for lane in group_lanes])
-            partial = original + INTERRUPTED_SHARE_FRACTION * (full - original)
-            self.cell_v[lane_arr[:, None], rows_mat] = partial
-
-    def _commit_close(self, lanes: Sequence[int]) -> None:
-        freeze: dict[int, list[int]] = {}
-        for lane in lanes:
-            if (not self._sense_fired[lane]
-                    and self._preshare_snapshot[lane] is not None
-                    and self._preshare_rows[lane]):
-                freeze.setdefault(len(self._preshare_rows[lane]), []).append(lane)
-        for group_lanes in freeze.values():
-            rows_mat = np.asarray([self._preshare_rows[lane]
-                                   for lane in group_lanes], dtype=np.intp)
-            self.xir_freeze(np.asarray(group_lanes, dtype=np.intp), rows_mat,
-                            np.stack([self._preshare_snapshot[lane]
-                                      for lane in group_lanes]))
-            self._record_frac_freeze(group_lanes, rows_mat)
-        closed_open = 0
-        for lane in lanes:
-            self._pre_started[lane] = None
-            if self._open_rows[lane]:
-                closed_open += 1
-                self._open_rows[lane] = ()
-            self._preshare_rows[lane] = ()
-            self._preshare_snapshot[lane] = None
-            self._sense_fired[lane] = False
-            self._row_buffer[lane] = None
-        # Every caller filters on a pending precharge, so the whole group
-        # leaves the pending set at once.
-        self._n_pre -= len(lanes)
-        self._n_open -= closed_open
-        self.xir_close(np.asarray(lanes, dtype=np.intp))
 
     def _primary_positions(self, k: int) -> list[int | None]:
         """Per-lane primary coupling position for ``k`` open rows, cached.
@@ -657,36 +382,6 @@ class BatchedSubArray:
             self._weights_base_cache[key] = cached
         return cached
 
-    def _lane_noise_draws(self, lanes: Sequence[int], sigma_vec: np.ndarray,
-                          shape: tuple[int, ...]) -> np.ndarray:
-        """Per-lane Gaussian draws, one ``standard_normal`` per lane.
-
-        Bitwise-identical to ``NoiseSource.normal`` per lane:
-        ``normal(0, s)`` computes ``0.0 + s*x`` per value; drawing raw
-        into the block with ``standard_normal(out=...)``, scaling by the
-        lane sigma and adding ``0.0`` computes ``s*x + 0.0`` — the same
-        float (IEEE addition commutes) — while skipping the per-call
-        loc/scale machinery on the multi-row hot path.  Zero-sigma lanes
-        draw nothing (stream untouched), exactly like ``NoiseSource``.
-        """
-        count = 1
-        for extent in shape:
-            count *= extent
-        draws = np.empty((len(lanes), *shape))
-        flat = draws.reshape(len(lanes), count)
-        scales = np.empty((len(lanes), *(1,) * len(shape)))
-        for index, lane in enumerate(lanes):
-            sigma = sigma_vec[lane]
-            if sigma > 0.0:
-                self._noises[lane].rng.standard_normal(out=flat[index])
-                scales.flat[index] = sigma
-            else:
-                flat[index] = 0.0
-                scales.flat[index] = 1.0  # keep the zeros exactly +0.0
-        draws *= scales
-        draws += 0.0
-        return draws
-
     def _threshold(self, lane_arr: np.ndarray, k: int) -> np.ndarray:
         """Per-lane sense threshold with ``k`` rows open, ``(B, C)``."""
         threshold = (0.5 + self.sa_offset[lane_arr]
@@ -695,64 +390,17 @@ class BatchedSubArray:
             threshold = threshold + self.multirow_bias[lane_arr]
         return threshold
 
-    def _partial_amplify(self, lanes: Sequence[int], steps: int) -> None:
-        lane_arr = np.asarray(lanes, dtype=np.intp)
-        rows_mat = np.asarray([self._open_rows[lane] for lane in lanes],
-                              dtype=np.intp)
-        telemetry = _telemetry_active()
-        if telemetry is not None:
-            for lane in lanes:
-                telemetry.count("dram.partial_amplify")
-                telemetry.emit("partial_amplify", {
-                    "bank": self.origins[lane][0],
-                    "subarray": self.origins[lane][1],
-                    "rows": [int(r) for r in self._open_rows[lane]],
-                    "steps": int(steps),
-                })
-        draws = self._lane_noise_draws(lanes, self._noise_sigma,
-                                       (self.n_cols,))
-        sensed = self.bitline_v[lane_arr] + draws
-        threshold = self._threshold(lane_arr, rows_mat.shape[1])
-        rail = np.where(sensed > threshold,
-                        self._restore[lane_arr][:, None], 0.0)
-        differential = np.abs(sensed - threshold)
-        residual = (1.0 - self.amp_alpha[lane_arr]) * np.exp(
-            -differential / _AMP_DIFFERENTIAL_SCALE)
-        pull = 1.0 - residual ** steps
-        bitline = self.bitline_v[lane_arr]
-        bitline += pull * (rail - bitline)
-        self.bitline_v[lane_arr] = bitline
-        cell_block = self.cell_v[lane_arr[:, None], rows_mat]
-        cell_block += pull[:, None, :] * (rail[:, None, :] - cell_block)
-        self.cell_v[lane_arr[:, None], rows_mat] = cell_block
-
-    def _fire_sense_amps(self, lanes: Sequence[int]) -> None:
-        rows_mat = np.asarray([self._open_rows[lane] for lane in lanes],
-                              dtype=np.intp)
-        draws = self._lane_noise_draws(lanes, self._noise_sigma,
-                                       (self.n_cols,))
-        decision = self.xir_sense(np.asarray(lanes, dtype=np.intp),
-                                  rows_mat, draws)
-        self._record_sense(lanes, rows_mat, decision,
-                           [self._preshare_snapshot[lane] for lane in lanes])
-        for index, lane in enumerate(lanes):
-            self._row_buffer[lane] = decision[index].copy()
-            self._sense_fired[lane] = True
-
     # ------------------------------------------------------------------
-    # phase kernels (shared by the per-command walk and repro.xir)
+    # phase kernels (called by repro.xir's executor)
     # ------------------------------------------------------------------
     #
-    # Each analog phase has exactly one implementation, here.  The
-    # per-command walk above calls these kernels after its structural
-    # bookkeeping (open-row lists, pending-precharge scans, sense-window
-    # checks) has picked the lane group and drawn its noise; the xir
-    # executor (:mod:`repro.xir.executor`) calls them straight from a
-    # compiled schedule, with draws pre-advanced from its merged
-    # per-lane streams.  The kernels only move voltages: they leave
-    # ``_open_rows``/``_pre_started`` untouched, which is what lets
-    # per-command and fused calls interleave on one device.  The
-    # ``xir_`` prefix marks them as FORK002 purity entry points.
+    # Each analog phase has exactly one lane implementation, here: the
+    # xir executor (:mod:`repro.xir.executor`) calls these kernels from
+    # a compiled schedule, one call per structurally uniform lane group
+    # (same sub-array, same open-row count), with draws pre-advanced
+    # from its merged per-lane streams.  The kernels only move voltages;
+    # the open-row structure is the compiled program's.  The ``xir_``
+    # prefix marks them as FORK002 purity entry points.
 
     def xir_charge_share(self, lanes: Sequence[int], lane_arr: np.ndarray,
                          rows_mat: np.ndarray,
@@ -760,9 +408,10 @@ class BatchedSubArray:
         """ACT body: mark written, snapshot, charge-share.
 
         ``jitter_draws`` is ``None`` on jitter-free sub-arrays, else the
-        pre-scaled ``(B, k, C)`` weight-jitter draws.  Returns the
-        ``(B, k, C)`` pre-share cell snapshot (for freeze and flips
-        accounting).
+        pre-scaled ``(B, k, C)`` weight-jitter draws, which the kernel
+        consumes (it computes the jittered weights in their buffer).
+        Returns the ``(B, k, C)`` pre-share cell snapshot (for freeze and
+        flips accounting).
         """
         k = rows_mat.shape[1]
         self._written[lane_arr[:, None], rows_mat] = True
@@ -773,7 +422,9 @@ class BatchedSubArray:
         if jitter_draws is not None:
             # Zero-sigma lanes arrive as exact zeros: 1.0 + 0.0 is a
             # bitwise no-op and the 0.05 clip never binds for weights >= 1.
-            weights = weights * (1.0 + jitter_draws)
+            # In place: base * (1 + jitter) == (1 + jitter) * base.
+            jitter_draws += 1.0
+            weights = np.multiply(weights, jitter_draws, out=jitter_draws)
             np.clip(weights, 0.05, None, out=weights)
         cb = self._cb[lane_arr][:, None]
         if k == 1:
@@ -800,6 +451,34 @@ class BatchedSubArray:
         self.bitline_v[lane_arr] = level
         self.cell_v[lane_arr[:, None], rows_mat] = level[:, None, :]
         return decision
+
+    def xir_partial_amplify(self, lane_arr: np.ndarray, rows_mat: np.ndarray,
+                            draws: np.ndarray, steps: int) -> None:
+        """A PRECHARGE inside the amplify window: move bit-lines and the
+        open cells part-way toward the rails the comparator picked."""
+        sensed = self.bitline_v[lane_arr] + draws
+        threshold = self._threshold(lane_arr, rows_mat.shape[1])
+        rail = np.where(sensed > threshold,
+                        self._restore[lane_arr][:, None], 0.0)
+        differential = np.abs(sensed - threshold)
+        residual = (1.0 - self.amp_alpha[lane_arr]) * np.exp(
+            -differential / _AMP_DIFFERENTIAL_SCALE)
+        pull = 1.0 - residual ** steps
+        bitline = self.bitline_v[lane_arr]
+        bitline += pull * (rail - bitline)
+        self.bitline_v[lane_arr] = bitline
+        cell_block = self.cell_v[lane_arr[:, None], rows_mat]
+        cell_block += pull[:, None, :] * (rail[:, None, :] - cell_block)
+        self.cell_v[lane_arr[:, None], rows_mat] = cell_block
+
+    def xir_rollback(self, lane_arr: np.ndarray, rows_mat: np.ndarray,
+                     snapshot: np.ndarray) -> None:
+        """Unsensed close-abort: the interrupted share only partially
+        took, then the equalizer resets the bit-lines to Vdd/2."""
+        full = self.cell_v[lane_arr[:, None], rows_mat]
+        self.cell_v[lane_arr[:, None], rows_mat] = (
+            snapshot + INTERRUPTED_SHARE_FRACTION * (full - snapshot))
+        self.bitline_v[lane_arr] = 0.5
 
     def xir_write(self, lane_arr: np.ndarray, rows_mat: np.ndarray,
                   physical_bits: np.ndarray) -> None:
@@ -885,8 +564,8 @@ class BatchedSubArray:
 
 
 class BatchedChip:
-    """Per-lane bank routing, polarity and command spacing over a grid of
-    :class:`BatchedSubArray` cells."""
+    """Per-lane row maps, polarity, command-spacing history and retention
+    clock over a grid of :class:`BatchedSubArray` cells."""
 
     def __init__(
         self,
@@ -1111,20 +790,6 @@ class BatchedChip:
     def rows_per_bank(self) -> int:
         return self.geometry.rows_per_bank
 
-    def lane_is_idle(self, lane: int) -> bool:
-        return all(cell.lane_is_idle(lane)
-                   for bank_cells in self.cells for cell in bank_cells)
-
-    def lanes_idle(self, lanes: Sequence[int]) -> bool:
-        """Whether no bank of any of ``lanes`` has an open or closing row."""
-        # The sub-arrays keep exact open/pending-precharge counts; when
-        # every count is zero no lane can be busy, skipping the per-lane
-        # all-cells scan on the (overwhelmingly common) idle-device path.
-        if not any(cell._n_open or cell._n_pre
-                   for bank_cells in self.cells for cell in bank_cells):
-            return True
-        return all(self.lane_is_idle(lane) for lane in lanes)
-
     def reseed_noise(self, epoch: int) -> None:
         """Start a new measurement-noise epoch on every lane.
 
@@ -1136,28 +801,9 @@ class BatchedChip:
             for cell in bank_cells:
                 cell.reseed_noise(epoch)
 
-    def _check_bank(self, bank: int) -> None:
-        if not 0 <= bank < self.geometry.n_banks:
-            raise AddressError(f"bank {bank} out of range")
-
-    def _is_anti(self, lane: int, row: int) -> bool:
-        return self._anti_rows[lane, row % self.geometry.rows_per_subarray]
-
     # ------------------------------------------------------------------
-    # command interface
+    # command spacing and time
     # ------------------------------------------------------------------
-
-    def _spacing_filter(self, bank: int, lanes: Sequence[int],
-                        cycles: np.ndarray) -> Sequence[int]:
-        if not self._any_enforce:
-            # No lane's decoder gates command spacing, and the spacing
-            # history is only ever read for enforcing lanes — skip the
-            # per-lane bookkeeping outright.
-            return lanes
-        telemetry = _telemetry_active()
-        return [lane for lane in lanes
-                if not self._enforce[lane] or self._spacing_step(
-                    lane, bank, int(cycles[lane]), telemetry)]
 
     def _spacing_step(self, lane: int, bank: int, cycle: int,
                       telemetry) -> bool:
@@ -1176,106 +822,12 @@ class BatchedChip:
         self._last_cmd[lane][bank] = cycle
         return True
 
-    def activate(self, bank: int, rows: Sequence[int],
-                 lanes: Sequence[int], cycles: np.ndarray) -> None:
-        self._check_bank(bank)
-        allowed = self._spacing_filter(bank, lanes, cycles)
-        if not allowed:
-            return
-        if allowed is lanes or len(allowed) == len(lanes):
-            allowed_rows: Sequence[int] = rows
-        else:
-            rows_by_lane = dict(zip(lanes, rows))
-            allowed_rows = [rows_by_lane[lane] for lane in allowed]
-        rps = self.geometry.rows_per_subarray
-        by_sub: dict[int, tuple[list[int], list[int]]] = {}
-        for lane, row in zip(allowed, allowed_rows):
-            row = int(row)
-            if not 0 <= row < self.geometry.rows_per_bank:
-                raise AddressError(
-                    f"row {row} out of range for bank with "
-                    f"{self.geometry.rows_per_bank} rows")
-            sub, local_logical = divmod(row, rps)
-            group = by_sub.setdefault(sub, ([], []))
-            group[0].append(lane)
-            group[1].append(self._phys_rows[lane, local_logical])
-        for sub, (sub_lanes, local_rows) in by_sub.items():
-            self.cells[bank][sub].activate(sub_lanes, local_rows, cycles)
-
-    def precharge(self, bank: int, lanes: Sequence[int],
-                  cycles: np.ndarray) -> None:
-        self._check_bank(bank)
-        allowed = self._spacing_filter(bank, lanes, cycles)
-        if not allowed:
-            return
-        for cell in self.cells[bank]:
-            cell.precharge(allowed, cycles)
-
-    def precharge_all(self, lanes: Sequence[int], cycles: np.ndarray) -> None:
-        for bank in range(self.geometry.n_banks):
-            self.precharge(bank, lanes, cycles)
-
-    def settle(self, lanes: Sequence[int], cycles: np.ndarray) -> None:
-        for bank_cells in self.cells:
-            for cell in bank_cells:
-                cell.settle(lanes, cycles)
-
-    def finish(self, lanes: Sequence[int], cycles: np.ndarray) -> None:
-        for bank_cells in self.cells:
-            for cell in bank_cells:
-                cell.finish(lanes, cycles)
-
-    # ------------------------------------------------------------------
-    # data path
-    # ------------------------------------------------------------------
-
-    def row_buffer_logical(self, bank: int, rows: Sequence[int],
-                           lanes: Sequence[int]) -> np.ndarray:
-        """Logical bits per lane, ``(len(lanes), columns)`` in lane order."""
-        self._check_bank(bank)
-        out = np.empty((len(lanes), self.geometry.columns), dtype=bool)
-        rps = self.geometry.rows_per_subarray
-        by_sub: dict[int, tuple[list[int], list[int]]] = {}
-        for index, lane in enumerate(lanes):
-            group = by_sub.setdefault(int(rows[index]) // rps, ([], []))
-            group[0].append(lane)
-            group[1].append(index)
-        for sub, (sub_lanes, indices) in by_sub.items():
-            physical = self.cells[bank][sub].row_buffer(sub_lanes)
-            for offset, (lane, index) in enumerate(zip(sub_lanes, indices)):
-                bits = physical[offset]
-                if self._is_anti(lane, int(rows[index])):
-                    bits = ~bits
-                out[index] = bits
-        return out
-
-    def write_open(self, bank: int, rows: Sequence[int],
-                   lanes: Sequence[int], logical_bits: np.ndarray) -> None:
-        self._check_bank(bank)
-        bits = np.asarray(logical_bits, dtype=bool)
-        if bits.ndim == 1:
-            bits = np.broadcast_to(bits, (len(lanes), bits.shape[0]))
-        physical = bits.copy()
-        for index, lane in enumerate(lanes):
-            if self._is_anti(lane, int(rows[index])):
-                physical[index] = ~bits[index]
-        rps = self.geometry.rows_per_subarray
-        by_sub: dict[int, tuple[list[int], list[int]]] = {}
-        for index, lane in enumerate(lanes):
-            group = by_sub.setdefault(int(rows[index]) // rps, ([], []))
-            group[0].append(lane)
-            group[1].append(index)
-        for sub, (sub_lanes, indices) in by_sub.items():
-            self.cells[bank][sub].write_open_row(sub_lanes, physical[indices])
-
-    # ------------------------------------------------------------------
-    # time / retention
-    # ------------------------------------------------------------------
-
     def advance_time(self, dt_s: float, lanes: Sequence[int]) -> None:
-        if not self.lanes_idle(lanes):
-            raise CommandSequenceError(
-                "advance_time requires all banks idle (precharge first)")
+        """Let ``dt_s`` seconds of leakage pass on ``lanes``.
+
+        Every compiled program ends with all banks idle, so the lanes
+        are idle here, as :meth:`DramChip.advance_time` requires.
+        """
         for bank_cells in self.cells:
             for cell in bank_cells:
                 cell.leak(lanes, dt_s)

@@ -240,12 +240,13 @@ def parse_run(arguments: argparse.Namespace,
     """Check the shared run flags and resolve them into a :class:`Run`.
 
     An unknown ``--backend`` or ``--only`` name, a ``--columns`` the
-    model refuses, or an output directory that cannot be created (the
-    result cache, the ``--trace-out`` directory, or ``output``, the
-    command's own) prints one ``error:`` line and returns None before
-    any experiment runs; the command then exits 2.
+    model refuses, a ``--trace-out`` path that cannot be written, or an
+    output directory that cannot be created (the result cache, or
+    ``output``, the command's own) prints one ``error:`` line and
+    returns None before any experiment runs; the command then exits 2.
     """
     from ..fleet import ResultCache, resolve_workers
+    from ..telemetry.tracer import claim_trace_path
 
     try:
         config = DEFAULT_CONFIG.scaled(master_seed=arguments.seed,
@@ -261,13 +262,17 @@ def parse_run(arguments: argparse.Namespace,
               f"choose from {', '.join(EXPERIMENTS)}", file=sys.stderr)
         return None
     cache = None if arguments.no_cache else ResultCache(arguments.cache_dir)
-    # Create every directory the run writes into now, so a path that
-    # cannot be created is refused before any experiment runs.
+    # Claim every path the run writes into now, so one that cannot be
+    # written is refused before any experiment runs.
+    if arguments.trace_out is not None:
+        try:
+            claim_trace_path(arguments.trace_out).close()
+        except ReproError as error:
+            print(f"error: {error}", file=sys.stderr)
+            return None
     directories = [Path(output)] if output is not None else []
     if cache is not None:
         directories.append(cache.directory)
-    if arguments.trace_out is not None:
-        directories.append(Path(arguments.trace_out).parent)
     try:
         for directory in directories:
             directory.mkdir(parents=True, exist_ok=True)

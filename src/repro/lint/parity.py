@@ -16,8 +16,8 @@ modules are absent from the linted tree, so partial runs (fixtures,
 single-directory lints) do not misfire.
 
 * PAR001 — a command ``KIND`` dispatched by one surface but unhandled
-  by another (softmc / batched controller / program assembler +
-  renderer / xir compiler).
+  by another (softmc / program assembler + renderer / xir compiler;
+  the lane engine issues commands only through the compiler).
 * PAR002 — an ``ir.PRIMITIVE_OPS`` member the xir compiler does not
   lower, or a compiler-emitted action tag the executor does not
   execute.
@@ -52,8 +52,6 @@ _BASE_KIND = "CMD"
 _COMMAND_SURFACES: Tuple[Tuple[str, str, str], ...] = (
     ("repro.controller.softmc", "isinstance",
      "SoftMC command execution"),
-    ("repro.controller.batched", "isinstance",
-     "batched controller command execution"),
     ("repro.controller.program", "compare:mnemonic",
      "program assembler mnemonic dispatch"),
     ("repro.controller.program", "isinstance",
@@ -87,8 +85,8 @@ class CommandParityRule(Rule):
                "missing from another")
     rationale = (
         "Every Command subclass in repro.controller.commands must be "
-        "executable by the scalar SoftMC, the batched controller, the "
-        "program assembler/renderer, and the xir scheduler — a kind one "
+        "executable by the scalar SoftMC, the program "
+        "assembler/renderer, and the xir scheduler — a kind one "
         "surface silently drops diverges the backends the moment an "
         "experiment emits it.  This pins the "
         "dispatch tables to the command universe at lint time instead "

@@ -21,12 +21,31 @@ from __future__ import annotations
 import json
 from collections import Counter
 from pathlib import Path
-from typing import Any, Mapping
+from typing import IO, Any, Mapping
 
-__all__ = ["SCHEMA_VERSION", "TraceWriter", "events_by_kind", "read_trace"]
+from ..errors import ConfigurationError
+
+__all__ = ["SCHEMA_VERSION", "TraceWriter", "claim_trace_path",
+           "events_by_kind", "read_trace"]
 
 #: Bumped whenever an event kind or field changes incompatibly.
 SCHEMA_VERSION = "repro-trace/1"
+
+
+def claim_trace_path(path: str | Path) -> IO[str]:
+    """Create the trace's directory and open the trace for writing.
+
+    A path that cannot be written (under a regular file, or naming a
+    directory) raises :class:`~repro.errors.ConfigurationError` naming
+    it, so a command can refuse ``--trace-out`` before anything runs.
+    """
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        return path.open("w", encoding="utf-8")
+    except OSError as error:
+        raise ConfigurationError(
+            f"cannot write trace {path}: {error.strerror}") from None
 
 
 class TraceWriter:
@@ -34,8 +53,7 @@ class TraceWriter:
 
     def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self._file = self.path.open("w", encoding="utf-8")
+        self._file = claim_trace_path(self.path)
         self._seq = 0
         self._closed = False
         self._write({"kind": "trace_start", "schema": SCHEMA_VERSION})

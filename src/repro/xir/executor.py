@@ -1,20 +1,21 @@
 """Fused execution: replay a compiled program as whole-batch kernels.
 
 :class:`FusedRunner` drives a :class:`~repro.dram.batched.BatchedChip`
-through the phase-op schedule produced by :mod:`repro.xir.compile`,
-bypassing the per-command Python dispatch of
-:class:`~repro.controller.batched.BatchedSoftMC` entirely:
+through the phase-op schedule produced by :mod:`repro.xir.compile`; it
+is the lane engine's only walker:
 
 * Lanes are partitioned into *classes* by whether their decoder enforces
-  command spacing (the only structural divergence the fig6/fig11 flows
-  exhibit); each class runs one compiled program.  Per-lane physics and
-  RNG streams are independent, so the split is bitwise invisible.
-* Row parameters are bound once per run, with array ops over the class
-  lanes: per ``(param, bank)`` the lanes are grouped by target
-  sub-array, with physical rows, anti-cell polarity and output positions
-  gathered from the device's ``(lanes, rows)`` tables.  Row copies
-  resolve their decoder glitch once per distinct (decoder profile, row
-  pair), not once per lane.
+  command spacing (the one structural divergence the compiled schedule
+  cannot absorb); each class runs one compiled program.  Per-lane
+  physics and RNG streams are independent, so the split is bitwise
+  invisible.
+* Rows are bound once per run, with array ops over the class lanes: per
+  ``(row, bank)`` the lanes are grouped by target sub-array, with
+  physical rows, anti-cell polarity and output positions gathered from
+  the device's ``(lanes, rows)`` tables.  A glitch-opened row set (row
+  copy, multi-row activation, Half-m) resolves once per distinct
+  (decoder profile, physical rows), not once per lane, and its lanes
+  are grouped by sub-array and opened-row count.
 * All RNG draws of a region (between :class:`~repro.xir.ir.Leak`
   boundaries) are pre-drawn with **one** merged ``standard_normal`` call
   per (lane, sub-array) — bitwise identical to the per-step draws
@@ -22,22 +23,21 @@ bypassing the per-command Python dispatch of
   (lane, sub-array) owns its generator, and ``w * sigma + 0.0``
   reproduces ``normal(0, sigma)`` exactly (including the ``-0.0``
   normalization); zero-sigma draws consume nothing in both engines.
+  A charge share over ``k`` rows draws its ``k x C`` jitter per lane.
 * Physics runs on the sub-arrays' phase kernels (the ``xir_*``
-  methods of :class:`~repro.dram.batched.BatchedSubArray`), the same
-  ones the per-command walk calls.
+  methods of :class:`~repro.dram.batched.BatchedSubArray`).
 * Lane-uniform telemetry counters apply as one hoisted delta table;
-  data-dependent counters and events (sense flips, frac freezes,
-  glitches, drops) go through the device's own recorders, so both
-  walks report them identically.
+  data-dependent counters and events (sense flips, partial
+  amplification, frac freezes, glitches, drops) go through the device's
+  recorders, so a fused run reports what the scalar engine reports.
 * For spacing-enforcing lanes the real ``_last_cmd`` bookkeeping is
   stepped per command and checked against the compiler's prediction —
-  a divergence raises instead of silently drifting from the
-  per-command walk.
+  a divergence raises instead of silently drifting from the scalar
+  engine.
 
-The runner leaves the device's *structural* bookkeeping untouched (every
-program must end with all banks idle, enforced at compile time), so
-batched and fused calls can interleave freely on one device; cycle
-counters and retention clocks advance identically.
+Every program ends with all banks idle (enforced at compile time), so
+programs chain freely on one device; cycle counters and retention
+clocks advance as the scalar controller's do.
 """
 
 from __future__ import annotations
@@ -57,6 +57,7 @@ from .compile import (
     CompiledProgram,
     PrimSpec,
     XirLoweringError,
+    _first,
     compile_program,
 )
 
@@ -67,25 +68,27 @@ __all__ = ["FusedRunner"]
 
 
 class _Group:
-    """One (param, bank, sub-array) lane group with resolved indices.
+    """One lane group of a row set: one sub-array, one opened-row count.
 
     ``pos`` indexes the run's ``lanes`` (planes, outputs); ``class_idx``
     indexes the lane class (draw plans), and is ``None`` for the group
-    that holds every class lane in class order.
+    that holds every class lane in class order.  ``rows_mat`` is the
+    ``(lanes, k)`` physical rows; ``anti`` the lanes' polarity for a
+    single activated row (``None`` for a glitch-opened set).
     """
 
     __slots__ = ("cell", "cell_index", "lanes", "lane_arr", "pos",
                  "class_idx", "rows_mat", "anti")
 
-    def __init__(self, cell, cell_index, lanes, lane_arr, positions,
-                 class_idx, physical, anti):
+    def __init__(self, cell, cell_index, lane_arr, positions, class_idx,
+                 rows_mat, anti=None):
         self.cell = cell
         self.cell_index = cell_index
-        self.lanes = lanes
+        self.lanes = lane_arr.tolist()
         self.lane_arr = lane_arr
         self.pos = positions
         self.class_idx = class_idx
-        self.rows_mat = physical[:, None]
+        self.rows_mat = rows_mat
         self.anti = anti
 
 
@@ -99,27 +102,13 @@ class _FastPrim:
         self.actions = actions
 
 
-class _PairGroup:
-    """One glitch-overwrite lane group: uniform opened-row count."""
-
-    __slots__ = ("cell", "lanes", "lane_arr", "src", "dst", "opened_mat")
-
-    def __init__(self, cell, lane_arr, src, dst, opened_mat):
-        self.cell = cell
-        self.lanes = lane_arr.tolist()
-        self.lane_arr = lane_arr
-        self.src = src
-        self.dst = dst
-        self.opened_mat = opened_mat
-
-
 def _first_seen_groups(keys: np.ndarray
-                       ) -> list[tuple[int, np.ndarray | slice]]:
+                       ) -> list[tuple[int, np.ndarray | None]]:
     """``(key, index)`` per distinct value of an integer array, in
-    first-appearance order; ``index`` selects the key's positions (a
-    whole-array slice, without a scan, when every key agrees)."""
+    first-appearance order; ``index`` selects the key's positions
+    (``None``, without a scan, when every key agrees)."""
     if keys.size and keys.min() == keys.max():
-        return [(int(keys[0]), slice(None))]
+        return [(int(keys[0]), None)]
     return [(key, np.flatnonzero(keys == key))
             for key in dict.fromkeys(keys.tolist())]
 
@@ -127,14 +116,49 @@ def _first_seen_groups(keys: np.ndarray
 def _gather(flat: np.ndarray, rows: np.ndarray, spec) -> np.ndarray | None:
     """One lane group's pre-drawn noise for a segment (or burst).
 
-    ``rows`` holds the class lanes' draw-matrix rows (lane-major); ``spec``
-    is the group's ``(class index, draws)``: ``None`` when the group draws
-    nothing, else its rows gathered from ``flat``.
+    ``rows`` holds the class lanes' first draw-matrix rows (lane-major);
+    ``spec`` is the group's ``(class index, draws, width)``: ``None``
+    when the group draws nothing, else ``width`` consecutive rows per
+    lane gathered from ``flat`` (a ``(lanes, width, C)`` block when
+    ``width > 1``).
     """
-    index, draws = spec
+    index, draws, width = spec
     if not draws:
         return None
-    return flat[rows if index is None else rows[index]]
+    start = rows if index is None else rows[index]
+    if width == 1:
+        return flat[start]
+    return flat[start[:, None] + np.arange(width)]
+
+
+def _bits(source, group: _Group, planes, columns: int) -> np.ndarray:
+    """A WRITE's physical bits on one lane group of its named row.
+
+    ``source`` is a fill value, a data parameter bound in ``planes`` or
+    literal logical bits.
+    """
+    if isinstance(source, bool):
+        return np.broadcast_to((group.anti != source)[:, None],
+                               (len(group.lanes), columns))
+    if isinstance(source, str):
+        try:
+            plane = planes[source]
+        except KeyError:
+            raise CommandSequenceError(
+                f"missing data binding for parameter {source!r}") from None
+        return plane[group.pos] != group.anti[:, None]
+    return np.not_equal(source[None, :], group.anti[:, None])
+
+
+def _class_plane(groups: list[_Group], arrays, n_class: int,
+                 columns: int) -> np.ndarray:
+    """Per-group ``(lanes, C)`` arrays scattered into class order."""
+    if len(groups) == 1 and groups[0].class_idx is None:
+        return arrays[0]
+    plane = np.empty((n_class, columns), dtype=bool)
+    for group, array in zip(groups, arrays):
+        plane[group.class_idx] = array
+    return plane
 
 
 class FusedRunner:
@@ -186,9 +210,9 @@ class FusedRunner:
         bool array (aligned with ``lanes``, like ``rows``).
 
         Every lane class is compiled and bound before any class runs, so
-        a refusal (:class:`XirLoweringError`) always leaves the device
-        untouched.  With no lanes the device is untouched too: each read
-        is a ``(0, C)`` array.
+        a refusal (:class:`XirLoweringError`) or a bad binding always
+        leaves the device untouched.  With no lanes the device is
+        untouched too: each read is a ``(0, C)`` array.
         """
         ops = tuple(ops)
         if lanes is None:
@@ -199,19 +223,18 @@ class FusedRunner:
         dts = dts or {}
         planes = {param: np.asarray(plane, dtype=bool)
                   for param, plane in (data or {}).items()}
-        if not self.device.lanes_idle(lanes):
-            raise CommandSequenceError(
-                "fused programs require an idle device (close open rows "
-                "before handing the device to the runner)")
         if not self._spacing_settled(lanes):
             raise XirLoweringError(
                 "a spacing-enforcing lane issued a command fewer than "
                 f"{MIN_COMMAND_SPACING_CYCLES} cycles ago; compiled spacing "
-                "predictions start from a settled history")
+                "predictions start from a settled history; run it with "
+                "--backend scalar")
+        geometry = self.device.geometry
         classes = [
             (compile_program(ops, enforce=enforce, timing=self.mc.timing,
                              electrical=self.mc.electrical,
-                             n_banks=self.device.n_banks),
+                             n_banks=geometry.n_banks,
+                             rows_per_subarray=geometry.rows_per_subarray),
              class_lanes, class_pos)
             for enforce, class_lanes, class_pos in self._split(lanes)]
         for dt_param in classes[0][0].dt_params:
@@ -296,7 +319,13 @@ class FusedRunner:
 
     def _binding(self, program: CompiledProgram, class_lanes: list[int],
                  class_pos: list[int], rows: dict[str, Sequence[int]]):
-        """Cached (bindings, class_logical, pair_bindings, schedule)."""
+        """Cached (bindings, class_logical, layout, schedule).
+
+        ``bindings[set]`` is the set's lane groups; ``layout[set]`` each
+        class lane's ``(flat cell, opened-row count, opened rows)``, the
+        rows ``None`` for a single activated row (its physical row is
+        the group's ``rows_mat``).
+        """
         # Positions ascend, so a class ending at position n - 1 with n
         # lanes holds every position: it reads each row vector whole.
         n_class = len(class_pos)
@@ -319,38 +348,39 @@ class FusedRunner:
         logical = {param: np.array(values, dtype=np.intp)
                    for (param, _bank), values in zip(program.param_banks,
                                                      key_rows)}
+        for row, _bank in program.row_keys:
+            if not isinstance(row, str):
+                logical[row] = np.full(n_class, row, dtype=np.intp)
         pos_arr = np.asarray(class_pos, dtype=np.intp)
         lane_arr = np.asarray(class_lanes, dtype=np.intp)
-        bindings, lane_rows = self._bind(program, lane_arr, pos_arr, logical)
-        pair_bindings = {
-            pair: self._bind_pair(pair, lane_arr, logical, lane_rows)
-            for pair in program.pairs}
-        schedule = self._schedule(program, bindings, lane_rows, class_lanes)
-        cached = (bindings, logical, pair_bindings, schedule)
+        bindings, layout = self._bind(program, lane_arr, pos_arr, logical)
+        for set_key in program.sets:
+            self._bind_set(set_key, lane_arr, pos_arr, logical, bindings,
+                           layout)
+        schedule = self._schedule(program, bindings, layout, class_lanes)
+        cached = (bindings, logical, layout, schedule)
         self._bind_cache[key] = cached
         if len(self._bind_cache) > self._BIND_CACHE_CAPACITY:
             self._bind_cache.popitem(last=False)
         return cached
 
     def _bind(self, program: CompiledProgram, lane_arr: np.ndarray,
-              pos_arr: np.ndarray, logical: dict[str, np.ndarray]):
-        """Per ``(param, bank)``: the class lanes grouped by sub-array.
+              pos_arr: np.ndarray, logical: dict):
+        """Per ``(row, bank)``: the class lanes grouped by sub-array.
 
-        Also returns, per ``(param, bank)``, each class lane's flat cell
-        index and physical row, in class order.  Parameters binding the
-        same rows on the same bank (a PUF's reserved-row fill and its
-        row-copy sources) share both.
+        Rows binding the same logical rows on the same bank (a PUF's
+        reserved-row fill and its row-copy sources) share their groups.
         """
         device = self.device
         geometry = device.geometry
         rps = geometry.rows_per_subarray
         n_subs = geometry.subarrays_per_bank
-        lanes = lane_arr.tolist()
-        bindings: dict[tuple[str, int], list[_Group]] = {}
-        lane_rows: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = {}
-        shared: dict[tuple[int, bytes], tuple[list[_Group], tuple]] = {}
-        for param, bank in program.param_banks:
-            rows = logical[param]
+        bindings: dict[tuple, list[_Group]] = {}
+        layout: dict[tuple, tuple] = {}
+        shared: dict[tuple[int, bytes], tuple] = {}
+        ones = np.ones(lane_arr.size, dtype=np.intp)
+        for row, bank in program.row_keys:
+            rows = logical[row]
             shared_key = (bank, rows.tobytes())
             entry = shared.get(shared_key)
             if entry is None:
@@ -363,27 +393,20 @@ class FusedRunner:
                 subs, local = np.divmod(rows, rps)
                 physical = device._phys_rows[lane_arr, local]
                 anti = device._anti_rows[lane_arr, local]
-                if low // rps == high // rps:
-                    # Every lane in one sub-array: the group is the class.
-                    sub = low // rps
-                    groups = [_Group(
-                        cell=device.cells[bank][sub],
-                        cell_index=bank * n_subs + sub, lanes=lanes,
-                        lane_arr=lane_arr, positions=pos_arr, class_idx=None,
-                        physical=physical, anti=anti)]
-                else:
-                    groups = [_Group(
-                        cell=device.cells[bank][sub],
-                        cell_index=bank * n_subs + sub,
-                        lanes=lane_arr[indices].tolist(),
-                        lane_arr=lane_arr[indices],
-                        positions=pos_arr[indices], class_idx=indices,
-                        physical=physical[indices], anti=anti[indices])
-                        for sub, indices in _first_seen_groups(subs)]
-                entry = (groups, (bank * n_subs + subs, physical))
+                groups = [_Group(
+                    cell=device.cells[bank][sub],
+                    cell_index=bank * n_subs + sub,
+                    lane_arr=lane_arr if index is None else lane_arr[index],
+                    positions=pos_arr if index is None else pos_arr[index],
+                    class_idx=index,
+                    rows_mat=(physical if index is None
+                              else physical[index])[:, None],
+                    anti=anti if index is None else anti[index])
+                    for sub, index in _first_seen_groups(subs)]
+                entry = (groups, (bank * n_subs + subs, ones, physical))
                 shared[shared_key] = entry
-            bindings[(param, bank)], lane_rows[(param, bank)] = entry
-        return bindings, lane_rows
+            bindings[("row", bank, row)], layout[("row", bank, row)] = entry
+        return bindings, layout
 
     def _lane_decoders(self, cell_index: int) -> np.ndarray:
         """Per-lane index of the cell's decoder profile in
@@ -403,62 +426,68 @@ class FusedRunner:
             self._decoder_ids[cell_index] = ids
         return ids
 
-    def _bind_pair(self, pair: tuple[str, str, int], lane_arr: np.ndarray,
-                   logical: dict[str, np.ndarray], lane_rows
-                   ) -> list[_PairGroup]:
-        """The glitch-overwrite groups of one row-copy pair.
+    def _bind_set(self, key: tuple, lane_arr: np.ndarray,
+                  pos_arr: np.ndarray, logical: dict, bindings,
+                  layout) -> None:
+        """Bind one glitch-opened row set (see :func:`repro.xir.compile
+        ._first`).
 
         The opened rows depend only on the frozen decoder profile and the
-        physical (src, dst) pair, so each distinct combination resolves
-        once; lanes are then grouped by (sub-array, opened-row count) in
+        physical rows, so each distinct combination resolves once; lanes
+        are then grouped by (sub-array, opened-row count) in
         first-appearance order.
         """
-        src_param, dst_param, bank = pair
-        cells, src_phys = lane_rows[(src_param, bank)]
-        dst_cells, dst_phys = lane_rows[(dst_param, bank)]
-        crossing = cells != dst_cells
+        tag, bank, previous, row = key
+        cells, _, previous_rows = layout[previous]
+        row_cells, _, physical = layout[("row", bank, row)]
+        crossing = cells != row_cells
         if crossing.any():
-            first = np.argmax(crossing)
+            lane = int(np.argmax(crossing))
             raise XirLoweringError(
-                f"row copy {int(logical[src_param][first])}->"
-                f"{int(logical[dst_param][first])} crosses sub-arrays; the "
-                "decoder glitch only opens rows of one sub-array")
-        by_cell = _first_seen_groups(cells)
+                f"glitch pair {int(logical[_first(previous)][lane])}->"
+                f"{int(logical[row][lane])} crosses sub-arrays; the decoder "
+                "glitch only opens rows of one sub-array; run it with "
+                "--backend scalar")
+        if previous[0] == "row":
+            previous_rows = [(src,) for src in previous_rows.tolist()]
         decoder = np.empty(lane_arr.size, dtype=np.intp)
-        for cell_index, indices in by_cell:
-            decoder[indices] = self._lane_decoders(cell_index)[
-                lane_arr[indices]]
+        for cell_index, index in _first_seen_groups(cells):
+            decoder[slice(None) if index is None else index] = (
+                self._lane_decoders(cell_index)[
+                    lane_arr if index is None else lane_arr[index]])
         profiles = list(self._decoders)
         n_rows = self.device.geometry.rows_per_subarray
-        keys = list(zip(decoder.tolist(), src_phys.tolist(),
-                        dst_phys.tolist()))
+        keys = list(zip(decoder.tolist(), previous_rows, physical.tolist()))
         index_of = dict.fromkeys(keys)
         table: list[tuple[int, ...]] = []
-        for key in index_of:
-            profile, src, dst = key
-            index_of[key] = len(table)
-            table.append(tuple(dict.fromkeys((src, *resolve_glitch(
-                profiles[profile], src, dst, n_rows)))))
-        picked = np.array([index_of[key] for key in keys], dtype=np.intp)
-        widths = [len(rows) for rows in table]
-        if len(by_cell) == 1 and len(set(widths)) == 1:
-            # One sub-array and one opened-row count: a single group.
-            shapes = [(by_cell[0][0] * (n_rows + 1) + widths[0], slice(None))]
-        else:
-            shapes = _first_seen_groups(cells * (n_rows + 1) + np.array(
-                widths, dtype=np.intp)[picked])
+        for lane_key in index_of:
+            profile, opened, target = lane_key
+            index_of[lane_key] = len(table)
+            glitch = resolve_glitch(profiles[profile], opened[0], target,
+                                    n_rows)
+            table.append(glitch if tag == "glitch"
+                         else tuple(dict.fromkeys((*opened, *glitch))))
+        picked = np.array([index_of[lane_key] for lane_key in keys],
+                          dtype=np.intp)
+        widths = np.array([len(rows) for rows in table],
+                          dtype=np.intp)[picked]
         groups = []
-        for key, member in shapes:
-            size = key % (n_rows + 1)
+        for shape, index in _first_seen_groups(cells * (n_rows + 1)
+                                               + widths):
+            size = shape % (n_rows + 1)
             # The group's opened rows: this width's table entries (the
             # rest are placeholders no member picks), gathered per lane.
             opened = np.array([rows if len(rows) == size else (0,) * size
                                for rows in table], dtype=np.intp)
-            groups.append(_PairGroup(
-                cell=self._flat_cells[key // (n_rows + 1)],
-                lane_arr=lane_arr[member], src=src_phys[member],
-                dst=dst_phys[member], opened_mat=opened[picked[member]]))
-        return groups
+            groups.append(_Group(
+                cell=self._flat_cells[shape // (n_rows + 1)],
+                cell_index=shape // (n_rows + 1),
+                lane_arr=lane_arr if index is None else lane_arr[index],
+                positions=pos_arr if index is None else pos_arr[index],
+                class_idx=index,
+                rows_mat=opened[picked if index is None else picked[index]]))
+        bindings[key] = groups
+        layout[key] = (cells, widths, [table[i] for i in picked.tolist()])
 
     # ------------------------------------------------------------------
     # RNG pre-advancement
@@ -482,26 +511,27 @@ class FusedRunner:
                 else slice(None)] = per_lane[group.lane_arr]
         return out
 
-    def _schedule(self, program: CompiledProgram, bindings, lane_rows,
+    def _schedule(self, program: CompiledProgram, bindings, layout,
                   class_lanes: list[int]):
         """Precompute each region's draw plan: lane runs + gather maps.
 
         All of a region's scaled draws land in one flat ``(rows, C)``
-        matrix.  Each (lane, sub-array) owns its generator, so all of its
-        draw segments in the region merge into one run: one
-        ``standard_normal`` call filling a contiguous row span, in
-        segment order (the PCG64 ziggurat consumes the stream
+        matrix: a segment takes one row per lane (a jitter segment over
+        ``k`` open rows takes ``k``).  Each (lane, sub-array) owns its
+        generator, so all of its draw segments in the region merge into
+        one run: one ``standard_normal`` call filling a contiguous row
+        span, in segment order (the PCG64 ziggurat consumes the stream
         value-by-value, so one merged draw equals n sequential ones).
         Runs are lane-major, so lanes that share a generator still draw
         in lane order.  Zero-sigma segments (and charge shares on
         jitter-free sub-arrays) draw nothing, exactly like
         :class:`~repro.dram.rng.NoiseSource`: their gather rows point at
-        the matrix's trailing all-zeros row.  A region's plan is
+        the matrix's trailing all-zeros rows.  A region's plan is
         ``(rows, runs, row_of, gathers, sigma_column)``: ``row_of`` is
-        ``(segments, class lanes)`` matrix rows and ``gathers[segment]``
-        each group's ``(class index, draws)``, so each segment's
-        per-group lane buffer is a single fancy-index gather
-        (:func:`_gather`).
+        ``(segments, class lanes)`` first matrix rows and
+        ``gathers[segment]`` each group's ``(class index, draws, width)``,
+        so each segment's per-group lane buffer is a single fancy-index
+        gather (:func:`_gather`).
 
         Both action streams read the one plan.  The telemetry-off
         stream's ``store`` actions step past their cycle's two segments
@@ -512,14 +542,16 @@ class FusedRunner:
         n_class = len(class_lanes)
         n_cells = len(self._flat_cells)
         lane_base = np.arange(n_class)[:, None] * n_cells
-        # One column per distinct (kind, binding): the class lanes' cells
-        # and draw sigmas; and per distinct segment, its column and each
-        # group's (class index, draws) pair.
+        ones = np.ones(n_class, dtype=np.intp)
+        # One column per distinct (kind, binding): the class lanes' cells,
+        # draw sigmas and widths; and per distinct segment, its column and
+        # each group's (class index, draws, width) triple.
         column_by_binding: dict[tuple[str, int], int] = {}
         column_cells: list[np.ndarray] = []
         column_sigmas: list[np.ndarray] = []
-        column_of: dict[tuple[str, int, str], int] = {}
-        gathers: dict[tuple[str, int, str], list] = {}
+        column_widths: list[np.ndarray] = []
+        column_of: dict[tuple, int] = {}
+        gathers: dict[tuple, list] = {}
         regions = []
         for region in program.regions:
             n_seg = len(region)
@@ -530,23 +562,28 @@ class FusedRunner:
             for segment in dict.fromkeys(region):
                 if segment in column_of:
                     continue
-                kind, bank, param = segment
-                groups = bindings[(param, bank)]
+                kind, _site, key = segment
+                groups = bindings[key]
                 column = column_by_binding.setdefault(
                     (kind, id(groups)), len(column_sigmas))
                 if column == len(column_sigmas):
-                    column_cells.append(lane_rows[(param, bank)][0])
+                    cells, widths, _ = layout[key]
+                    column_cells.append(cells)
                     column_sigmas.append(
                         self._lane_sigmas(kind, groups, n_class))
+                    column_widths.append(widths if kind == "jitter"
+                                         else ones)
                 column_of[segment] = column
                 gathers[segment] = [
                     (group.class_idx,
-                     kind == "sense" or group.cell._jitter_any)
+                     kind == "sense" or group.cell._jitter_any,
+                     1 if kind == "sense" else group.rows_mat.shape[1])
                     for group in groups]
             pick = np.array([column_of[segment] for segment in region],
                             dtype=np.intp)
             # (class lanes, segments), flattened lane-major.
             sigma = np.array(column_sigmas)[pick].T.reshape(-1)
+            width = np.array(column_widths)[pick].T.reshape(-1)
             drawn = np.flatnonzero(sigma > 0)
             if n_cells > 1:
                 # One run per (lane, sub-array), segments in order.
@@ -556,18 +593,23 @@ class FusedRunner:
                 run_ids = run_key[drawn]
             else:
                 run_ids = drawn // n_seg
-            n_draw = drawn.size
-            row_of = np.full(n_class * n_seg, -1, dtype=np.intp)
-            row_of[drawn] = np.arange(n_draw)
-            sigma_column = np.ones((n_draw + 1, 1))
-            sigma_column[:n_draw, 0] = sigma[drawn]
+            drawn_width = width[drawn]
+            ends = np.cumsum(drawn_width)
+            starts = ends - drawn_width
+            n_draw = int(ends[-1]) if drawn.size else 0
+            row_of = np.full(n_class * n_seg, n_draw, dtype=np.intp)
+            row_of[drawn] = starts
+            sigma_column = np.ones((n_draw + int(width.max()), 1))
+            sigma_column[:n_draw, 0] = np.repeat(sigma[drawn], drawn_width)
             bounds = (np.flatnonzero(run_ids[1:] != run_ids[:-1]) + 1).tolist()
-            starts = [0, *bounds] if n_draw else []
+            first = [0, *bounds] if drawn.size else []
+            stops = [*starts[bounds].tolist(), n_draw] if drawn.size else []
             runs = [(self._flat_cells[run_id % n_cells],
                      class_lanes[run_id // n_cells], start, stop)
                     for run_id, start, stop in zip(
-                        run_ids[starts].tolist(), starts, [*bounds, n_draw])]
-            regions.append((n_draw + 1, runs,
+                        run_ids[first].tolist(), starts[first].tolist(),
+                        stops)]
+            regions.append((sigma_column.shape[0], runs,
                             row_of.reshape(n_class, n_seg).T,
                             [gathers[segment] for segment in region],
                             sigma_column))
@@ -589,7 +631,9 @@ class FusedRunner:
         """
         columns = self.device.geometry.columns
         n_rows, runs, _, _, sigma_column = region_schedule
-        flat = np.zeros((n_rows, columns))
+        # The runs fill every row but the trailing zero rows.
+        flat = np.empty((n_rows, columns))
+        flat[runs[-1][3] if runs else 0:] = 0.0
         flat_1d = flat.reshape(-1)
         for cell, lane, start, stop in runs:
             cell._noises[lane].rng.standard_normal(
@@ -606,10 +650,10 @@ class FusedRunner:
         """The telemetry-off action stream, compacted and cached.
 
         Command events whose only job is tracing are dropped (spacing
-        mirrors stay — they mutate real bookkeeping), each Frac op's
-        (charge-share, freeze) ladder collapses into one ``burst``
-        action, and each ``store``-marked write prim collapses into one
-        ``store`` action (its open/sense/close physics is fully
+        mirrors stay — they mutate real bookkeeping), each Frac ladder's
+        single-row (charge-share, freeze) pairs collapse into one
+        ``burst`` action, and each write prim with a ``store`` form
+        collapses into it (its open/sense/close physics is fully
         overwritten; its two draw segments are still drawn by the shared
         region plan and the action steps past them unread).  Stream
         compaction: per-lane RNG consumption and every observable state
@@ -620,11 +664,10 @@ class FusedRunner:
             return cached
         flat = []
         for prim in program.prims:
-            if prim.store:
+            if prim.store is not None:
                 # store prims only exist on spacing-free lane classes,
                 # so every command event they carry is trace-only.
-                flat.append(("store", prim.bank, prim.rows_param,
-                             prim.value))
+                flat.append(prim.store)
                 continue
             for action in prim.actions:
                 if action[0] == "cmd" and not action[1].spacing:
@@ -634,16 +677,15 @@ class FusedRunner:
         index = 0
         while index < len(flat):
             action = flat[index]
-            if (action[0] == "cs" and index + 1 < len(flat)
-                    and flat[index + 1][:3] == ("freeze",) + action[1:3]):
-                bank, param = action[1], action[2]
+            if (action[0] == "cs" and action[2][0] == "row"
+                    and index + 1 < len(flat)
+                    and flat[index + 1] == ("freeze",) + action[1:]):
                 count = 0
-                while (index + 1 < len(flat)
-                       and flat[index][:3] == ("cs", bank, param)
-                       and flat[index + 1][:3] == ("freeze", bank, param)):
+                while (index + 1 < len(flat) and flat[index] == action
+                       and flat[index + 1] == ("freeze",) + action[1:]):
                     count += 1
                     index += 2
-                compact.append(("burst", bank, param, count))
+                compact.append(("burst", action[1], action[2], count))
             else:
                 compact.append(action)
                 index += 1
@@ -652,12 +694,28 @@ class FusedRunner:
         return cached
 
     def _label(self, prim: PrimSpec, class_logical, index: int) -> str:
-        """The ``sequence`` label of class lane ``index``, from the rows
-        its commands activate."""
+        """The ``sequence`` label of class lane ``index``: a literal op's
+        own, else built from the rows its commands activate."""
+        if prim.label is not None:
+            return prim.label
         return sequence_label(prim.op, prim.bank, [
             int(class_logical[action[1].row_param][index])
             for action in prim.actions
             if action[0] == "cmd" and action[1].kind == "ACT"])
+
+    def _record_glitches(self, layout, class_lanes: list[int], action,
+                         *, overwrite: bool) -> None:
+        """One ``glitch`` event per class lane of a close-abort."""
+        _, site, previous, row, key = action
+        cells, _, opened = layout[key]
+        _, _, requested = layout[("row", site[0], row)]
+        _, _, before = layout[previous]
+        if previous[0] == "row":
+            before = [(src,) for src in before.tolist()]
+        for index, lane in enumerate(class_lanes):
+            self._flat_cells[cells[index]]._record_glitch(
+                lane, before[index], requested[index], opened[index],
+                overwrite=overwrite)
 
     def _run_class(self, program: CompiledProgram, class_lanes: list[int],
                    binding, planes, out):
@@ -667,33 +725,27 @@ class FusedRunner:
         device = self.device
         mc = self.mc
         columns = device.geometry.columns
+        n_class = len(class_lanes)
         telemetry = _telemetry_active()
         tracer = telemetry.tracer if telemetry is not None else None
-        bindings, class_logical, pair_bindings, schedule = binding
+        bindings, class_logical, layout, schedule = binding
         base = mc.cycles.copy()
 
         if telemetry is not None:
-            n_class = len(class_lanes)
             for name, delta in program.deltas:
                 telemetry.count(name, delta * n_class)
             prims = program.prims
         else:
             prims = self._fast_prims(program)
 
-        def plane_for(param):
-            try:
-                return planes[param]
-            except KeyError:
-                raise CommandSequenceError(
-                    f"missing data binding for parameter {param!r}"
-                ) from None
-
         region_index = 0
         flat = self._prefetch(schedule[0])
         _, _, row_of, gathers, _ = schedule[0]
         seg_cursor = 0
-        snap_store: dict[int, list] = {}
-        dec_store: dict[int, list] = {}
+        # Per site: the last charge share's snapshots (one per group of
+        # its set) and the row buffer, (groups, per-group physical bits).
+        snap_store: dict[tuple, list] = {}
+        buffers: dict[tuple, tuple] = {}
         read_index = 0
 
         for prim in prims:
@@ -727,36 +779,39 @@ class FusedRunner:
                         self._mirror_spacing(check, class_lanes, base,
                                              telemetry)
                 elif tag == "cs":
-                    _, bank, param = action
+                    _, site, key = action
                     rows = row_of[seg_cursor]
                     gather = gathers[seg_cursor]
                     seg_cursor += 1
-                    snap_store[bank] = []
-                    for group, spec in zip(bindings[(param, bank)], gather):
+                    snapshots = []
+                    for group, spec in zip(bindings[key], gather):
                         draws = _gather(flat, rows, spec)
-                        snap_store[bank].append(group.cell.xir_charge_share(
+                        if draws is not None and draws.ndim == 2:
+                            draws = draws[:, None, :]
+                        snapshots.append(group.cell.xir_charge_share(
                             group.lanes, group.lane_arr, group.rows_mat,
-                            None if draws is None else draws[:, None, :]))
+                            draws))
+                    snap_store[site] = snapshots
                 elif tag == "burst":
-                    _, bank, param, n_burst = action
+                    _, site, key, n_burst = action
                     # (class lanes, n_burst) gather rows: the burst's
                     # segments share one binding and one gather spec.
                     rows = row_of[seg_cursor:seg_cursor + n_burst].T
                     gather = gathers[seg_cursor]
                     seg_cursor += n_burst
-                    for group, spec in zip(bindings[(param, bank)], gather):
+                    for group, spec in zip(bindings[key], gather):
                         group.cell.xir_frac_burst(
                             group.lanes, group.lane_arr, group.rows_mat,
                             _gather(flat, rows, spec), n_burst)
                 elif tag == "sense":
-                    _, bank, param = action
+                    _, site, key = action
                     rows = row_of[seg_cursor]
                     gather = gathers[seg_cursor]
                     seg_cursor += 1
+                    groups = bindings[key]
                     decisions = []
-                    groups = bindings[(param, bank)]
-                    for group_index, (group, spec) in enumerate(
-                            zip(groups, gather)):
+                    for group, spec, snapshot in zip(groups, gather,
+                                                     snap_store[site]):
                         decision = group.cell.xir_sense(
                             group.lane_arr, group.rows_mat,
                             _gather(flat, rows, spec))
@@ -764,30 +819,40 @@ class FusedRunner:
                         if telemetry is not None:
                             group.cell._record_sense(
                                 group.lanes, group.rows_mat, decision,
-                                snap_store[bank][group_index])
-                    dec_store[bank] = decisions
+                                snapshot)
+                    buffers[site] = (groups, decisions)
+                elif tag == "amp":
+                    _, site, key, steps = action
+                    rows = row_of[seg_cursor]
+                    gather = gathers[seg_cursor]
+                    seg_cursor += 1
+                    for group, spec in zip(bindings[key], gather):
+                        if telemetry is not None:
+                            group.cell._record_partial_amplify(
+                                group.lanes, group.rows_mat, steps)
+                        group.cell.xir_partial_amplify(
+                            group.lane_arr, group.rows_mat,
+                            _gather(flat, rows, spec), steps)
                 elif tag == "write":
-                    _, bank, param, value = action
-                    groups = bindings[(param, bank)]
-                    buffers = []
-                    for group in groups:
-                        bits = np.broadcast_to(
-                            (group.anti != bool(value))[:, None],
-                            (len(group.lanes), columns))
+                    _, site, row, key, source = action
+                    groups = bindings[key]
+                    named = bindings[("row", site[0], row)]
+                    if named is groups:
+                        bits = [_bits(source, group, planes, columns)
+                                for group in groups]
+                    else:
+                        # Into another open set: the named row's polarity
+                        # per lane, then each open-set group's share.
+                        plane = _class_plane(
+                            named, [_bits(source, group, planes, columns)
+                                    for group in named], n_class, columns)
+                        bits = [plane if group.class_idx is None
+                                else plane[group.class_idx]
+                                for group in groups]
+                    for group, group_bits in zip(groups, bits):
                         group.cell.xir_write(group.lane_arr, group.rows_mat,
-                                             bits)
-                        buffers.append(bits)
-                    dec_store[bank] = buffers
-                elif tag == "write-data":
-                    _, bank, param = action
-                    plane = plane_for(param)
-                    buffers = []
-                    for group in bindings[(param, bank)]:
-                        bits = plane[group.pos] != group.anti[:, None]
-                        group.cell.xir_write(group.lane_arr, group.rows_mat,
-                                             bits)
-                        buffers.append(bits)
-                    dec_store[bank] = buffers
+                                             group_bits)
+                    buffers[site] = (groups, bits)
                 elif tag == "store":
                     # Collapsed write-row cycle (telemetry-off stream):
                     # one kernel stores the written values, marks the
@@ -795,53 +860,60 @@ class FusedRunner:
                     # net effect of the full open/sense/write/close walk.
                     # Its jitter and sense segments were drawn but are
                     # never read.
-                    _, bank, param, value = action
+                    _, key, _row, source = action
                     seg_cursor += 2
-                    plane = plane_for(param) if value is None else None
-                    for group in bindings[(param, bank)]:
-                        if plane is None:
-                            bits = np.broadcast_to(
-                                (group.anti != bool(value))[:, None],
-                                (len(group.lanes), columns))
-                        else:
-                            bits = plane[group.pos] != group.anti[:, None]
-                        group.cell.xir_store(group.lane_arr, group.rows_mat,
-                                             bits)
+                    for group in bindings[key]:
+                        group.cell.xir_store(
+                            group.lane_arr, group.rows_mat,
+                            _bits(source, group, planes, columns))
                 elif tag == "readout":
-                    _, bank, param = action
+                    _, site, row = action
                     target = out[read_index]
                     read_index += 1
-                    for group, decision in zip(bindings[(param, bank)],
-                                               dec_store[bank]):
+                    named = bindings[("row", site[0], row)]
+                    groups, bits = buffers[site]
+                    if named is not groups:
+                        plane = _class_plane(groups, bits, n_class, columns)
+                        bits = [plane if group.class_idx is None
+                                else plane[group.class_idx]
+                                for group in named]
+                    for group, group_bits in zip(named, bits):
                         target[group.pos] = np.not_equal(
-                            decision, group.anti[:, None])
+                            group_bits, group.anti[:, None])
                 elif tag == "freeze":
-                    _, bank, param = action
-                    groups = bindings[(param, bank)]
-                    for group_index, group in enumerate(groups):
-                        group.cell.xir_freeze(
-                            group.lane_arr, group.rows_mat,
-                            snap_store[bank][group_index])
+                    _, site, key = action
+                    for group, snapshot in zip(bindings[key],
+                                               snap_store[site]):
+                        group.cell.xir_freeze(group.lane_arr, group.rows_mat,
+                                              snapshot)
                         if telemetry is not None:
                             group.cell._record_frac_freeze(group.lanes,
                                                            group.rows_mat)
                 elif tag == "close":
-                    _, bank, param = action
-                    for group in bindings[(param, bank)]:
+                    _, site, key = action
+                    for group in bindings[key]:
                         group.cell.xir_close(group.lane_arr)
+                elif tag == "abort":
+                    # Unsensed close-abort: roll the interrupted share
+                    # back; the glitch set's charge share follows.
+                    _, site, previous, _row, _key = action
+                    if telemetry is not None:
+                        self._record_glitches(layout, class_lanes, action,
+                                              overwrite=False)
+                    for group, snapshot in zip(bindings[previous],
+                                               snap_store[site]):
+                        group.cell.xir_rollback(group.lane_arr,
+                                                group.rows_mat, snapshot)
                 elif tag == "glitch":
-                    _, bank, src_param, dst_param = action
-                    for pair_group in pair_bindings[(src_param, dst_param,
-                                                     bank)]:
-                        if telemetry is not None:
-                            for lane, src, dst, opened in zip(
-                                    pair_group.lanes, pair_group.src,
-                                    pair_group.dst, pair_group.opened_mat):
-                                pair_group.cell._record_glitch(
-                                    lane, (src,), dst, opened,
-                                    overwrite=True)
-                        pair_group.cell.xir_overwrite(
-                            pair_group.lane_arr, pair_group.opened_mat)
+                    # Sensed close-abort: the driven bit-lines overwrite
+                    # every opened row (the in-DRAM copy).
+                    _, site, _previous, _row, key = action
+                    if telemetry is not None:
+                        self._record_glitches(layout, class_lanes, action,
+                                              overwrite=True)
+                    for group in bindings[key]:
+                        group.cell.xir_overwrite(group.lane_arr,
+                                                 group.rows_mat)
                 elif tag == "leak":
                     yield action[1]
                     region_index += 1

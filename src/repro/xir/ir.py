@@ -1,23 +1,20 @@
 """Experiment-level IR: whole physics phases as ops.
 
-The batched engine (PRs 3-4) vectorized the *lane* axis but still walks
-every experiment inner loop primitive-by-primitive through
-:class:`~repro.controller.batched.BatchedSoftMC`: each ``run`` call
-re-dispatches per timed command, re-scans per-lane bookkeeping lists in
-``settle``, and re-derives telemetry per issue.  ``repro.xir`` lifts the
-loop one level: an experiment pass is a small *program* of *experiment
-ops* (:class:`WriteRow`, :class:`WriteData`, :class:`Frac`,
-:class:`ReadRow`, :class:`PrechargeAll`, :class:`Leak`, :class:`RowCopy`),
-which the compiler (:mod:`repro.xir.compile`) lowers into a flat list of
-*phase ops* — ``CHARGE_SHARE``, ``SENSE``, ``WRITE``, ``FREEZE``,
-``READOUT``, ``GLITCH_OVERWRITE``, ``CLOSE``, ``LEAK`` — over the full
+An experiment pass is a small *program* of *experiment ops*
+(:class:`WriteRow`, :class:`WriteData`, :class:`Frac`, :class:`ReadRow`,
+:class:`RefreshRow`, :class:`PrechargeAll`, :class:`Leak`,
+:class:`RowCopy`, :class:`MultiRow`, :class:`HalfM`, and the literal
+:class:`Commands` stream a SoftMC program compiles to), which the
+compiler (:mod:`repro.xir.compile`) lowers into a flat list of *phase
+ops* — charge share, sense, partial amplification, write, freeze,
+glitch rollback and overwrite, readout, close, leak — over the full
 ``(lanes, rows, cols)`` state.
 
-Ops do not carry concrete rows: they name *parameters* (``rows="target"``,
-``dt="wait"``) bound at execution time, so one compiled program replays
-across every sweep point, row sample and lane batch.  See
-``docs/performance.md`` for the pipeline walk-through and the
-byte-identity argument.
+Ops other than :class:`Commands` do not carry concrete rows: they name
+*parameters* (``rows="target"``, ``dt="wait"``) bound at execution
+time, so one compiled program replays across every sweep point, row
+sample and lane batch.  See ``docs/performance.md`` for the pipeline
+walk-through and the byte-identity argument.
 """
 
 from __future__ import annotations
@@ -25,12 +22,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Union
 
+from ..controller.commands import CommandSequence
+
 __all__ = [
+    "Commands",
     "Frac",
+    "HalfM",
     "Leak",
+    "MultiRow",
     "Op",
     "PrechargeAll",
     "ReadRow",
+    "RefreshRow",
     "RowCopy",
     "WriteData",
     "WriteRow",
@@ -100,11 +103,55 @@ class RowCopy:
     dst: str
 
 
-Op = Union[WriteRow, WriteData, Frac, ReadRow, PrechargeAll, Leak, RowCopy]
+@dataclass(frozen=True)
+class MultiRow:
+    """ComputeDRAM multi-row activation: ACT(r1)-PRE-ACT(r2), then sense.
+
+    The zero-gap PRE-ACT aborts the close, the decoder glitch opens the
+    extra rows, and the sense amplifiers restore the charge-shared
+    majority into every opened row before the final PRECHARGE.
+    """
+
+    bank: int
+    r1: str
+    r2: str
+
+
+@dataclass(frozen=True)
+class HalfM:
+    """The four-row activation interrupted inside the amplify window."""
+
+    bank: int
+    r1: str
+    r2: str
+
+
+@dataclass(frozen=True)
+class RefreshRow:
+    """Per-row refresh: in-spec activate (restore) and close."""
+
+    bank: int
+    rows: str
+
+
+@dataclass(frozen=True)
+class Commands:
+    """A literal command stream: rows and write data are its own.
+
+    A SoftMC program compiles to one of these per command chunk (see
+    :func:`repro.backends.fused.execute_fused`); every lane issues the
+    same commands, so nothing is bound at run time.
+    """
+
+    sequence: CommandSequence
+
+
+Op = Union[WriteRow, WriteData, Frac, ReadRow, RefreshRow, PrechargeAll,
+           Leak, RowCopy, MultiRow, HalfM, Commands]
 
 #: Every op a program may contain; each lowers directly to phase ops.
-PRIMITIVE_OPS = (WriteRow, WriteData, Frac, ReadRow, PrechargeAll, Leak,
-                 RowCopy)
+PRIMITIVE_OPS = (WriteRow, WriteData, Frac, ReadRow, RefreshRow,
+                 PrechargeAll, Leak, RowCopy, MultiRow, HalfM, Commands)
 
 
 def signature(ops: Sequence[Op]) -> tuple:

@@ -15,7 +15,7 @@ with enough WAIT for the sense amplifiers, and LEAK only ever fires with
 the device idle.
 """
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.backends import BACKENDS, ProgramRequest, execute_program
@@ -101,6 +101,17 @@ def execute(source: str, backend: str) -> str:
 
 @settings(deadline=None, max_examples=25)
 @given(source=programs)
+# Close-aborts of a glitch-opened set by another row.  Sensed: the
+# driven bit-lines overwrite the old set plus the new pair's rows, and
+# the WR then drives all of them (group J, which drops the glitch,
+# writes its open row 8 through row 2).  Unsensed: the new pair's
+# glitch set replaces the old one (the leading PRE makes group J drop
+# every ACT of the chain).
+@example(source="ACT 0 8\nPRE 0\nACT 0 1\nWAIT 11\nACT 0 8\nPRE 0\n"
+                "ACT 0 2\nWAIT 6\nWR 0 2 " + "01" * 16 + "\nWAIT 8\n"
+                "PREA\nWAIT 4\n")
+@example(source="PRE 0\nACT 0 8\nPRE 0\nACT 0 1\nPRE 0\nACT 0 2\n"
+                "WAIT 11\nPREA\nWAIT 4\n")
 def test_fuzzed_programs_identical_across_backends(source):
     reference = execute(source, "scalar")
     for backend in BACKENDS:

@@ -78,6 +78,35 @@ class TestRunProgram:
         assert main(["validate-trace", str(trace)]) == 0
 
 
+class TestFusedRefusals:
+    """A program the compiler refuses exits 2 on fused, naming the op
+    and ``--backend scalar``; the scalar engine runs it."""
+
+    @pytest.mark.parametrize("source, refused", [
+        # Ends with row 1 open.
+        ("ACT 0 1\nWAIT 6\nRD 0 1\nWAIT 8\n", "program leaves bank 0 open"),
+        # Back-to-back ACTs of two distinct rows (ACT-ACT).
+        ("ACT 0 1\nWAIT 6\nACT 0 2\nWAIT 6\nPRE 0\nWAIT 6\n",
+         "ACT-ACT multi-row activation"),
+    ], ids=["ends-open", "act-act"])
+    def test_refused_program_exits_2(self, capsys, tmp_path, source,
+                                     refused):
+        program = tmp_path / "refused.sfc"
+        program.write_text(source)
+        code, out, err = run_cli(capsys, "run-program", str(program),
+                                 "--backend", "fused")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert refused in err
+        assert "Commands('refused.sfc')" in err
+        assert "--backend scalar" in err
+        code, out, _ = run_cli(capsys, "run-program", str(program),
+                               "--backend", "scalar")
+        assert code == 0
+        assert "device 0:" in out
+
+
 class TestExperimentsBackendFlag:
     def test_experiments_accepts_backend(self, capsys):
         code, out, _ = run_cli(

@@ -1,13 +1,13 @@
-"""``BatchedSoftMC``'s in-spec wrappers: compiled xir ops, per-command fallback.
+"""``BatchedSoftMC``'s wrappers: one compiled xir op each, the scalar result.
 
 Each wrapper builds one :mod:`repro.xir` op and runs it on the fused
-executor; it replays the op per command (:meth:`BatchedSoftMC.replay`)
-only when the compiler refuses it before any lane runs or the device
-has an open row on one of its lanes.  Either way the result must be the
-per-command walk's: the same bits, deterministic counters, trace events
-of every kind, noise-stream positions, cycle counters and dropped
-commands.  The scenario runs on a fleet that mixes spacing-enforcing
-group J with groups B, C and G, so every lane class is on the path.
+executor.  The result must be the scalar engine's issuing the op's
+command template on each lane's chip (:class:`tests.scalar_oracle
+.ScalarFleet`): the same bits, deterministic counters, trace events of
+every kind, cell planes, noise-stream positions, cycle counters and
+dropped commands.  The scenario runs on a fleet that mixes
+spacing-enforcing group J with groups B, C and G, so every lane class
+is on the path; an op the compiler refuses raises before any lane runs.
 """
 
 from __future__ import annotations
@@ -22,69 +22,72 @@ from repro.errors import AddressError
 from repro.service import ServiceConfig, build_enrollment
 from repro.telemetry import events_by_kind, session as telemetry_session
 from repro.xir import ir
+from repro.xir.compile import XirLoweringError
 from repro.xir.executor import FusedRunner
+
+from ..scalar_oracle import ScalarFleet
 
 GEOMETRY = GeometryParams(n_banks=2, subarrays_per_bank=2,
                           rows_per_subarray=16, columns=32)
 RPS = GEOMETRY.rows_per_subarray
 UNITS = [("B", 0), ("C", 1), ("J", 0), ("G", 2)]
 EPOCHS = [0, 1, 2, 0]
+SEED = 11
 LANES = [0, 1, 2, 3]
-J_LANE = [2]
 FRAC_CAPABLE = [0, 1, 3]
 BITS = np.random.default_rng(5).random((len(LANES), GEOMETRY.columns)) < 0.5
+#: Per-lane multi-row pairs: B's four-row (8, 1), C's (1, 2), and pairs
+#: that open two rows on J (which drops the glitch) and G.
+R1S, R2S = [8, 1, 1, 3], [1, 2, 2, 5]
 
 #: One wrapper call per step, with the xir op it builds, that op's
-#: bindings, its lanes, and the path the wrapper must take.
+#: bindings and its lanes.
 STEPS = [
     (("fill_row", 0, [1, 2, 3, 4], True),
-     ir.WriteRow(0, "row", True), {"row": [1, 2, 3, 4]}, None, LANES, "xir"),
+     ir.WriteRow(0, "row", True), {"row": [1, 2, 3, 4]}, None, LANES),
     (("write_row", 1, [5, 6, 7, 8], BITS),
-     ir.WriteData(1, "row"), {"row": [5, 6, 7, 8]}, {"row": BITS}, LANES,
-     "xir"),
+     ir.WriteData(1, "row"), {"row": [5, 6, 7, 8]}, {"row": BITS}, LANES),
     # A (C,) payload broadcasts to every lane.
     (("write_row", 1, [RPS + 2] * 2, BITS[0]),
      ir.WriteData(1, "row"), {"row": [RPS + 2] * 2}, {"row": BITS[0]},
-     [1, 3], "xir"),
+     [1, 3]),
     (("row_copy", 0, [1, 2, 3, 4], [9, 10, 11, 12]),
      ir.RowCopy(0, "src", "dst"), {"src": [1, 2, 3, 4],
-                                   "dst": [9, 10, 11, 12]}, None, LANES,
-     "xir"),
-    # The decoder glitch cannot reach another sub-array: refused at bind.
-    (("row_copy", 0, [1, 2, 3, 4], [RPS + 1, RPS + 3, RPS + 5, RPS + 7]),
-     ir.RowCopy(0, "src", "dst"),
-     {"src": [1, 2, 3, 4], "dst": [RPS + 1, RPS + 3, RPS + 5, RPS + 7]},
-     None, LANES, "replay"),
-    # J drops the PRECHARGEs: refused, and J's row stays open ...
-    (("frac", 0, [9, 10, 11, 12], 3),
-     ir.Frac(0, "row", 3), {"row": [9, 10, 11, 12]}, None, LANES, "replay"),
-    # ... so the next call finds the device busy and replays too.
-    (("read_row", 0, [9, 10, 11, 12]),
-     ir.ReadRow(0, "row"), {"row": [9, 10, 11, 12]}, None, LANES, "replay"),
-    (("frac", 1, [5], 2),
-     ir.Frac(1, "row", 2), {"row": [5]}, None, J_LANE, "replay"),
-    (("precharge_all",),
-     ir.PrechargeAll(), {}, None, LANES, "replay"),
-    (("precharge_all",),
-     ir.PrechargeAll(), {}, None, LANES, "xir"),
-    (("read_row", 1, [5, 6, 7, 8]),
-     ir.ReadRow(1, "row"), {"row": [5, 6, 7, 8]}, None, LANES, "xir"),
+                                   "dst": [9, 10, 11, 12]}, None, LANES),
     (("frac", 0, [1, 2, 4], 4),
-     ir.Frac(0, "row", 4), {"row": [1, 2, 4]}, None, FRAC_CAPABLE, "xir"),
+     ir.Frac(0, "row", 4), {"row": [1, 2, 4]}, None, FRAC_CAPABLE),
     (("read_row", 0, [1, 2, 4]),
-     ir.ReadRow(0, "row"), {"row": [1, 2, 4]}, None, FRAC_CAPABLE, "xir"),
+     ir.ReadRow(0, "row"), {"row": [1, 2, 4]}, None, FRAC_CAPABLE),
+    (("multi_row_activate", 0, R1S, R2S),
+     ir.MultiRow(0, "r1", "r2"), {"r1": R1S, "r2": R2S}, None, LANES),
+    (("read_row", 0, [0, 0, 1, 1]),
+     ir.ReadRow(0, "row"), {"row": [0, 0, 1, 1]}, None, LANES),
+    (("half_m", 1, R1S, R2S),
+     ir.HalfM(1, "r1", "r2"), {"r1": R1S, "r2": R2S}, None, LANES),
+    (("refresh_row", 1, [5, 6, 7, 8]),
+     ir.RefreshRow(1, "row"), {"row": [5, 6, 7, 8]}, None, LANES),
+    (("read_row", 1, [5, 6, 7, 8]),
+     ir.ReadRow(1, "row"), {"row": [5, 6, 7, 8]}, None, LANES),
+    (("precharge_all",),
+     ir.PrechargeAll(), {}, None, LANES),
     (("read_row", 1, [RPS + 2] * 2),
-     ir.ReadRow(1, "row"), {"row": [RPS + 2] * 2}, None, [1, 3], "xir"),
+     ir.ReadRow(1, "row"), {"row": [RPS + 2] * 2}, None, [1, 3]),
 ]
 
 #: The wrappers the scenario must exercise.
-WRAPPERS = ("write_row", "fill_row", "read_row", "frac", "row_copy",
-            "precharge_all")
+WRAPPERS = ("write_row", "fill_row", "read_row", "refresh_row", "frac",
+            "row_copy", "multi_row_activate", "half_m", "precharge_all")
 
 
-def make_mc():
+def make_mc(timing=None):
     return BatchedSoftMC(BatchedChip.from_fleet(
-        UNITS, geometry=GEOMETRY, master_seed=11, epochs=EPOCHS))
+        UNITS, geometry=GEOMETRY, master_seed=SEED, epochs=EPOCHS),
+        timing=timing)
+
+
+def make_oracle(timing=None):
+    return ScalarFleet(UNITS, geometry=GEOMETRY, master_seed=SEED,
+                       epochs=EPOCHS, timing=timing)
 
 
 def stream_states(device):
@@ -93,63 +96,47 @@ def stream_states(device):
             for bank_cells in device.cells]
 
 
-def record_paths(monkeypatch) -> list[str]:
-    """Log ``"xir"`` per program the executor completes and ``"replay"``
-    per per-command replay."""
-    paths: list[str] = []
-    run, replay = FusedRunner.run, BatchedSoftMC.replay
-
-    def spy_run(self, ops, **kwargs):
-        out = run(self, ops, **kwargs)
-        paths.append("xir")
-        return out
-
-    def spy_replay(self, op, **kwargs):
-        paths.append("replay")
-        return replay(self, op, **kwargs)
-
-    monkeypatch.setattr(FusedRunner, "run", spy_run)
-    monkeypatch.setattr(BatchedSoftMC, "replay", spy_replay)
-    return paths
-
-
 def traced(tmp_path, name, drive):
-    """Run ``drive(mc)`` on a fresh fleet under a traced session."""
-    mc = make_mc()
+    """Run ``drive()`` under a traced session."""
     path = tmp_path / f"{name}.jsonl"
     with telemetry_session(trace_path=path) as telemetry:
-        outputs = drive(mc)
+        outputs = drive()
         counters = telemetry.snapshot(deterministic=True)["counters"]
-    return mc, outputs, counters, events_by_kind(path)
+    return outputs, counters, events_by_kind(path)
 
 
-def test_scenario_covers_every_wrapper_and_both_paths():
+def via_wrappers(mc):
+    return [getattr(mc, name)(*args, lanes)
+            for (name, *args), *_, lanes in STEPS]
+
+
+def via_scalar(oracle):
+    return [oracle.run([op], rows=rows, lanes=lanes, data=data)
+            for _call, op, rows, data, lanes in STEPS]
+
+
+def test_scenario_covers_every_wrapper():
     assert {call[0] for call, *_ in STEPS} == set(WRAPPERS)
-    assert {step[-1] for step in STEPS} == {"xir", "replay"}
 
 
-def test_wrappers_equal_the_per_command_replay(tmp_path, monkeypatch):
-    def via_wrappers(mc):
-        outputs, idle = [], []
-        for (name, *args), *_, lanes, _path in STEPS:
-            idle.append(mc.device.lanes_idle(lanes))
-            outputs.append(getattr(mc, name)(*args, lanes))
-        return outputs, idle
+def test_wrappers_equal_the_scalar_engine(tmp_path, monkeypatch):
+    programs: list[tuple[str, ...]] = []
+    run = FusedRunner.run
 
-    def via_replay(mc):
-        return [mc.replay(op, rows=rows, lanes=lanes, data=data)
-                for _call, op, rows, data, lanes, _path in STEPS]
+    def spy(self, ops, **kwargs):
+        programs.append(tuple(type(op).__name__ for op in ops))
+        return run(self, ops, **kwargs)
 
-    oracle, reference, reference_counters, reference_events = traced(
-        tmp_path, "replay", via_replay)
-    paths = record_paths(monkeypatch)
-    mc, (outputs, idle), counters, events = traced(
-        tmp_path, "wrappers", via_wrappers)
+    oracle = make_oracle()
+    reference, reference_counters, reference_events = traced(
+        tmp_path, "scalar", lambda: via_scalar(oracle))
+    monkeypatch.setattr(FusedRunner, "run", spy)
+    mc = make_mc()
+    outputs, counters, events = traced(tmp_path, "wrappers",
+                                       lambda: via_wrappers(mc))
 
-    assert paths == [step[-1] for step in STEPS]
-    # Only the read after J's open Frac and the precharge that closes
-    # it fall back for a busy device; the other replays are refusals.
-    assert [index for index, ok in enumerate(idle) if not ok] == [6, 8]
+    # One compiled one-op program per wrapper call.
+    assert programs == [(type(step[1]).__name__,) for step in STEPS]
     for (call, *_), out, expected in zip(STEPS, outputs, reference):
         if call[0] == "read_row":
             (expected,) = expected
@@ -159,46 +146,56 @@ def test_wrappers_equal_the_per_command_replay(tmp_path, monkeypatch):
             assert out is None and expected == []
     assert counters == reference_counters
     assert counters["dram.dropped_commands"] > 0
+    assert counters["dram.partial_amplify"] > 0
+    assert counters["dram.glitch_abort"] > 0
     assert set(events) == set(reference_events)
     for kind in reference_events:
         assert events[kind] == reference_events[kind], kind
-    assert stream_states(mc.device) == stream_states(oracle.device)
-    assert np.array_equal(mc.cycles, oracle.cycles)
-    assert np.array_equal(mc.device.dropped_commands,
-                          oracle.device.dropped_commands)
+    oracle.assert_matches(mc.device, mc.cycles)
 
 
-def test_untraced_wrappers_equal_the_replay():
-    """Telemetry off: the compacted fast stream, same bits and streams."""
-    mc, oracle = make_mc(), make_mc()
-    for (name, *args), op, rows, data, lanes, _path in STEPS:
+def test_untraced_wrappers_equal_the_scalar_engine():
+    """Telemetry off: the compacted fast stream, same bits and state."""
+    mc, oracle = make_mc(), make_oracle()
+    for (name, *args), op, rows, data, lanes in STEPS:
         out = getattr(mc, name)(*args, lanes)
-        expected = oracle.replay(op, rows=rows, lanes=lanes, data=data)
+        expected = oracle.run([op], rows=rows, lanes=lanes, data=data)
         if name == "read_row":
             assert np.array_equal(out, expected[0])
-    assert stream_states(mc.device) == stream_states(oracle.device)
-    assert np.array_equal(mc.cycles, oracle.cycles)
+    oracle.assert_matches(mc.device, mc.cycles)
 
 
-def test_an_unsettled_spacing_history_replays(monkeypatch):
+@pytest.mark.parametrize("call", [
+    # The decoder glitch cannot reach another sub-array: refused at bind.
+    ("row_copy", 0, [1, 2, 3, 4], [RPS + 1, RPS + 3, RPS + 5, RPS + 7]),
+    # J drops the Frac PRECHARGEs, which would leave its row open.
+    ("frac", 0, [9, 10, 11, 12], 3),
+])
+def test_a_refused_op_raises_before_any_lane_runs(call):
+    mc, fresh = make_mc(), make_mc()
+    name, *args = call
+    with pytest.raises(XirLoweringError, match="--backend scalar"):
+        getattr(mc, name)(*args, LANES)
+    assert stream_states(mc.device) == stream_states(fresh.device)
+    assert not mc.cycles.any()
+    assert mc.device.dropped_commands == fresh.device.dropped_commands
+    for bank_cells in mc.device.cells:
+        for cell in bank_cells:
+            assert not cell._written.any()
+
+
+def test_an_unsettled_spacing_history_is_refused():
     """A precharge shorter than the command spacing leaves J's last
     command young enough to drop the next op's first one, which the
-    compiled prediction cannot know: the wrapper replays instead."""
+    compiled prediction cannot know: the op is refused, untouched."""
     timing = TimingParams(t_rp=2)
-    mc, oracle = (BatchedSoftMC(BatchedChip.from_fleet(
-        UNITS, geometry=GEOMETRY, master_seed=11, epochs=EPOCHS),
-        timing=timing) for _ in range(2))
-    paths = record_paths(monkeypatch)
+    mc, oracle = make_mc(timing), make_oracle(timing)
     mc.fill_row(0, [1, 2, 3, 4], True, LANES)
-    mc.precharge_all(LANES)
-    assert paths == ["xir", "replay"]
-    oracle.replay(ir.WriteRow(0, "row", True), rows={"row": [1, 2, 3, 4]},
-                  lanes=LANES)
-    oracle.replay(ir.PrechargeAll(), rows={}, lanes=LANES)
-    assert stream_states(mc.device) == stream_states(oracle.device)
-    assert np.array_equal(mc.device.dropped_commands,
-                          oracle.device.dropped_commands)
-    assert mc.device.dropped_commands[2] > 0
+    oracle.run([ir.WriteRow(0, "row", True)], rows={"row": [1, 2, 3, 4]},
+               lanes=LANES)
+    with pytest.raises(XirLoweringError, match="--backend scalar"):
+        mc.precharge_all(LANES)
+    oracle.assert_matches(mc.device, mc.cycles)
 
 
 def test_bad_bank_raises_the_per_command_error():

@@ -97,8 +97,8 @@ def _batched_session() -> tuple[dict, np.ndarray]:
     try:
         controller = BatchedSoftMC(BatchedChip.from_chips(make_chips(N_LANES)))
         lanes = controller.all_lanes()
-        controller.run(seq.frac_sequence(0, 1, 2), lanes)
-        (data,) = controller.run(seq.read_row_sequence(0, 1), lanes)
+        controller.frac(0, [1] * N_LANES, 2, lanes)
+        data = controller.read_row(0, [1] * N_LANES, lanes)
     finally:
         deactivate()
     return telemetry.snapshot(deterministic=True), data

@@ -114,8 +114,6 @@ def assert_lanes_match_chips(device: BatchedChip, chips, environment):
                 assert cell.origins[lane] == (bank, sub)
                 assert cell._couplings[lane] == scalar.coupling
                 assert cell._decoders[lane] == scalar.decoder_profile
-                assert int(cell._sense_enable[lane]) == (
-                    electrical.sense_enable_cycles)
                 assert float(cell._restore[lane]) == electrical.restore_level
                 assert float(cell._cb[lane]) == (
                     electrical.bitline_to_cell_ratio)

@@ -9,20 +9,34 @@ laws) with ordering properties:
   cell voltage;
 * leakage only ever removes charge, longer waits never leave more, decay
   composes additively, and raising the temperature accelerates it;
-* the trial-batched kernels (:class:`repro.dram.batched.BatchedSubArray`)
-  are bit-for-bit equal to a loop of scalar kernels for random lane
-  counts, shapes and seeds — the byte-identity contract of the batched
-  execution engine, checked at the physics layer.
+* the trial-batched kernels (:class:`repro.dram.batched.BatchedSubArray`),
+  driven by compiled xir programs, are bit-for-bit equal to a loop of
+  scalar kernels for random lane counts, shapes and seeds — the
+  byte-identity contract of the lane engine, checked at the physics
+  layer.
 """
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.dram.batched import BatchedSubArray
+from repro.controller.batched import BatchedSoftMC
+from repro.controller.commands import (
+    Activate,
+    CommandSequence,
+    Precharge,
+    ReadRow,
+    TimedCommand,
+)
+from repro.dram.addressing import IdentityMap
+from repro.dram.batched import BatchedChip, BatchedSubArray
 from repro.dram.decoder import DecoderProfile
 from repro.dram.environment import Environment
-from repro.dram.parameters import ElectricalParams, VariationParams
+from repro.dram.parameters import (
+    ElectricalParams,
+    GeometryParams,
+    VariationParams,
+)
 from repro.dram.rng import NoiseSource
 from repro.dram.subarray import (
     CLOSE_ABORT_WINDOW,
@@ -31,6 +45,7 @@ from repro.dram.subarray import (
     VariationPlanes,
 )
 from repro.dram.vendor import GroupProfile
+from repro.xir import FusedRunner, ir
 
 ENV = Environment()
 N_COLS = 8
@@ -187,8 +202,9 @@ def _build_subarray(n_rows: int, n_cols: int, seed: int,
 
 def _make_pair(n_rows: int, n_cols: int, seeds: list[int],
                variation: VariationParams,
-               ) -> tuple[list[SubArray], BatchedSubArray]:
-    """Scalar sub-arrays and their batched twin, identically fabricated.
+               ) -> tuple[list[SubArray], BatchedSubArray, BatchedSoftMC]:
+    """Scalar sub-arrays and their batched twin, identically fabricated,
+    plus a controller around the twin.
 
     Both sides are constructed from the same (seed, tag) streams, so the
     scalar loop and the batched kernels start from the same silicon and
@@ -207,7 +223,7 @@ def _make_pair(n_rows: int, n_cols: int, seeds: list[int],
         planes=VariationPlanes.stack(donors), profiles=[profile] * len(seeds),
         noises=[donor._noise for donor in donors],
         environments=[ENV] * len(seeds), origins=[(0, 0)] * len(seeds))
-    return scalars, batched
+    return scalars, batched, _controller(batched, profile)
 
 
 @st.composite
@@ -225,24 +241,54 @@ def batch_cases(draw):
     return n_rows, n_cols, seeds, rows, volts
 
 
-def _cycles(batched: BatchedSubArray, cycle: int) -> np.ndarray:
-    return np.full(batched.n_lanes, cycle, dtype=np.int64)
+def _controller(batched: BatchedSubArray, profile) -> BatchedSoftMC:
+    """A one-bank, one-sub-array lane device around ``batched``."""
+    n_lanes = batched.n_lanes
+    device = BatchedChip(
+        geometry=GeometryParams(n_banks=1, subarrays_per_bank=1,
+                                rows_per_subarray=batched.n_rows,
+                                columns=batched.n_cols),
+        cells=[[batched]], groups=[profile] * n_lanes,
+        row_maps=[IdentityMap(batched.n_rows)] * n_lanes,
+        polarity_schemes=["true-only"] * n_lanes)
+    return BatchedSoftMC(device)
+
+
+def _issue(mc: BatchedSoftMC, rows, timeline, duration):
+    """Compile and run ``timeline`` — ``(cycle, command(row))`` pairs —
+    on every lane at its own row: one literal command stream per
+    distinct row.  Returns each lane's reads."""
+    reads: list[list[np.ndarray]] = [[] for _ in rows]
+    for row in dict.fromkeys(rows):
+        lanes = [lane for lane, lane_row in enumerate(rows)
+                 if lane_row == row]
+        sequence = CommandSequence(
+            tuple(TimedCommand(cycle, make(row)) for cycle, make in timeline),
+            duration)
+        for block in FusedRunner(mc).run([ir.Commands(sequence)], rows={},
+                                         lanes=lanes):
+            for lane, bits in zip(lanes, block):
+                reads[lane].append(bits)
+    return reads
 
 
 class TestBatchedKernelEquality:
     @given(batch_cases())
     @settings(deadline=None, max_examples=25)
     def test_charge_share_matches_scalar_loop(self, case):
+        """One Frac: the charge share, frozen by the interrupting PRE."""
         n_rows, n_cols, seeds, rows, volts = case
-        scalars, batched = _make_pair(n_rows, n_cols, seeds,
-                                      VariationParams())
-        lanes = list(range(len(seeds)))
+        scalars, batched, mc = _make_pair(n_rows, n_cols, seeds,
+                                          VariationParams())
         for lane, scalar in enumerate(scalars):
             scalar.cell_v[rows[lane]] = volts[lane]
             batched.cell_v[lane, rows[lane]] = volts[lane]
         for lane, scalar in enumerate(scalars):
             scalar.activate(rows[lane], 0, ENV)
-        batched.activate(lanes, rows, _cycles(batched, 0))
+            scalar.precharge(1, ENV)
+            scalar.finish(7, ENV)
+        _issue(mc, rows, [(0, lambda row: Activate(0, row)),
+                          (1, lambda row: Precharge(0))], 7)
         for lane, scalar in enumerate(scalars):
             assert np.array_equal(scalar.bitline_v, batched.bitline_v[lane])
             assert np.array_equal(scalar.cell_v, batched.cell_v[lane])
@@ -251,9 +297,8 @@ class TestBatchedKernelEquality:
     @settings(deadline=None, max_examples=25)
     def test_partial_amplify_matches_scalar_loop(self, case, pre_cycle):
         n_rows, n_cols, seeds, rows, volts = case
-        scalars, batched = _make_pair(n_rows, n_cols, seeds,
-                                      VariationParams())
-        lanes = list(range(len(seeds)))
+        scalars, batched, mc = _make_pair(n_rows, n_cols, seeds,
+                                          VariationParams())
         for lane, scalar in enumerate(scalars):
             scalar.cell_v[rows[lane]] = volts[lane]
             batched.cell_v[lane, rows[lane]] = volts[lane]
@@ -262,32 +307,37 @@ class TestBatchedKernelEquality:
             scalar.activate(rows[lane], 0, ENV)
             scalar.precharge(pre_cycle, ENV)
             scalar.finish(done, ENV)
-        batched.activate(lanes, rows, _cycles(batched, 0))
-        batched.precharge(lanes, _cycles(batched, pre_cycle))
-        batched.finish(lanes, _cycles(batched, done))
+        _issue(mc, rows, [(0, lambda row: Activate(0, row)),
+                          (pre_cycle, lambda row: Precharge(0))], done)
         for lane, scalar in enumerate(scalars):
             assert np.array_equal(scalar.cell_v, batched.cell_v[lane])
             assert np.array_equal(scalar.bitline_v, batched.bitline_v[lane])
+            assert (scalar._noise.rng.bit_generator.state
+                    == batched._noises[lane].rng.bit_generator.state)
 
     @given(batch_cases())
     @settings(deadline=None, max_examples=25)
     def test_sense_matches_scalar_loop(self, case):
         n_rows, n_cols, seeds, rows, volts = case
-        scalars, batched = _make_pair(n_rows, n_cols, seeds,
-                                      VariationParams())
-        lanes = list(range(len(seeds)))
+        scalars, batched, mc = _make_pair(n_rows, n_cols, seeds,
+                                          VariationParams())
         for lane, scalar in enumerate(scalars):
             scalar.cell_v[rows[lane]] = volts[lane]
             batched.cell_v[lane, rows[lane]] = volts[lane]
+        buffers = []
         for lane, scalar in enumerate(scalars):
             scalar.activate(rows[lane], 0, ENV)
             scalar.settle(20, ENV)
-        batched.activate(lanes, rows, _cycles(batched, 0))
-        batched.settle(lanes, _cycles(batched, 20))
-        buffers = batched.row_buffer(lanes)
-        for lane, scalar in enumerate(scalars):
             assert scalar.sense_fired
-            assert np.array_equal(scalar.row_buffer(), buffers[lane])
+            buffers.append(scalar.row_buffer())
+            scalar.precharge(21, ENV)
+            scalar.finish(21 + CLOSE_ABORT_WINDOW, ENV)
+        reads = _issue(mc, rows, [(0, lambda row: Activate(0, row)),
+                                  (20, lambda row: ReadRow(0, row)),
+                                  (21, lambda row: Precharge(0))],
+                       21 + CLOSE_ABORT_WINDOW)
+        for lane, scalar in enumerate(scalars):
+            assert np.array_equal(buffers[lane], reads[lane][0])
             assert np.array_equal(scalar.cell_v, batched.cell_v[lane])
 
     @given(batch_cases(), st.floats(0.001, 3600.0),
@@ -298,24 +348,21 @@ class TestBatchedKernelEquality:
     def test_leak_matches_scalar_loop(self, case, dt, vrt_fraction, data):
         n_rows, n_cols, seeds, rows, volts = case
         variation = VariationParams(vrt_cell_fraction=vrt_fraction)
-        scalars, batched = _make_pair(n_rows, n_cols, seeds, variation)
+        scalars, batched, mc = _make_pair(n_rows, n_cols, seeds, variation)
         lanes = list(range(len(seeds)))
         bits = np.stack([np.asarray(lane_volts) >= 0.5
                          for lane_volts in volts])
-        # Charge the cells through the command path (activate + sense +
-        # write + precharge): leak's dirty-row tracking relies on the
-        # engine invariant that cells only gain charge via open rows.
+        # Charge the cells through the command path (an in-spec write
+        # cycle): leak's dirty-row tracking relies on the engine
+        # invariant that cells only gain charge via open rows.
         for lane, scalar in enumerate(scalars):
             scalar.activate(rows[lane], 0, ENV)
-            scalar.settle(20, ENV)
+            scalar.settle(6, ENV)
             scalar.write_open_row(bits[lane])
-            scalar.precharge(21, ENV)
-            scalar.finish(21 + CLOSE_ABORT_WINDOW, ENV)
-        batched.activate(lanes, rows, _cycles(batched, 0))
-        batched.settle(lanes, _cycles(batched, 20))
-        batched.write_open_row(lanes, bits)
-        batched.precharge(lanes, _cycles(batched, 21))
-        batched.finish(lanes, _cycles(batched, 21 + CLOSE_ABORT_WINDOW))
+            scalar.precharge(15, ENV)
+            scalar.finish(20, ENV)
+        FusedRunner(mc).run([ir.WriteData(0, "row")], rows={"row": rows},
+                            data={"row": bits})
         # The second leak covers a drawn subset of lanes in drawn order,
         # so the cached per-lane-set leak context is keyed twice.
         subset = data.draw(st.lists(st.sampled_from(lanes), min_size=1,

@@ -1,5 +1,7 @@
 """Top-level CLI (``python -m repro``)."""
 
+import asyncio
+
 import pytest
 
 from repro.__main__ import main
@@ -131,6 +133,14 @@ class TestRefusedFlags:
         ["experiments", "--only", "latency", "--cache-dir", "FILE"],
         ["experiments", "--only", "latency", "--trace-out", "UNDER_FILE"],
         ["report", "--only", "latency", "--output", "UNDER_FILE"],
+        # A trace path that cannot be opened: under a regular file, or
+        # an existing directory.
+        ["run-program", "PROGRAM", "--trace-out", "UNDER_FILE"],
+        ["experiments", "--only", "latency", "--trace-out", "DIRECTORY"],
+        ["report", "--only", "latency", "--output", "OUTPUT",
+         "--trace-out", "DIRECTORY"],
+        ["bench-service", "--modules", "4", "--requests", "4",
+         "--no-store", "--trace-out", "DIRECTORY"],
         ["disassemble", "frac", "--n", "0"],
         # The assembler refuses a negative row, so this text would not
         # read back.
@@ -157,7 +167,8 @@ class TestRefusedFlags:
                  "NOT_JSON": not_json, "NOT_EVENT": not_event,
                  "NUMBER": number, "TRACE": tmp_path / "trace.jsonl",
                  "FILE": regular_file,
-                 "UNDER_FILE": regular_file / "t.jsonl"}
+                 "UNDER_FILE": regular_file / "t.jsonl",
+                 "OUTPUT": tmp_path / "report"}
         argv = [str(paths.get(arg, arg)) for arg in argv]
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -172,6 +183,27 @@ class TestRefusedFlags:
         assert capsys.readouterr().err == (
             "error: line 2: row must be an integer, got 'x' "
             "(offending text: 'ACT 0 x')\n")
+
+
+class TestServe:
+    def test_serve_enrolls_and_hands_the_service_to_asyncio(
+            self, monkeypatch, capsys):
+        """A valid ``serve`` gets past its flag checks, enrolls the
+        fleet and runs the service loop; the stubbed loop is stopped
+        the way Ctrl-C stops the real one."""
+        loops = []
+
+        def interrupted(coroutine):
+            loops.append(coroutine)
+            coroutine.close()
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(asyncio, "run", interrupted)
+        assert main(["serve", "--no-store", "--modules", "1"]) == 0
+        assert len(loops) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "stopped\n"
+        assert captured.err == ""
 
 
 class TestTelemetryCli:

@@ -47,12 +47,14 @@ class TestCompileCache:
         mc = runner.mc
         first = compile_program(OPS, enforce=False, timing=mc.timing,
                                 electrical=mc.electrical,
-                                n_banks=GEOMETRY.n_banks)
+                                n_banks=GEOMETRY.n_banks,
+                                rows_per_subarray=GEOMETRY.rows_per_subarray)
         info = xir_cache_info()
         assert (info["misses"], info["hits"]) == (1, 0)
         second = compile_program(OPS, enforce=False, timing=mc.timing,
                                  electrical=mc.electrical,
-                                 n_banks=GEOMETRY.n_banks)
+                                 n_banks=GEOMETRY.n_banks,
+                                 rows_per_subarray=GEOMETRY.rows_per_subarray)
         assert second is first
         info = xir_cache_info()
         assert (info["misses"], info["hits"]) == (1, 1)
@@ -63,10 +65,12 @@ class TestCompileCache:
         mc = runner.mc
         relaxed = compile_program(OPS, enforce=False, timing=mc.timing,
                                   electrical=mc.electrical,
-                                  n_banks=GEOMETRY.n_banks)
+                                  n_banks=GEOMETRY.n_banks,
+                                  rows_per_subarray=GEOMETRY.rows_per_subarray)
         enforcing = compile_program(OPS, enforce=True, timing=mc.timing,
                                     electrical=mc.electrical,
-                                    n_banks=GEOMETRY.n_banks)
+                                    n_banks=GEOMETRY.n_banks,
+                                    rows_per_subarray=GEOMETRY.rows_per_subarray)
         assert enforcing is not relaxed
         assert xir_cache_info()["misses"] == 2
 
@@ -76,16 +80,19 @@ class TestCompileCache:
         mc = runner.mc
         first = compile_program(OPS, enforce=False, timing=mc.timing,
                                 electrical=mc.electrical,
-                                n_banks=GEOMETRY.n_banks)
+                                n_banks=GEOMETRY.n_banks,
+                                rows_per_subarray=GEOMETRY.rows_per_subarray)
         other = compile_program(OPS[:1] + OPS[2:], enforce=False,
                                 timing=mc.timing, electrical=mc.electrical,
-                                n_banks=GEOMETRY.n_banks)
+                                n_banks=GEOMETRY.n_banks,
+                                rows_per_subarray=GEOMETRY.rows_per_subarray)
         # Distinct programs never share a token (executor-side caches
         # key on it), and a cache hit preserves the original's token.
         assert first.token != other.token
         again = compile_program(OPS, enforce=False, timing=mc.timing,
                                 electrical=mc.electrical,
-                                n_banks=GEOMETRY.n_banks)
+                                n_banks=GEOMETRY.n_banks,
+                                rows_per_subarray=GEOMETRY.rows_per_subarray)
         assert again.token == first.token
 
     def test_shard_payload_does_not_depend_on_cache_history(self):

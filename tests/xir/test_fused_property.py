@@ -1,25 +1,31 @@
-"""Property tests: fused xir execution equals the per-command walk bit for bit.
+"""Property tests: fused xir execution equals the scalar engine bit for bit.
 
-Two independent equivalences are exercised under hypothesis:
+The oracle is the scalar reference: one :class:`~repro.controller
+.softmc.SoftMC` per lane issuing each op's command template
+(:class:`tests.scalar_oracle.ScalarFleet`).  Three equivalences are
+exercised under hypothesis:
 
 * **Kernel level** — the telemetry-off fast path (compacted action
   stream, one ``xir_frac_burst`` kernel per Frac ladder) against the
   telemetry-on slow path (per-step ``xir_charge_share``/``xir_freeze``
-  kernels) against each challenge's commands replayed per command
-  (:meth:`BatchedSoftMC.replay`).  All three must produce identical
-  response bits on identically fabricated mixed-vendor fleets whose
-  lanes sit at different noise epochs (a coalesced verification batch
-  is one such fleet).
+  kernels) against the scalar engine, on identically fabricated
+  mixed-vendor fleets whose lanes sit at different noise epochs (a
+  coalesced verification batch is one such fleet).
 * **Program level** — the fig6 measurement-pass shape (write, Frac,
   precharge, leak, read) on fleets that mix spacing-enforcing and
   non-enforcing groups, so the runner's lane-class split and lockstep
-  leak driver are both on the hot path.  Results *and* deterministic
-  telemetry counters must match the per-command replay exactly.
+  leak driver are both on the hot path.
+* **Glitch level** — programs mixing multi-row activations and Half-m
+  (the unsensed close-abort glitch and partial amplification) with
+  stores, Frac ladders and reads, on the plans of groups B, C and D and
+  fleets that include group J, which enforces command spacing.
 
-Both levels also pin every lane's noise-stream *position* after the run.
-A write-row cycle's charge-share and sense draws are dead (its own write
-overwrites their effect), so a runner that stopped consuming them would
-still read back the right bits; only the generator states show it.
+Each compares reads, cell planes and bit-lines, every lane's noise-stream
+*position*, cycle counters, dropped commands and deterministic telemetry
+counters.  A write-row cycle's charge-share and sense draws are dead (its
+own write overwrites their effect), so a runner that stopped consuming
+them would still read back the right bits; only the generator states
+show it.
 """
 
 from __future__ import annotations
@@ -30,13 +36,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.batched_ops import BatchedFracDram
+from repro.core.ops import FracDram
 from repro.dram.batched import BatchedChip
+from repro.dram.chip import DramChip
 from repro.dram.parameters import GeometryParams
-from repro.puf.batched_puf import BatchedFracPuf
 from repro.puf.frac_puf import PUF_N_FRAC, Challenge, reserved_row
 from repro.telemetry import session as telemetry_session
 from repro.xir import FusedRunner, ir
 from repro.xir.puf import FusedFracPuf
+
+from ..scalar_oracle import ScalarFleet
 
 GEOMETRY = GeometryParams(n_banks=2, subarrays_per_bank=2,
                           rows_per_subarray=16, columns=32)
@@ -49,38 +58,21 @@ def make_fleet(units, seed, epochs=None, geometry=GEOMETRY):
                                   epochs=epochs or [0] * len(units))
 
 
-def run_per_command(bfd, ops, rows, lanes, dts=None):
-    """``ops`` replayed per command on ``bfd``'s controller: the reads."""
-    reads = []
-    for op in ops:
-        if isinstance(op, ir.Leak):
-            bfd.advance_time(dts[op.dt], lanes)
-        else:
-            reads += bfd.mc.replay(op, rows=rows, lanes=lanes)
-    return reads
+def make_oracle(units, seed, epochs=None, geometry=GEOMETRY):
+    return ScalarFleet(list(units), geometry=geometry, master_seed=seed,
+                       epochs=epochs or [0] * len(units))
 
 
-def evaluate_per_command(puf, challenge):
-    """``BatchedFracPuf.evaluate``'s command stream, replayed per command."""
-    lanes = puf.bfd.all_lanes()
+def puf_ops(prepared, challenge, n_frac):
+    """One challenge's evaluation ops, with the lazy reserved-row fill."""
     bank = challenge.bank
     reserved = reserved_row(challenge.row, GEOMETRY.rows_per_subarray)
-    ops = [ir.RowCopy(bank, "res", "row"), ir.Frac(bank, "row", puf.n_frac),
+    ops = [ir.RowCopy(bank, "res", "row"), ir.Frac(bank, "row", n_frac),
            ir.ReadRow(bank, "row")]
-    if (bank, reserved) not in puf._prepared_reserved:
+    if (bank, reserved) not in prepared:
         ops.insert(0, ir.WriteRow(bank, "res", True))
-        puf._prepared_reserved.add((bank, reserved))
-    rows = {"res": [reserved] * len(lanes),
-            "row": [challenge.row] * len(lanes)}
-    (bits,) = run_per_command(puf.bfd, ops, rows, lanes)
-    return bits
-
-
-def stream_states(device):
-    """Every lane's noise-generator state, for every bank and sub-array."""
-    return [[[noise.rng.bit_generator.state for noise in cell._noises]
-             for cell in bank_cells]
-            for bank_cells in device.cells]
+        prepared.add((bank, reserved))
+    return ops, reserved
 
 
 #: (bank, row) pairs avoiding each sub-array's reserved top row.
@@ -109,24 +101,31 @@ fleet_lanes = st.tuples(st.sampled_from("ABCG"), st.integers(0, 3),
                 ("A", 2, 1)])
 def test_frac_burst_matches_stepwise_and_batched(seed, n_frac, challenges,
                                                  lanes):
-    """Fast path == slow path == per-command replay, bit for bit."""
+    """Fast path == slow path == scalar engine, bit for bit."""
     units = [(group_id, serial) for group_id, serial, _ in lanes]
     epochs = [epoch for _, _, epoch in lanes]
     chals = [Challenge(bank, row) for bank, row in challenges]
     fast = FusedFracPuf(make_fleet(units, seed, epochs), n_frac=n_frac)
     slow = FusedFracPuf(make_fleet(units, seed, epochs), n_frac=n_frac)
-    batched = BatchedFracPuf(make_fleet(units, seed, epochs), n_frac=n_frac)
+    oracle = make_oracle(units, seed, epochs)
 
     fast_out = fast.evaluate_many(chals)   # telemetry off: burst kernels
     with telemetry_session():
         slow_out = slow.evaluate_many(chals)  # telemetry on: stepwise
-    batched_out = np.stack([evaluate_per_command(batched, challenge)
-                            for challenge in chals], axis=1)
+    n_lanes = len(units)
+    prepared: set = set()
+    expected = []
+    for challenge in chals:
+        ops, reserved = puf_ops(prepared, challenge, n_frac)
+        (bits,) = oracle.run(ops, rows={"res": [reserved] * n_lanes,
+                                        "row": [challenge.row] * n_lanes},
+                             lanes=list(range(n_lanes)))
+        expected.append(bits)
 
     assert np.array_equal(fast_out, slow_out)
-    assert np.array_equal(fast_out, batched_out)
-    assert stream_states(fast.bfd.device) == stream_states(batched.bfd.device)
-    assert stream_states(slow.bfd.device) == stream_states(batched.bfd.device)
+    assert np.array_equal(fast_out, np.stack(expected, axis=1))
+    oracle.assert_matches(fast.bfd.device, fast.bfd.mc.cycles)
+    oracle.assert_matches(slow.bfd.device, slow.bfd.mc.cycles)
 
 
 @settings(max_examples=15, deadline=None)
@@ -138,10 +137,10 @@ def test_frac_burst_matches_stepwise_and_batched(seed, n_frac, challenges,
        enforcing=st.booleans())
 def test_program_matches_batched_on_mixed_fleets(seed, n_frac, wait, bank,
                                                  row, enforcing):
-    """fig6-shape programs: identical bits and telemetry counters."""
+    """fig6-shape programs: identical bits, state and counters."""
     units = [("B", 0), ("J" if enforcing else "C", 0), ("G", 1)]
     lanes = list(range(len(units)))
-    rows = [row] * len(units)
+    rows = {"t": [row] * len(units)}
 
     ops: list[ir.Op] = [ir.WriteRow(bank, "t", True)]
     if n_frac:
@@ -151,29 +150,101 @@ def test_program_matches_batched_on_mixed_fleets(seed, n_frac, wait, bank,
         ops.append(ir.Leak("w"))
     ops.append(ir.ReadRow(bank, "t"))
 
-    bfd = BatchedFracDram(make_fleet(units, seed))
-    with telemetry_session() as batched_telemetry:
-        (expected,) = run_per_command(bfd, ops, {"t": rows}, lanes,
-                                      dts={"w": wait})
-        batched_counters = batched_telemetry.snapshot(
+    assert_program_matches_scalar(units, seed, ops, rows, {"w": wait})
+
+
+def assert_program_matches_scalar(units, seed, ops, rows, dts=None):
+    """Fast runner == full runner == scalar engine on ``ops``."""
+    lanes = list(range(len(units)))
+    oracle = make_oracle(units, seed)
+    with telemetry_session() as scalar_telemetry:
+        expected = oracle.run(ops, rows=rows, lanes=lanes, dts=dts)
+        scalar_counters = scalar_telemetry.snapshot(
             deterministic=True)["counters"]
 
     slow_runner = FusedRunner(BatchedFracDram(make_fleet(units, seed)).mc)
     with telemetry_session() as fused_telemetry:
-        slow_out = slow_runner.run(ops, rows={"t": rows}, dts={"w": wait},
-                                   lanes=lanes)[0]
+        slow_out = slow_runner.run(ops, rows=rows, dts=dts, lanes=lanes)
         fused_counters = fused_telemetry.snapshot(
             deterministic=True)["counters"]
 
     fast_runner = FusedRunner(BatchedFracDram(make_fleet(units, seed)).mc)
-    fast_out = fast_runner.run(ops, rows={"t": rows}, dts={"w": wait},
-                               lanes=lanes)[0]
+    fast_out = fast_runner.run(ops, rows=rows, dts=dts, lanes=lanes)
 
-    assert np.array_equal(slow_out, expected)
-    assert np.array_equal(fast_out, expected)
-    assert fused_counters == batched_counters
-    assert stream_states(fast_runner.device) == stream_states(bfd.device)
-    assert stream_states(slow_runner.device) == stream_states(bfd.device)
+    assert len(slow_out) == len(fast_out) == len(expected)
+    for slow_bits, fast_bits, bits in zip(slow_out, fast_out, expected):
+        assert np.array_equal(slow_bits, bits)
+        assert np.array_equal(fast_bits, bits)
+    assert fused_counters == scalar_counters
+    for runner in (slow_runner, fast_runner):
+        oracle.assert_matches(runner.device, runner.mc.cycles)
+
+
+def multi_row_plan(group, kind, bank, subarray):
+    """A scalar donor's plan: group B's MAJ3 triple or a four-row quad."""
+    donor = FracDram(DramChip(group, geometry=GEOMETRY, master_seed=0))
+    if kind == "triple":
+        return donor.triple_plan(bank, subarray)
+    return donor.quad_plan(bank, subarray)
+
+
+@st.composite
+def glitch_programs(draw):
+    """A program over one multi-row plan: stores, glitches, reads.
+
+    Frac ladders come paired with a read of their row: a spacing-enforcing
+    lane drops the Frac PRECHARGEs and leaves the row open, and the read
+    closes it (as fig6's measurement pass does).
+    """
+    group = draw(st.sampled_from("BCD"))
+    kind = draw(st.sampled_from(("triple", "quad") if group == "B"
+                                else ("quad",)))
+    bank = draw(st.integers(0, GEOMETRY.n_banks - 1))
+    subarray = draw(st.integers(0, GEOMETRY.subarrays_per_bank - 1))
+    plan = multi_row_plan(group, kind, bank, subarray)
+    slots = list(range(plan.n_rows))
+    op_kinds = st.sampled_from(("fill", "frac", "read", "multi", "half-m",
+                                "precharge", "leak"))
+    ops: list[ir.Op] = []
+    for choice in draw(st.lists(op_kinds, min_size=1, max_size=7)):
+        slot = f"o{draw(st.sampled_from(slots))}"
+        if choice == "fill":
+            ops.append(ir.WriteRow(bank, slot, draw(st.booleans())))
+        elif choice == "frac":
+            ops += [ir.Frac(bank, slot, draw(st.integers(1, 3))),
+                    ir.ReadRow(bank, slot)]
+        elif choice == "read":
+            ops.append(ir.ReadRow(bank, slot))
+        elif choice == "multi":
+            ops.append(ir.MultiRow(bank, "r1", "r2"))
+        elif choice == "half-m":
+            ops.append(ir.HalfM(bank, "r1", "r2"))
+        elif choice == "precharge":
+            ops.append(ir.PrechargeAll())
+        else:
+            ops.append(ir.Leak("w"))
+    return plan, ops
+
+
+#: A fleet lane for glitch programs: groups B, C, D and J.
+glitch_lanes = st.tuples(st.sampled_from("BCDJ"), st.integers(0, 3))
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**20),
+       program=glitch_programs(),
+       lanes=st.lists(glitch_lanes, min_size=1, max_size=4),
+       wait=st.sampled_from([0.05, 3.0]))
+def test_glitch_programs_match_scalar(seed, program, lanes, wait):
+    """MultiRow and HalfM among stores, Fracs and reads == scalar."""
+    plan, ops = program
+    units = [(group_id, serial) for group_id, serial in lanes]
+    n_lanes = len(units)
+    rows = {"r1": [plan.act_pair[0]] * n_lanes,
+            "r2": [plan.act_pair[1]] * n_lanes}
+    for slot, row in enumerate(plan.opened):
+        rows[f"o{slot}"] = [row] * n_lanes
+    assert_program_matches_scalar(units, seed, ops, rows, {"w": wait})
 
 
 #: Wide rows: a write-row cycle's dead draws span 2 x 8,192 values.
@@ -190,7 +261,7 @@ WIDE = GeometryParams(n_banks=1, subarrays_per_bank=2, rows_per_subarray=16,
      ir.WriteRow(0, "b", False)],
 ], ids=["read-after-dead-spans", "trailing-write"])
 def test_dead_write_draws_keep_every_stream_in_step(ops):
-    """Fast == full == per-command on outputs *and* every stream state."""
+    """Fast == full == scalar on outputs *and* every stream state."""
     units = [("B", 0), ("C", 1), ("G", 2)]
     epochs = [0, 1, 2]
     lanes = list(range(len(units)))
@@ -206,13 +277,12 @@ def test_dead_write_draws_keep_every_stream_in_step(ops):
     full = fused()
     with telemetry_session():
         full_out = full.run(ops, rows=rows, lanes=lanes)  # every step
-    bfd = BatchedFracDram(make_fleet(units, 7, epochs, geometry=WIDE))
-    batched_out = run_per_command(bfd, ops, rows, lanes)
+    oracle = make_oracle(units, 7, epochs, geometry=WIDE)
+    expected = oracle.run(ops, rows=rows, lanes=lanes)
 
-    assert len(fast_out) == len(batched_out)
-    for fast_bits, full_bits, batched_bits in zip(fast_out, full_out,
-                                                  batched_out):
-        assert np.array_equal(fast_bits, batched_bits)
-        assert np.array_equal(full_bits, batched_bits)
-    assert stream_states(fast.device) == stream_states(bfd.device)
-    assert stream_states(full.device) == stream_states(bfd.device)
+    assert len(fast_out) == len(expected)
+    for fast_bits, full_bits, bits in zip(fast_out, full_out, expected):
+        assert np.array_equal(fast_bits, bits)
+        assert np.array_equal(full_bits, bits)
+    oracle.assert_matches(fast.device, fast.mc.cycles)
+    oracle.assert_matches(full.device, full.mc.cycles)
